@@ -29,7 +29,6 @@ from .genfun import (
 )
 from .heuristics import (
     SearchParams,
-    SearchReport,
     boundary_pareto_search,
     boundary_start,
     fiber_bfs,
@@ -37,7 +36,6 @@ from .heuristics import (
     local_search,
     pivot_test,
     projected_boundary,
-    run_search,
     tabu_search,
 )
 from .incidence import (
@@ -85,6 +83,7 @@ from .oracles import (
     planar_convex_hull,
     polytope_dimension,
     spanning_trees,
+    visible,
 )
 from .triangulate import (
     Cone,
@@ -95,7 +94,6 @@ from .triangulate import (
     half_open_decompose,
     placing_triangulation,
     tangent_cone,
-    visible,
 )
 from .uniform import (
     bounded_composition_counts,

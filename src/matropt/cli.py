@@ -21,9 +21,10 @@ from .heuristics import (
     boundary_pareto_search,
     boundary_start,
     fiber_bfs_driver,
+    local_search,
     pivot_test,
     projected_boundary,
-    run_search,
+    tabu_search,
 )
 from .incidence import classify_square_2face
 from .io import format_rational, load_matroid, load_weights, parse_point_rows, parse_rational
@@ -46,7 +47,8 @@ from .oracles import (
     polytope_dimension,
     spanning_trees,
 )
-from .triangulate import placing_triangulation
+from .linalg import bareiss_det
+from .triangulate import cell_lattice_determinant, placing_triangulation
 from .uniform import ehrhart_uniform, hstar_uniform
 
 
@@ -171,26 +173,35 @@ def _run_single_search(args, use_tabu):
         start = _parse_basis(args.start, M.n)
     else:
         start = random_basis(M, seed=args.seed)
-    report = run_search(M, W, obj, start, use_tabu=use_tabu, tabu_limit=args.tabu_limit)
+    trail = []
+
+    def sink(pivot, basis, point, value):
+        trail.append((pivot, basis, point, value))
+
+    if use_tabu:
+        result = tabu_search(M, start, W, obj, args.tabu_limit, transcript=sink)
+        reason = "tabu stop"
+    else:
+        result = local_search(M, W, obj, start, transcript=sink)
+        reason = "local minimum"
     if args.transcript:
         with open(args.transcript, "w", encoding="utf-8") as fh:
-            for pivot, basis, point, value in report.trail:
+            for pivot, basis, point, value in trail:
                 fh.write(json.dumps({
                     "pivot": pivot,
                     "basis": _one_based(basis),
                     "point": list(point),
                     "objective": format_rational(value),
                 }, sort_keys=True) + "\n")
-    result = report.bases[0]
-    point = report.points[0]
+    point = project(W, result)
     payload = {
         "seed": args.seed,
         "params": {"objective": args.objective, "start": _one_based(start)},
         "basis": _one_based(result),
         "point": list(point),
         "value": format_rational(obj(point)),
-        "pivots": report.pivots,
-        "reason": report.reason,
+        "pivots": trail[-1][0] if trail else 0,
+        "reason": reason,
     }
     if use_tabu:
         payload["params"]["tabu_limit"] = args.tabu_limit
@@ -365,27 +376,19 @@ def cmd_check_unimodular(args):
     bases = enumerate_bases(M)
     points = [incidence_vector(b, M.n) for b in bases]
     cells, order = placing_triangulation(points)
-    from .linalg import bareiss_det, lattice_span_basis, solve_in_row_space
-
     dim = polytope_dimension(M, bases)
-    span = lattice_span_basis(
-        [tuple(a - b for a, b in zip(p, points[0])) for p in points[1:]]
-    )
     report = []
     all_ok = True
     for cell in cells:
-        # Normalized volume over the affine lattice of the polytope; for a
-        # connected matroid this equals |det of the n incidence vectors|
-        # divided by the rank, so unimodularity reads "lattice det == 1".
+        # Normalized volume over the affine lattice of the polytope: placing
+        # cells are full-dimensional, so the gcd of the maximal minors of the
+        # edge vectors is the cell's index in that lattice.  For a connected
+        # matroid this equals |det of the n incidence vectors| divided by the
+        # rank, so unimodularity reads "lattice det == 1".
         first = points[cell[0]]
-        rows = []
-        for idx in cell[1:]:
-            diff = tuple(a - b for a, b in zip(points[idx], first))
-            coords = solve_in_row_space(span, diff)
-            if coords is None or any(x.denominator != 1 for x in coords):
-                raise InternalInconsistencyError("vertex outside the affine lattice")
-            rows.append([int(x) for x in coords])
-        lattice_det = abs(bareiss_det(rows))
+        lattice_det = cell_lattice_determinant(
+            [tuple(a - b for a, b in zip(points[idx], first)) for idx in cell[1:]]
+        )
         ok = lattice_det == 1
         entry = {
             "cell": [_one_based(bases[i]) for i in cell],

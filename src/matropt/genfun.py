@@ -18,6 +18,7 @@ from .errors import DimensionError, InternalInconsistencyError
 from .matroid import Matroid
 from .oracles import enumerate_bases, polytope_dimension
 from .triangulate import (
+    cell_lattice_determinant,
     cone_triangulation,
     half_open_decompose,
     tangent_cone,
@@ -26,12 +27,11 @@ from .triangulate import (
 
 @dataclass(frozen=True)
 class GenFunTerm:
-    """One signed term sign * z^numerator / prod_j (1 - z^denominators[j]).
+    """One term z^numerator / prod_j (1 - z^denominators[j]).
 
     `vertex` stores the apex so the k-th dilation reads numerator+(k-1)*vertex.
     """
 
-    sign: int
     numerator: tuple
     vertex: tuple
     denominators: tuple
@@ -50,34 +50,19 @@ def matroid_genfun(M: Matroid, bases=None):
     for b in bases:
         cone = tangent_cone(M, b)
         cells = cone_triangulation(cone)
-        for half in half_open_decompose(cone.apex, cells):
-            num = list(cone.apex)
-            for j in half.strict_indices:
-                gen = half.generators[j]
-                num = [a + g for a, g in zip(num, gen)]
-            terms.append(
-                GenFunTerm(
-                    sign=1,
-                    numerator=tuple(num),
-                    vertex=tuple(cone.apex),
-                    denominators=half.generators,
-                )
-            )
+        terms.extend(genfun_of_halfopen(h) for h in half_open_decompose(cone.apex, cells))
     return terms
 
 
 def genfun_of_halfopen(half) -> GenFunTerm:
     """Term of one unimodular half-open cell: numerator sits at the unique
     lattice point of the fundamental parallelepiped, apex + strict generators."""
-    from .triangulate import cell_lattice_determinant
-
     if half.generators and cell_lattice_determinant(half.generators) != 1:
         raise DimensionError("cell is not unimodular over its lattice")
     num = list(half.apex)
     for j in half.strict_indices:
         num = [a + g for a, g in zip(num, half.generators[j])]
     return GenFunTerm(
-        sign=1,
         numerator=tuple(num),
         vertex=tuple(half.apex),
         denominators=tuple(half.generators),
@@ -183,7 +168,7 @@ def specialize_count(terms, lam=None) -> int:
     total = Fraction(0)
     for t in terms:
         if not t.denominators:
-            total += t.sign
+            total += 1
             continue
         weights = _term_weights(t, lam)
         na = Fraction(_idot(lam, t.numerator))
@@ -192,7 +177,7 @@ def specialize_count(terms, lam=None) -> int:
         for l, w in enumerate(weights):
             acc += w * power
             power *= na
-        total += t.sign * acc
+        total += acc
     if total.denominator != 1:
         raise InternalInconsistencyError(f"specialization gave non-integer {total}")
     return int(total)
@@ -212,7 +197,7 @@ def dilation_polynomial(terms, dim: int, lam=None):
     for t in terms:
         s = len(t.denominators)
         if s == 0:
-            coeffs[0] += t.sign  # point vertex: one lattice point per dilation
+            coeffs[0] += 1  # point vertex: one lattice point per dilation
             continue
         weights = _term_weights(t, lam)
         va = Fraction(_idot(lam, t.vertex))
@@ -226,7 +211,7 @@ def dilation_polynomial(terms, dim: int, lam=None):
             c = Fraction(0)
             for l in range(m, s + 1):
                 c += comb(l, m) * weights[l] * spow[l - m]
-            coeffs[m] += t.sign * vpow[m] * c
+            coeffs[m] += vpow[m] * c
     for m in range(dim + 1, smax + 1):
         if coeffs[m] != 0:
             raise InternalInconsistencyError(
@@ -247,9 +232,8 @@ def ehrhart_polynomial(M: Matroid):
 
 
 def term_to_dict(term: GenFunTerm) -> dict:
-    """JSON-ready form: {sign, a, v, b}."""
+    """JSON-ready form: {a, v, b}."""
     return {
-        "sign": term.sign,
         "a": list(term.numerator),
         "v": list(term.vertex),
         "b": [list(b) for b in term.denominators],
@@ -258,7 +242,6 @@ def term_to_dict(term: GenFunTerm) -> dict:
 
 def term_from_dict(payload: dict) -> GenFunTerm:
     return GenFunTerm(
-        sign=int(payload["sign"]),
         numerator=tuple(int(x) for x in payload["a"]),
         vertex=tuple(int(x) for x in payload["v"]),
         denominators=tuple(tuple(int(x) for x in b) for b in payload["b"]),

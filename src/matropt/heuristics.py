@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -47,43 +47,6 @@ class SearchParams:
                 raise DimensionError(f"{name} must be >= 1")
         if self.bfs_depth < 0:
             raise DimensionError("bfs_depth must be >= 0")
-
-
-@dataclass
-class SearchReport:
-    """Outcome of one search run plus its pivot transcript."""
-
-    bases: list = field(default_factory=list)
-    points: list = field(default_factory=list)
-    pivots: int = 0
-    reason: str = ""
-    trail: list = field(default_factory=list)
-
-
-def run_search(M, W, objective, start, use_tabu=False, tabu_limit=10):
-    """Run a single search and wrap the outcome in a SearchReport.
-
-    The trail records every pivot as (pivot#, basis, point, value); the
-    report's bases/points hold the final result and its projection.
-    """
-    trail = []
-
-    def sink(pivot, basis, point, value):
-        trail.append((pivot, basis, point, value))
-
-    if use_tabu:
-        result = tabu_search(M, start, W, objective, tabu_limit, transcript=sink)
-        reason = "tabu stop"
-    else:
-        result = local_search(M, W, objective, start, transcript=sink)
-        reason = "local minimum"
-    return SearchReport(
-        bases=[result],
-        points=[project(W, result)],
-        pivots=trail[-1][0] if trail else 0,
-        reason=reason,
-        trail=trail,
-    )
 
 
 def _check(M: Matroid, W: WeightMatrix):

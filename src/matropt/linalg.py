@@ -65,28 +65,11 @@ def rational_rank(rows) -> int:
     return rank
 
 
-def solve_linear(rows, rhs):
-    """Solve the square system rows * x = rhs over Q; None if singular."""
-    n = len(rows)
-    m = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return tuple(m[i][n] for i in range(n))
-
-
 def solve_in_row_space(basis_rows, target):
     """Coordinates c with c * basis_rows = target, or None if target is outside.
 
-    basis_rows must be linearly independent.
+    Also None when basis_rows are linearly dependent: some coordinate then
+    finds no pivot, so a non-None answer certifies independent rows.
     """
     k = len(basis_rows)
     if k == 0:
@@ -96,7 +79,6 @@ def solve_in_row_space(basis_rows, target):
     m = [[Fraction(basis_rows[i][j]) for i in range(k)] for j in range(cols)]
     aug = [row + [Fraction(t)] for row, t in zip(m, target)]
     # Gaussian elimination on the (cols x k) system.
-    pivots = []
     row = 0
     for col in range(k):
         piv = next((i for i in range(row, cols) if aug[i][col] != 0), None)
@@ -109,23 +91,11 @@ def solve_in_row_space(basis_rows, target):
             if i != row and aug[i][col] != 0:
                 f = aug[i][col]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
-        pivots.append(row)
         row += 1
     for i in range(row, cols):
         if aug[i][k] != 0:
             return None
     return tuple(aug[i][k] for i in range(k))
-
-
-def adjugate(rows):
-    """Adjugate of a square integer matrix: adj(A) * A = det(A) * I."""
-    n = len(rows)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-            adj[i][j] = (-1) ** (i + j) * bareiss_det(minor)
-    return [tuple(r) for r in adj]
 
 
 def max_minor_gcd(rows) -> int:
@@ -145,59 +115,6 @@ def max_minor_gcd(rows) -> int:
         if g == 1:
             return 1
     return g
-
-
-def integer_kernel_basis(rows):
-    """Basis of the integer kernel {x in Z^n : A x = 0} of an integer matrix.
-
-    Unimodular column operations reduce A to column-echelon form; the
-    transformation columns matching zeroed-out columns span the kernel.
-    """
-    if not rows:
-        raise ValueError("matrix must have at least one row; pad with zeros")
-    m = [list(map(int, r)) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def swap(c1, c2):
-        for r in m:
-            r[c1], r[c2] = r[c2], r[c1]
-        for r in u:
-            r[c1], r[c2] = r[c2], r[c1]
-
-    def addmul(dst, src, f):
-        for r in m:
-            r[dst] += f * r[src]
-        for r in u:
-            r[dst] += f * r[src]
-
-    col = 0
-    for row in range(nrows):
-        if col == ncols:
-            break
-        # Euclidean reduction across active columns on this row.
-        while True:
-            nz = [c for c in range(col, ncols) if m[row][c] != 0]
-            if not nz:
-                break
-            c0 = min(nz, key=lambda c: abs(m[row][c]))
-            if c0 != col:
-                swap(col, c0)
-            done = True
-            for c in range(col + 1, ncols):
-                if m[row][c] != 0:
-                    addmul(c, col, -(m[row][c] // m[row][col]))
-                    if m[row][c] != 0:
-                        done = False
-            if done:
-                break
-        if m[row][col] != 0:
-            col += 1
-    kernel = []
-    for c in range(ncols):
-        if all(m[r][c] == 0 for r in range(nrows)):
-            kernel.append(tuple(u[r][c] for r in range(ncols)))
-    return kernel
 
 
 def rational_kernel_basis(rows):
@@ -246,34 +163,6 @@ def clear_denominators(vec):
     if g > 1:
         ints = [x // g for x in ints]
     return tuple(ints)
-
-
-def lattice_span_basis(vectors):
-    """Rows forming a Z-basis of Z^n intersected with the Q-span of vectors.
-
-    The span is cut out by the rational kernel of the vector matrix; integer
-    points of that cut are exactly the saturated lattice.
-    """
-    vectors = [tuple(map(int, v)) for v in vectors]
-    if not vectors:
-        return []
-    n = len(vectors[0])
-    complement = rational_kernel_basis(vectors)
-    if not complement:
-        return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    return integer_kernel_basis(complement)
-
-
-def in_affine_hull(points, v) -> bool:
-    """Whether v lies in the affine hull of the given rational points."""
-    if not points:
-        return False
-    base = points[0]
-    diffs = [tuple(Fraction(a) - Fraction(b) for a, b in zip(p, base)) for p in points[1:]]
-    target = tuple(Fraction(a) - Fraction(b) for a, b in zip(v, base))
-    if not diffs:
-        return all(x == 0 for x in target)
-    return rational_rank(diffs) == rational_rank(diffs + [target])
 
 
 def affinely_independent(points) -> bool:

@@ -1,13 +1,16 @@
 """Placing triangulations of point sets and vertex cones, plus half-open
 decompositions of the resulting simplicial cones.
 
-`visible` decides facet visibility with an exact rational LP: the facet is
-visible exactly when no hull point lies strictly between its centroid and
-the query point (maximize the segment parameter, test it for zero).  The
-placing loop itself only ever queries hull-boundary facets, where the same
-answer drops out of a strict supporting-hyperplane sign test, so that exact
-shortcut runs in the inner loop.  Insertion order is recorded with every
-result so a run can be replayed.
+The placing loop only ever queries hull-boundary facets, where visibility
+drops out of a strict supporting-hyperplane sign test; the general exact LP
+test it is checked against is `oracles.visible`.  Insertion order is
+recorded with every result so a run can be replayed.
+
+Half-open flags follow the coordinate sign rule of Koeppe & Verdoolaege
+(Computing parametric rational generating functions with a primal Barvinok
+algorithm, Electron. J. Combin. 2008): for a generic y in the relative
+interior of the cone, facet j of a simplicial cell is strict exactly when
+the j-th coordinate of y in the cell's own generators is negative.
 """
 
 from __future__ import annotations
@@ -19,16 +22,11 @@ from itertools import combinations
 
 from .errors import DimensionError, InternalInconsistencyError
 from .linalg import (
-    adjugate,
     affinely_independent,
-    bareiss_det,
-    lattice_span_basis,
     max_minor_gcd,
     rational_kernel_basis,
     solve_in_row_space,
-    solve_linear,
 )
-from .lp import OPTIMAL, simplex_maximize
 
 
 @dataclass(frozen=True)
@@ -72,42 +70,6 @@ def tangent_cone(M, basis) -> Cone:
         vec = incidence_vector(nb, M.n)
         gens.append(tuple(a - c for a, c in zip(vec, apex)))
     return Cone(apex=apex, generators=tuple(gens))
-
-
-def visible(facet_points, hull_points, v) -> bool:
-    """Exact LP test: is the facet visible from v?
-
-    Feasibility of a hull point strictly between the facet centroid z and v
-    is decided by maximizing the segment parameter lam in
-    x = lam*v + (1-lam)*z, x in conv(hull_points), 0 <= lam <= 1.  The facet
-    is visible exactly when the maximum is zero (the segment meets the hull
-    only at z).
-    """
-    facet_points = [tuple(map(Fraction, p)) for p in facet_points]
-    hull_points = [tuple(map(Fraction, p)) for p in hull_points]
-    v = tuple(map(Fraction, v))
-    if not affinely_independent(facet_points):
-        raise DimensionError("degenerate facet: affinely dependent vertex list")
-    q = len(facet_points)
-    dim = len(v)
-    z = tuple(sum(p[i] for p in facet_points) / q for i in range(dim))
-    t = len(hull_points)
-    # Variables: y_1..y_t, lam, slack for lam <= 1.
-    ncols = t + 2
-    rows, rhs = [], []
-    for i in range(dim):
-        row = [hull_points[j][i] for j in range(t)] + [z[i] - v[i], Fraction(0)]
-        rows.append(row)
-        rhs.append(z[i])
-    rows.append([Fraction(1)] * t + [Fraction(0), Fraction(0)])
-    rhs.append(Fraction(1))
-    rows.append([Fraction(0)] * t + [Fraction(1), Fraction(1)])
-    rhs.append(Fraction(1))
-    cost = [Fraction(0)] * t + [Fraction(1), Fraction(0)]
-    status, _, value = simplex_maximize(rows, rhs, cost)
-    if status != OPTIMAL:
-        raise InternalInconsistencyError(f"visibility LP ended {status}")
-    return value == 0
 
 
 def placing_triangulation(points, order=None):
@@ -261,49 +223,14 @@ def cell_lattice_determinant(generators) -> int:
     return g
 
 
-def facet_normals(generators):
-    """Inward-negative facet normals of a full-rank simplicial cone.
-
-    Returns ambient rational vectors u_1..u_N with <u_j, b_i> = 0 for i != j
-    and < 0 for i = j, so the cone is {x : <u_j, x> <= 0 for all j} within
-    its span.  Computed from the adjugate in lattice coordinates and lifted
-    back through the span's lattice basis.
-    """
-    gens = [tuple(map(int, g)) for g in generators]
-    if not gens:
-        return [], []
-    basis = lattice_span_basis(gens)
-    ncoord = len(basis)
-    if ncoord != len(gens):
-        raise DimensionError("facet normals need linearly independent generators")
-    coords = []
-    for g in gens:
-        c = solve_in_row_space(basis, g)
-        if c is None or any(x.denominator != 1 for x in c):
-            raise InternalInconsistencyError("generator not in its own lattice span")
-        coords.append(tuple(int(x) for x in c))
-    mat = [[coords[j][i] for j in range(ncoord)] for i in range(ncoord)]  # gens as columns
-    det = bareiss_det(mat)
-    adj = adjugate(mat)
-    sign = 1 if det > 0 else -1
-    ambient = len(basis[0])
-    gram = [
-        [sum(basis[a][t] * basis[b][t] for t in range(ambient)) for b in range(ncoord)]
-        for a in range(ncoord)
-    ]
-    normals = []
-    for j in range(ncoord):
-        row = [-sign * x for x in adj[j]]
-        # Lift the coordinate functional to an ambient vector in the span:
-        # u = nu * (L L^T)^{-1} L reproduces <u, g_i> = nu . coords_i.
-        w = solve_linear(gram, row)
-        if w is None:
-            raise InternalInconsistencyError("singular Gram matrix for lattice basis")
-        u = tuple(
-            sum(Fraction(w[a]) * basis[a][t] for a in range(ncoord)) for t in range(ambient)
+def _cell_coordinates(cell, y):
+    """Coordinates of y in the generators of a simplicial cell."""
+    c = solve_in_row_space(cell, y)
+    if c is None:
+        raise DimensionError(
+            "y must lie in the span of every cell, and cell generators must be independent"
         )
-        normals.append(u)
-    return normals, coords
+    return c
 
 
 def generic_y_for_cells(cells):
@@ -311,76 +238,58 @@ def generic_y_for_cells(cells):
 
     Strictly positive combinations of all the rays stay inside the cone, so
     its own boundary facets keep weak inequalities and only internal walls
-    are opened; powers of t weight the rays, and t grows until no facet
-    normal pairs to zero.  Each normal rules out at most len(rays)-1 values
-    of t, so the search terminates.
+    are opened; powers of t weight the rays, and t grows until y has no
+    zero coordinate in any cell.  Each coordinate is a nonzero polynomial
+    in t of degree below len(rays), so the search terminates.  Returns y
+    and its coordinates per cell.
     """
-    all_normals = []
-    rays = []
-    seen_rays = set()
-    for cell in cells:
-        if not cell:
-            continue
-        normals, _ = facet_normals(cell)
-        all_normals.append((cell, normals))
-        for g in cell:
-            if g not in seen_rays:
-                seen_rays.add(g)
-                rays.append(g)
-    if not all_normals:
+    cells = [cell for cell in cells if cell]
+    rays = list(dict.fromkeys(g for cell in cells for g in cell))
+    if not rays:
         return None, {}
     dim = len(rays[0])
     t = 1
     while True:
-        y = tuple(
-            sum(Fraction(t) ** i * rays[i][p] for i in range(len(rays)))
-            for p in range(dim)
-        )
-        if all(_dot(nrm, y) != 0 for _, normals in all_normals for nrm in normals):
-            return y, {cell: normals for cell, normals in all_normals}
+        y = tuple(sum(t**i * ray[p] for i, ray in enumerate(rays)) for p in range(dim))
+        coords = {}
+        for cell in cells:
+            c = _cell_coordinates(cell, y)
+            if 0 in c:
+                break
+            coords[cell] = c
+        else:
+            return y, coords
         t += 1
-
-
-def _dot(a, b):
-    return sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
 
 
 def half_open_decompose(apex, cells, y=None):
     """Half-open variants of triangulation cells that partition the cone.
 
-    Facets whose normal pairs negatively with y stay weak; positive pairings
-    become strict, exactly reproducing which side of each shared wall keeps
-    the lattice points.  y must avoid every facet hyperplane and sit in the
-    cone's relative interior (so boundary facets never open); a suitable
-    vector is constructed when not supplied, and a supplied one is checked:
-    a generic interior y is strictly inside exactly one cell.
+    Facet j of a cell is strict exactly when the j-th coordinate of y in
+    the cell's generators is negative (the Koeppe-Verdoolaege sign rule),
+    which keeps the lattice points of each shared wall on exactly one side.
+    y must have no zero coordinate in any cell and sit in the cone's
+    relative interior (so boundary facets never open); a suitable vector is
+    constructed when not supplied, and a supplied one is checked: a generic
+    interior y is strictly inside exactly one cell.
     """
     cells = [tuple(tuple(g) for g in c) for c in cells]
     if y is None:
-        y, normal_map = generic_y_for_cells(cells)
+        _, coords = generic_y_for_cells(cells)
     else:
-        y = tuple(map(Fraction, y))
-        normal_map = {}
-        for cell in cells:
-            if cell:
-                normals, _ = facet_normals(cell)
-                normal_map[cell] = normals
+        coords = {cell: _cell_coordinates(cell, y) for cell in cells if cell}
+        if any(0 in c for c in coords.values()):
+            raise DimensionError("y is not generic: it lies on a wall of a cell")
     out = []
     strict_hits = 0
     for cell in cells:
         if not cell:
             out.append(HalfOpenSimplicialCone(tuple(apex), (), frozenset()))
             continue
-        strict = set()
-        for j, nrm in enumerate(normal_map[cell]):
-            pairing = _dot(nrm, y)
-            if pairing == 0:
-                raise DimensionError("y is not generic: zero pairing with a facet normal")
-            if pairing > 0:
-                strict.add(j)
+        strict = frozenset(j for j, x in enumerate(coords[cell]) if x < 0)
         if not strict:
             strict_hits += 1
-        out.append(HalfOpenSimplicialCone(tuple(apex), cell, frozenset(strict)))
+        out.append(HalfOpenSimplicialCone(tuple(apex), cell, strict))
     if any(c for c in cells) and strict_hits != 1:
         # The all-weak cell is the one whose interior holds y; zero or many
         # such cells means y was outside the cone and the flags would not

@@ -171,6 +171,54 @@ class TestStochasticCommands:
         assert all(len(line.split()) == 2 for line in lines)
 
 
+class TestSingleSearch:
+    """ls/ts reports: stop reason, pivot count from the transcript, the
+    projection of the returned basis, and golden bytes for fixed seeds."""
+
+    LS_GOLDEN = (
+        '{"basis": [1, 4, 5], "params": {"objective": "sqdist", "start": [2, 5, 6]}, '
+        '"pivots": 2, "point": [9, 12], "reason": "local minimum", "seed": 3, "value": "8"}\n'
+    )
+    TS_GOLDEN = (
+        '{"basis": [2, 3, 4], "params": {"objective": "linear", "start": [3, 5, 6], '
+        '"tabu_limit": 4}, "pivots": 6, "point": [6, 16], "reason": "tabu stop", '
+        '"seed": 5, "value": "6"}\n'
+    )
+
+    def _check(self, files, tmp_path, golden, reason, *argv):
+        import matropt as mp
+
+        trace = tmp_path / "trace.jsonl"
+        res = run_cli(
+            *argv, "--matroid", files["k4.graph"], "--weights", files["k4.weights"],
+            "--transcript", str(trace),
+        )
+        assert res.returncode == 0
+        assert res.stdout == golden
+        payload = json.loads(res.stdout)
+        assert payload["reason"] == reason
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert payload["pivots"] == records[-1]["pivot"]
+        M = mp.load_matroid(files["k4.graph"])
+        W = mp.WeightMatrix(tuple(mp.load_weights(files["k4.weights"])))
+        basis = tuple(e - 1 for e in payload["basis"])
+        assert M.is_basis(basis)
+        assert list(mp.project(W, basis)) == payload["point"]
+
+    def test_ls_report(self, files, tmp_path):
+        self._check(
+            files, tmp_path, self.LS_GOLDEN, "local minimum",
+            "ls", "--seed", "3", "--objective", "sqdist", "--target", "11,14",
+        )
+
+    def test_ts_report(self, files, tmp_path):
+        self._check(
+            files, tmp_path, self.TS_GOLDEN, "tabu stop",
+            "ts", "--seed", "5", "--objective", "linear", "--coeff", "1,0",
+            "--tabu-limit", "4",
+        )
+
+
 class TestExitCodes:
     def test_parse_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.matroid"

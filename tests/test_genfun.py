@@ -62,7 +62,7 @@ def box_terms(sides):
             tuple((-1 if (mask >> i) & 1 else 1) * (1 if j == i else 0) for j in range(d))
             for i in range(d)
         )
-        terms.append(GenFunTerm(sign=1, numerator=apex, vertex=apex, denominators=gens))
+        terms.append(GenFunTerm(numerator=apex, vertex=apex, denominators=gens))
     return terms
 
 
@@ -114,11 +114,11 @@ class TestGenFunOfHalfOpen:
 
 class TestGenericLambda:
     def test_single_unit_vector(self):
-        t = GenFunTerm(1, (0, 0, 0), (0, 0, 0), ((1, 0, 0),))
+        t = GenFunTerm((0, 0, 0), (0, 0, 0), ((1, 0, 0),))
         assert generic_lambda([t]) == (1, 0, 0)
 
     def test_difference_pair_needs_xi_two(self):
-        t = GenFunTerm(1, (0,) * 3, (0,) * 3, ((1, -1, 0), (0, 1, -1)))
+        t = GenFunTerm((0,) * 3, (0,) * 3, ((1, -1, 0), (0, 1, -1)))
         lam = generic_lambda([t])
         assert lam == (1, 2, 4)
 
@@ -133,8 +133,8 @@ class TestGenericLambda:
 class TestSpecializeCount:
     def test_segment(self):
         terms = [
-            GenFunTerm(1, (0,), (0,), ((1,),)),
-            GenFunTerm(1, (3,), (3,), ((-1,),)),
+            GenFunTerm((0,), (0,), ((1,),)),
+            GenFunTerm((3,), (3,), ((-1,),)),
         ]
         assert specialize_count(terms) == 4
 

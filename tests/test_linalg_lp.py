@@ -7,16 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matropt.linalg import (
-    adjugate,
     bareiss_det,
     clear_denominators,
-    integer_kernel_basis,
-    lattice_span_basis,
     max_minor_gcd,
     rational_kernel_basis,
-    rational_rank,
     solve_in_row_space,
-    solve_linear,
 )
 from matropt.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, simplex_maximize
 
@@ -49,61 +44,25 @@ class TestDeterminants:
     def test_bareiss_matches_gauss(self, rows):
         assert bareiss_det(rows) == fraction_gauss_det(rows)
 
-    def test_adjugate_identity(self):
-        rng = random.Random(0)
-        for _ in range(30):
-            n = rng.randint(1, 5)
-            m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-            det = bareiss_det(m)
-            adj = adjugate(m)
-            for i in range(n):
-                for j in range(n):
-                    entry = sum(adj[i][k] * m[k][j] for k in range(n))
-                    assert entry == (det if i == j else 0)
-
     def test_empty_matrix(self):
         assert bareiss_det([]) == 1
 
 
 class TestKernelsAndLattices:
-    def test_integer_kernel_solves(self):
-        rng = random.Random(1)
-        for _ in range(40):
-            rows = [[rng.randint(-4, 4) for _ in range(5)] for _ in range(rng.randint(1, 3))]
-            kernel = integer_kernel_basis(rows)
-            for vec in kernel:
-                assert all(sum(r[i] * vec[i] for i in range(5)) == 0 for r in rows)
-            assert len(kernel) == 5 - rational_rank(rows)
-
-    def test_kernel_is_saturated(self):
-        # x = (1, 1) solves 2x - 2y = 0; the basis must reach it, not (2, 2).
-        kernel = integer_kernel_basis([[2, -2]])
-        assert len(kernel) == 1
-        assert kernel[0] in ((1, 1), (-1, -1))
-
-    def test_lattice_span_basis_properties(self):
-        rng = random.Random(2)
-        for _ in range(40):
-            vecs = [
-                tuple(rng.randint(-3, 3) for _ in range(5))
-                for _ in range(rng.randint(1, 4))
-            ]
-            if all(all(x == 0 for x in v) for v in vecs):
-                continue
-            basis = lattice_span_basis(vecs)
-            assert len(basis) == rational_rank(vecs)
-            # basis rows generate a saturated lattice
-            assert max_minor_gcd(basis) == 1
-            # every input vector has integer coordinates in the basis
-            for v in vecs:
-                coords = solve_in_row_space(basis, v)
-                assert coords is not None
-                assert all(c.denominator == 1 for c in coords)
-
     def test_rational_kernel_orthogonality(self):
         rows = [[1, 2, 3], [0, 1, 1]]
         for vec in rational_kernel_basis(rows):
             assert all(sum(Fraction(r[i]) * vec[i] for i in range(3)) == 0 for r in rows)
+
+    def test_max_minor_gcd_lattice_index(self):
+        rng = random.Random(2)
+        for _ in range(30):
+            m = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
+            if bareiss_det(m) != 0:
+                assert max_minor_gcd(m) == abs(bareiss_det(m))
+        assert max_minor_gcd([(2, 4, 6)]) == 2
+        assert max_minor_gcd([(1, 0, -1), (0, 1, -1)]) == 1
+        assert max_minor_gcd([(2, 0, -2), (0, 1, -1)]) == 2
 
     def test_clear_denominators_primitive(self):
         assert clear_denominators([Fraction(1, 2), Fraction(1, 3)]) == (3, 2)
@@ -111,7 +70,7 @@ class TestKernelsAndLattices:
 
 
 class TestSolvers:
-    def test_solve_linear_roundtrip(self):
+    def test_solve_in_row_space_square_roundtrip(self):
         rng = random.Random(3)
         for _ in range(30):
             n = rng.randint(1, 4)
@@ -119,11 +78,14 @@ class TestSolvers:
             if bareiss_det(m) == 0:
                 continue
             x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
-            rhs = [sum(m[i][j] * x[j] for j in range(n)) for i in range(n)]
-            assert solve_linear(m, rhs) == tuple(x)
+            target = [sum(x[i] * m[i][j] for i in range(n)) for j in range(n)]
+            assert solve_in_row_space(m, target) == tuple(x)
 
-    def test_solve_linear_singular(self):
-        assert solve_linear([[1, 1], [2, 2]], [1, 2]) is None
+    def test_solve_in_row_space_dependent_rows(self):
+        # Dependent rows leave a coordinate without a pivot, even when the
+        # target lies in their span.
+        assert solve_in_row_space([[1, 1], [2, 2]], [1, 1]) is None
+        assert solve_in_row_space([(1, 0, 0), (0, 1, 0), (1, 1, 0)], (2, 3, 0)) is None
 
     def test_solve_in_row_space_rejects_outside(self):
         basis = [(1, 0, 0), (0, 1, 0)]

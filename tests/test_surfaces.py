@@ -1,4 +1,4 @@
-"""Cross-cutting surfaces: serialization, reports, error taxonomy, and the
+"""Cross-cutting surfaces: serialization, error taxonomy, and the
 equivalence of the placing fast path with the visibility LP."""
 
 import json
@@ -9,25 +9,17 @@ from matropt import (
     CapError,
     DimensionError,
     InternalInconsistencyError,
-    Linear,
     MatroptError,
     ParseError,
-    SquaredDistance,
-    WeightMatrix,
     enumerate_bases,
     incidence_vector,
     matroid_genfun,
     placing_triangulation,
-    project,
-    random_basis,
-    run_search,
     specialize_count,
     term_from_dict,
     term_to_dict,
     visible,
 )
-
-W_K4 = WeightMatrix(((3, 1, 4, 1, 5, 9), (2, 7, 1, 8, 2, 8)))
 
 
 class TestTermSerialization:
@@ -40,28 +32,7 @@ class TestTermSerialization:
 
     def test_shape(self, u24):
         d = term_to_dict(matroid_genfun(u24)[0])
-        assert set(d) == {"sign", "a", "v", "b"}
-
-
-class TestSearchReport:
-    def test_invariants(self, k4):
-        report = run_search(
-            k4, W_K4, SquaredDistance((11, 14)), random_basis(k4, seed=3)
-        )
-        for b in report.bases:
-            assert k4.is_basis(b)
-        assert report.points == [project(W_K4, b) for b in report.bases]
-        assert report.reason == "local minimum"
-        assert report.pivots == len(report.trail) - 1 if report.trail else True
-
-    def test_tabu_variant(self, k4):
-        report = run_search(
-            k4, W_K4, Linear((1, 0)), random_basis(k4, seed=5),
-            use_tabu=True, tabu_limit=4,
-        )
-        assert report.reason == "tabu stop"
-        for pivot, basis, point, value in report.trail:
-            assert project(W_K4, basis) == point
+        assert set(d) == {"a", "v", "b"}
 
 
 class TestErrorTaxonomy:

@@ -23,8 +23,8 @@ from matropt import (
     uniform_matroid,
     visible,
 )
-from matropt.linalg import bareiss_det, lattice_span_basis, solve_in_row_space
-from matropt.triangulate import facet_normals, join_to_apex
+from matropt.linalg import rational_kernel_basis
+from matropt.triangulate import generic_y_for_cells, join_to_apex
 
 
 class TestVisible:
@@ -92,27 +92,20 @@ class TestPlacingTriangulation:
         assert all(2 not in c for c in cells)
 
     def test_volume_coverage_on_polytopes(self):
-        # Sum of simplex volumes (in lattice coordinates of the affine hull)
+        # Sum of simplex volumes (over the affine lattice of the polytope)
         # equals the normalized volume from an independent count route.
         for M in catalog_connected(6):
             bases = enumerate_bases(M)
             pts = [incidence_vector(b, M.n) for b in bases]
             cells, _ = placing_triangulation(pts)
             dim = polytope_dimension(M, bases)
-            base_pt = pts[0]
-            span = lattice_span_basis(
-                [tuple(a - b for a, b in zip(p, base_pt)) for p in pts[1:]]
-            )
             total = 0
             for cell in cells:
                 assert len(cell) == dim + 1
                 first = pts[cell[0]]
-                rows = []
-                for idx in cell[1:]:
-                    diff = tuple(a - b for a, b in zip(pts[idx], first))
-                    coords = solve_in_row_space(span, diff)
-                    rows.append([int(x) for x in coords])
-                total += abs(bareiss_det(rows))
+                total += cell_lattice_determinant(
+                    [tuple(a - b for a, b in zip(pts[idx], first)) for idx in cell[1:]]
+                )
             counts = [dilation_lattice_count(M, k) for k in range(dim + 1)]
             assert total == sum(hstar_from_counts(counts, dim))
 
@@ -196,6 +189,11 @@ class TestConeTriangulation:
                     if cell:
                         assert cell_lattice_determinant(cell) == 1
 
+    def test_join_to_apex_keeps_boundary_only(self):
+        cells = [(0, 1, 2), (0, 2, 3)]
+        joined = join_to_apex(cells, 0)
+        assert sorted(joined) == [(0, 1, 2), (0, 2, 3)]
+
     def test_cell_count_bound(self, catalog):
         # Polynomial bound from the volume argument: 2^r * n!/(n-r)! cells.
         from math import perm
@@ -227,11 +225,22 @@ class TestHalfOpen:
         cells = [((1, 0), (1, 1)), ((1, 1), (0, 1))]
         with pytest.raises(DimensionError):
             half_open_decompose((0, 0), cells, y=(1, 1))  # on the shared wall
+        # A cell with linearly dependent generators has no coordinates for
+        # any y, whether supplied or constructed.
+        dependent = [((1, 0), (2, 0))]
+        for y in [(3, 0), None]:
+            with pytest.raises(DimensionError):
+                half_open_decompose((0, 0), dependent, y=y)
 
     def test_exterior_y_rejected(self):
         cells = [((1, 0), (1, 1)), ((1, 1), (0, 1))]
         with pytest.raises(DimensionError):
             half_open_decompose((0, 0), cells, y=(-3, -1))  # outside the cone
+        # Off the cells' span: its projection (3, 1, 0) is interior, but y
+        # itself is not in the cone.
+        cells3 = [((1, 0, 0), (1, 1, 0)), ((1, 1, 0), (0, 1, 0))]
+        with pytest.raises(DimensionError):
+            half_open_decompose((0, 0, 0), cells3, y=(3, 1, 7))
 
     def test_explicit_interior_y_accepted(self):
         cells = [((1, 0), (1, 1)), ((1, 1), (0, 1))]
@@ -272,20 +281,23 @@ class TestHalfOpen:
                             point[i] += c * g[i]
                     assert sum(half_open_contains(h, point) for h in halves) == 1
 
-
-class TestFacetNormals:
-    def test_orthogonality_and_sign(self):
-        gens = ((1, 0, -1), (0, 1, -1))
-        normals, coords = facet_normals(gens)
-        for j, nrm in enumerate(normals):
-            for i, g in enumerate(gens):
-                dot = sum(Fraction(a) * b for a, b in zip(nrm, g))
-                if i == j:
-                    assert dot < 0
-                else:
-                    assert dot == 0
-
-    def test_join_to_apex_keeps_boundary_only(self):
-        cells = [(0, 1, 2), (0, 2, 3)]
-        joined = join_to_apex(cells, 0)
-        assert sorted(joined) == [(0, 1, 2), (0, 2, 3)]
+    def test_strict_facets_separate_y_from_their_ray(self, k4):
+        # Independent route through facet normals: the normal of facet j
+        # within the cell's span is orthogonal to the other generators and
+        # to the span's complement, and facet j is strict exactly when y
+        # and b_j lie strictly on opposite sides of it.
+        cone = tangent_cone(k4, (0, 1, 2))
+        cells = cone_triangulation(cone)
+        y, _ = generic_y_for_cells(cells)
+        halves = half_open_decompose(cone.apex, cells, y=y)
+        assert halves == half_open_decompose(cone.apex, cells)
+        for half in halves:
+            gens = list(half.generators)
+            complement = rational_kernel_basis(gens)
+            for j, b in enumerate(gens):
+                others = gens[:j] + gens[j + 1:]
+                (nrm,) = rational_kernel_basis(others + complement)
+                side_y = sum(a * x for a, x in zip(nrm, y))
+                side_b = sum(a * x for a, x in zip(nrm, b))
+                assert side_y != 0 and side_b != 0
+                assert (j in half.strict_indices) == ((side_y > 0) != (side_b > 0))
