@@ -27,7 +27,14 @@ from .heuristics import (
     tabu_search,
 )
 from .incidence import classify_square_2face
-from .io import format_rational, load_matroid, load_weights, parse_point_rows, parse_rational
+from .io import (
+    format_rational,
+    load_matroid,
+    load_weights,
+    parse_point_rows,
+    parse_rational,
+    read_text,
+)
 from .matroid import greedy_max_basis, incidence_vector, random_basis
 from .multicriteria import (
     Linear,
@@ -171,6 +178,8 @@ def _run_single_search(args, use_tabu):
     obj = _objective(args, W.d)
     if args.start:
         start = _parse_basis(args.start, M.n)
+        if not M.is_basis(start):
+            raise DimensionError(f"{args.start} is not a basis")
     else:
         start = random_basis(M, seed=args.seed)
     trail = []
@@ -409,8 +418,7 @@ def cmd_check_unimodular(args):
 
 def cmd_classify_2face(args):
     M = load_matroid(args.matroid)
-    with open(args.points, encoding="utf-8") as fh:
-        rows = parse_point_rows(fh.read())
+    rows = parse_point_rows(read_text(args.points))
     if len(rows) != 4 or any(len(r) != M.n for r in rows):
         raise DimensionError("expected a 'vector 4 n' file of the four corners")
     corners = [[int(x) for x in row] for row in rows]

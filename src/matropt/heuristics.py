@@ -3,8 +3,10 @@
 All procedures are deterministic functions of (inputs, seed): randomness
 flows only through integer-seeded generators, with per-attempt seeds derived
 arithmetically so that parallel and sequential runs agree bit for bit.
-Objective values are exact rationals; ties always break toward the
-lexicographically smallest basis.
+Objective values are plain ints on integer points with integer data and
+exact Fractions only for truly rational coefficients or targets; ties
+always break toward the lexicographically smallest basis.  Projections go
+through `_point`, which memoizes them on the weight matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import functools
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import DimensionError
@@ -29,6 +30,12 @@ from .multicriteria import (
 RANDOM_DIRECTION_RANGE = 1000  # integer entries drawn uniformly in [-R, R]
 
 
+def _check_knobs(**knobs):
+    for name, value in knobs.items():
+        if value < 1:
+            raise DimensionError(f"{name} must be >= 1")
+
+
 @dataclass(frozen=True)
 class SearchParams:
     """Driver knobs shared by the seeded procedures."""
@@ -42,9 +49,10 @@ class SearchParams:
     random_retry_limit: int = 1000
 
     def __post_init__(self):
-        for name in ("tabu_limit", "tries", "num_searches", "boundary_retry_limit", "random_retry_limit"):
-            if getattr(self, name) < 1:
-                raise DimensionError(f"{name} must be >= 1")
+        _check_knobs(**{
+            name: getattr(self, name)
+            for name in ("tabu_limit", "tries", "num_searches", "boundary_retry_limit", "random_retry_limit")
+        })
         if self.bfs_depth < 0:
             raise DimensionError("bfs_depth must be >= 0")
 
@@ -52,6 +60,14 @@ class SearchParams:
 def _check(M: Matroid, W: WeightMatrix):
     if W.n != M.n:
         raise DimensionError(f"weight matrix has {W.n} columns, matroid has {M.n}")
+
+
+def _point(W: WeightMatrix, basis):
+    """project(W, basis), memoized in W._points for the search procedures."""
+    p = W._points.get(basis)
+    if p is None:
+        p = W._points[basis] = project(W, basis)
+    return p
 
 
 def _derived_seed(seed: int, *indices) -> int:
@@ -71,14 +87,14 @@ def local_search(M: Matroid, W: WeightMatrix, objective, start, transcript=None)
     current = tuple(sorted(start))
     if not M.is_basis(current):
         raise ValueError(f"{current} is not a basis")
-    value = objective(project(W, current))
+    value = objective(_point(W, current))
     pivots = 0
     while True:
         if transcript is not None:
-            transcript(pivots, current, project(W, current), value)
+            transcript(pivots, current, _point(W, current), value)
         best = None
         for nb in M.adjacent_bases(current):
-            nb_value = objective(project(W, nb))
+            nb_value = objective(_point(W, nb))
             if nb_value < value and (best is None or (nb_value, nb) < best):
                 best = (nb_value, nb)
         if best is None:
@@ -94,24 +110,27 @@ def tabu_search(M: Matroid, start, W: WeightMatrix, objective, tabu_limit, trans
     without improving it, or when every neighbor has been visited.
     """
     _check(M, W)
+    _check_knobs(tabu_limit=tabu_limit)
     current = tuple(sorted(start))
     if not M.is_basis(current):
         raise ValueError(f"{current} is not a basis")
     visited = {current}
     best_basis = current
-    best_value = objective(project(W, current))
+    best_value = objective(_point(W, current))
     stale = 0
     pivots = 0
     while stale < tabu_limit:
-        candidates = [nb for nb in M.adjacent_bases(current) if nb not in visited]
+        # Neighbors are distinct, so the pair order is the (value, basis) order.
+        candidates = [
+            (objective(_point(W, nb)), nb) for nb in M.adjacent_bases(current) if nb not in visited
+        ]
         if not candidates:
             break
-        current = min(candidates, key=lambda nb: (objective(project(W, nb)), nb))
+        value, current = min(candidates)
         visited.add(current)
         pivots += 1
-        value = objective(project(W, current))
         if transcript is not None:
-            transcript(pivots, current, project(W, current), value)
+            transcript(pivots, current, _point(W, current), value)
         if value < best_value:
             best_value = value
             best_basis = current
@@ -130,7 +149,7 @@ def _pivot_test_point(M, W, target, tries, searcher, tabu_limit, seed):
             found = tabu_search(M, start, W, goal, tabu_limit)
         else:
             found = local_search(M, W, goal, start)
-        if goal(project(W, found)) == 0:
+        if goal(_point(W, found)) == 0:
             return found
     return None
 
@@ -147,6 +166,7 @@ def pivot_test(M: Matroid, W: WeightMatrix, targets, tries, searcher="ls", seed=
     result.
     """
     _check(M, W)
+    _check_knobs(tries=tries, tabu_limit=tabu_limit, workers=workers)
     if searcher not in ("ls", "ts"):
         raise DimensionError("searcher must be 'ls' or 'ts'")
     items = sorted(set(tuple(int(x) for x in t) for t in targets))
@@ -196,10 +216,10 @@ def _angle_sorted(dirs):
 def _projection_gap_crossings(M: Matroid, W: WeightMatrix, basis):
     """Cross products of consecutive CCW neighbor directions, or None when
     there are at most one distinct direction."""
-    p = project(W, basis)
+    p = _point(W, basis)
     dirs = set()
     for nb in M.adjacent_bases(basis):
-        q = project(W, nb)
+        q = _point(W, nb)
         d = (q[0] - p[0], q[1] - p[1])
         if d != (0, 0):
             dirs.add(_primitive(d))
@@ -252,12 +272,12 @@ def projected_boundary(M: Matroid, W: WeightMatrix, start):
     if not _is_extreme_projection(M, W, start):
         raise DimensionError("start basis must project to an extreme point")
     out = {start}
-    seen_points = {project(W, start)}
+    seen_points = {_point(W, start)}
     queue = [start]
     while queue:
         current = queue.pop(0)
         for nb in M.adjacent_bases(current):
-            p = project(W, nb)
+            p = _point(W, nb)
             if p in seen_points:
                 continue
             if _is_boundary_projection(M, W, nb):
@@ -280,7 +300,7 @@ def boundary_start(M: Matroid, W: WeightMatrix, rng):
     direction = _random_direction(rng, W.d)
 
     def key(point):
-        return (sum(Fraction(c) * x for c, x in zip(direction, point)),) + tuple(point)
+        return (sum(c * x for c, x in zip(direction, point)),) + tuple(point)
 
     start = random_basis(M, rng=rng)
     return local_search(M, W, Custom(key), start)
@@ -323,12 +343,13 @@ def boundary_pareto_search(M: Matroid, W: WeightMatrix, tries, seed=0, searcher=
     the bases whose projections are Pareto-minimal among everything found.
     """
     _check(M, W)
+    _check_knobs(tries=tries, tabu_limit=tabu_limit, workers=workers)
     if W.d != 2:
         raise DimensionError("boundary_pareto_search requires d = 2")
     rng = random.Random(_derived_seed(seed, 0))
     start = boundary_start(M, W, rng)
     boundary = projected_boundary(M, W, start)
-    best = {b: project(W, b) for b in boundary}
+    best = {b: _point(W, b) for b in boundary}
     staircase = _pareto_chain(set(best.values()))
     found = {b for b, p in best.items() if p in set(staircase)}
     targets = set()
@@ -342,7 +363,7 @@ def boundary_pareto_search(M: Matroid, W: WeightMatrix, tries, seed=0, searcher=
             M, W, targets, tries, searcher=searcher,
             seed=_derived_seed(seed, 1), tabu_limit=tabu_limit, workers=workers,
         )
-    projections = {b: project(W, b) for b in found}
+    projections = {b: _point(W, b) for b in found}
     final_points = pareto_filter(projections.values())
     return {b for b, p in projections.items() if p in final_points}
 
@@ -369,13 +390,13 @@ def fiber_bfs(M: Matroid, W: WeightMatrix, start, depth, seen=None, witnesses=No
     def rec(basis, level):
         if level >= depth:
             return
-        p = project(W, basis)
+        p = _point(W, basis)
         if p not in seen:
             seen.add(p)
             witnesses[p] = basis
         frontier = []
         for nb in M.adjacent_bases(basis):
-            q = project(W, nb)
+            q = _point(W, nb)
             if q not in seen:
                 seen.add(q)
                 witnesses[q] = nb
@@ -422,7 +443,7 @@ def fiber_bfs_driver(M: Matroid, W: WeightMatrix, params: SearchParams):
                 basis = boundary_start(M, W, rng)
             else:
                 basis = random_basis(M, rng=rng)
-            p = project(W, basis)
+            p = _point(W, basis)
             if p in seen:
                 if phase == 0:
                     boundary_failures += 1

@@ -134,11 +134,20 @@ def parse_point_rows(text: str):
     return _matrix(lines[1:], m, n, lineno, integer=False)
 
 
+def read_text(path) -> str:
+    """Contents of an input file; an unreadable file is a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"{path} is not UTF-8 text") from None
+
+
 def load_matroid(path) -> Matroid:
-    with open(path, encoding="utf-8") as fh:
-        return parse_matroid(fh.read())
+    return parse_matroid(read_text(path))
 
 
 def load_weights(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_weights(fh.read())
+    return parse_weights(read_text(path))

@@ -6,8 +6,7 @@ minimization is the canonical direction (negate rows for maximization).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 
 from .errors import DimensionError
 from .matroid import Matroid, greedy_max_basis
@@ -15,9 +14,17 @@ from .matroid import Matroid, greedy_max_basis
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """d x n integer criteria matrix; rows are individual weightings."""
+    """d x n integer criteria matrix; rows are individual weightings.
+
+    `_points` memoizes basis -> projection for the search procedures in
+    `heuristics`, which fill it through `project` on a miss.  It is bounded
+    by the number of bases a search visits, travels with `W` when pickled
+    to worker processes, and takes no part in equality or hashing.  The
+    brute-force oracles call `project` directly and never touch it.
+    """
 
     rows: tuple
+    _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple(int(x) for x in row) for row in self.rows)
@@ -101,7 +108,9 @@ def bounding_box(M: Matroid, W: WeightMatrix) -> BoundingBox:
 # Objectives --------------------------------------------------------------
 #
 # Each evaluates exactly on integer points of Z^d and yields a totally
-# ordered value (Fraction, or anything comparable for Custom).
+# ordered value: a plain int when the coefficients or target are integers,
+# an exact Fraction only when they are truly rational, and anything
+# comparable for Custom.  int and Fraction compare and format alike.
 
 
 @dataclass(frozen=True)
@@ -111,7 +120,7 @@ class Linear:
     def __call__(self, point):
         if len(self.c) != len(point):
             raise DimensionError("objective dimension mismatch")
-        return sum(Fraction(a) * x for a, x in zip(self.c, point))
+        return sum(a * x for a, x in zip(self.c, point))
 
 
 @dataclass(frozen=True)
@@ -121,7 +130,7 @@ class SquaredDistance:
     def __call__(self, point):
         if len(self.target) != len(point):
             raise DimensionError("objective dimension mismatch")
-        return sum((Fraction(x) - Fraction(t)) ** 2 for x, t in zip(point, self.target))
+        return sum((x - t) ** 2 for x, t in zip(point, self.target))
 
 
 @dataclass(frozen=True)
@@ -131,7 +140,7 @@ class QuarticDistance:
     def __call__(self, point):
         if len(self.target) != len(point):
             raise DimensionError("objective dimension mismatch")
-        return sum((Fraction(x) - Fraction(t)) ** 4 for x, t in zip(point, self.target))
+        return sum((x - t) ** 4 for x, t in zip(point, self.target))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """End-to-end command-line checks: formats, determinism, exit codes."""
 
 import json
+import random
 import subprocess
 import sys
 
 import pytest
+
+from conftest import random_connected_graph, random_weight_matrix
 
 K4_GRAPH = "graph 4\n0 1 1 1\n1 0 1 1\n1 1 0 1\n1 1 1 0\n"
 U24 = "uniform 4 2\n"
@@ -219,6 +222,86 @@ class TestSingleSearch:
         )
 
 
+class TestStochasticGolden:
+    """stdout bytes of the seeded multi-start commands on K4, recorded before
+    the search loop moved to integer objectives and a projection memo."""
+
+    PT_GOLDEN = (
+        '{"bases": [[1, 2, 3], [1, 2, 5], [1, 3, 4], [1, 3, 6], [1, 4, 5], [1, 4, 6], '
+        '[1, 5, 6], [2, 3, 4], [2, 3, 5], [2, 4, 5], [2, 4, 6], [2, 5, 6], [3, 4, 5], '
+        '[3, 4, 6], [3, 5, 6]], "params": {"searcher": "ts", "tabu_limit": 1, '
+        '"targets": 182, "tries": 1, "workers": 1}, "points": [[6, 16], [7, 17], [8, 10], '
+        '[8, 11], [9, 11], [9, 12], [10, 10], [10, 11], [11, 23], [13, 18], [14, 17], '
+        '[15, 17], [16, 11], [17, 12], [18, 11]], "seed": 2}\n'
+    )
+    BTRPT_GOLDEN = (
+        '{"bases": [[1, 2, 3], [2, 3, 4]], "params": {"searcher": "ts", "tabu_limit": 10, '
+        '"tries": 5}, "points": [[6, 16], [8, 10]], "seed": 3}\n'
+    )
+    PB_GOLDEN = (
+        '{"bases": [[1, 2, 3], [2, 3, 4], [2, 3, 5], [2, 4, 6], [2, 5, 6], [3, 5, 6]], '
+        '"params": {"start": [3, 5, 6]}, "points": [[6, 16], [8, 10], [10, 10], [11, 23], '
+        '[15, 17], [18, 11]], "seed": 3}\n'
+    )
+    DFBFS_GOLDEN = (
+        '{"params": {"bfs_depth": 1, "boundary_retry_limit": 100, "num_searches": 3, '
+        '"random_retry_limit": 1000}, "points": [[6, 16], [7, 17], [8, 10], [8, 11], '
+        '[9, 11], [10, 10], [10, 11], [11, 23], [13, 17], [13, 18], [14, 17], [15, 17], '
+        '[16, 11], [17, 12], [18, 11]], "seed": 7, "witnesses": [[[6, 16], [2, 3, 4]], '
+        '[[7, 17], [2, 4, 5]], [[8, 10], [1, 2, 3]], [[8, 11], [1, 3, 4]], '
+        '[[9, 11], [1, 2, 5]], [[10, 10], [2, 3, 5]], [[10, 11], [3, 4, 5]], '
+        '[[11, 23], [2, 4, 6]], [[13, 17], [1, 2, 6]], [[13, 18], [1, 4, 6]], '
+        '[[14, 17], [3, 4, 6]], [[15, 17], [2, 5, 6]], [[16, 11], [1, 3, 6]], '
+        '[[17, 12], [1, 5, 6]], [[18, 11], [3, 5, 6]]]}\n'
+    )
+
+    @pytest.mark.parametrize("golden, argv", [
+        ("PT_GOLDEN", ("pt", "--seed", "2", "--tries", "1", "--searcher", "ts",
+                       "--tabu-limit", "1")),
+        ("BTRPT_GOLDEN", ("btrpt", "--seed", "3", "--tries", "5")),
+        ("PB_GOLDEN", ("pb", "--seed", "3")),
+        ("DFBFS_GOLDEN", ("dfbfs", "--seed", "7", "--searches", "3", "--depth", "1")),
+    ])
+    def test_k4_bytes(self, files, golden, argv):
+        res = run_cli(*argv, "--matroid", files["k4.graph"], "--weights", files["k4.weights"])
+        assert res.returncode == 0
+        assert res.stdout == getattr(self, golden)
+
+    def test_pt_workers_agree_on_random_graphs(self, tmp_path):
+        """`pt --workers 2` finds the same bases as `--workers 1` on the first
+        three graphs of the criterion-9 generator."""
+        import matropt as mp
+
+        rng = random.Random(20260810)
+        for trial in range(3):
+            adj = random_connected_graph(rng, max_nodes=9, extra_hi=3)
+            M = mp.graphic_matroid(adj)
+            rows = random_weight_matrix(rng, 2, M.n, 0, 20)
+            W = mp.WeightMatrix(rows)
+            graph = tmp_path / f"g{trial}.graph"
+            graph.write_text(f"graph {len(adj)}\n" + "".join(
+                " ".join(map(str, row)) + "\n" for row in adj))
+            weights = tmp_path / f"g{trial}.weights"
+            weights.write_text(f"weights 2 {M.n}\n" + "".join(
+                " ".join(map(str, row)) + "\n" for row in rows))
+            box = mp.bounding_box(M, W)
+            targets = sorted(mp.exact_projected_set(M, W))[:6] + [tuple(x - 1 for x in box.lo)]
+            argv = (
+                "pt", "--matroid", str(graph), "--weights", str(weights), "--seed", str(trial),
+                "--targets", ";".join(f"{x},{y}" for x, y in targets), "--tries", "3",
+                "--searcher", "ts",
+            )
+            outs = []
+            for workers in ("1", "2"):
+                res = run_cli(*argv, "--workers", workers)
+                assert res.returncode == 0, res.stderr
+                payload = json.loads(res.stdout)
+                assert payload["params"].pop("workers") == int(workers)
+                outs.append(payload)
+            assert outs[0] == outs[1]
+            assert outs[0]["points"]
+
+
 class TestExitCodes:
     def test_parse_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.matroid"
@@ -231,6 +314,32 @@ class TestExitCodes:
         res = run_cli("projected-set", "--matroid", files["u24.matroid"],
                       "--weights", files["k4.weights"])
         assert res.returncode == 3
+
+    def _one_error_line(self, res, code):
+        assert res.returncode == code
+        assert "Traceback" not in res.stderr
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_non_basis_start_is_three(self, files):
+        res = run_cli("ls", "--matroid", files["k4.graph"], "--weights", files["k4.weights"],
+                      "--seed", "1", "--start", "1,2,4", "--target", "9,9")
+        self._one_error_line(res, 3)
+
+    def test_missing_matroid_file_is_two(self, files, tmp_path):
+        res = run_cli("ls", "--matroid", str(tmp_path / "absent.graph"),
+                      "--weights", files["k4.weights"], "--seed", "1")
+        self._one_error_line(res, 2)
+
+    def test_missing_weights_file_is_two(self, files, tmp_path):
+        res = run_cli("ls", "--matroid", files["k4.graph"],
+                      "--weights", str(tmp_path / "absent.weights"), "--seed", "1")
+        self._one_error_line(res, 2)
+
+    def test_zero_tries_is_three(self, files):
+        res = run_cli("pt", "--matroid", files["k4.graph"], "--weights", files["k4.weights"],
+                      "--seed", "1", "--tries", "0")
+        self._one_error_line(res, 3)
 
     def test_cap_error_is_four(self, tmp_path):
         big = tmp_path / "big.matroid"

@@ -29,7 +29,7 @@ from matropt import (
     tabu_search,
     uniform_matroid,
 )
-from matropt.heuristics import _is_extreme_projection
+from matropt.heuristics import _is_extreme_projection, _point
 
 W_K4 = WeightMatrix(((3, 1, 4, 1, 5, 9), (2, 7, 1, 8, 2, 8)))
 
@@ -298,6 +298,61 @@ class TestFiberBFSDriver:
         a, _ = fiber_bfs_driver(k4, W_K4, params)
         b, _ = fiber_bfs_driver(k4, W_K4, params)
         assert a == b
+
+
+class TestKnobValidation:
+    """tries, tabu_limit and workers must be >= 1, as in SearchParams."""
+
+    @pytest.mark.parametrize("knob", ["tries", "tabu_limit", "workers"])
+    def test_pivot_test(self, k4, knob):
+        kwargs = dict(tries=2, seed=1, searcher="ts", tabu_limit=2, workers=1)
+        with pytest.raises(DimensionError):
+            pivot_test(k4, W_K4, [(9, 12)], **{**kwargs, knob: 0})
+        assert pivot_test(k4, W_K4, [(9, 12)], **{**kwargs, knob: 1}) <= set(enumerate_bases(k4))
+
+    @pytest.mark.parametrize("knob", ["tries", "tabu_limit", "workers"])
+    def test_boundary_pareto_search(self, k4, knob):
+        kwargs = dict(tries=2, seed=1, tabu_limit=2, workers=1)
+        with pytest.raises(DimensionError):
+            boundary_pareto_search(k4, W_K4, **{**kwargs, knob: 0})
+        assert boundary_pareto_search(k4, W_K4, **{**kwargs, knob: 1})
+
+    def test_tabu_search(self, k4):
+        obj = SquaredDistance((9, 12))
+        with pytest.raises(DimensionError):
+            tabu_search(k4, (0, 1, 2), W_K4, obj, 0)
+        assert k4.is_basis(tabu_search(k4, (0, 1, 2), W_K4, obj, 1))
+
+
+class TestProjectionMemo:
+    def test_matches_project_on_catalog(self, catalog):
+        rng = random.Random(8)
+        for M in catalog:
+            W = WeightMatrix(random_weight_matrix(rng, 2, M.n, -5, 20))
+            bases = enumerate_bases(M)
+            for b in bases:
+                assert _point(W, b) == project(W, b)
+                assert _point(W, b) == project(W, b)  # served from the memo
+            assert set(W._points) == set(bases)
+
+    def test_oracle_route_bypasses_memo(self, k4):
+        W = WeightMatrix(W_K4.rows)
+        exact = exact_projected_set(k4, W)
+        assert W._points == {}
+        boundary_pareto_search(k4, W, tries=2, seed=3)
+        assert W._points
+        assert exact_projected_set(k4, W) == exact
+
+    def test_memo_is_not_part_of_the_value(self, k4):
+        import pickle
+
+        filled = WeightMatrix(W_K4.rows)
+        local_search(k4, filled, SquaredDistance((9, 12)), (0, 1, 2))
+        fresh = WeightMatrix(W_K4.rows)
+        assert filled._points and not fresh._points
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh)
+        assert pickle.loads(pickle.dumps(filled))._points == filled._points
 
 
 class TestSearchParams:

@@ -1,6 +1,7 @@
 """Projection, Pareto filtering, bounding boxes, objectives."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -156,6 +157,23 @@ class TestObjectives:
 
     def test_minmax_objective(self):
         assert MinMax()((3, 9, 1)) == 9
+
+    def test_integer_data_gives_int(self):
+        point = (3, 9)
+        for obj in (SquaredDistance((5, 6)), QuarticDistance((5, 6)), MinMax(), Linear((2, -1))):
+            assert type(obj(point)) is int
+        assert SquaredDistance((5, 6))(point) == 13
+        assert QuarticDistance((5, 6))(point) == 97
+
+    def test_rational_coefficient_stays_exact(self):
+        value = Linear((Fraction(1, 2), 1))((3, 4))
+        assert type(value) is Fraction
+        assert value == Fraction(11, 2)
+
+    def test_length_mismatch(self):
+        for obj in (Linear((1, 2)), SquaredDistance((1, 2)), QuarticDistance((1, 2))):
+            with pytest.raises(DimensionError):
+                obj((1, 2, 3))
 
     def test_weight_matrix_validation(self):
         with pytest.raises(DimensionError):
