@@ -6,6 +6,8 @@ cell contributes one term z^a / prod(1 - z^b_j), and the vertex sum equals
 the full lattice-point generating function.  Evaluating at z = 1 (a
 removable singularity) through Todd-polynomial weights yields exact counts
 and, with the dilation form z^(a + (k-1)v), the whole Ehrhart polynomial.
+Each term's weights are integer numerators over one denominator, from a
+single truncated series product.
 """
 
 from __future__ import annotations
@@ -74,10 +76,9 @@ def genfun_of_halfopen(half) -> GenFunTerm:
 _TODD_C = [1]
 
 
-def todd_series_coefficients(m: int):
-    """Taylor coefficients b_0..b_m of x / (1 - exp(-x)), exact.
-
-    b_n = c_n / (n! (n+1)!) with the integer recursion
+def _todd_numerators(m: int):
+    """c_0..c_m with b_n = c_n / (n! (n+1)!) the Taylor coefficients of
+    x / (1 - exp(-x)), from the integer recursion
     c_n = sum_{j=1}^{n} (-1)^(j+1) C(n+1, j+1) * n!/(n-j+1)! * c_(n-j).
     """
     while len(_TODD_C) <= m:
@@ -87,34 +88,45 @@ def todd_series_coefficients(m: int):
             term = comb(n + 1, j + 1) * (factorial(n) // factorial(n - j + 1)) * _TODD_C[n - j]
             total += term if j % 2 == 1 else -term
         _TODD_C.append(total)
-    return [Fraction(_TODD_C[n], factorial(n) * factorial(n + 1)) for n in range(m + 1)]
+    return _TODD_C[: m + 1]
+
+
+def _todd_product(m: int, xis):
+    """prod_j (x*xi_j / (1-exp(-x*xi_j))) truncated at x^m, in integers.
+
+    Returns (p, den) with coefficient i equal to p[i] / den.  Each factor's
+    series is scaled by D = m!(m+1)!, which clears every b_n with n <= m,
+    and by q^m for a rational xi = r/q, so the product is a single pass of
+    s truncated integer multiplications over the common denominator
+    D^s * prod q_j^m.
+    """
+    big = factorial(m) * factorial(m + 1)
+    scaled = [
+        c * (big // (factorial(n) * factorial(n + 1))) for n, c in enumerate(_todd_numerators(m))
+    ]
+    acc = [1] + [0] * m
+    den = 1
+    for xi in xis:
+        xi = Fraction(xi)
+        r, q = xi.numerator, xi.denominator
+        factor = [scaled[n] * r**n * q ** (m - n) for n in range(m + 1)]
+        acc = [
+            sum(acc[i] * factor[k - i] for i in range(k + 1) if acc[i] and factor[k - i])
+            for k in range(m + 1)
+        ]
+        den *= big * q**m
+    return acc, den
 
 
 def todd_eval(m: int, xis):
     """td_m(xi_1..xi_s): coefficient of x^m in prod_j (x*xi_j / (1-exp(-x*xi_j))).
 
-    The s truncated series are multiplied one at a time, truncating at order
-    m, so the cost is O(s m^2) exact operations.
+    Read from one truncated integer series product, O(s m^2) operations.
     """
     if m < 0:
         raise DimensionError("order must be >= 0")
-    b = todd_series_coefficients(m)
-    acc = [Fraction(1)] + [Fraction(0)] * m
-    for xi in xis:
-        xi = Fraction(xi)
-        powers = [Fraction(1)]
-        for _ in range(m):
-            powers.append(powers[-1] * xi)
-        factor = [b[n] * powers[n] for n in range(m + 1)]
-        nxt = [Fraction(0)] * (m + 1)
-        for i, a in enumerate(acc):
-            if a == 0:
-                continue
-            for j in range(m + 1 - i):
-                if factor[j] != 0:
-                    nxt[i + j] += a * factor[j]
-        acc = nxt
-    return acc[m]
+    p, den = _todd_product(m, xis)
+    return Fraction(p[m], den)
 
 
 # Specialization at z = 1 --------------------------------------------------
@@ -141,20 +153,23 @@ def _idot(a, b):
 
 
 def _term_weights(term: GenFunTerm, lam):
-    """w_l for l = 0..s: Todd weights of one term at the singular point."""
+    """Todd weights w_0..w_s of one term at the singular point, as integer
+    numerators over one denominator: w_l = nums[l] / den.
+
+    w_l = (-1)^s td_(s-l)(-<lam, b_1>, ..., -<lam, b_s>) / (l! prod_j <lam, b_j>),
+    and all s + 1 Todd values come from a single series product.
+    """
     s = len(term.denominators)
-    dots = [Fraction(_idot(lam, b)) for b in term.denominators]
+    dots = [_idot(lam, b) for b in term.denominators]
     if any(d == 0 for d in dots):
         raise DimensionError("lambda is not generic for this term")
-    denom_prod = Fraction(1)
+    p, den = _todd_product(s, [-d for d in dots])
+    den *= factorial(s)
     for d in dots:
-        denom_prod *= d
-    sign = Fraction(-1) ** s
-    weights = []
-    for l in range(s + 1):
-        td = todd_eval(s - l, [-d for d in dots])
-        weights.append(sign * td / (factorial(l) * denom_prod))
-    return weights
+        den *= d
+    sign = -1 if s % 2 else 1
+    nums = [sign * p[s - l] * (factorial(s) // factorial(l)) for l in range(s + 1)]
+    return nums, den
 
 
 def specialize_count(terms, lam=None) -> int:
@@ -170,14 +185,9 @@ def specialize_count(terms, lam=None) -> int:
         if not t.denominators:
             total += 1
             continue
-        weights = _term_weights(t, lam)
-        na = Fraction(_idot(lam, t.numerator))
-        acc = Fraction(0)
-        power = Fraction(1)
-        for l, w in enumerate(weights):
-            acc += w * power
-            power *= na
-        total += acc
+        nums, den = _term_weights(t, lam)
+        na = _idot(lam, t.numerator)
+        total += Fraction(sum(w * na**l for l, w in enumerate(nums)), den)
     if total.denominator != 1:
         raise InternalInconsistencyError(f"specialization gave non-integer {total}")
     return int(total)
@@ -187,8 +197,9 @@ def dilation_polynomial(terms, dim: int, lam=None):
     """Ehrhart coefficients from dilated terms z^(a + (k-1) v).
 
     Coefficient of k^m is assembled from the binomial split of
-    <lam, a + (k-1)v>^l; all coefficients above the polytope dimension must
-    vanish exactly, and the constant term must be 1.
+    <lam, a + (k-1)v>^l; per term it is one integer numerator over the
+    term's weight denominator.  All coefficients above the polytope
+    dimension must vanish exactly, and the constant term must be 1.
     """
     if lam is None:
         lam = generic_lambda(terms)
@@ -199,19 +210,14 @@ def dilation_polynomial(terms, dim: int, lam=None):
         if s == 0:
             coeffs[0] += 1  # point vertex: one lattice point per dilation
             continue
-        weights = _term_weights(t, lam)
-        va = Fraction(_idot(lam, t.vertex))
-        shifted = Fraction(_idot(lam, t.numerator)) - va
-        vpow = [Fraction(1)]
-        spow = [Fraction(1)]
-        for _ in range(s):
-            vpow.append(vpow[-1] * va)
-            spow.append(spow[-1] * shifted)
+        nums, den = _term_weights(t, lam)
+        va = _idot(lam, t.vertex)
+        shifted = _idot(lam, t.numerator) - va
+        spow = [shifted**j for j in range(s + 1)]
         for m in range(s + 1):
-            c = Fraction(0)
-            for l in range(m, s + 1):
-                c += comb(l, m) * weights[l] * spow[l - m]
-            coeffs[m] += vpow[m] * c
+            c = sum(comb(l, m) * nums[l] * spow[l - m] for l in range(m, s + 1))
+            if c:
+                coeffs[m] += Fraction(va**m * c, den)
     for m in range(dim + 1, smax + 1):
         if coeffs[m] != 0:
             raise InternalInconsistencyError(

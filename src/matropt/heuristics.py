@@ -86,7 +86,7 @@ def local_search(M: Matroid, W: WeightMatrix, objective, start, transcript=None)
     _check(M, W)
     current = tuple(sorted(start))
     if not M.is_basis(current):
-        raise ValueError(f"{current} is not a basis")
+        raise DimensionError(f"{current} is not a basis")
     value = objective(_point(W, current))
     pivots = 0
     while True:
@@ -113,7 +113,7 @@ def tabu_search(M: Matroid, start, W: WeightMatrix, objective, tabu_limit, trans
     _check_knobs(tabu_limit=tabu_limit)
     current = tuple(sorted(start))
     if not M.is_basis(current):
-        raise ValueError(f"{current} is not a basis")
+        raise DimensionError(f"{current} is not a basis")
     visited = {current}
     best_basis = current
     best_value = objective(_point(W, current))
@@ -268,7 +268,7 @@ def projected_boundary(M: Matroid, W: WeightMatrix, start):
         raise DimensionError("projected_boundary is implemented for d = 2 only")
     start = tuple(sorted(start))
     if not M.is_basis(start):
-        raise ValueError(f"{start} is not a basis")
+        raise DimensionError(f"{start} is not a basis")
     if not _is_extreme_projection(M, W, start):
         raise DimensionError("start basis must project to an extreme point")
     out = {start}
@@ -383,7 +383,7 @@ def fiber_bfs(M: Matroid, W: WeightMatrix, start, depth, seen=None, witnesses=No
     _check(M, W)
     start = tuple(sorted(start))
     if not M.is_basis(start):
-        raise ValueError(f"{start} is not a basis")
+        raise DimensionError(f"{start} is not a basis")
     seen = set() if seen is None else seen
     witnesses = {} if witnesses is None else witnesses
 

@@ -1,8 +1,9 @@
 """Exact linear algebra over integers and rationals.
 
-Everything here is fraction-free where possible (Bareiss) and uses
-`fractions.Fraction` otherwise; no floating point anywhere.  Matrices are
-plain lists of tuples/lists, small enough (n <= ~20) that asymptotics are
+Determinants and minors are integer-only (fraction-free Bareiss).  Rank and
+row-space solves, whose answers are true rationals, use `fractions.Fraction`
+Gauss-Jordan elimination.  No floating point anywhere.  Matrices are plain
+lists of tuples/lists, small enough (n <= ~20) that asymptotics are
 irrelevant next to exactness.
 """
 
@@ -115,54 +116,6 @@ def max_minor_gcd(rows) -> int:
         if g == 1:
             return 1
     return g
-
-
-def rational_kernel_basis(rows):
-    """Rational basis of {x : A x = 0}, entries cleared to coprime integers."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    m = [[Fraction(x) for x in r] for r in rows]
-    pivots = {}
-    row = 0
-    for col in range(ncols):
-        piv = next((i for i in range(row, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for i in range(len(m)):
-            if i != row and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
-        pivots[col] = row
-        row += 1
-    basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fcol in free:
-        vec = [Fraction(0)] * ncols
-        vec[fcol] = Fraction(1)
-        for pcol, prow in pivots.items():
-            vec[pcol] = -m[prow][fcol]
-        basis.append(clear_denominators(vec))
-    return basis
-
-
-def clear_denominators(vec):
-    """Scale a rational vector to a primitive integer vector."""
-    fracs = [Fraction(x) for x in vec]
-    lcm = 1
-    for f in fracs:
-        d = f.denominator
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(f * lcm) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
 
 
 def affinely_independent(points) -> bool:

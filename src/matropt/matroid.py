@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .errors import CapError, DimensionError
+from .errors import CapError, DimensionError, ParseError
 
 REJECTION_CAP = 10_000_000
 SUBSET_CAP_DEFAULT = 16
@@ -75,7 +75,7 @@ class Matroid:
         if cached is not None:
             return cached
         if not self.is_basis(b):
-            raise ValueError(f"{b} is not a basis")
+            raise DimensionError(f"{b} is not a basis")
         inside = set(b)
         out = [j for j in range(self.n) if j not in inside]
         neighbors = []
@@ -257,10 +257,21 @@ class PolytopeConstraints:
         return True
 
 
+def env_cap(name: str, default: int) -> int:
+    """Integer cap from the environment variable `name`, else `default`."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParseError(f"{name} must be an integer, got {raw!r}") from None
+
+
 def polytope_constraints(M: Matroid, cap=None) -> PolytopeConstraints:
     """All 2^n - 1 subset rank constraints; refuses ground sets above the cap."""
     if cap is None:
-        cap = int(os.environ.get("MATROPT_SUBSET_CAP", SUBSET_CAP_DEFAULT))
+        cap = env_cap("MATROPT_SUBSET_CAP", SUBSET_CAP_DEFAULT)
     if M.n > cap:
         raise CapError(f"ground set size {M.n} exceeds subset-constraint cap {cap}")
     ranks = {}

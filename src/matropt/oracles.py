@@ -8,7 +8,6 @@ may ever call into the pipeline it validates.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -16,7 +15,7 @@ from math import comb
 from .errors import CapError, DimensionError, InternalInconsistencyError
 from .linalg import affinely_independent, bareiss_det
 from .lp import OPTIMAL, simplex_maximize
-from .matroid import Matroid, matroid_components
+from .matroid import Matroid, env_cap, matroid_components
 from .multicriteria import WeightMatrix, project
 
 BASES_CAP_DEFAULT = 10_000_000
@@ -25,7 +24,7 @@ BASES_CAP_DEFAULT = 10_000_000
 def enumerate_bases(M: Matroid, cap=None):
     """Every basis of M, as sorted tuples, in lexicographic order."""
     if cap is None:
-        cap = int(os.environ.get("MATROPT_BASES_CAP", BASES_CAP_DEFAULT))
+        cap = env_cap("MATROPT_BASES_CAP", BASES_CAP_DEFAULT)
     if comb(M.n, M.rank) > cap:
         raise CapError(f"C({M.n},{M.rank}) exceeds enumeration cap {cap}")
     return [b for b in combinations(range(M.n), M.rank) if M.is_basis(b)]

@@ -1,10 +1,11 @@
 """Placing triangulations of point sets and vertex cones, plus half-open
 decompositions of the resulting simplicial cones.
 
-The placing loop only ever queries hull-boundary facets, where visibility
-drops out of a strict supporting-hyperplane sign test; the general exact LP
-test it is checked against is `oracles.visible`.  Insertion order is
-recorded with every result so a run can be replayed.
+The placing loop works in integers and only ever queries hull-boundary
+facets, where visibility drops out of a strict supporting-hyperplane sign
+test against a cached cofactor normal; the general exact LP test it is
+checked against is `oracles.visible`.  Insertion order is recorded with
+every result so a run can be replayed.
 
 Half-open flags follow the coordinate sign rule of Koeppe & Verdoolaege
 (Computing parametric rational generating functions with a primal Barvinok
@@ -15,18 +16,13 @@ the j-th coordinate of y in the cell's own generators is negative.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from .errors import DimensionError, InternalInconsistencyError
-from .linalg import (
-    affinely_independent,
-    max_minor_gcd,
-    rational_kernel_basis,
-    solve_in_row_space,
-)
+from .linalg import bareiss_det, max_minor_gcd, solve_in_row_space
 
 
 @dataclass(frozen=True)
@@ -83,9 +79,14 @@ def placing_triangulation(points, order=None):
     skipped.  The result depends on the order, which is therefore returned
     alongside the cells.
 
-    Candidate facets always lie on the current hull boundary, where
-    visibility reduces to a strict supporting-hyperplane sign test; that
-    exact shortcut replaces the general visibility LP in this inner loop.
+    All arithmetic is in integers.  Rational input is scaled by the lcm of
+    its denominators, an affine map that keeps the combinatorics.  An
+    integer echelon of difference rows tracks the affine hull; its pivot
+    columns give a projection that is injective on the hull.  Candidate
+    facets always lie on the current hull boundary, where visibility is a
+    strict supporting-hyperplane sign test: one dot product with the
+    facet's cofactor normal, compared with the side of the opposite vertex
+    of the facet's cell.
     """
     pts = [tuple(map(Fraction, p)) for p in points]
     if not pts:
@@ -93,79 +94,99 @@ def placing_triangulation(points, order=None):
     order = tuple(range(len(pts))) if order is None else tuple(order)
     if sorted(order) != list(range(len(pts))):
         raise DimensionError("order must be a permutation of the point indices")
+    scale = lcm(*(x.denominator for p in pts for x in p))
+    ipts = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in pts]
     cells: list = []
-    placed: list = []
+    seen: set = set()
     origin = None
-    aff_rows: list = []  # independent direction vectors of the affine hull
-    coord: dict = {}  # point index -> coordinates in aff_rows (len grows)
+    echelon: list = []  # (pivot column, row): reduced difference rows of the hull
+    boundary: dict = {}  # boundary facet -> opposite vertex, first-occurrence order
+    interior: set = set()
+    normals: dict = {}  # boundary facet -> (normal, offset, side of opposite vertex)
     for idx in order:
-        v = pts[idx]
-        if not placed:
-            placed.append(idx)
+        v = ipts[idx]
+        if v in seen:
+            continue  # duplicate of an already-placed point: unused
+        seen.add(v)
+        if origin is None:
             origin = v
-            coord[idx] = ()
             cells = [(idx,)]
             continue
-        if any(v == pts[j] for j in placed):
-            continue  # duplicate of an already-placed point: unused
-        diff = tuple(a - b for a, b in zip(v, origin))
-        c = solve_in_row_space(aff_rows, diff)
-        if c is None:
+        diff = _reduce(echelon, [a - b for a, b in zip(v, origin)])
+        if any(diff):
+            echelon.append((next(j for j, x in enumerate(diff) if x), diff))
             cells = [tuple(sorted(cell + (idx,))) for cell in cells]
-            aff_rows.append(diff)
-            for j in coord:
-                coord[j] = coord[j] + (Fraction(0),)
-            coord[idx] = (Fraction(0),) * (len(aff_rows) - 1) + (Fraction(1),)
-        else:
-            coord[idx] = c
-            counts = Counter()
-            for cell in cells:
-                for f in combinations(cell, len(cell) - 1):
-                    counts[f] += 1
-            new = []
-            for f, mult in counts.items():
-                if mult != 1:
-                    continue  # interior wall: never visible
-                if _beyond_boundary_facet(coord, placed, f, idx):
-                    new.append(tuple(sorted(f + (idx,))))
-            cells = cells + new
-        placed.append(idx)
-    for c in cells:
-        if not affinely_independent([pts[j] for j in c]):
+            boundary, interior = {}, set()
+            _add_facets(boundary, interior, cells)
+            normals.clear()
+            continue
+        cols = [c for c, _ in echelon]
+        qv = [v[c] for c in cols]
+        new = []
+        for f, opp in boundary.items():
+            entry = normals.get(f)
+            if entry is None:
+                entry = normals[f] = _facet_normal([ipts[i] for i in f], ipts[opp], cols)
+            nu, offset, ref = entry
+            sv = sum(a * b for a, b in zip(nu, qv)) - offset
+            if sv != 0 and (sv > 0) != (ref > 0):
+                new.append(tuple(sorted(f + (idx,))))
+        cells += new
+        _add_facets(boundary, interior, new)
+    cols = [c for c, _ in echelon]
+    for cell in cells:
+        base = ipts[cell[0]]
+        edges = [[ipts[i][c] - base[c] for c in cols] for i in cell[1:]]
+        if bareiss_det(edges) == 0:
             raise InternalInconsistencyError("placing produced a degenerate cell")
-    return [tuple(c) for c in cells], order
+    return cells, order
 
 
-def _beyond_boundary_facet(coord, placed, facet, v_idx) -> bool:
-    """Strict side test of a point against a hull-boundary facet.
+def _reduce(echelon, row):
+    """Row minus its part in the span of the echelon rows, scaled to stay
+    integral: zero exactly when the row lies in that span."""
+    for col, e in echelon:
+        x = row[col]
+        if x:
+            p = e[col]
+            row = [a * p - x * b for a, b in zip(row, e)]
+            g = gcd(*row)
+            if g > 1:
+                row = [a // g for a in row]
+    return row
 
-    All points carry exact coordinates in the hull's direction basis; the
-    facet's hyperplane supports the hull, so visibility is exactly "strictly
-    on the side opposite the polytope".
-    """
-    base = coord[facet[0]]
-    dim = len(base)
-    facet_rows = [
-        tuple(a - b for a, b in zip(coord[i], base)) for i in facet[1:]
+
+def _add_facets(boundary, interior, cells):
+    """Count the facets of new cells: a facet seen once is on the boundary
+    (kept with its cell's opposite vertex), one seen again is interior."""
+    for cell in cells:
+        last = len(cell) - 1
+        for k, f in enumerate(combinations(cell, last)):
+            if f in interior:
+                continue
+            if f in boundary:
+                del boundary[f]
+                interior.add(f)
+            else:
+                boundary[f] = cell[last - k]  # combinations drop the last vertex first
+
+
+def _facet_normal(facet, opposite, cols):
+    """Cofactor normal of a hull facet in projected coordinates, its offset,
+    and the side of the opposite vertex of the facet's cell."""
+    q = [[p[c] for c in cols] for p in facet]
+    edges = [[a - b for a, b in zip(row, q[0])] for row in q[1:]]
+    nu = [
+        (-1) ** j * bareiss_det([e[:j] + e[j + 1:] for e in edges])
+        for j in range(len(cols))
     ]
-    if not facet_rows:
-        if dim != 1:
-            raise InternalInconsistencyError("facet dimension mismatch")
-        normals = [(Fraction(1),)]
-    else:
-        normals = rational_kernel_basis(facet_rows)
-    if len(normals) != 1:
+    if not any(nu):
         raise InternalInconsistencyError("boundary facet does not span a hyperplane")
-    nu = normals[0]
-
-    def side(j):
-        return sum(a * (b - c) for a, b, c in zip(nu, coord[j], base))
-
-    ref = next((s for j in placed if (s := side(j)) != 0), None)
-    if ref is None:
-        raise InternalInconsistencyError("degenerate hull: no point off the facet")
-    sv = side(v_idx)
-    return sv != 0 and (sv > 0) != (ref > 0)
+    offset = sum(a * b for a, b in zip(nu, q[0]))
+    ref = sum(a * opposite[c] for a, c in zip(nu, cols)) - offset
+    if ref == 0:
+        raise InternalInconsistencyError("degenerate cell: opposite vertex on the facet")
+    return nu, offset, ref
 
 
 def join_to_apex(cells, apex_index):
@@ -174,15 +195,9 @@ def join_to_apex(cells, apex_index):
     Keeps each boundary facet not containing the apex and joins it to the
     apex, so that every maximal cell of the result is incident to it.
     """
-    counts = Counter()
-    for c in cells:
-        for f in combinations(c, len(c) - 1):
-            counts[f] += 1
-    out = []
-    for f, mult in counts.items():
-        if mult == 1 and apex_index not in f:
-            out.append(tuple(sorted(f + (apex_index,))))
-    return out
+    boundary: dict = {}
+    _add_facets(boundary, set(), cells)
+    return [tuple(sorted(f + (apex_index,))) for f in boundary if apex_index not in f]
 
 
 def cone_triangulation(cone: Cone, order=None):

@@ -7,7 +7,9 @@ definitions) so they can serve as oracles for the package's cleverer code.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -175,8 +177,6 @@ def brute_adjacent(M: Matroid, basis):
 
 
 def brute_max_weight(M: Matroid, weights):
-    from fractions import Fraction
-
     best = None
     for b in enumerate_bases(M):
         val = sum(Fraction(weights[i]) for i in b)
@@ -221,3 +221,52 @@ def all_subsets(n):
 
 def incidence_rows(M: Matroid, bases):
     return [incidence_vector(b, M.n) for b in bases]
+
+
+def rational_kernel_basis(rows):
+    """Basis of {x : A x = 0} by Fraction Gauss-Jordan elimination, each
+    vector cleared to coprime integers (oracle for facet normals)."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = {}
+    row = 0
+    for col in range(ncols):
+        piv = next((i for i in range(row, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        inv = 1 / m[row][col]
+        m[row] = [x * inv for x in m[row]]
+        for i in range(len(m)):
+            if i != row and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
+        pivots[col] = row
+        row += 1
+    basis = []
+    free = [c for c in range(ncols) if c not in pivots]
+    for fcol in free:
+        vec = [Fraction(0)] * ncols
+        vec[fcol] = Fraction(1)
+        for pcol, prow in pivots.items():
+            vec[pcol] = -m[prow][fcol]
+        basis.append(clear_denominators(vec))
+    return basis
+
+
+def clear_denominators(vec):
+    """Scale a rational vector to a primitive integer vector."""
+    fracs = [Fraction(x) for x in vec]
+    lcm = 1
+    for f in fracs:
+        d = f.denominator
+        lcm = lcm * d // gcd(lcm, d)
+    ints = [int(f * lcm) for f in fracs]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    if g > 1:
+        ints = [x // g for x in ints]
+    return tuple(ints)

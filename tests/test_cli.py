@@ -1,9 +1,11 @@
 """End-to-end command-line checks: formats, determinism, exit codes."""
 
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,11 +32,12 @@ def files(tmp_path):
     return paths
 
 
-def run_cli(*argv):
+def run_cli(*argv, env=None):
     return subprocess.run(
         [sys.executable, "-m", "matropt.cli", *argv],
         capture_output=True,
         text=True,
+        env=None if env is None else {**os.environ, **env},
     )
 
 
@@ -302,6 +305,26 @@ class TestStochasticGolden:
             assert outs[0]["points"]
 
 
+class TestCheckUnimodularGolden:
+    """check-unimodular stdout (insertion order, cell order, determinants)
+    on three matroids, recorded before placing moved to integer kernels."""
+
+    GOLDEN = Path(__file__).parent / "golden"
+    INPUTS = {
+        "k4": K4_GRAPH,
+        "k23": "graph 5\n0 0 1 1 1\n0 0 1 1 1\n1 1 0 0 0\n1 1 0 0 0\n1 1 0 0 0\n",
+        "u36": "uniform 6 3\n",
+    }
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_bytes(self, tmp_path, name):
+        f = tmp_path / f"{name}.matroid"
+        f.write_text(self.INPUTS[name])
+        res = run_cli("check-unimodular", "--matroid", str(f))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == (self.GOLDEN / f"check_unimodular_{name}.json").read_text()
+
+
 class TestExitCodes:
     def test_parse_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.matroid"
@@ -346,6 +369,20 @@ class TestExitCodes:
         big.write_text("uniform 40 20\n")
         res = run_cli("bases", "--matroid", str(big))
         assert res.returncode == 4
+
+    def test_bases_cap_boundary(self, files):
+        # U(4,2) has C(4,2) = 6 candidate subsets.
+        res = run_cli("bases", "--matroid", files["u24.matroid"], env={"MATROPT_BASES_CAP": "6"})
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["count"] == 6
+        res = run_cli("bases", "--matroid", files["u24.matroid"], env={"MATROPT_BASES_CAP": "5"})
+        self._one_error_line(res, 4)
+
+    def test_non_integer_cap_is_two(self, files):
+        res = run_cli("bases", "--matroid", files["u24.matroid"],
+                      env={"MATROPT_BASES_CAP": "abc"})
+        self._one_error_line(res, 2)
+        assert "MATROPT_BASES_CAP" in res.stderr
 
     def test_lattice_count_csv(self, files):
         res = run_cli("lattice-count", "--matroid", files["u24.matroid"],

@@ -244,6 +244,27 @@ class TestEhrhartPipeline:
         counts = [int(evaluate_polynomial(coeffs, k)) for k in range(8)]
         assert hstar_from_counts(counts, 7) == (1, 37, 254, 475, 262, 38, 1)
 
+    def test_k5_pinned(self):
+        # K5 (10 edges, 125 bases, dim 9): the value at k = 1 is the
+        # spanning-tree count 5^3 (Cayley).
+        from matropt import graphic_matroid
+
+        M = graphic_matroid([[int(i != j) for j in range(5)] for i in range(5)])
+        coeffs = ehrhart_polynomial(M)
+        assert coeffs == (
+            Fraction(1),
+            Fraction(629, 105),
+            Fraction(8287, 504),
+            Fraction(11801, 432),
+            Fraction(1465, 48),
+            Fraction(34541, 1440),
+            Fraction(641, 48),
+            Fraction(569, 112),
+            Fraction(149, 126),
+            Fraction(541, 4320),
+        )
+        assert evaluate_polynomial(coeffs, 1) == 125
+
     def test_vector_backend_agrees_with_graphic(self, k4):
         # The oriented-incidence realization has the same bases, so the whole
         # pipeline must produce the identical polynomial through a different

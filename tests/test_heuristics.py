@@ -65,8 +65,16 @@ class TestLocalSearch:
                 assert obj(project(W_K4, nb)) >= value
 
     def test_rejects_non_basis(self, u24):
-        with pytest.raises(ValueError):
-            local_search(u24, WeightMatrix(((1, 1, 1, 1),)), Linear((1,)), (0, 1, 2))
+        W = WeightMatrix(((1, 1, 1, 1), (0, 1, 2, 3)))
+        bad = (0, 1, 2)
+        with pytest.raises(DimensionError):
+            local_search(u24, W, Linear((1, 0)), bad)
+        with pytest.raises(DimensionError):
+            tabu_search(u24, bad, W, Linear((1, 0)), 2)
+        with pytest.raises(DimensionError):
+            projected_boundary(u24, W, bad)
+        with pytest.raises(DimensionError):
+            fiber_bfs(u24, W, bad, 1)
 
     def test_linear_objective_exact_on_catalog(self):
         from conftest import catalog_small, random_weight_matrix

@@ -1,4 +1,5 @@
-"""Direct unit tests for the exact linear algebra and the rational simplex."""
+"""Direct unit tests for the exact linear algebra, the rational simplex, and
+the kernel oracles in conftest."""
 
 import random
 from fractions import Fraction
@@ -6,13 +7,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matropt.linalg import (
-    bareiss_det,
-    clear_denominators,
-    max_minor_gcd,
-    rational_kernel_basis,
-    solve_in_row_space,
-)
+from conftest import clear_denominators, rational_kernel_basis
+from matropt.linalg import bareiss_det, max_minor_gcd, solve_in_row_space
 from matropt.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, simplex_maximize
 
 

@@ -17,6 +17,7 @@ from conftest import (
 from matropt import (
     CapError,
     DimensionError,
+    ParseError,
     enumerate_bases,
     graphic_matroid,
     greedy_max_basis,
@@ -135,7 +136,7 @@ class TestAdjacency:
                 assert set(M.adjacent_bases(b)) == brute_adjacent(M, b)
 
     def test_rejects_non_basis(self, u24):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionError):
             u24.adjacent_bases((0, 1, 2))
 
 
@@ -213,6 +214,23 @@ class TestPolytopeConstraints:
     def test_cap(self):
         with pytest.raises(CapError):
             polytope_constraints(uniform_matroid(17, 2))
+
+    def test_cap_from_environment_boundary(self, monkeypatch):
+        M = uniform_matroid(5, 2)
+        monkeypatch.setenv("MATROPT_SUBSET_CAP", "5")
+        assert len(polytope_constraints(M).subset_ranks) == 2**5 - 1
+        monkeypatch.setenv("MATROPT_SUBSET_CAP", "4")
+        with pytest.raises(CapError) as info:
+            polytope_constraints(M)
+        assert info.value.exit_code == 4
+
+    def test_non_integer_caps_are_parse_errors(self, monkeypatch):
+        monkeypatch.setenv("MATROPT_SUBSET_CAP", "abc")
+        with pytest.raises(ParseError, match="MATROPT_SUBSET_CAP"):
+            polytope_constraints(uniform_matroid(4, 2))
+        monkeypatch.setenv("MATROPT_BASES_CAP", "1e3")
+        with pytest.raises(ParseError, match="MATROPT_BASES_CAP"):
+            enumerate_bases(uniform_matroid(4, 2))
 
     def test_vertices_satisfy_constraints(self, catalog):
         from matropt import incidence_vector

@@ -3,6 +3,8 @@ equivalence of the placing fast path with the visibility LP."""
 
 import json
 import random
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 from matropt import (
@@ -20,6 +22,22 @@ from matropt import (
     term_to_dict,
     visible,
 )
+from matropt.linalg import rational_rank
+
+
+def _placed_prefix(pts, order, cut):
+    """Cells of the first `cut` points of `order`, placed in that order, as
+    sorted tuples of indices into pts."""
+    keep = sorted(order[:cut])
+    local = {g: i for i, g in enumerate(keep)}
+    sub_order = tuple(local[g] for g in order[:cut])
+    cells, got = placing_triangulation([pts[g] for g in keep], order=sub_order)
+    assert got == sub_order
+    return [tuple(keep[i] for i in c) for c in cells]
+
+
+def _affine_rank(points):
+    return rational_rank([tuple(a - b for a, b in zip(p, points[0])) for p in points[1:]])
 
 
 class TestTermSerialization:
@@ -56,8 +74,6 @@ class TestPlacingMatchesVisibilityLP:
             placed = [pts[i] for i in order[:cut]]
             v = pts[order[cut]]
             sub_cells, _ = placing_triangulation(placed)
-            from collections import Counter
-
             counts = Counter()
             for c in sub_cells:
                 for f in combinations(c, len(c) - 1):
@@ -72,6 +88,47 @@ class TestPlacingMatchesVisibilityLP:
                 appended, _ = placing_triangulation(placed + [v])
                 coned = tuple(sorted(f + (len(placed),)))
                 assert (coned in appended) == lp_says
+
+    def test_random_sets_agree_with_lp(self):
+        # Seeded sets in dims 1-4 with rational coordinates, a point on a
+        # segment, the centroid (relatively interior), a duplicate, and a
+        # shuffled insertion order.  Each step either skips a duplicate,
+        # cones every cell over a point off the affine hull, or appends,
+        # in first-occurrence order of the boundary facets, exactly the
+        # facets the LP calls visible from the new point.
+        rng = random.Random(20261018)
+        for trial in range(40):
+            dim = 1 + trial % 4
+            pts = [
+                tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(dim))
+                for _ in range(rng.randint(2, 4 + dim))
+            ]
+            a, b = rng.sample(pts, 2)
+            pts.append(tuple((x + y) / 2 for x, y in zip(a, b)))
+            pts.append(tuple(sum(c) / len(pts) for c in zip(*pts)))
+            pts.append(rng.choice(pts))
+            order = list(range(len(pts)))
+            rng.shuffle(order)
+            before = _placed_prefix(pts, order, 1)
+            for cut in range(1, len(pts)):
+                idx = order[cut]
+                placed = [pts[g] for g in order[:cut]]
+                after = _placed_prefix(pts, order, cut + 1)
+                if pts[idx] in placed:
+                    assert after == before
+                elif _affine_rank(placed + [pts[idx]]) > _affine_rank(placed):
+                    assert after == [tuple(sorted(c + (idx,))) for c in before]
+                else:
+                    counts = Counter(f for c in before for f in combinations(c, len(c) - 1))
+                    coned = [
+                        tuple(sorted(f + (idx,)))
+                        for f, mult in counts.items()
+                        if mult == 1 and visible([pts[g] for g in f], placed, pts[idx])
+                    ]
+                    assert after == before + coned
+                before = after
+            cells, _ = placing_triangulation(pts, order=order)
+            assert [tuple(c) for c in cells] == before
 
     def test_u24_polytope_replay(self, u24):
         bases = enumerate_bases(u24)

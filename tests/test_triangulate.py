@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import catalog_connected
+from conftest import catalog_connected, rational_kernel_basis
 from matropt import (
     Cone,
     DimensionError,
@@ -23,7 +23,6 @@ from matropt import (
     uniform_matroid,
     visible,
 )
-from matropt.linalg import rational_kernel_basis
 from matropt.triangulate import generic_y_for_cells, join_to_apex
 
 
