@@ -90,7 +90,6 @@ from .triangulate import (
     HalfOpenSimplicialCone,
     cell_lattice_determinant,
     cone_triangulation,
-    half_open_contains,
     half_open_decompose,
     placing_triangulation,
     tangent_cone,

@@ -34,6 +34,7 @@ from .io import (
     parse_point_rows,
     parse_rational,
     read_text,
+    write_text,
 )
 from .matroid import greedy_max_basis, incidence_vector, random_basis
 from .multicriteria import (
@@ -117,8 +118,7 @@ def _emit(args, payload, point_rows=None, csv_rows=None):
     else:
         raise ParseError(f"unknown format {fmt!r}")
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(args.output, text)
     else:
         sys.stdout.write(text)
 
@@ -194,14 +194,15 @@ def _run_single_search(args, use_tabu):
         result = local_search(M, W, obj, start, transcript=sink)
         reason = "local minimum"
     if args.transcript:
-        with open(args.transcript, "w", encoding="utf-8") as fh:
-            for pivot, basis, point, value in trail:
-                fh.write(json.dumps({
-                    "pivot": pivot,
-                    "basis": _one_based(basis),
-                    "point": list(point),
-                    "objective": format_rational(value),
-                }, sort_keys=True) + "\n")
+        write_text(args.transcript, "".join(
+            json.dumps({
+                "pivot": pivot,
+                "basis": _one_based(basis),
+                "point": list(point),
+                "objective": format_rational(value),
+            }, sort_keys=True) + "\n"
+            for pivot, basis, point, value in trail
+        ))
     point = project(W, result)
     payload = {
         "seed": args.seed,
@@ -373,6 +374,8 @@ def cmd_hstar_uniform(args):
 def cmd_lattice_count(args):
     M = load_matroid(args.matroid)
     if args.kmax is not None:
+        if args.kmax < 0:
+            raise DimensionError(f"--kmax must be >= 0, got {args.kmax}")
         table = [(k, dilation_lattice_count(M, k)) for k in range(args.kmax + 1)]
         _emit(args, {"counts": [[k, c] for k, c in table]},
               csv_rows=[["k", "count"]] + [[k, c] for k, c in table])

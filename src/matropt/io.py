@@ -145,6 +145,15 @@ def read_text(path) -> str:
         raise ParseError(f"{path} is not UTF-8 text") from None
 
 
+def write_text(path, text) -> None:
+    """Write an output file; an unwritable path is a ParseError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def load_matroid(path) -> Matroid:
     return parse_matroid(read_text(path))
 

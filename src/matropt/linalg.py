@@ -1,17 +1,19 @@
 """Exact linear algebra over integers and rationals.
 
-Determinants and minors are integer-only (fraction-free Bareiss).  Rank and
-row-space solves, whose answers are true rationals, use `fractions.Fraction`
-Gauss-Jordan elimination.  No floating point anywhere.  Matrices are plain
-lists of tuples/lists, small enough (n <= ~20) that asymptotics are
-irrelevant next to exactness.
+Determinants and minors are integer-only (fraction-free Bareiss).  Rank,
+span membership, row-space coordinates and kernel vectors all come from one
+fraction-free row reduction with gcd normalisation (`_extend`); rational
+rows are first scaled to integers, and only row-space coordinates, which
+are true rationals, come back as `fractions.Fraction`.  No floating point
+anywhere.  Matrices are plain lists of tuples/lists, small enough
+(n <= ~20) that asymptotics are irrelevant next to exactness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from itertools import combinations
+from math import gcd, lcm
 
 
 def bareiss_det(rows) -> int:
@@ -40,63 +42,91 @@ def bareiss_det(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _integral(row):
+    """An int/Fraction row scaled to integers by the lcm of its denominators."""
+    # A list, not a generator: CPython builds the argument tuple of a
+    # generator by resizing, which bypasses and then overfills the tuple
+    # free list, holding on to memory across the hot loops.
+    scale = lcm(*[x.denominator for x in row])
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
+def _reduce(echelon, row):
+    """Row minus its part in the span of the echelon rows, scaled to stay
+    integral: zero exactly when the row lies in that span."""
+    for col, e in echelon:
+        x = row[col]
+        if x:
+            p = e[col]
+            row = [a * p - x * b for a, b in zip(row, e)]
+            g = gcd(*row)
+            if g > 1:
+                row = [a // g for a in row]
+    return row
+
+
+def _extend(echelon, row, width=None):
+    """Reduce an integer row against the echelon and append it with its
+    pivot column when it leaves the span on its first `width` columns.
+
+    Returns None when the row was appended, else the reduced row.  That is
+    an integer combination of this row and the echelon rows, so tag columns
+    past `width` record the combination that cancelled it.
+    """
+    row = _reduce(echelon, row)
+    for col, x in enumerate(row[:width]):
+        if x:
+            echelon.append((col, row))
+            return None
+    return row
+
+
 def rational_rank(rows) -> int:
     """Rank over Q of a matrix with int/Fraction entries."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = next((i for i in range(row, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for i in range(len(m)):
-            if i != row and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
+    echelon: list = []
+    for row in rows:
+        _extend(echelon, _integral(row))
+    return len(echelon)
 
 
 def solve_in_row_space(basis_rows, target):
     """Coordinates c with c * basis_rows = target, or None if target is outside.
 
-    Also None when basis_rows are linearly dependent: some coordinate then
-    finds no pivot, so a non-None answer certifies independent rows.
+    Also None when basis_rows are linearly dependent, so a non-None answer
+    certifies independent rows.
     """
-    k = len(basis_rows)
-    if k == 0:
-        return () if all(x == 0 for x in target) else None
-    cols = len(basis_rows[0])
-    # Solve the (k x k) normal-free system by picking k independent columns.
-    m = [[Fraction(basis_rows[i][j]) for i in range(k)] for j in range(cols)]
-    aug = [row + [Fraction(t)] for row, t in zip(m, target)]
-    # Gaussian elimination on the (cols x k) system.
-    row = 0
-    for col in range(k):
-        piv = next((i for i in range(row, cols) if aug[i][col] != 0), None)
-        if piv is None:
+    k, n = len(basis_rows), len(target)
+    echelon: list = []
+    for i, row in enumerate(basis_rows):
+        if _extend(echelon, _integral([*row, *_unit(i, k), 0]), n) is not None:
             return None
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for i in range(cols):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
-        row += 1
-    for i in range(row, cols):
-        if aug[i][k] != 0:
-            return None
-    return tuple(aug[i][k] for i in range(k))
+    # Tags (a, s) of a target that cancels: sum(a_i * row_i) + s * target = 0.
+    rest = _extend(echelon, _integral([*target, *[0] * k, 1]), n)
+    if rest is None:
+        return None
+    return tuple(Fraction(-a, rest[-1]) for a in rest[n:-1])
+
+
+def _null_vector(rows, d):
+    """Nonzero integer x with rows * x = 0 for a (d-1) x d matrix of rank
+    d - 1, else None.
+
+    Column j enters tagged with the unit vector e_j; the first column that
+    falls in the span of the earlier ones carries the combination of columns
+    that vanishes, which is the kernel vector.
+    """
+    rows = [_integral(r) for r in rows]  # scaling a row keeps the kernel
+    echelon: list = []
+    normal = None
+    for j in range(d):
+        rest = _extend(echelon, [*(r[j] for r in rows), *_unit(j, d)], d - 1)
+        if normal is None and rest is not None:
+            normal = rest[d - 1:]
+    return normal if len(echelon) == d - 1 else None
+
+
+def _unit(i, k):
+    return [int(j == i) for j in range(k)]
 
 
 def max_minor_gcd(rows) -> int:

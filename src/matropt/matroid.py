@@ -11,9 +11,9 @@ import os
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 
 from .errors import CapError, DimensionError, ParseError
+from .linalg import _integral, rational_rank
 
 REJECTION_CAP = 10_000_000
 SUBSET_CAP_DEFAULT = 16
@@ -56,7 +56,7 @@ class Matroid:
         elif self.kind == "graphic":
             r = _forest_size(self.data, key)
         else:
-            r = _column_rank(self.data, sorted(key))
+            r = rational_rank([self.data[1][j] for j in key])
         self._rank_cache[key] = r
         return r
 
@@ -132,16 +132,9 @@ def vector_matroid(rows) -> Matroid:
     if any(len(r) != n for r in rows):
         raise DimensionError("ragged matrix")
     # Column scaling does not change independence: clear denominators per column.
-    cols = []
-    for j in range(n):
-        col = [Fraction(rows[i][j]) for i in range(m)]
-        lcm = 1
-        for f in col:
-            d = f.denominator
-            lcm = lcm * d // gcd(lcm, d)
-        cols.append(tuple(int(f * lcm) for f in col))
-    data = (m, tuple(cols))
-    rank = _column_rank(data, range(n))
+    cols = tuple(tuple(_integral([Fraction(r[j]) for r in rows])) for j in range(n))
+    data = (m, cols)
+    rank = rational_rank(cols)
     return Matroid("vector", n, rank, data, label=f"vector({m}x{n})")
 
 
@@ -163,31 +156,6 @@ def _forest_size(data, edge_subset) -> int:
             parent[ru] = rv
             size += 1
     return size
-
-
-def _column_rank(data, col_subset) -> int:
-    m, cols = data
-    mat = [[cols[j][i] for j in col_subset] for i in range(m)]
-    if not mat or not mat[0]:
-        return 0
-    # Integer Gaussian elimination (rank only, so plain cross-multiplication).
-    rank = 0
-    row = 0
-    ncols = len(mat[0])
-    for col in range(ncols):
-        piv = next((i for i in range(row, m) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        for i in range(row + 1, m):
-            if mat[i][col] != 0:
-                f, g = mat[i][col], mat[row][col]
-                mat[i] = [g * a - f * b for a, b in zip(mat[i], mat[row])]
-        row += 1
-        rank += 1
-        if row == m:
-            break
-    return rank
 
 
 def incidence_vector(basis, n):
@@ -289,7 +257,6 @@ def is_connected(M: Matroid, bases=None) -> bool:
 def matroid_components(M: Matroid, bases=None) -> int:
     """Number of connected components, as n minus the rank of edge directions."""
     from .oracles import enumerate_bases
-    from .linalg import rational_rank
 
     if bases is None:
         bases = enumerate_bases(M)

@@ -3,7 +3,7 @@ decompositions of the resulting simplicial cones.
 
 The placing loop works in integers and only ever queries hull-boundary
 facets, where visibility drops out of a strict supporting-hyperplane sign
-test against a cached cofactor normal; the general exact LP test it is
+test against a cached facet normal; the general exact LP test it is
 checked against is `oracles.visible`.  Insertion order is recorded with
 every result so a run can be replayed.
 
@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import lcm
 
 from .errors import DimensionError, InternalInconsistencyError
-from .linalg import bareiss_det, max_minor_gcd, solve_in_row_space
+from .linalg import _extend, _null_vector, bareiss_det, max_minor_gcd, solve_in_row_space
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,8 @@ def placing_triangulation(points, order=None):
     columns give a projection that is injective on the hull.  Candidate
     facets always lie on the current hull boundary, where visibility is a
     strict supporting-hyperplane sign test: one dot product with the
-    facet's cofactor normal, compared with the side of the opposite vertex
-    of the facet's cell.
+    facet's normal (a kernel vector of its edges), compared with the side
+    of the opposite vertex of the facet's cell.
     """
     pts = [tuple(map(Fraction, p)) for p in points]
     if not pts:
@@ -112,9 +112,7 @@ def placing_triangulation(points, order=None):
             origin = v
             cells = [(idx,)]
             continue
-        diff = _reduce(echelon, [a - b for a, b in zip(v, origin)])
-        if any(diff):
-            echelon.append((next(j for j, x in enumerate(diff) if x), diff))
+        if _extend(echelon, [a - b for a, b in zip(v, origin)]) is None:
             cells = [tuple(sorted(cell + (idx,))) for cell in cells]
             boundary, interior = {}, set()
             _add_facets(boundary, interior, cells)
@@ -142,20 +140,6 @@ def placing_triangulation(points, order=None):
     return cells, order
 
 
-def _reduce(echelon, row):
-    """Row minus its part in the span of the echelon rows, scaled to stay
-    integral: zero exactly when the row lies in that span."""
-    for col, e in echelon:
-        x = row[col]
-        if x:
-            p = e[col]
-            row = [a * p - x * b for a, b in zip(row, e)]
-            g = gcd(*row)
-            if g > 1:
-                row = [a // g for a in row]
-    return row
-
-
 def _add_facets(boundary, interior, cells):
     """Count the facets of new cells: a facet seen once is on the boundary
     (kept with its cell's opposite vertex), one seen again is interior."""
@@ -172,15 +156,12 @@ def _add_facets(boundary, interior, cells):
 
 
 def _facet_normal(facet, opposite, cols):
-    """Cofactor normal of a hull facet in projected coordinates, its offset,
-    and the side of the opposite vertex of the facet's cell."""
+    """Normal of a hull facet in projected coordinates (a kernel vector of
+    its edge matrix), its offset, and the side of the opposite vertex of the
+    facet's cell; only signs against the normal are ever used."""
     q = [[p[c] for c in cols] for p in facet]
-    edges = [[a - b for a, b in zip(row, q[0])] for row in q[1:]]
-    nu = [
-        (-1) ** j * bareiss_det([e[:j] + e[j + 1:] for e in edges])
-        for j in range(len(cols))
-    ]
-    if not any(nu):
+    nu = _null_vector([[a - b for a, b in zip(row, q[0])] for row in q[1:]], len(cols))
+    if nu is None:
         raise InternalInconsistencyError("boundary facet does not span a hyperplane")
     offset = sum(a * b for a, b in zip(nu, q[0]))
     ref = sum(a * opposite[c] for a, c in zip(nu, cols)) - offset
@@ -311,20 +292,3 @@ def half_open_decompose(apex, cells, y=None):
         # partition it.
         raise DimensionError("y must lie in the relative interior of the cone")
     return out
-
-
-def half_open_contains(cone: HalfOpenSimplicialCone, point) -> bool:
-    """Exact membership in a half-open simplicial cone."""
-    diff = tuple(Fraction(a) - Fraction(b) for a, b in zip(point, cone.apex))
-    if not cone.generators:
-        return all(x == 0 for x in diff)
-    lam = solve_in_row_space(cone.generators, diff)
-    if lam is None:
-        return False
-    for j, l in enumerate(lam):
-        if j in cone.strict_indices:
-            if l <= 0:
-                return False
-        elif l < 0:
-            return False
-    return True

@@ -14,6 +14,7 @@ from math import gcd
 import pytest
 
 from matropt import (
+    HalfOpenSimplicialCone,
     Matroid,
     enumerate_bases,
     graphic_matroid,
@@ -270,3 +271,82 @@ def clear_denominators(vec):
     if g > 1:
         ints = [x // g for x in ints]
     return tuple(ints)
+
+
+def fraction_rank(rows) -> int:
+    """Rank over Q of a matrix with int/Fraction entries, by Fraction
+    Gauss-Jordan elimination (oracle for the integer echelon)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    if not m:
+        return 0
+    ncols = len(m[0])
+    rank = 0
+    row = 0
+    for col in range(ncols):
+        piv = next((i for i in range(row, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        inv = 1 / m[row][col]
+        m[row] = [x * inv for x in m[row]]
+        for i in range(len(m)):
+            if i != row and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
+        row += 1
+        rank += 1
+        if row == len(m):
+            break
+    return rank
+
+
+def fraction_solve(basis_rows, target):
+    """Coordinates c with c * basis_rows = target, or None if target is outside.
+
+    Also None when basis_rows are linearly dependent: some coordinate then
+    finds no pivot, so a non-None answer certifies independent rows.  Fraction
+    Gauss-Jordan elimination (oracle for the integer echelon).
+    """
+    k = len(basis_rows)
+    if k == 0:
+        return () if all(x == 0 for x in target) else None
+    cols = len(basis_rows[0])
+    # Solve the (k x k) normal-free system by picking k independent columns.
+    m = [[Fraction(basis_rows[i][j]) for i in range(k)] for j in range(cols)]
+    aug = [row + [Fraction(t)] for row, t in zip(m, target)]
+    # Gaussian elimination on the (cols x k) system.
+    row = 0
+    for col in range(k):
+        piv = next((i for i in range(row, cols) if aug[i][col] != 0), None)
+        if piv is None:
+            return None
+        aug[row], aug[piv] = aug[piv], aug[row]
+        inv = 1 / aug[row][col]
+        aug[row] = [x * inv for x in aug[row]]
+        for i in range(cols):
+            if i != row and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
+        row += 1
+    for i in range(row, cols):
+        if aug[i][k] != 0:
+            return None
+    return tuple(aug[i][k] for i in range(k))
+
+
+def half_open_contains(cone: HalfOpenSimplicialCone, point) -> bool:
+    """Exact membership in a half-open simplicial cone, through the Fraction
+    solve (an independent route to the cell coordinates)."""
+    diff = tuple(Fraction(a) - Fraction(b) for a, b in zip(point, cone.apex))
+    if not cone.generators:
+        return all(x == 0 for x in diff)
+    lam = fraction_solve(cone.generators, diff)
+    if lam is None:
+        return False
+    for j, l in enumerate(lam):
+        if j in cone.strict_indices:
+            if l <= 0:
+                return False
+        elif l < 0:
+            return False
+    return True

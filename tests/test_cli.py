@@ -1,5 +1,7 @@
 """End-to-end command-line checks: formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -8,8 +10,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_connected_graph, random_weight_matrix
+from matropt import cli
 
 K4_GRAPH = "graph 4\n0 1 1 1\n1 0 1 1\n1 1 0 1\n1 1 1 0\n"
 U24 = "uniform 4 2\n"
@@ -392,6 +397,23 @@ class TestExitCodes:
         assert lines[1] == "0,1"
         assert lines[2] == "1,6"
 
+    def test_negative_kmax_is_three(self, files):
+        res = run_cli("lattice-count", "--matroid", files["u24.matroid"], "--kmax", "-1")
+        self._one_error_line(res, 3)
+        assert res.stdout == ""
+
+    def test_unwritable_output_is_two(self, files, tmp_path):
+        res = run_cli("bases", "--matroid", files["k4.graph"],
+                      "--output", str(tmp_path / "absent" / "x.json"))
+        self._one_error_line(res, 2)
+
+    def test_unwritable_transcript_is_two(self, files, tmp_path):
+        res = run_cli("ls", "--matroid", files["k4.graph"], "--weights", files["k4.weights"],
+                      "--seed", "1", "--target", "9,12",
+                      "--transcript", str(tmp_path / "absent" / "t.jsonl"))
+        self._one_error_line(res, 2)
+        assert res.stdout == ""
+
     def test_output_roundtrip(self, files, tmp_path):
         out = tmp_path / "out.json"
         res = run_cli("ehrhart", "--matroid", files["k4.graph"], "--output", str(out))
@@ -446,3 +468,69 @@ class TestRoundTripValidation:
             basis = tuple(sorted(e - 1 for e in record["basis"]))
             assert M.is_basis(basis)
             assert list(mp.project(W, basis)) == record["point"]
+
+
+class TestCliFuzz:
+    """`cli.main` in-process on mutated input files and random flags drawn
+    from each subcommand's own parser: every run ends with a documented exit
+    code and at most one `error:` line, and no exception escapes."""
+
+    MATROIDS = (K4_GRAPH, U24, "vector 2 5\n1 0 1 -1 2\n1 1 0 1 2\n")
+    WEIGHTS = (WEIGHTS, WEIGHTS_U24, "weights 1 5\n1 2 3 4 5\n")
+    POINTS = ("vector 4 4\n1 1 0 0\n1 0 1 0\n0 1 0 1\n0 0 1 1\n",)
+    TOKENS = ("0", "1", "2", "3", "-1", "1/2", "2/0", "x", "", "1 1", "graph", "vector")
+    STRINGS = ("1,2,3", "1,2", "1,5,6", "0", "9,12", "1,1", "1/2,3", "a", "", "9,12;1,1")
+    FILE_FLAGS = {"matroid": MATROIDS, "weights": WEIGHTS, "points": POINTS}
+
+    def _mutate(self, draw, text):
+        lines = [line.split() for line in text.splitlines()]
+        for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+            i = draw(st.integers(0, len(lines) - 1))
+            op = draw(st.sampled_from(("token", "drop", "copy")))
+            if op == "token" and lines[i]:
+                j = draw(st.integers(0, len(lines[i]) - 1))
+                lines[i][j] = draw(st.sampled_from(self.TOKENS))
+            elif op == "drop" and len(lines) > 1:
+                del lines[i]
+            elif op == "copy":
+                lines.insert(i, list(lines[i]))
+        return "\n".join(" ".join(line) for line in lines) + "\n"
+
+    def _value(self, draw, action, directory, tag):
+        dest = action.dest
+        if dest in self.FILE_FLAGS:
+            path = directory / f"{tag}.{dest}"
+            path.write_text(self._mutate(draw, draw(st.sampled_from(self.FILE_FLAGS[dest]))))
+            return str(path if draw(st.integers(0, 9)) < 9 else directory / "absent")
+        if dest in ("output", "transcript"):
+            return str(directory / draw(st.sampled_from((f"{tag}.out", f"absent/{tag}.out"))))
+        if dest == "workers":
+            return str(draw(st.sampled_from((1, 2))))
+        if action.choices:
+            return draw(st.sampled_from(list(action.choices)))
+        if action.type is int:
+            return str(draw(st.integers(-2, 4)))
+        return draw(st.sampled_from(self.STRINGS))
+
+    @given(data=st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_exit_codes_and_one_error_line(self, tmp_path_factory, data):
+        directory = tmp_path_factory.getbasetemp() / "fuzz"
+        directory.mkdir(exist_ok=True)
+        subparsers = next(a for a in cli.build_parser()._actions if a.choices)
+        name = data.draw(st.sampled_from(sorted(subparsers.choices)))
+        argv = [name]
+        for k, action in enumerate(subparsers.choices[name]._actions):
+            if not action.option_strings or action.dest == "help":
+                continue
+            wanted = action.required or action.dest in self.FILE_FLAGS
+            if data.draw(st.integers(0, 9)) < (9 if wanted else 4):
+                argv += [action.option_strings[0], self._value(data.draw, action, directory, k)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
+        assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1, argv

@@ -1,5 +1,7 @@
 """Direct unit tests for the exact linear algebra, the rational simplex, and
-the kernel oracles in conftest."""
+the kernel oracles in conftest.  The integer echelon behind rank, row-space
+solves and kernel vectors is checked against the Fraction Gauss-Jordan
+oracles `fraction_rank` and `fraction_solve`."""
 
 import random
 from fractions import Fraction
@@ -7,8 +9,14 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clear_denominators, rational_kernel_basis
-from matropt.linalg import bareiss_det, max_minor_gcd, solve_in_row_space
+from conftest import clear_denominators, fraction_rank, fraction_solve, rational_kernel_basis
+from matropt.linalg import (
+    _null_vector,
+    bareiss_det,
+    max_minor_gcd,
+    rational_rank,
+    solve_in_row_space,
+)
 from matropt.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, simplex_maximize
 
 
@@ -87,6 +95,69 @@ class TestSolvers:
         basis = [(1, 0, 0), (0, 1, 0)]
         assert solve_in_row_space(basis, (0, 0, 1)) is None
         assert solve_in_row_space(basis, (2, 3, 0)) == (2, 3)
+
+
+ENTRY = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+)
+
+
+@st.composite
+def matrices(draw, shape=st.tuples(st.integers(0, 5), st.integers(0, 6))):
+    """Small int/Fraction matrices, often rank-deficient: some rows are
+    zero or combinations of earlier ones.  Returns (columns, rows)."""
+    k, n = draw(shape)
+    rows = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(("free", "free", "zero", "combo")))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "combo" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(ENTRY)
+            rows.append([x + c * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(ENTRY, min_size=n, max_size=n)))
+    return n, rows
+
+
+class TestIntegerEchelon:
+    @given(matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_rank_matches_fraction_oracle(self, case):
+        _, rows = case
+        assert rational_rank(rows) == fraction_rank(rows)
+
+    @given(matrices(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_solve_matches_fraction_oracle(self, case, data):
+        n, rows = case
+        if rows and data.draw(st.booleans()):
+            # A target in the span, so the coordinates are exercised too.
+            coeffs = data.draw(st.lists(ENTRY, min_size=len(rows), max_size=len(rows)))
+            target = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
+        else:
+            target = data.draw(st.lists(ENTRY, min_size=n, max_size=n))
+        assert solve_in_row_space(rows, target) == fraction_solve(rows, target)
+
+    @given(matrices(st.integers(1, 6).map(lambda d: (d - 1, d))))
+    @settings(max_examples=300, deadline=None)
+    def test_null_vector_of_codimension_one(self, case):
+        d, rows = case
+        nu = _null_vector(rows, d)
+        if fraction_rank(rows) < d - 1:
+            assert nu is None
+        else:
+            assert len(nu) == d and any(nu)
+            assert all(sum(a * x for a, x in zip(r, nu)) == 0 for r in rows)
+
+    def test_null_vector_cases(self):
+        assert _null_vector([], 1) is not None and any(_null_vector([], 1))
+        assert _null_vector([[1, 2, 3], [2, 4, 6]], 3) is None
+        assert _null_vector([[0, 0]], 2) is None
+        nu = _null_vector([[1, 0, -1], [0, 1, -1]], 3)
+        assert nu is not None and nu[0] == nu[1] == nu[2] != 0
 
 
 class TestSimplex:

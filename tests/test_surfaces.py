@@ -7,6 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+from conftest import fraction_rank
 from matropt import (
     CapError,
     DimensionError,
@@ -22,7 +23,6 @@ from matropt import (
     term_to_dict,
     visible,
 )
-from matropt.linalg import rational_rank
 
 
 def _placed_prefix(pts, order, cut):
@@ -37,7 +37,7 @@ def _placed_prefix(pts, order, cut):
 
 
 def _affine_rank(points):
-    return rational_rank([tuple(a - b for a, b in zip(p, points[0])) for p in points[1:]])
+    return fraction_rank([tuple(a - b for a, b in zip(p, points[0])) for p in points[1:]])
 
 
 class TestTermSerialization:

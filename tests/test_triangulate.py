@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import catalog_connected, rational_kernel_basis
+from conftest import catalog_connected, half_open_contains, rational_kernel_basis
 from matropt import (
     Cone,
     DimensionError,
     cell_lattice_determinant,
     cone_triangulation,
     enumerate_bases,
-    half_open_contains,
     half_open_decompose,
     hstar_from_counts,
     dilation_lattice_count,
