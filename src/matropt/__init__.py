@@ -83,7 +83,6 @@ from .oracles import (
     planar_convex_hull,
     polytope_dimension,
     spanning_trees,
-    visible,
 )
 from .triangulate import (
     Cone,

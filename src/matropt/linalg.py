@@ -146,12 +146,3 @@ def max_minor_gcd(rows) -> int:
         if g == 1:
             return 1
     return g
-
-
-def affinely_independent(points) -> bool:
-    """Whether the rational points are affinely independent."""
-    if len(points) <= 1:
-        return True
-    base = points[0]
-    diffs = [tuple(Fraction(a) - Fraction(b) for a, b in zip(p, base)) for p in points[1:]]
-    return rational_rank(diffs) == len(diffs)

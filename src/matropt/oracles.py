@@ -13,8 +13,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import CapError, DimensionError, InternalInconsistencyError
-from .linalg import affinely_independent, bareiss_det
-from .lp import OPTIMAL, simplex_maximize
+from .linalg import bareiss_det
 from .matroid import Matroid, env_cap, matroid_components
 from .multicriteria import WeightMatrix, project
 
@@ -136,42 +135,6 @@ def planar_convex_hull(points):
     if len(hull) < 2:  # all points collinear: keep the two endpoints
         return [pts[0], pts[-1]]
     return hull
-
-
-def visible(facet_points, hull_points, v) -> bool:
-    """Exact LP test: is the facet visible from v?  Reference for the
-    supporting-hyperplane shortcut in `placing_triangulation`.
-
-    Feasibility of a hull point strictly between the facet centroid z and v
-    is decided by maximizing the segment parameter lam in
-    x = lam*v + (1-lam)*z, x in conv(hull_points), 0 <= lam <= 1.  The facet
-    is visible exactly when the maximum is zero (the segment meets the hull
-    only at z).
-    """
-    facet_points = [tuple(map(Fraction, p)) for p in facet_points]
-    hull_points = [tuple(map(Fraction, p)) for p in hull_points]
-    v = tuple(map(Fraction, v))
-    if not affinely_independent(facet_points):
-        raise DimensionError("degenerate facet: affinely dependent vertex list")
-    q = len(facet_points)
-    dim = len(v)
-    z = tuple(sum(p[i] for p in facet_points) / q for i in range(dim))
-    t = len(hull_points)
-    # Variables: y_1..y_t, lam, slack for lam <= 1.
-    rows, rhs = [], []
-    for i in range(dim):
-        row = [hull_points[j][i] for j in range(t)] + [z[i] - v[i], Fraction(0)]
-        rows.append(row)
-        rhs.append(z[i])
-    rows.append([Fraction(1)] * t + [Fraction(0), Fraction(0)])
-    rhs.append(Fraction(1))
-    rows.append([Fraction(0)] * t + [Fraction(1), Fraction(1)])
-    rhs.append(Fraction(1))
-    cost = [Fraction(0)] * t + [Fraction(1), Fraction(0)]
-    status, _, value = simplex_maximize(rows, rhs, cost)
-    if status != OPTIMAL:
-        raise InternalInconsistencyError(f"visibility LP ended {status}")
-    return value == 0
 
 
 def flats(M: Matroid):

@@ -3,9 +3,9 @@ decompositions of the resulting simplicial cones.
 
 The placing loop works in integers and only ever queries hull-boundary
 facets, where visibility drops out of a strict supporting-hyperplane sign
-test against a cached facet normal; the general exact LP test it is
-checked against is `oracles.visible`.  Insertion order is recorded with
-every result so a run can be replayed.
+test against a cached facet normal; the test suite checks it against an
+exact LP visibility test.  Insertion order is recorded with every result so
+a run can be replayed.
 
 Half-open flags follow the coordinate sign rule of Koeppe & Verdoolaege
 (Computing parametric rational generating functions with a primal Barvinok
@@ -187,7 +187,8 @@ def cone_triangulation(cone: Cone, order=None):
     Two placing passes: triangulate conv({0} u generators), then join the
     origin to the boundary facets away from it.  Each resulting cell is a
     tuple of generators; for elementary (unit-difference) generators every
-    cell is unimodular over the cone's lattice, which is asserted.
+    cell is unimodular over the cone's lattice, which `genfun_of_halfopen`
+    checks once per cell of the Ehrhart pipeline.
     """
     gens = [tuple(g) for g in cone.generators]
     if not gens:
@@ -196,13 +197,7 @@ def cone_triangulation(cone: Cone, order=None):
     pts = [tuple([0] * dim)] + gens
     cells, _ = placing_triangulation(pts, order=order)
     star = join_to_apex(cells, 0)
-    out = []
-    for c in star:
-        out.append(tuple(pts[i] for i in c if i != 0))
-    for cell in out:
-        if cell_lattice_determinant(cell) != 1:
-            raise InternalInconsistencyError("non-unimodular cell from elementary cone")
-    return out
+    return [tuple(pts[i] for i in c if i != 0) for c in star]
 
 
 def cell_lattice_determinant(generators) -> int:

@@ -1,41 +1,36 @@
 """Closed-form Ehrhart and h* machinery for uniform matroid polytopes.
 
-The engine is the coefficient table of (1 + T + ... + T^(r-1))^n, i.e. the
-counts of n-part compositions with parts below r.  Those tables give the
-h*-vector of P(U^{r,n}) through an inclusion-exclusion triple sum, and the
-Ehrhart polynomial through an alternating binomial formula; both routes are
-kept independent of the lattice-sweep oracles that validate them.
+Both closed forms rest on the alternating binomial count
+  i(k) = sum_{s=0}^{r-1} (-1)^s C(n,s) C(k(r-s) - s + n - 1, n - 1)
+of the lattice points of k P(U^{r,n}).  The h*-vector is the series
+numerator of i(0), ..., i(n); the Ehrhart polynomial is the same sum
+expanded in k.  Everything is plain `int` until the last division by
+(n-1)!.  The coefficient tables of (1 + T + ... + T^(r-1))^n, the counts of
+n-part compositions with parts below r, serve the uniform lattice sweep in
+`oracles.dilation_lattice_count`, independent of the closed forms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from functools import cache
+from math import comb, factorial
 
 from .errors import DimensionError, InternalInconsistencyError
 
-_TABLE_CACHE: dict = {}
 
-
+@cache
 def bounded_composition_counts(n: int, r: int):
     """Coefficients of (1 + T + ... + T^(r-1))^n as a tuple of ints.
 
     Entry i counts compositions of i into n parts from {0, ..., r-1}.
     Computed by the sliding-window recurrence over n; symmetric and unimodal
-    in i.  Cached, including every intermediate exponent.
+    in i.  Memoized on (n, r).
     """
     if n < 1 or r < 1:
         raise DimensionError("need n >= 1 and r >= 1")
-    key = (n, r)
-    cached = _TABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    start = max(m for m in range(1, n + 1) if (m, r) in _TABLE_CACHE or m == 1)
-    table = _TABLE_CACHE.get((start, r))
-    if table is None:
-        table = (1,) * r
-        _TABLE_CACHE[(1, r)] = table
-    for m in range(start + 1, n + 1):
+    table = (1,) * r
+    for m in range(2, n + 1):
         prev = table
         length = m * (r - 1) + 1
         # prefix[i] = sum of prev[0..i-1]
@@ -48,7 +43,6 @@ def bounded_composition_counts(n: int, r: int):
             lo = max(0, i - r + 1)
             out.append(prefix[hi + 1] - prefix[lo])
         table = tuple(out)
-        _TABLE_CACHE[(m, r)] = table
     return table
 
 
@@ -70,69 +64,57 @@ def is_unimodal(vec) -> bool:
     return i == len(seq) - 1
 
 
+def _count_terms(n: int, r: int):
+    """Triples (c, slope, offset) = ((-1)^s C(n,s), r - s, n - 1 - s) for
+    s < r, so that i(k) is the sum of c * C(slope * k + offset, n - 1)."""
+    return [(-comb(n, s) if s % 2 else comb(n, s), r - s, n - 1 - s) for s in range(r)]
+
+
 def hstar_uniform(n: int, r: int):
     """h*-vector of the uniform matroid polytope P(U^{r,n}).
 
-    Inclusion-exclusion over the composition tables:
-      h*_l = sum over s, j, k of (-1)^(s+j+k) C(n,s) C(s,j) C(j,k)
-             * [compositions of (l-k)(r-s) into n-j parts below r-s].
-    Trailing zeros are trimmed; h*_0 = 1 always.
+    The series numerator of the closed-form counts i(0), ..., i(n): one count
+    beyond the dimension n - 1, so `hstar_from_counts` checks that the
+    coefficient above the dimension vanishes.  Trailing zeros are trimmed;
+    h*_0 = 1 always.
     """
     if not 1 <= r <= n - 1:
         raise DimensionError(f"uniform h* needs 1 <= r <= n-1, got r={r}, n={n}")
-    out = []
-    for l in range(n):
-        total = 0
-        for s in range(r):
-            rs = r - s
-            cns = comb(n, s)
-            for j in range(s + 1):
-                csj = comb(s, j)
-                table = bounded_composition_counts(n - j, rs)
-                limit = (n - j) * (rs - 1)
-                sign_sj = -1 if (s + j) % 2 else 1
-                for k in range(j + 1):
-                    idx = (l - k) * rs
-                    if 0 <= idx <= limit:
-                        term = cns * csj * comb(j, k) * table[idx]
-                        total += -term if (sign_sj < 0) != (k % 2 == 1) else term
-        out.append(total)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    terms = _count_terms(n, r)
+    counts = [
+        sum(c * comb(slope * k + offset, n - 1) for c, slope, offset in terms)
+        for k in range(n + 1)
+    ]
+    return hstar_from_counts(counts, n - 1)
 
 
 def ehrhart_uniform(n: int, r: int):
     """Ehrhart polynomial of P(U^{r,n}), ascending exact coefficients.
 
-    i(k) = sum_{s=0}^{r-1} (-1)^s C(n,s) C(k(r-s) - s + n - 1, n - 1),
-    expanded symbolically in k via falling-factorial products.
+    Expands each C(k(r-s) - s + n - 1, n - 1) of the closed-form count as the
+    integer product prod_{t=0}^{n-2} (k(r-s) - s + n - 1 - t) over (n-1)!,
+    sums the integer numerators, and divides once per coefficient.
     """
     if not 1 <= r <= n - 1:
         raise DimensionError(f"uniform Ehrhart needs 1 <= r <= n-1, got r={r}, n={n}")
     deg = n - 1
-    coeffs = [Fraction(0)] * (deg + 1)
-    for s in range(r):
-        # C(k(r-s) - s + n - 1, n - 1) = prod_{t=0}^{n-2} (k(r-s) - s + n - 1 - t) / (n-1)!
-        poly = [Fraction(1)]
+    numerators = [0] * (deg + 1)
+    for c, slope, offset in _count_terms(n, r):
+        poly = [c]
         for t in range(deg):
-            const = Fraction(n - 1 - s - t)
-            slope = Fraction(r - s)
-            nxt = [Fraction(0)] * (len(poly) + 1)
+            const = offset - t
+            nxt = [0] * (len(poly) + 1)
             for p, cp in enumerate(poly):
                 nxt[p] += cp * const
                 nxt[p + 1] += cp * slope
             poly = nxt
-        fact = Fraction(1)
-        for t in range(2, n):
-            fact *= t
-        sign = -1 if s % 2 else 1
-        binom = comb(n, s)
         for p, cp in enumerate(poly):
-            coeffs[p] += sign * binom * cp / fact
+            numerators[p] += cp
+    fact = factorial(deg)
+    coeffs = tuple(Fraction(c, fact) for c in numerators)
     if coeffs[0] != 1:
         raise InternalInconsistencyError("Ehrhart constant term must be 1")
-    return tuple(coeffs)
+    return coeffs
 
 
 def hstar_from_counts(counts, dim: int):

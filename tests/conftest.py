@@ -9,13 +9,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
 from matropt import (
+    DimensionError,
     HalfOpenSimplicialCone,
+    InternalInconsistencyError,
     Matroid,
+    bounded_composition_counts,
     enumerate_bases,
     graphic_matroid,
     incidence_vector,
@@ -350,3 +353,177 @@ def half_open_contains(cone: HalfOpenSimplicialCone, point) -> bool:
         elif l < 0:
             return False
     return True
+
+
+def affinely_independent(points) -> bool:
+    """Whether the rational points are affinely independent."""
+    if len(points) <= 1:
+        return True
+    base = points[0]
+    diffs = [tuple(Fraction(a) - Fraction(b) for a, b in zip(p, base)) for p in points[1:]]
+    return fraction_rank(diffs) == len(diffs)
+
+
+# Exact rational simplex: maximize c.x subject to A x = b, x >= 0, in
+# Fractions, two phases, Bland's rule.  Backs the visibility oracle.
+
+OPTIMAL = "optimal"
+INFEASIBLE = "infeasible"
+UNBOUNDED = "unbounded"
+
+
+def _pivot(tab, basis, row, col):
+    inv = 1 / tab[row][col]
+    tab[row] = [x * inv for x in tab[row]]
+    for i in range(len(tab)):
+        if i != row and tab[i][col] != 0:
+            f = tab[i][col]
+            tab[i] = [a - f * b for a, b in zip(tab[i], tab[row])]
+    basis[row] = col
+
+
+def _solve_phase(tab, basis, cost):
+    """Run Bland-rule simplex on tableau rows with the given cost vector.
+
+    tab: m rows of length n+1 (last entry = rhs), representing A x = b with
+    the current basis already in canonical form.  Returns status.
+    """
+    m = len(tab)
+    n = len(cost)
+    while True:
+        # Reduced costs relative to the current basis.
+        z = list(cost)
+        const = Fraction(0)
+        for i, bi in enumerate(basis):
+            if cost[bi] != 0:
+                f = cost[bi]
+                for j in range(n):
+                    z[j] -= f * tab[i][j]
+                const += f * tab[i][n]
+        enter = next((j for j in range(n) if z[j] > 0), None)
+        if enter is None:
+            return OPTIMAL, const
+        # Bland: smallest-index entering; leaving by min ratio, ties by index.
+        leave = None
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][n] / tab[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            return UNBOUNDED, None
+        _pivot(tab, basis, leave, enter)
+
+
+def simplex_maximize(a_rows, b, c):
+    """Maximize c.x subject to a_rows x = b, x >= 0.
+
+    Returns (status, x, value) with exact Fractions; x and value are None
+    unless status == OPTIMAL.
+    """
+    m = len(a_rows)
+    n = len(c)
+    tab = []
+    for i in range(m):
+        row = [Fraction(x) for x in a_rows[i]] + [Fraction(b[i])]
+        if row[n] < 0:
+            row = [-x for x in row]
+        tab.append(row)
+    # Phase 1: artificial variable per row.
+    for i in range(m):
+        for j in range(m):
+            tab[i].insert(n + j, Fraction(1 if i == j else 0))
+    basis = [n + i for i in range(m)]
+    phase1_cost = [Fraction(0)] * n + [Fraction(-1)] * m
+    status, value = _solve_phase(tab, basis, phase1_cost)
+    if status != OPTIMAL or value != 0:
+        return INFEASIBLE, None, None
+    # Drive lingering artificials out of the basis where possible.
+    for i in range(m):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if tab[i][j] != 0), None)
+            if col is not None:
+                _pivot(tab, basis, i, col)
+    # Drop rows whose artificial stayed basic (redundant constraints).
+    keep = [i for i in range(m) if basis[i] < n]
+    tab = [tab[i][:n] + [tab[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+    cost = [Fraction(x) for x in c]
+    status, value = _solve_phase(tab, basis, cost)
+    if status != OPTIMAL:
+        return status, None, None
+    x = [Fraction(0)] * n
+    for i, bi in enumerate(basis):
+        x[bi] = tab[i][-1]
+    return OPTIMAL, tuple(x), value
+
+
+def visible(facet_points, hull_points, v) -> bool:
+    """Exact LP test: is the facet visible from v?  Oracle for the
+    supporting-hyperplane shortcut in `placing_triangulation`.
+
+    Feasibility of a hull point strictly between the facet centroid z and v
+    is decided by maximizing the segment parameter lam in
+    x = lam*v + (1-lam)*z, x in conv(hull_points), 0 <= lam <= 1.  The facet
+    is visible exactly when the maximum is zero (the segment meets the hull
+    only at z).
+    """
+    facet_points = [tuple(map(Fraction, p)) for p in facet_points]
+    hull_points = [tuple(map(Fraction, p)) for p in hull_points]
+    v = tuple(map(Fraction, v))
+    if not affinely_independent(facet_points):
+        raise DimensionError("degenerate facet: affinely dependent vertex list")
+    q = len(facet_points)
+    dim = len(v)
+    z = tuple(sum(p[i] for p in facet_points) / q for i in range(dim))
+    t = len(hull_points)
+    # Variables: y_1..y_t, lam, slack for lam <= 1.
+    rows, rhs = [], []
+    for i in range(dim):
+        row = [hull_points[j][i] for j in range(t)] + [z[i] - v[i], Fraction(0)]
+        rows.append(row)
+        rhs.append(z[i])
+    rows.append([Fraction(1)] * t + [Fraction(0), Fraction(0)])
+    rhs.append(Fraction(1))
+    rows.append([Fraction(0)] * t + [Fraction(1), Fraction(1)])
+    rhs.append(Fraction(1))
+    cost = [Fraction(0)] * t + [Fraction(1), Fraction(0)]
+    status, _, value = simplex_maximize(rows, rhs, cost)
+    if status != OPTIMAL:
+        raise InternalInconsistencyError(f"visibility LP ended {status}")
+    return value == 0
+
+
+def hstar_uniform_triple_sum(n: int, r: int):
+    """h*-vector of the uniform matroid polytope P(U^{r,n}) (oracle for the
+    closed-form counts behind `hstar_uniform`).
+
+    Inclusion-exclusion over the composition tables:
+      h*_l = sum over s, j, k of (-1)^(s+j+k) C(n,s) C(s,j) C(j,k)
+             * [compositions of (l-k)(r-s) into n-j parts below r-s].
+    Trailing zeros are trimmed; h*_0 = 1 always.
+    """
+    if not 1 <= r <= n - 1:
+        raise DimensionError(f"uniform h* needs 1 <= r <= n-1, got r={r}, n={n}")
+    out = []
+    for l in range(n):
+        total = 0
+        for s in range(r):
+            rs = r - s
+            cns = comb(n, s)
+            for j in range(s + 1):
+                csj = comb(s, j)
+                table = bounded_composition_counts(n - j, rs)
+                limit = (n - j) * (rs - 1)
+                sign_sj = -1 if (s + j) % 2 else 1
+                for k in range(j + 1):
+                    idx = (l - k) * rs
+                    if 0 <= idx <= limit:
+                        term = cns * csj * comb(j, k) * table[idx]
+                        total += -term if (sign_sj < 0) != (k % 2 == 1) else term
+        out.append(total)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)

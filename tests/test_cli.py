@@ -330,6 +330,27 @@ class TestCheckUnimodularGolden:
         assert res.stdout == (self.GOLDEN / f"check_unimodular_{name}.json").read_text()
 
 
+class TestUniformGolden:
+    """hstar-uniform and ehrhart-uniform stdout, recorded before h* moved
+    from the inclusion-exclusion triple sum to the closed-form counts."""
+
+    GOLDEN = Path(__file__).parent / "golden"
+    CASES = {
+        "hstar_uniform_n40_r1": ("hstar-uniform", "40", "1"),
+        "hstar_uniform_n40_r20": ("hstar-uniform", "40", "20"),
+        "hstar_uniform_n40_r39": ("hstar-uniform", "40", "39"),
+        "ehrhart_uniform_n40_r20": ("ehrhart-uniform", "40", "20"),
+        "ehrhart_uniform_n12_r5": ("ehrhart-uniform", "12", "5"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bytes(self, name):
+        cmd, n, r = self.CASES[name]
+        res = run_cli(cmd, "--n", n, "--r", r)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == (self.GOLDEN / f"{name}.json").read_text()
+
+
 class TestExitCodes:
     def test_parse_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.matroid"

@@ -1,5 +1,5 @@
-"""Direct unit tests for the exact linear algebra, the rational simplex, and
-the kernel oracles in conftest.  The integer echelon behind rank, row-space
+"""Direct unit tests for the exact linear algebra, and for the kernel and
+rational-simplex oracles in conftest.  The integer echelon behind rank, row-space
 solves and kernel vectors is checked against the Fraction Gauss-Jordan
 oracles `fraction_rank` and `fraction_solve`."""
 
@@ -9,7 +9,16 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clear_denominators, fraction_rank, fraction_solve, rational_kernel_basis
+from conftest import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    clear_denominators,
+    fraction_rank,
+    fraction_solve,
+    rational_kernel_basis,
+    simplex_maximize,
+)
 from matropt.linalg import (
     _null_vector,
     bareiss_det,
@@ -17,7 +26,6 @@ from matropt.linalg import (
     rational_rank,
     solve_in_row_space,
 )
-from matropt.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, simplex_maximize
 
 
 def fraction_gauss_det(rows):

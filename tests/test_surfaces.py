@@ -7,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
-from conftest import fraction_rank
+from conftest import fraction_rank, visible
 from matropt import (
     CapError,
     DimensionError,
@@ -21,7 +21,6 @@ from matropt import (
     specialize_count,
     term_from_dict,
     term_to_dict,
-    visible,
 )
 
 

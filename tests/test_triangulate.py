@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import catalog_connected, half_open_contains, rational_kernel_basis
+from conftest import catalog_connected, half_open_contains, rational_kernel_basis, visible
 from matropt import (
     Cone,
     DimensionError,
@@ -20,7 +20,6 @@ from matropt import (
     polytope_dimension,
     tangent_cone,
     uniform_matroid,
-    visible,
 )
 from matropt.triangulate import generic_y_for_cells, join_to_apex
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import hstar_uniform_triple_sum
 from matropt import (
     DimensionError,
     InternalInconsistencyError,
@@ -142,6 +143,18 @@ class TestHStarUniform:
                 dim = n - 1
                 counts = [dilation_lattice_count(M, k) for k in range(dim + 1)]
                 assert hstar_uniform(n, r) == hstar_from_counts(counts, dim)
+
+    def test_closed_forms_match_triple_sum(self):
+        # Both closed forms against the inclusion-exclusion oracle: h* from
+        # the counts directly, and h* of the Ehrhart polynomial's values.
+        for n in range(2, 26):
+            for r in range(1, n):
+                expected = hstar_uniform_triple_sum(n, r)
+                assert hstar_uniform(n, r) == expected, (n, r)
+                coeffs = ehrhart_uniform(n, r)
+                counts = [evaluate_polynomial(coeffs, k) for k in range(n + 1)]
+                assert all(c.denominator == 1 for c in counts), (n, r)
+                assert hstar_from_counts(counts, n - 1) == expected, (n, r)
 
     def test_rank_three_partial_monotonicity(self):
         # For each prefix length I there is a threshold n(I) beyond which the
