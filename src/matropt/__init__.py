@@ -20,7 +20,6 @@ from .genfun import (
     dilation_polynomial,
     ehrhart_polynomial,
     generic_lambda,
-    genfun_of_halfopen,
     matroid_genfun,
     specialize_count,
     term_from_dict,
@@ -88,17 +87,15 @@ from .triangulate import (
     Cone,
     HalfOpenSimplicialCone,
     cell_lattice_determinant,
-    cone_triangulation,
-    half_open_decompose,
     placing_triangulation,
     tangent_cone,
+    tree_cells,
 )
 from .uniform import (
     bounded_composition_counts,
     ehrhart_uniform,
     hstar_from_counts,
     hstar_uniform,
-    is_unimodal,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,30 +1,28 @@
 """Short rational generating functions for matroid polytope lattice points.
 
-Pipeline: every vertex cone of P_M is triangulated into unimodular cells,
-the cells are made half-open so they partition the cone, each half-open
-cell contributes one term z^a / prod(1 - z^b_j), and the vertex sum equals
-the full lattice-point generating function.  Evaluating at z = 1 (a
-removable singularity) through Todd-polynomial weights yields exact counts
-and, with the dilation form z^(a + (k-1)v), the whole Ehrhart polynomial.
-Each term's weights are integer numerators over one denominator, from a
-single truncated series product.
+Pipeline: every vertex cone of P_M is cut into unimodular half-open cells
+that partition it, the spanning-forest cells of its exchange graph
+(`triangulate.tree_cells`); each cell contributes one term
+z^a / prod(1 - z^b_j), and the vertex sum equals the full lattice-point
+generating function.  Evaluating at z = 1 (a removable singularity)
+through Todd-polynomial weights yields exact counts and, with the dilation
+form z^(a + (k-1)v), the whole Ehrhart polynomial.  Each term's weights
+are integer numerators over one denominator, from one integer exponential
+of a power series, and the terms are summed over one common denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from functools import cache
+from math import factorial, gcd, lcm, perm
+from operator import mul
 
 from .errors import DimensionError, InternalInconsistencyError
 from .matroid import Matroid
 from .oracles import enumerate_bases, polytope_dimension
-from .triangulate import (
-    cell_lattice_determinant,
-    cone_triangulation,
-    half_open_decompose,
-    tangent_cone,
-)
+from .triangulate import tangent_cone, tree_cells
 
 
 @dataclass(frozen=True)
@@ -45,83 +43,72 @@ class GenFunTerm:
 
 
 def matroid_genfun(M: Matroid, bases=None):
-    """Generating-function terms of P_M by the vertex-cone decomposition."""
+    """Generating-function terms of P_M by the vertex-cone decomposition.
+
+    One term per half-open tree cell of every vertex cone: the cell's
+    generators are the denominators, and the numerator sits at the unique
+    lattice point of its fundamental parallelepiped, the apex plus the
+    strict generators (the cells are unimodular by construction).
+    """
     if bases is None:
         bases = enumerate_bases(M)
     terms = []
     for b in bases:
-        cone = tangent_cone(M, b)
-        cells = cone_triangulation(cone)
-        terms.extend(genfun_of_halfopen(h) for h in half_open_decompose(cone.apex, cells))
+        for half in tree_cells(tangent_cone(M, b)):
+            num = list(half.apex)
+            for j in half.strict_indices:
+                num = [a + g for a, g in zip(num, half.generators[j])]
+            terms.append(GenFunTerm(tuple(num), half.apex, half.generators))
     return terms
-
-
-def genfun_of_halfopen(half) -> GenFunTerm:
-    """Term of one unimodular half-open cell: numerator sits at the unique
-    lattice point of the fundamental parallelepiped, apex + strict generators."""
-    if half.generators and cell_lattice_determinant(half.generators) != 1:
-        raise DimensionError("cell is not unimodular over its lattice")
-    num = list(half.apex)
-    for j in half.strict_indices:
-        num = [a + g for a, g in zip(num, half.generators[j])]
-    return GenFunTerm(
-        numerator=tuple(num),
-        vertex=tuple(half.apex),
-        denominators=tuple(half.generators),
-    )
 
 
 # Todd polynomials ---------------------------------------------------------
 
-_TODD_C = [1]
 
-
-def _todd_numerators(m: int):
-    """c_0..c_m with b_n = c_n / (n! (n+1)!) the Taylor coefficients of
-    x / (1 - exp(-x)), from the integer recursion
-    c_n = sum_{j=1}^{n} (-1)^(j+1) C(n+1, j+1) * n!/(n-j+1)! * c_(n-j).
-    """
-    while len(_TODD_C) <= m:
-        n = len(_TODD_C)
-        total = 0
-        for j in range(1, n + 1):
-            term = comb(n + 1, j + 1) * (factorial(n) // factorial(n - j + 1)) * _TODD_C[n - j]
-            total += term if j % 2 == 1 else -term
-        _TODD_C.append(total)
-    return _TODD_C[: m + 1]
+@cache
+def _todd_log(m: int):
+    """(A, (alpha_0..alpha_m)) with log(x / (1 - exp(-x))) equal to
+    sum_n alpha_n / A * x^n up to x^m: minus the log series l of
+    (1 - exp(-x)) / x = sum_n c_n x^n, c_n = (-1)^n / (n+1)!, from
+    n l_n = n c_n - sum_{0<k<n} k l_k c_(n-k), over a common A."""
+    c = [Fraction((-1) ** n, factorial(n + 1)) for n in range(m + 1)]
+    log = [Fraction(0)] * (m + 1)
+    for n in range(1, m + 1):
+        log[n] = c[n] - sum([k * log[k] * c[n - k] for k in range(1, n)], Fraction(0)) / n
+    big = lcm(*[x.denominator for x in log])
+    return big, tuple(-int(x * big) for x in log)
 
 
 def _todd_product(m: int, xis):
     """prod_j (x*xi_j / (1-exp(-x*xi_j))) truncated at x^m, in integers.
 
-    Returns (p, den) with coefficient i equal to p[i] / den.  Each factor's
-    series is scaled by D = m!(m+1)!, which clears every b_n with n <= m,
-    and by q^m for a rational xi = r/q, so the product is a single pass of
-    s truncated integer multiplications over the common denominator
-    D^s * prod q_j^m.
+    Returns (p, den) with coefficient n equal to p[n] / den.  The product
+    is exp(sum_k alpha_k / A * P_k x^k), P_k the power sums of the xi; with
+    xi_j = r_j / q and R_k = sum_j r_j^k, exp's recurrence
+    n g_n = sum_k k h_k g_(n-k) stays integral as g_n = gamma_n / (n! (Aq)^n),
+    gamma_n = sum_k k (n-1)!/(n-k)! alpha_k A^(k-1) R_k gamma_(n-k).
     """
-    big = factorial(m) * factorial(m + 1)
-    scaled = [
-        c * (big // (factorial(n) * factorial(n + 1))) for n, c in enumerate(_todd_numerators(m))
+    big, alpha = _todd_log(m)
+    xis = [Fraction(x) for x in xis]
+    q = lcm(*[x.denominator for x in xis])
+    rs = [x.numerator * (q // x.denominator) for x in xis]
+    weights = [
+        (k, alpha[k] * big ** (k - 1) * sum([r**k for r in rs]))
+        for k in range(1, m + 1)
+        if alpha[k]
     ]
-    acc = [1] + [0] * m
-    den = 1
-    for xi in xis:
-        xi = Fraction(xi)
-        r, q = xi.numerator, xi.denominator
-        factor = [scaled[n] * r**n * q ** (m - n) for n in range(m + 1)]
-        acc = [
-            sum(acc[i] * factor[k - i] for i in range(k + 1) if acc[i] and factor[k - i])
-            for k in range(m + 1)
-        ]
-        den *= big * q**m
-    return acc, den
+    gamma = [1]
+    for n in range(1, m + 1):
+        gamma.append(sum([k * perm(n - 1, k - 1) * w * gamma[n - k] for k, w in weights if k <= n]))
+    scale = big * q
+    p = [g * perm(m, m - n) * scale ** (m - n) for n, g in enumerate(gamma)]
+    return p, factorial(m) * scale**m
 
 
 def todd_eval(m: int, xis):
     """td_m(xi_1..xi_s): coefficient of x^m in prod_j (x*xi_j / (1-exp(-x*xi_j))).
 
-    Read from one truncated integer series product, O(s m^2) operations.
+    Read from one integer exp of summed power series, O(s m + m^2) operations.
     """
     if m < 0:
         raise DimensionError("order must be >= 0")
@@ -134,10 +121,10 @@ def todd_eval(m: int, xis):
 
 def generic_lambda(terms):
     """Moment-curve vector not orthogonal to any denominator exponent."""
-    denominators = [b for t in terms for b in t.denominators]
+    denominators = {b for t in terms for b in t.denominators}
     if not denominators:
         return None
-    n = len(denominators[0])
+    n = len(next(iter(denominators)))
     xi = 0
     bound = (n - 1) * sum(len(t.denominators) for t in terms) + 1
     while xi <= bound:
@@ -149,12 +136,12 @@ def generic_lambda(terms):
 
 
 def _idot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _term_weights(term: GenFunTerm, lam):
     """Todd weights w_0..w_s of one term at the singular point, as integer
-    numerators over one denominator: w_l = nums[l] / den.
+    numerators over one positive denominator: w_l = nums[l] / den.
 
     w_l = (-1)^s td_(s-l)(-<lam, b_1>, ..., -<lam, b_s>) / (l! prod_j <lam, b_j>),
     and all s + 1 Todd values come from a single series product.
@@ -167,9 +154,9 @@ def _term_weights(term: GenFunTerm, lam):
     den *= factorial(s)
     for d in dots:
         den *= d
-    sign = -1 if s % 2 else 1
+    sign = -1 if (s % 2) != (den < 0) else 1
     nums = [sign * p[s - l] * (factorial(s) // factorial(l)) for l in range(s + 1)]
-    return nums, den
+    return nums, abs(den)
 
 
 def specialize_count(terms, lam=None) -> int:
@@ -196,28 +183,40 @@ def specialize_count(terms, lam=None) -> int:
 def dilation_polynomial(terms, dim: int, lam=None):
     """Ehrhart coefficients from dilated terms z^(a + (k-1) v).
 
-    Coefficient of k^m is assembled from the binomial split of
-    <lam, a + (k-1)v>^l; per term it is one integer numerator over the
-    term's weight denominator.  All coefficients above the polytope
-    dimension must vanish exactly, and the constant term must be 1.
+    A term with Todd weights w_l contributes sum_l w_l <lam, a + (k-1)v>^l,
+    the weight polynomial shifted by <lam, a - v> (a Taylor shift) with k^m
+    scaled by <lam, v>^m.  The integer numerators of all terms are summed
+    over the lcm of their denominators, one division per coefficient at
+    the end.  All coefficients above the polytope dimension must vanish
+    exactly, and the constant term must be 1.
     """
     if lam is None:
         lam = generic_lambda(terms)
     smax = max((len(t.denominators) for t in terms), default=0)
-    coeffs = [Fraction(0)] * (smax + 1)
+    acc = [0] * (smax + 1)
+    common = 1
+    points = 0  # point vertices: one lattice point per dilation
     for t in terms:
         s = len(t.denominators)
         if s == 0:
-            coeffs[0] += 1  # point vertex: one lattice point per dilation
+            points += 1
             continue
         nums, den = _term_weights(t, lam)
         va = _idot(lam, t.vertex)
         shifted = _idot(lam, t.numerator) - va
-        spow = [shifted**j for j in range(s + 1)]
-        for m in range(s + 1):
-            c = sum(comb(l, m) * nums[l] * spow[l - m] for l in range(m, s + 1))
-            if c:
-                coeffs[m] += Fraction(va**m * c, den)
+        for i in range(s):
+            for j in range(s - 1, i - 1, -1):
+                nums[j] += shifted * nums[j + 1]
+        grow = den // gcd(common, den)
+        if grow > 1:
+            common *= grow
+            acc = [x * grow for x in acc]
+        scale = common // den
+        for m, c in enumerate(nums):
+            acc[m] += c * scale
+            scale *= va
+    coeffs = [Fraction(x, common) for x in acc]
+    coeffs[0] += points
     for m in range(dim + 1, smax + 1):
         if coeffs[m] != 0:
             raise InternalInconsistencyError(

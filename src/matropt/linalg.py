@@ -1,17 +1,15 @@
 """Exact linear algebra over integers and rationals.
 
 Determinants and minors are integer-only (fraction-free Bareiss).  Rank,
-span membership, row-space coordinates and kernel vectors all come from one
-fraction-free row reduction with gcd normalisation (`_extend`); rational
-rows are first scaled to integers, and only row-space coordinates, which
-are true rationals, come back as `fractions.Fraction`.  No floating point
-anywhere.  Matrices are plain lists of tuples/lists, small enough
-(n <= ~20) that asymptotics are irrelevant next to exactness.
+span membership and kernel vectors all come from one fraction-free row
+reduction with gcd normalisation (`_extend`); rational rows are first
+scaled to integers.  No floating point anywhere.  Matrices are plain lists
+of tuples/lists, small enough (n <= ~20) that asymptotics are irrelevant
+next to exactness.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
@@ -87,24 +85,6 @@ def rational_rank(rows) -> int:
     for row in rows:
         _extend(echelon, _integral(row))
     return len(echelon)
-
-
-def solve_in_row_space(basis_rows, target):
-    """Coordinates c with c * basis_rows = target, or None if target is outside.
-
-    Also None when basis_rows are linearly dependent, so a non-None answer
-    certifies independent rows.
-    """
-    k, n = len(basis_rows), len(target)
-    echelon: list = []
-    for i, row in enumerate(basis_rows):
-        if _extend(echelon, _integral([*row, *_unit(i, k), 0]), n) is not None:
-            return None
-    # Tags (a, s) of a target that cancels: sum(a_i * row_i) + s * target = 0.
-    rest = _extend(echelon, _integral([*target, *[0] * k, 1]), n)
-    if rest is None:
-        return None
-    return tuple(Fraction(-a, rest[-1]) for a in rest[n:-1])
 
 
 def _null_vector(rows, d):

@@ -1,11 +1,17 @@
-"""Placing triangulations of point sets and vertex cones, plus half-open
-decompositions of the resulting simplicial cones.
+"""Placing triangulations of point sets, and half-open unimodular cells of
+the vertex cones of matroid polytopes.
 
 The placing loop works in integers and only ever queries hull-boundary
 facets, where visibility drops out of a strict supporting-hyperplane sign
 test against a cached facet normal; the test suite checks it against an
 exact LP visibility test.  Insertion order is recorded with every result so
 a run can be replayed.
+
+A vertex cone is the cone over the root polytope of its exchange graph
+(Postnikov, Permutohedra, associahedra, and beyond, IMRN 2009, section
+12), so `tree_cells` reads its cells off spanning forests; they are those
+of the placing triangulation in generator order (De Loera, Rambau and
+Santos, Triangulations, 2010, section 4.3), as the tests check.
 
 Half-open flags follow the coordinate sign rule of Koeppe & Verdoolaege
 (Computing parametric rational generating functions with a primal Barvinok
@@ -22,7 +28,7 @@ from itertools import combinations
 from math import lcm
 
 from .errors import DimensionError, InternalInconsistencyError
-from .linalg import _extend, _null_vector, bareiss_det, max_minor_gcd, solve_in_row_space
+from .linalg import _extend, _null_vector, bareiss_det, max_minor_gcd
 
 
 @dataclass(frozen=True)
@@ -61,11 +67,10 @@ def tangent_cone(M, basis) -> Cone:
 
     b = tuple(sorted(basis))
     apex = incidence_vector(b, M.n)
-    gens = []
-    for nb in M.adjacent_bases(b):
-        vec = incidence_vector(nb, M.n)
-        gens.append(tuple(a - c for a, c in zip(vec, apex)))
-    return Cone(apex=apex, generators=tuple(gens))
+    gens = tuple(
+        tuple(a - c for a, c in zip(incidence_vector(nb, M.n), apex)) for nb in M.adjacent_bases(b)
+    )
+    return Cone(apex=apex, generators=gens)
 
 
 def placing_triangulation(points, order=None):
@@ -170,36 +175,6 @@ def _facet_normal(facet, opposite, cols):
     return nu, offset, ref
 
 
-def join_to_apex(cells, apex_index):
-    """Restrict a triangulation to cells coned from one vertex.
-
-    Keeps each boundary facet not containing the apex and joins it to the
-    apex, so that every maximal cell of the result is incident to it.
-    """
-    boundary: dict = {}
-    _add_facets(boundary, set(), cells)
-    return [tuple(sorted(f + (apex_index,))) for f in boundary if apex_index not in f]
-
-
-def cone_triangulation(cone: Cone, order=None):
-    """Triangulate a vertex cone into simplicial cones sharing its apex.
-
-    Two placing passes: triangulate conv({0} u generators), then join the
-    origin to the boundary facets away from it.  Each resulting cell is a
-    tuple of generators; for elementary (unit-difference) generators every
-    cell is unimodular over the cone's lattice, which `genfun_of_halfopen`
-    checks once per cell of the Ehrhart pipeline.
-    """
-    gens = [tuple(g) for g in cone.generators]
-    if not gens:
-        return [()]
-    dim = len(gens[0])
-    pts = [tuple([0] * dim)] + gens
-    cells, _ = placing_triangulation(pts, order=order)
-    star = join_to_apex(cells, 0)
-    return [tuple(pts[i] for i in c if i != 0) for c in star]
-
-
 def cell_lattice_determinant(generators) -> int:
     """|det| of a simplicial cell over Z^n intersected with its span.
 
@@ -214,76 +189,137 @@ def cell_lattice_determinant(generators) -> int:
     return g
 
 
-def _cell_coordinates(cell, y):
-    """Coordinates of y in the generators of a simplicial cell."""
-    c = solve_in_row_space(cell, y)
-    if c is None:
-        raise DimensionError(
-            "y must lie in the span of every cell, and cell generators must be independent"
-        )
-    return c
+def tree_cells(cone: Cone):
+    """Half-open unimodular cells partitioning a vertex cone of a matroid
+    polytope, one per spanning forest cell of its exchange graph.
 
+    Generator k of the cone at e_B is e_j - e_i for an exchange B - i + j:
+    an edge i -> j, of height 2^k, of the bipartite exchange graph G.  The
+    cells of the regular triangulation for these heights (the placing
+    triangulation in generator order) are spanning forests of G, unimodular
+    as network matrices are totally unimodular.  Kruskal by generator index
+    gives the first cell.  The cell across the facet of tree edge e swaps e
+    for the non-tree edge crossing its cut against e with the least reduced
+    cost 2^f - (pi_head - pi_tail), pi the tree's integer potentials; with
+    no such edge the facet is on the boundary.
 
-def generic_y_for_cells(cells):
-    """Relative-interior vector of the cone avoiding every cell wall.
-
-    Strictly positive combinations of all the rays stay inside the cone, so
-    its own boundary facets keep weak inequalities and only internal walls
-    are opened; powers of t weight the rays, and t grows until y has no
-    zero coordinate in any cell.  Each coordinate is a nonzero polynomial
-    in t of degree below len(rays), so the search terminates.  Returns y
-    and its coordinates per cell.
+    Each cell lists its generators in cone order, and its facet j is
+    strict exactly when coordinate j of y = sum_k t^k g_k is negative, t
+    being the least integer >= 1 that leaves no zero coordinate in any
+    cell.  In a tree cell g_k has coordinates 0 and +-1 (its fundamental
+    cycle), so at t = 2 every coordinate is a signed sum of distinct powers
+    of two, never zero.
     """
-    cells = [cell for cell in cells if cell]
-    rays = list(dict.fromkeys(g for cell in cells for g in cell))
-    if not rays:
-        return None, {}
-    dim = len(rays[0])
-    t = 1
-    while True:
-        y = tuple(sum(t**i * ray[p] for i, ray in enumerate(rays)) for p in range(dim))
-        coords = {}
-        for cell in cells:
-            c = _cell_coordinates(cell, y)
-            if 0 in c:
-                break
-            coords[cell] = c
-        else:
-            return y, coords
-        t += 1
-
-
-def half_open_decompose(apex, cells, y=None):
-    """Half-open variants of triangulation cells that partition the cone.
-
-    Facet j of a cell is strict exactly when the j-th coordinate of y in
-    the cell's generators is negative (the Koeppe-Verdoolaege sign rule),
-    which keeps the lattice points of each shared wall on exactly one side.
-    y must have no zero coordinate in any cell and sit in the cone's
-    relative interior (so boundary facets never open); a suitable vector is
-    constructed when not supplied, and a supplied one is checked: a generic
-    interior y is strictly inside exactly one cell.
-    """
-    cells = [tuple(tuple(g) for g in c) for c in cells]
-    if y is None:
-        _, coords = generic_y_for_cells(cells)
-    else:
-        coords = {cell: _cell_coordinates(cell, y) for cell in cells if cell}
-        if any(0 in c for c in coords.values()):
-            raise DimensionError("y is not generic: it lies on a wall of a cell")
+    apex = tuple(cone.apex)
+    gens = cone.generators
+    if not gens:
+        return [HalfOpenSimplicialCone(apex, (), frozenset())]
+    ends = [_exchange_edge(g) for g in gens]
+    if {i for i, _ in ends} & {j for _, j in ends}:
+        raise DimensionError("generators must all point from one side of a bipartition")
+    n = len(apex)
+    supplies = [[sum(t**k * g[p] for k, g in enumerate(gens)) for p in range(n)] for t in (1, 2)]
+    first, comp = 0, list(range(n))
+    for k, (i, j) in enumerate(ends):  # Kruskal by index: the minimum spanning forest
+        if comp[i] != comp[j]:
+            first |= 1 << k
+            comp = [comp[i] if c == comp[j] else c for c in comp]
+    cells, queue = {first: None}, [first]
+    for tree in queue:  # grows while it is read: breadth-first over the cells
+        rows = _rooted_forest(tree, ends)
+        cells[tree] = [_tree_coordinates(rows, y, tree) for y in supplies]
+        for nb in _neighbours(tree, rows, ends, n):
+            if nb not in cells:
+                cells[nb] = None
+                queue.append(nb)
+    t = 0 if all(0 not in coords[0] for coords in cells.values()) else 1
     out = []
-    strict_hits = 0
-    for cell in cells:
-        if not cell:
-            out.append(HalfOpenSimplicialCone(tuple(apex), (), frozenset()))
-            continue
-        strict = frozenset(j for j, x in enumerate(coords[cell]) if x < 0)
-        if not strict:
-            strict_hits += 1
-        out.append(HalfOpenSimplicialCone(tuple(apex), cell, strict))
-    if any(c for c in cells) and strict_hits != 1:
-        # The all-weak cell is the one whose interior holds y; zero or many
-        # such cells means y was outside the cone and the flags would not
-        # partition it.
-        raise DimensionError("y must lie in the relative interior of the cone")
+    for tree, coords in cells.items():
+        if 0 in coords[t]:
+            raise InternalInconsistencyError("y = sum 2^k g_k lies on a cell wall")
+        strict = frozenset(j for j, x in enumerate(coords[t]) if x < 0)
+        out.append(HalfOpenSimplicialCone(apex, tuple(gens[k] for k in _bits(tree)), strict))
+    if sum(1 for h in out if not h.strict_indices) != 1:
+        raise InternalInconsistencyError("y is interior to the cone, so one cell must be closed")
     return out
+
+
+def _exchange_edge(g):
+    """(tail, head) of a generator e_head - e_tail."""
+    support = [p for p, x in enumerate(g) if x]
+    if len(support) != 2 or sorted(g[p] for p in support) != [-1, 1]:
+        raise DimensionError("tree cells need generators of the form e_j - e_i")
+    i, j = support
+    return (i, j) if g[i] < 0 else (j, i)
+
+
+def _bits(mask):
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
+def _rooted_forest(tree, ends):
+    """Rows (vertex, parent, edge, +1 if the vertex is the edge's head else
+    -1) of a forest in preorder, so every vertex follows its parent; roots
+    are left out."""
+    adj: dict = {}
+    for k in _bits(tree):
+        i, j = ends[k]
+        adj.setdefault(i, []).append((k, j, 1))
+        adj.setdefault(j, []).append((k, i, -1))
+    rows, seen = [], set()
+    for r in adj:
+        stack = [] if r in seen else [r]
+        seen.add(r)
+        while stack:
+            v = stack.pop()
+            for k, w, sign in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    rows.append((w, v, k, sign))
+                    stack.append(w)
+    return rows
+
+
+def _neighbours(tree, rows, ends, n):
+    """Cells across the facets of a tree cell, by one network-simplex ratio
+    test per tree edge.  Non-tree edge f = a -> b crosses the cut of tree
+    edge e against e exactly when the tree path from a to b runs through e
+    from head to tail, with reduced cost 2^f - (pi_b - pi_a) > 0."""
+    pi = [0] * n
+    depth = [0] * n
+    up = [None] * n  # (parent, edge, sign) per vertex
+    for v, p, k, sign in rows:
+        pi[v] = pi[p] + sign * (1 << k)
+        depth[v] = depth[p] + 1
+        up[v] = (p, k, sign)
+    best: dict = {}
+    for f, (a, b) in enumerate(ends):
+        if tree >> f & 1:
+            continue
+        cost = (1 << f) - (pi[b] - pi[a])
+        if cost <= 0:
+            raise InternalInconsistencyError("a tree with a non-positive reduced cost is not a cell")
+        u, w = a, b
+        while u != w:
+            if depth[u] >= depth[w]:  # climbing from a: head to tail when u is the head
+                u, e, sign = up[u]
+                backward = sign > 0
+            else:  # descending to b: head to tail when w is the tail
+                w, e, sign = up[w]
+                backward = sign < 0
+            if backward and (e not in best or cost < best[e][0]):
+                best[e] = (cost, f)
+    return [tree ^ (1 << e) ^ (1 << f) for e, (_, f) in best.items()]
+
+
+def _tree_coordinates(rows, y, tree):
+    """Coordinates of y in the generators of a tree cell, in cone order:
+    the tree flow with supplies y.  The flow on a vertex's parent edge is
+    the net supply of its subtree, signed by the edge's direction, so
+    pruning leaves first gives every coordinate in O(n) integer steps."""
+    net = list(y)
+    flow = {}
+    for v, p, k, sign in reversed(rows):
+        net[p] += net[v]
+        flow[k] = sign * net[v]
+    return [flow[k] for k in _bits(tree)]

@@ -46,24 +46,6 @@ def bounded_composition_counts(n: int, r: int):
     return table
 
 
-def composition_count(n: int, r: int, i: int) -> int:
-    """Single table entry, with out-of-range indices reading as 0."""
-    if i < 0 or i > n * (r - 1):
-        return 0
-    return bounded_composition_counts(n, r)[i]
-
-
-def is_unimodal(vec) -> bool:
-    """Weakly rises then weakly falls."""
-    seq = list(vec)
-    i = 0
-    while i + 1 < len(seq) and seq[i] <= seq[i + 1]:
-        i += 1
-    while i + 1 < len(seq) and seq[i] >= seq[i + 1]:
-        i += 1
-    return i == len(seq) - 1
-
-
 def _count_terms(n: int, r: int):
     """Triples (c, slope, offset) = ((-1)^s C(n,s), r - s, n - 1 - s) for
     s < r, so that i(k) is the sum of c * C(slope * k + offset, n - 1)."""

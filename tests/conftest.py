@@ -14,18 +14,24 @@ from math import comb, gcd
 import pytest
 
 from matropt import (
+    Cone,
     DimensionError,
+    GenFunTerm,
     HalfOpenSimplicialCone,
     InternalInconsistencyError,
     Matroid,
     bounded_composition_counts,
+    cell_lattice_determinant,
     enumerate_bases,
     graphic_matroid,
     incidence_vector,
     is_connected,
+    placing_triangulation,
     uniform_matroid,
     vector_matroid,
 )
+from matropt.linalg import _extend, _integral, _unit
+from matropt.triangulate import _add_facets
 
 K4_ADJACENCY = [
     [0, 1, 1, 1],
@@ -527,3 +533,165 @@ def hstar_uniform_triple_sum(n: int, r: int):
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+# Placing-based cone triangulation and half-open flags ---------------------
+# The Ehrhart pipeline reads its cells off spanning trees of the exchange
+# graph (`triangulate.tree_cells`).  These routines build the same cells by
+# placing and their flags by rational row-space solves, as an independent
+# route to check it against.
+
+
+def solve_in_row_space(basis_rows, target):
+    """Coordinates c with c * basis_rows = target, or None if target is outside.
+
+    Also None when basis_rows are linearly dependent, so a non-None answer
+    certifies independent rows.  Runs on the package's integer echelon.
+    """
+    k, n = len(basis_rows), len(target)
+    echelon: list = []
+    for i, row in enumerate(basis_rows):
+        if _extend(echelon, _integral([*row, *_unit(i, k), 0]), n) is not None:
+            return None
+    # Tags (a, s) of a target that cancels: sum(a_i * row_i) + s * target = 0.
+    rest = _extend(echelon, _integral([*target, *[0] * k, 1]), n)
+    if rest is None:
+        return None
+    return tuple(Fraction(-a, rest[-1]) for a in rest[n:-1])
+
+
+def join_to_apex(cells, apex_index):
+    """Restrict a triangulation to cells coned from one vertex.
+
+    Keeps each boundary facet not containing the apex and joins it to the
+    apex, so that every maximal cell of the result is incident to it.
+    """
+    boundary: dict = {}
+    _add_facets(boundary, set(), cells)
+    return [tuple(sorted(f + (apex_index,))) for f in boundary if apex_index not in f]
+
+
+def cone_triangulation(cone: Cone, order=None):
+    """Triangulate a vertex cone into simplicial cones sharing its apex.
+
+    Two placing passes: triangulate conv({0} u generators), then join the
+    origin to the boundary facets away from it.  Each resulting cell is a
+    tuple of generators in cone order.
+    """
+    gens = [tuple(g) for g in cone.generators]
+    if not gens:
+        return [()]
+    dim = len(gens[0])
+    pts = [tuple([0] * dim)] + gens
+    cells, _ = placing_triangulation(pts, order=order)
+    star = join_to_apex(cells, 0)
+    return [tuple(pts[i] for i in c if i != 0) for c in star]
+
+
+def _cell_coordinates(cell, y):
+    """Coordinates of y in the generators of a simplicial cell."""
+    c = solve_in_row_space(cell, y)
+    if c is None:
+        raise DimensionError(
+            "y must lie in the span of every cell, and cell generators must be independent"
+        )
+    return c
+
+
+def generic_y_for_cells(cells, rays=None):
+    """Relative-interior vector of the cone avoiding every cell wall.
+
+    y = sum_i t^i rays_i, strictly positive on all the rays, so the cone's
+    own boundary facets keep weak inequalities and only internal walls are
+    opened; t grows from 1 until y has no zero coordinate in any cell.  The
+    rays default to their order of first appearance in the cells.  Returns
+    y and its coordinates per cell.
+    """
+    cells = [cell for cell in cells if cell]
+    if rays is None:
+        rays = list(dict.fromkeys(g for cell in cells for g in cell))
+    if not rays:
+        return None, {}
+    dim = len(rays[0])
+    t = 1
+    while True:
+        y = tuple(sum(t**i * ray[p] for i, ray in enumerate(rays)) for p in range(dim))
+        coords = {}
+        for cell in cells:
+            c = _cell_coordinates(cell, y)
+            if 0 in c:
+                break
+            coords[cell] = c
+        else:
+            return y, coords
+        t += 1
+
+
+def half_open_decompose(apex, cells, y=None):
+    """Half-open variants of triangulation cells that partition the cone.
+
+    Facet j of a cell is strict exactly when the j-th coordinate of y in
+    the cell's generators is negative (the Koeppe-Verdoolaege sign rule).
+    y must have no zero coordinate in any cell and sit in the cone's
+    relative interior; a suitable vector is constructed when not supplied,
+    and a supplied one is checked: a generic interior y is strictly inside
+    exactly one cell.
+    """
+    cells = [tuple(tuple(g) for g in c) for c in cells]
+    if y is None:
+        _, coords = generic_y_for_cells(cells)
+    else:
+        coords = {cell: _cell_coordinates(cell, y) for cell in cells if cell}
+        if any(0 in c for c in coords.values()):
+            raise DimensionError("y is not generic: it lies on a wall of a cell")
+    out = []
+    strict_hits = 0
+    for cell in cells:
+        if not cell:
+            out.append(HalfOpenSimplicialCone(tuple(apex), (), frozenset()))
+            continue
+        strict = frozenset(j for j, x in enumerate(coords[cell]) if x < 0)
+        if not strict:
+            strict_hits += 1
+        out.append(HalfOpenSimplicialCone(tuple(apex), cell, strict))
+    if any(c for c in cells) and strict_hits != 1:
+        raise DimensionError("y must lie in the relative interior of the cone")
+    return out
+
+
+def genfun_of_halfopen(half) -> GenFunTerm:
+    """Term of one unimodular half-open cell: numerator at the unique lattice
+    point of the fundamental parallelepiped, apex + strict generators.
+    Checks unimodularity with the lattice determinant."""
+    if half.generators and cell_lattice_determinant(half.generators) != 1:
+        raise DimensionError("cell is not unimodular over its lattice")
+    num = list(half.apex)
+    for j in half.strict_indices:
+        num = [a + g for a, g in zip(num, half.generators[j])]
+    return GenFunTerm(
+        numerator=tuple(num),
+        vertex=tuple(half.apex),
+        denominators=tuple(half.generators),
+    )
+
+
+# Sequence helpers ----------------------------------------------------------
+
+
+def composition_count(n: int, r: int, i: int) -> int:
+    """Single entry of `bounded_composition_counts`, with out-of-range
+    indices reading as 0."""
+    if i < 0 or i > n * (r - 1):
+        return 0
+    return bounded_composition_counts(n, r)[i]
+
+
+def is_unimodal(vec) -> bool:
+    """Weakly rises then weakly falls."""
+    seq = list(vec)
+    i = 0
+    while i + 1 < len(seq) and seq[i] <= seq[i + 1]:
+        i += 1
+    while i + 1 < len(seq) and seq[i] >= seq[i + 1]:
+        i += 1
+    return i == len(seq) - 1

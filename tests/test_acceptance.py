@@ -11,7 +11,10 @@ from fractions import Fraction
 
 from conftest import (
     catalog_connected,
+    composition_count,
+    cone_triangulation,
     incidence_rows,
+    is_unimodal,
     random_connected_graph,
     random_weight_matrix,
 )
@@ -23,7 +26,6 @@ from matropt import (
     boundary_start,
     bounded_composition_counts,
     cell_lattice_determinant,
-    cone_triangulation,
     dilation_lattice_count,
     ehrhart_polynomial,
     ehrhart_uniform,
@@ -36,7 +38,6 @@ from matropt import (
     hstar_uniform,
     incidence_vector,
     interpolate_ehrhart,
-    is_unimodal,
     is_unimodular_simplex,
     laplacian_tree_count,
     local_search,
@@ -154,8 +155,6 @@ def test_criterion_04_uniform_machinery():
 def test_criterion_05_composition_table_properties():
     with budget("criterion 5: composition-table symmetry/unimodality/rank relation", 60):
         from math import comb
-
-        from matropt.uniform import composition_count
 
         for n in range(1, 41):
             for r in range(1, 7):

@@ -351,6 +351,54 @@ class TestUniformGolden:
         assert res.stdout == (self.GOLDEN / f"{name}.json").read_text()
 
 
+class TestEhrhartGolden:
+    """ehrhart stdout, recorded before the vertex cones moved from placing
+    to spanning-tree cells.  Besides K4, the 8-edge wheel and K3,3, the
+    inputs give exchange graphs with isolated vertices: cones without
+    generators (U(0,3), U(3,3)), a loop (a zero column) and a coloop (a
+    bridge)."""
+
+    GOLDEN = Path(__file__).parent / "golden"
+    INPUTS = {
+        "k4": K4_GRAPH,
+        "wheel4": "graph 5\n0 1 1 1 1\n1 0 1 0 1\n1 1 0 1 0\n1 0 1 0 1\n1 1 0 1 0\n",
+        "k33": "graph 6\n" + "0 0 0 1 1 1\n" * 3 + "1 1 1 0 0 0\n" * 3,
+        "u30": "uniform 3 0\n",
+        "u33": "uniform 3 3\n",
+        "loop": "vector 2 4\n1 0 1 0\n0 1 1 0\n",
+        "bridge": "graph 4\n0 1 1 0\n1 0 1 0\n1 1 0 1\n0 0 1 0\n",
+    }
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_bytes(self, tmp_path, name):
+        f = tmp_path / f"{name}.matroid"
+        f.write_text(self.INPUTS[name])
+        res = run_cli("ehrhart", "--matroid", str(f))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == (self.GOLDEN / f"ehrhart_{name}.json").read_text()
+
+
+class TestInProcessCalls:
+    def test_in_process_calls_match_fresh_processes(self, files):
+        # Repeated main() calls in one process, as the benchmark makes
+        # them: a usage error must leave nothing behind that changes a
+        # later call.
+        calls = [
+            ["ehrhart"],  # --matroid missing: usage error, exit 2
+            ["ehrhart", "--matroid", files["k4.graph"]],
+            ["hstar-uniform", "--n", "6", "--r", "3"],
+        ]
+        for argv in calls:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # argparse usage errors
+                    code = exc.code
+            fresh = run_cli(*argv)
+            assert (out.getvalue(), code) == (fresh.stdout, fresh.returncode), argv
+
+
 class TestExitCodes:
     def test_parse_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.matroid"

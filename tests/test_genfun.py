@@ -1,11 +1,12 @@
 """Generating-function terms, Todd weights, specialization, Ehrhart pipeline."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import catalog_connected
+from conftest import catalog_connected, genfun_of_halfopen
 from matropt import (
     DimensionError,
     GenFunTerm,
@@ -15,7 +16,6 @@ from matropt import (
     dilation_lattice_count,
     ehrhart_polynomial,
     generic_lambda,
-    genfun_of_halfopen,
     hstar_from_counts,
     interpolate_ehrhart,
     matroid_genfun,
@@ -250,7 +250,12 @@ class TestEhrhartPipeline:
         from matropt import graphic_matroid
 
         M = graphic_matroid([[int(i != j) for j in range(5)] for i in range(5)])
+        start = time.perf_counter()
         coeffs = ehrhart_polynomial(M)
+        elapsed = time.perf_counter() - start
+        # A wall-clock ceiling, well above the goal of 2 s, so that a slower
+        # cell or specialization route shows up as a failure.
+        assert elapsed < 10, f"K5 took {elapsed:.1f}s"
         assert coeffs == (
             Fraction(1),
             Fraction(629, 105),
@@ -264,6 +269,29 @@ class TestEhrhartPipeline:
             Fraction(541, 4320),
         )
         assert evaluate_polynomial(coeffs, 1) == 125
+
+    def test_k34_pinned(self):
+        # K3,4 (12 edges, 432 bases, dim 11): pinned from the placing
+        # pipeline; the value at k = 1 is the spanning-tree count 3^3 * 4^2.
+        from matropt import graphic_matroid
+
+        M = graphic_matroid([[int((i < 3) != (j < 3)) for j in range(7)] for i in range(7)])
+        coeffs = ehrhart_polynomial(M)
+        assert coeffs == (
+            Fraction(1),
+            Fraction(41375, 5544),
+            Fraction(1315901, 50400),
+            Fraction(6436427, 113400),
+            Fraction(690443, 8064),
+            Fraction(2289625, 24192),
+            Fraction(377681, 4800),
+            Fraction(3736549, 75600),
+            Fraction(185683, 8064),
+            Fraction(548455, 72576),
+            Fraction(78661, 50400),
+            Fraction(168809, 1108800),
+        )
+        assert evaluate_polynomial(coeffs, 1) == 432
 
     def test_vector_backend_agrees_with_graphic(self, k4):
         # The oriented-incidence realization has the same bases, so the whole

@@ -18,13 +18,13 @@ from conftest import (
     fraction_solve,
     rational_kernel_basis,
     simplex_maximize,
+    solve_in_row_space,
 )
 from matropt.linalg import (
     _null_vector,
     bareiss_det,
     max_minor_gcd,
     rational_rank,
-    solve_in_row_space,
 )
 
 

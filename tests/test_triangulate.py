@@ -1,27 +1,41 @@
-"""Visibility LP, placing triangulations, cone triangulations, half-open cells."""
+"""Visibility LP, placing triangulations, cone triangulations, half-open cells,
+and the spanning-tree cells of vertex cones against the placing oracle."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import catalog_connected, half_open_contains, rational_kernel_basis, visible
+from conftest import (
+    catalog_connected,
+    catalog_small,
+    cone_triangulation,
+    fraction_solve,
+    generic_y_for_cells,
+    half_open_contains,
+    half_open_decompose,
+    join_to_apex,
+    rational_kernel_basis,
+    visible,
+)
 from matropt import (
     Cone,
     DimensionError,
     cell_lattice_determinant,
-    cone_triangulation,
+    HalfOpenSimplicialCone,
+    ehrhart_polynomial,
     enumerate_bases,
-    half_open_decompose,
+    graphic_matroid,
     hstar_from_counts,
     dilation_lattice_count,
     incidence_vector,
     placing_triangulation,
     polytope_dimension,
     tangent_cone,
+    tree_cells,
     uniform_matroid,
 )
-from matropt.triangulate import generic_y_for_cells, join_to_apex
+from matropt.triangulate import _exchange_edge, _rooted_forest, _tree_coordinates
 
 
 class TestVisible:
@@ -298,3 +312,113 @@ class TestHalfOpen:
                 side_b = sum(a * x for a, x in zip(nrm, b))
                 assert side_y != 0 and side_b != 0
                 assert (j in half.strict_indices) == ((side_y > 0) != (side_b > 0))
+
+
+@pytest.fixture(scope="module")
+def oracle_cones():
+    """(cone, placing cells) for every vertex cone of the catalog (the
+    8-edge wheel among it), K3,3 and K5."""
+    k33 = [[int((i < 3) != (j < 3)) for j in range(6)] for i in range(6)]
+    k5 = [[int(i != j) for j in range(5)] for i in range(5)]
+    mats = catalog_small() + [graphic_matroid(k33), graphic_matroid(k5)]
+    out = []
+    for M in mats:
+        for b in enumerate_bases(M):
+            cone = tangent_cone(M, b)
+            out.append((cone, cone_triangulation(cone)))
+    return out
+
+
+class TestTreeCells:
+    def test_cells_match_placing(self, oracle_cones):
+        total = 0
+        for cone, cells in oracle_cones:
+            halves = tree_cells(cone)
+            assert len(halves) == len(cells)
+            assert {h.generators for h in halves} == set(cells)
+            total += len(cells)
+        assert total > 3260  # K5 alone has 3260 cells
+
+    def test_flags_match_rational_route(self, oracle_cones):
+        # y = sum_k t^k g_k over the generators in cone order, with the
+        # least t, through the Fraction row-space solve.
+        for cone, cells in oracle_cones:
+            if not cone.generators:
+                continue
+            y, _ = generic_y_for_cells(cells, rays=cone.generators)
+            expected = {h.generators: h.strict_indices
+                        for h in half_open_decompose(cone.apex, cells, y=y)}
+            assert {h.generators: h.strict_indices for h in tree_cells(cone)} == expected
+
+    def test_leaf_pruned_coordinates_match_fraction_solve(self, oracle_cones):
+        # A random y in the span, on up to 12 cells of every cone.
+        rng = random.Random(7)
+        for cone, _ in oracle_cones:
+            gens = cone.generators
+            ends = [_exchange_edge(g) for g in gens]
+            y = [0] * len(cone.apex)
+            for g in gens:
+                c = rng.randint(-3, 3)
+                y = [a + c * x for a, x in zip(y, g)]
+            halves = tree_cells(cone)
+            for half in rng.sample(halves, min(len(halves), 12)):
+                tree = sum(1 << gens.index(g) for g in half.generators)
+                coords = _tree_coordinates(_rooted_forest(tree, ends), y, tree)
+                assert tuple(coords) == fraction_solve(half.generators, y)
+
+    def test_catalog_cells_unimodular(self, catalog):
+        for M in catalog:
+            for b in enumerate_bases(M):
+                for half in tree_cells(tangent_cone(M, b)):
+                    assert cell_lattice_determinant(half.generators) == 1
+
+    def test_half_open_cells_partition_box(self, catalog):
+        # Every lattice point of a box around the apex lies in exactly one
+        # half-open cell if a closed placing cell holds it, else in none.
+        from itertools import product
+
+        for M in catalog:
+            if M.n > 6:
+                continue
+            for b in enumerate_bases(M)[:3]:
+                cone = tangent_cone(M, b)
+                closed = [HalfOpenSimplicialCone(cone.apex, c, frozenset())
+                          for c in cone_triangulation(cone)]
+                halves = tree_cells(cone)
+                ranges = [range(-2, 1) if i in b else range(0, 3) for i in range(M.n)]
+                for d in product(*ranges):
+                    if sum(d) != 0:
+                        continue
+                    point = [a + x for a, x in zip(cone.apex, d)]
+                    inside = any(half_open_contains(c, point) for c in closed)
+                    hits = sum(half_open_contains(h, point) for h in halves)
+                    assert hits == int(inside), (M, b, d)
+
+    def test_cone_without_generators(self):
+        assert tree_cells(Cone(apex=(1, 1, 0), generators=())) == [
+            HalfOpenSimplicialCone((1, 1, 0), (), frozenset())
+        ]
+        M = uniform_matroid(3, 3)
+        assert tree_cells(tangent_cone(M, (0, 1, 2)))[0].generators == ()
+
+    def test_rejects_cones_outside_the_matroid_setting(self):
+        with pytest.raises(DimensionError):
+            tree_cells(Cone(apex=(0, 0), generators=((2, -2),)))
+        with pytest.raises(DimensionError):
+            tree_cells(Cone(apex=(0, 0, 0), generators=((1, 1, -1),)))
+        # Element 1 would be both in and out of the basis.
+        with pytest.raises(DimensionError):
+            tree_cells(Cone(apex=(0, 0, 0), generators=((-1, 1, 0), (0, -1, 1))))
+
+    def test_pipeline_needs_no_placing(self, k4, monkeypatch):
+        import matropt.genfun
+        import matropt.triangulate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Ehrhart pipeline must not call this")
+
+        for module in (matropt.genfun, matropt.triangulate):
+            for name in ("placing_triangulation", "cell_lattice_determinant", "max_minor_gcd"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        coeffs = ehrhart_polynomial(k4)
+        assert coeffs[1] == Fraction(107, 30)

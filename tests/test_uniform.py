@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hstar_uniform_triple_sum
+from conftest import composition_count, hstar_uniform_triple_sum, is_unimodal
 from matropt import (
     DimensionError,
     InternalInconsistencyError,
@@ -15,11 +15,9 @@ from matropt import (
     ehrhart_uniform,
     hstar_from_counts,
     hstar_uniform,
-    is_unimodal,
     uniform_matroid,
 )
 from matropt.oracles import evaluate_polynomial
-from matropt.uniform import composition_count
 
 
 def expand_power_oracle(n, r):
