@@ -7,6 +7,13 @@ Objective values are plain ints on integer points with integer data and
 exact Fractions only for truly rational coefficients or targets; ties
 always break toward the lexicographically smallest basis.  Projections go
 through `_point`, which memoizes them on the weight matrix.
+
+The pivot test and the fiber-BFS driver first list the projected image with
+`_image`, a breadth-first search of the exchange graph that gives up once
+it reaches more bases than the caller's own search effort would spend
+(targets x tries, or the two retry limits).  Under that budget they skip
+targets outside the image and stop once every image point has a witness;
+neither changes any result, only the work spent on empty fibers.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DimensionError
-from .matroid import Matroid, random_basis
+from .matroid import Matroid, greedy_max_basis, random_basis
 from .multicriteria import (
     Custom,
     SquaredDistance,
@@ -74,6 +81,26 @@ def _derived_seed(seed: int, *indices) -> int:
     for i in indices:
         out = (out * 1_000_003 + i + 1) & 0xFFFFFFFFFFFFFFFF
     return out
+
+
+def _image(M: Matroid, W: WeightMatrix, budget):
+    """Every projection of a basis, or None once more than `budget` bases are
+    reached.
+
+    Breadth-first search of the exchange graph, which is connected, from the
+    lexicographically first basis; it draws no random numbers.
+    """
+    start = greedy_max_basis(M, [0] * M.n)[0]
+    reached = {start}
+    queue = [start]
+    for basis in queue:
+        for nb in M.adjacent_bases(basis):
+            if nb not in reached:
+                reached.add(nb)
+                queue.append(nb)
+        if len(reached) > budget:
+            return None
+    return {_point(W, b) for b in reached}
 
 
 def local_search(M: Matroid, W: WeightMatrix, objective, start, transcript=None):
@@ -160,21 +187,35 @@ def pivot_test(M: Matroid, W: WeightMatrix, targets, tries, searcher="ls", seed=
     For each target x', up to `tries` seeded restarts of the chosen searcher
     minimize the squared distance to x'; a basis is kept only when the
     distance reaches zero, so every reported projection lies in the target
-    set.  Targets are processed independently (and in parallel when
-    workers > 1) with per-target seeds, so partitioning never changes the
-    result.
+    set.  Targets must be integral (a non-integral coordinate raises
+    DimensionError).  Targets are processed independently (and in parallel
+    when workers > 1) with per-target seeds, so partitioning never changes
+    the result.
+
+    When the matroid has at most (distinct targets) x `tries` bases, the
+    projected image is listed first (`_image`) and targets outside it run
+    no search: each restart scans at least one neighbourhood, so listing
+    costs no more than the searches it can save.  Each kept target keeps the
+    seed of its index among all sorted targets, so the result is the same as
+    searching every target.
     """
     _check(M, W)
     _check_knobs(tries=tries, tabu_limit=tabu_limit, workers=workers)
     if searcher not in ("ls", "ts"):
         raise DimensionError("searcher must be 'ls' or 'ts'")
-    items = sorted(set(tuple(int(x) for x in t) for t in targets))
-    for t in items:
+    items = set()
+    for t in map(tuple, targets):
         if len(t) != W.d:
             raise DimensionError("target dimension mismatch")
+        if any(x != int(x) for x in t):
+            raise DimensionError(f"target {t} is not integral")
+        items.add(tuple(map(int, t)))
+    items = sorted(items)
+    image = _image(M, W, len(items) * tries)
     jobs = [
         (M, W, target, tries, searcher, tabu_limit, _derived_seed(seed, i))
         for i, target in enumerate(items)
+        if image is None or target in image
     ]
     if workers > 1 and len(jobs) > 1:
         # Imported here: multiprocessing would add about 2.5 MB of resident
@@ -421,8 +462,15 @@ def fiber_bfs_driver(M: Matroid, W: WeightMatrix, params: SearchParams):
     when both budgets are exhausted.  Per-attempt seeds make the first N
     successes of a longer run identical to a shorter one, so output grows
     monotonically in num_searches.
+
+    It also stops once every projected point has a witness, from then on
+    each attempt would fail and change nothing.  That needs the image from
+    `_image`, listed only when the matroid has at most
+    boundary_retry_limit + random_retry_limit bases: the fewest failed
+    attempts the driver makes before it may stop.
     """
     _check(M, W)
+    image = _image(M, W, params.boundary_retry_limit + params.random_retry_limit)
     seen: set = set()
     witnesses: dict = {}
     successes = 0
@@ -440,6 +488,8 @@ def fiber_bfs_driver(M: Matroid, W: WeightMatrix, params: SearchParams):
                 continue
             if phase == 1 and random_failures >= params.random_retry_limit:
                 continue
+            if image is not None and len(seen) == len(image):
+                return seen, witnesses
             rng = random.Random(_derived_seed(params.seed, phase, attempt[phase]))
             attempt[phase] += 1
             if phase == 0:

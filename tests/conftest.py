@@ -27,9 +27,11 @@ from matropt import (
     incidence_vector,
     is_connected,
     placing_triangulation,
+    random_basis,
     uniform_matroid,
     vector_matroid,
 )
+from matropt.heuristics import _derived_seed, _point, boundary_start, fiber_bfs
 from matropt.linalg import _extend, _integral, _unit
 from matropt.triangulate import _add_facets
 
@@ -673,6 +675,58 @@ def genfun_of_halfopen(half) -> GenFunTerm:
         vertex=tuple(half.apex),
         denominators=tuple(half.generators),
     )
+
+
+# Fiber-BFS driver without the image stop -----------------------------------
+
+
+def fiber_bfs_driver_loop(M: Matroid, W, params):
+    """`fiber_bfs_driver` as it ran before it listed the image: it stops
+    only on num_searches successes or on both exhausted retry budgets
+    (oracle for the early stop once every image point has a witness)."""
+    seen: set = set()
+    witnesses: dict = {}
+    successes = 0
+    boundary_failures = 0
+    random_failures = 0
+    attempt = [0, 0]  # per-phase attempt counters for seed derivation
+    while successes < params.num_searches:
+        if (
+            boundary_failures >= params.boundary_retry_limit
+            and random_failures >= params.random_retry_limit
+        ):
+            break
+        for phase in (0, 1):
+            if phase == 0 and boundary_failures >= params.boundary_retry_limit:
+                continue
+            if phase == 1 and random_failures >= params.random_retry_limit:
+                continue
+            rng = random.Random(_derived_seed(params.seed, phase, attempt[phase]))
+            attempt[phase] += 1
+            if phase == 0:
+                basis = boundary_start(M, W, rng)
+            else:
+                basis = random_basis(M, rng=rng)
+            p = _point(W, basis)
+            if p in seen:
+                if phase == 0:
+                    boundary_failures += 1
+                else:
+                    random_failures += 1
+                continue
+            if phase == 0:
+                boundary_failures = 0
+            else:
+                random_failures = 0
+            successes += 1
+            if params.bfs_depth == 0:
+                seen.add(p)
+                witnesses[p] = basis
+            else:
+                fiber_bfs(M, W, basis, params.bfs_depth, seen=seen, witnesses=witnesses)
+            if successes >= params.num_searches:
+                break
+    return seen, witnesses
 
 
 # Sequence helpers ----------------------------------------------------------

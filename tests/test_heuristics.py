@@ -1,10 +1,16 @@
 """Local/tabu search, pivot test, boundary walk, Pareto sweep, fiber BFS."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from conftest import random_connected_graph, random_weight_matrix
+from conftest import (
+    catalog_small,
+    fiber_bfs_driver_loop,
+    random_connected_graph,
+    random_weight_matrix,
+)
 from matropt import (
     DimensionError,
     Linear,
@@ -29,13 +35,30 @@ from matropt import (
     tabu_search,
     uniform_matroid,
 )
-from matropt.heuristics import _is_extreme_projection, _point
+from matropt import heuristics
+from matropt.heuristics import (
+    _derived_seed,
+    _image,
+    _is_extreme_projection,
+    _pivot_test_point,
+    _point,
+)
 
 W_K4 = WeightMatrix(((3, 1, 4, 1, 5, 9), (2, 7, 1, 8, 2, 8)))
 
 
 def brute_min(M, W, objective):
     return min(objective(project(W, b)) for b in enumerate_bases(M))
+
+
+def criterion9_instances(count):
+    """The first `count` (matroid, weights) pairs of acceptance criterion 9."""
+    rng = random.Random(20260810)
+    out = []
+    for _ in range(count):
+        M = graphic_matroid(random_connected_graph(rng, max_nodes=9, extra_hi=3))
+        out.append((M, WeightMatrix(random_weight_matrix(rng, 2, M.n, 0, 20))))
+    return out
 
 
 class TestLocalSearch:
@@ -159,6 +182,101 @@ class TestPivotTest:
         except OSError:
             pytest.skip("process pools unavailable")
         assert seq == par
+
+
+    def test_non_integral_target_raises(self, k4):
+        with pytest.raises(DimensionError):
+            pivot_test(k4, W_K4, [(Fraction(13, 2), 1)], tries=3, seed=0)
+        with pytest.raises(DimensionError):
+            pivot_test(k4, W_K4, [(9, 12), (9.5, 12)], tries=3, seed=0)
+        whole = pivot_test(k4, W_K4, [(Fraction(9, 1), 12)], tries=3, seed=0)
+        assert whole == pivot_test(k4, W_K4, [(9, 12)], tries=3, seed=0)
+
+
+class TestPivotTestPruning:
+    """Targets outside the image are skipped without changing any result."""
+
+    @staticmethod
+    def per_target(M, W, targets, tries, searcher, tabu_limit, seed):
+        items = sorted(set(targets))
+        found = {
+            _pivot_test_point(M, W, t, tries, searcher, tabu_limit, _derived_seed(seed, i))
+            for i, t in enumerate(items)
+        }
+        return found - {None}
+
+    @pytest.mark.parametrize("searcher", ["ls", "ts"])
+    def test_equals_search_of_every_target(self, searcher):
+        for k, (M, W) in enumerate(criterion9_instances(5)):
+            targets = list(bounding_box(M, W).lattice_points())
+            assert _image(M, W, len(targets) * 2) is not None
+            expected = self.per_target(M, W, targets, 2, searcher, 3, k)
+            got = pivot_test(M, W, targets, 2, searcher=searcher, seed=k, tabu_limit=3)
+            assert got == expected
+
+    @pytest.mark.parametrize("searcher", ["ls", "ts"])
+    def test_workers_agree_with_search_of_every_target(self, searcher):
+        M, W = criterion9_instances(3)[2]
+        targets = list(bounding_box(M, W).lattice_points())
+        expected = self.per_target(M, W, targets, 2, searcher, 3, 11)
+        try:
+            got = pivot_test(M, W, targets, 2, searcher=searcher, seed=11, tabu_limit=3, workers=2)
+        except OSError:
+            pytest.skip("process pools unavailable")
+        assert got == expected
+
+    def test_targets_outside_image_run_no_search(self, u24, monkeypatch):
+        W = WeightMatrix(((1, 2, 3, 4),))  # image {3, ..., 7}, six bases
+        calls = []
+
+        def counting(*job):
+            calls.append(job[2])
+            return _pivot_test_point(*job)
+
+        monkeypatch.setattr(heuristics, "_pivot_test_point", counting)
+        outside = [(0,), (1,), (2,), (8,)]
+        assert pivot_test(u24, W, outside, tries=2, seed=0) == set()  # budget 8 >= 6
+        assert calls == []
+        assert pivot_test(u24, W, outside + [(5,)], tries=2, seed=0)
+        assert calls == [(5,)]
+        calls.clear()
+        assert pivot_test(u24, W, outside, tries=1, seed=0) == set()  # budget 4 < 6
+        assert calls == sorted(outside)
+
+
+class TestImage:
+    def test_equals_exact_projected_set(self):
+        rng = random.Random(31)
+        single = graphic_matroid([[0, 1, 0], [1, 0, 1], [0, 1, 0]])  # a path: one tree
+        extra = [uniform_matroid(4, 0), uniform_matroid(3, 3), single]
+        for M in catalog_small() + extra:
+            W = WeightMatrix(random_weight_matrix(rng, 2, M.n, -5, 20))
+            bases = enumerate_bases(M)
+            assert _image(M, W, len(bases)) == set(exact_projected_set(M, W, bases=bases))
+        assert len(enumerate_bases(single)) == 1
+
+    def test_budget_boundary(self):
+        rng = random.Random(32)
+        for M in catalog_small() + [uniform_matroid(4, 0)]:
+            W = WeightMatrix(random_weight_matrix(rng, 2, M.n))
+            count = len(enumerate_bases(M))
+            assert _image(M, W, count) is not None
+            assert _image(M, W, count - 1) is None
+
+    def test_independent_of_oracles(self, k4, monkeypatch):
+        from matropt import oracles
+
+        W = WeightMatrix(W_K4.rows)
+        expected = set(exact_projected_set(k4, W))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("_image must not use the oracles")
+
+        for name in ("enumerate_bases", "exact_projected_set", "spanning_trees"):
+            monkeypatch.setattr(oracles, name, refuse)
+        state = random.getstate()
+        assert _image(k4, W, 16) == expected
+        assert random.getstate() == state
 
 
 class TestProjectedBoundary:
@@ -294,6 +412,22 @@ class TestFiberBFSDriver:
             )
             seen, _ = fiber_bfs_driver(M, W, params)
             assert seen == set(exact_projected_set(M, W))
+
+    @pytest.mark.parametrize("knobs", [
+        lambda M: dict(bfs_depth=M.n, num_searches=100_000, boundary_retry_limit=60,
+                       random_retry_limit=3000),
+        lambda M: {},
+        lambda M: dict(bfs_depth=1, boundary_retry_limit=1, random_retry_limit=1),
+        lambda M: dict(bfs_depth=0, num_searches=100, boundary_retry_limit=2,
+                       random_retry_limit=3),
+    ], ids=["exhaustive", "defaults", "over-budget", "small-budget-depth0"])
+    def test_equals_loop_without_image_stop(self, knobs):
+        for trial, (M, W) in enumerate(criterion9_instances(6)):
+            params = SearchParams(seed=trial, **knobs(M))
+            budget = params.boundary_retry_limit + params.random_retry_limit
+            over = len(enumerate_bases(M)) > budget
+            assert (_image(M, W, budget) is None) == over
+            assert fiber_bfs_driver(M, W, params) == fiber_bfs_driver_loop(M, W, params)
 
     def test_monotone_in_num_searches(self, k4):
         base = dict(seed=9, bfs_depth=2, boundary_retry_limit=5, random_retry_limit=20)
