@@ -10,10 +10,11 @@ through `_point`, which memoizes them on the weight matrix.
 
 The pivot test and the fiber-BFS driver first list the projected image with
 `_image`, a breadth-first search of the exchange graph that gives up once
-it reaches more bases than the caller's own search effort would spend
-(targets x tries, or the two retry limits).  Under that budget they skip
-targets outside the image and stop once every image point has a witness;
-neither changes any result, only the work spent on empty fibers.
+it reaches more bases than a budget: the least work the caller does anyway
+(one restart per target, or the fewest attempts before the driver stops on
+its own).  Under that budget they skip targets outside the image and stop
+once every image point has a witness; neither changes any result, only the
+work spent on empty fibers.
 """
 
 from __future__ import annotations
@@ -88,7 +89,8 @@ def _image(M: Matroid, W: WeightMatrix, budget):
     reached.
 
     Breadth-first search of the exchange graph, which is connected, from the
-    lexicographically first basis; it draws no random numbers.
+    lexicographically first basis; it draws no random numbers and scans at
+    most budget + 1 neighbourhoods.
     """
     start = greedy_max_basis(M, [0] * M.n)[0]
     reached = {start}
@@ -192,12 +194,14 @@ def pivot_test(M: Matroid, W: WeightMatrix, targets, tries, searcher="ls", seed=
     when workers > 1) with per-target seeds, so partitioning never changes
     the result.
 
-    When the matroid has at most (distinct targets) x `tries` bases, the
-    projected image is listed first (`_image`) and targets outside it run
-    no search: each restart scans at least one neighbourhood, so listing
-    costs no more than the searches it can save.  Each kept target keeps the
-    seed of its index among all sorted targets, so the result is the same as
-    searching every target.
+    When the matroid has at most as many bases as there are distinct
+    targets, the projected image is listed first (`_image`) and targets
+    outside it run no search, saving `tries` restarts each.  Listing scans
+    at most one neighbourhood more than there are targets, and every target
+    gets at least one restart, which scans at least one; so when no target
+    lies outside the image, listing adds at most one scan more than the
+    searches make.  Each kept target keeps the seed of its index among all
+    sorted targets, so the result is the same as searching every target.
     """
     _check(M, W)
     _check_knobs(tries=tries, tabu_limit=tabu_limit, workers=workers)
@@ -211,7 +215,7 @@ def pivot_test(M: Matroid, W: WeightMatrix, targets, tries, searcher="ls", seed=
             raise DimensionError(f"target {t} is not integral")
         items.add(tuple(map(int, t)))
     items = sorted(items)
-    image = _image(M, W, len(items) * tries)
+    image = _image(M, W, len(items))
     jobs = [
         (M, W, target, tries, searcher, tabu_limit, _derived_seed(seed, i))
         for i, target in enumerate(items)
@@ -463,14 +467,18 @@ def fiber_bfs_driver(M: Matroid, W: WeightMatrix, params: SearchParams):
     successes of a longer run identical to a shorter one, so output grows
     monotonically in num_searches.
 
-    It also stops once every projected point has a witness, from then on
+    It also stops once every projected point has a witness: from then on
     each attempt would fail and change nothing.  That needs the image from
     `_image`, listed only when the matroid has at most
-    boundary_retry_limit + random_retry_limit bases: the fewest failed
-    attempts the driver makes before it may stop.
+    min(num_searches, boundary_retry_limit + random_retry_limit) bases.
+    Without the early stop the driver makes at least that many attempts,
+    since it ends only after num_searches successes or after at least
+    boundary_retry_limit + random_retry_limit failures; listing scans at
+    most one neighbourhood more than that.
     """
     _check(M, W)
-    image = _image(M, W, params.boundary_retry_limit + params.random_retry_limit)
+    budget = min(params.num_searches, params.boundary_retry_limit + params.random_retry_limit)
+    image = _image(M, W, budget)
     seen: set = set()
     witnesses: dict = {}
     successes = 0

@@ -14,6 +14,7 @@ from conftest import (
 from matropt import (
     DimensionError,
     Linear,
+    Matroid,
     SearchParams,
     SquaredDistance,
     WeightMatrix,
@@ -59,6 +60,19 @@ def criterion9_instances(count):
         M = graphic_matroid(random_connected_graph(rng, max_nodes=9, extra_hi=3))
         out.append((M, WeightMatrix(random_weight_matrix(rng, 2, M.n, 0, 20))))
     return out
+
+
+def count_scans(monkeypatch):
+    """Count calls of Matroid.adjacent_bases, cached or not, in calls[0]."""
+    calls = [0]
+    scan = Matroid.adjacent_bases
+
+    def counting(self, basis):
+        calls[0] += 1
+        return scan(self, basis)
+
+    monkeypatch.setattr(Matroid, "adjacent_bases", counting)
+    return calls
 
 
 class TestLocalSearch:
@@ -209,7 +223,7 @@ class TestPivotTestPruning:
     def test_equals_search_of_every_target(self, searcher):
         for k, (M, W) in enumerate(criterion9_instances(5)):
             targets = list(bounding_box(M, W).lattice_points())
-            assert _image(M, W, len(targets) * 2) is not None
+            assert _image(M, W, len(targets)) is not None
             expected = self.per_target(M, W, targets, 2, searcher, 3, k)
             got = pivot_test(M, W, targets, 2, searcher=searcher, seed=k, tabu_limit=3)
             assert got == expected
@@ -225,6 +239,18 @@ class TestPivotTestPruning:
             pytest.skip("process pools unavailable")
         assert got == expected
 
+    def test_listing_at_most_doubles_scans_for_image_targets(self, monkeypatch):
+        calls = count_scans(monkeypatch)
+        for k, (M, W) in enumerate(criterion9_instances(6)):
+            image = sorted(set(exact_projected_set(M, W)))
+            for targets in (image, image[:2]):
+                calls[0] = 0
+                expected = self.per_target(M, W, targets, 10, "ls", 10, k)
+                searched = calls[0]
+                calls[0] = 0
+                assert pivot_test(M, W, targets, 10, seed=k) == expected
+                assert calls[0] <= 2 * searched + 1
+
     def test_targets_outside_image_run_no_search(self, u24, monkeypatch):
         W = WeightMatrix(((1, 2, 3, 4),))  # image {3, ..., 7}, six bases
         calls = []
@@ -234,14 +260,14 @@ class TestPivotTestPruning:
             return _pivot_test_point(*job)
 
         monkeypatch.setattr(heuristics, "_pivot_test_point", counting)
-        outside = [(0,), (1,), (2,), (8,)]
-        assert pivot_test(u24, W, outside, tries=2, seed=0) == set()  # budget 8 >= 6
+        outside = [(0,), (1,), (2,), (8,), (9,), (10,)]
+        assert pivot_test(u24, W, outside, tries=2, seed=0) == set()  # budget 6 >= 6
         assert calls == []
-        assert pivot_test(u24, W, outside + [(5,)], tries=2, seed=0)
+        assert pivot_test(u24, W, outside[1:] + [(5,)], tries=2, seed=0)
         assert calls == [(5,)]
         calls.clear()
-        assert pivot_test(u24, W, outside, tries=1, seed=0) == set()  # budget 4 < 6
-        assert calls == sorted(outside)
+        assert pivot_test(u24, W, outside[1:], tries=9, seed=0) == set()  # budget 5 < 6
+        assert calls == sorted(outside[1:])
 
 
 class TestImage:
@@ -262,6 +288,13 @@ class TestImage:
             count = len(enumerate_bases(M))
             assert _image(M, W, count) is not None
             assert _image(M, W, count - 1) is None
+
+    def test_scans_at_most_budget_plus_one(self):
+        W = WeightMatrix(((1, 2, 3, 4, 5, 6, 7),))
+        for budget in (0, 1, 5, 20, 34):
+            M = uniform_matroid(7, 3)  # 35 bases; a fresh neighbour cache
+            assert _image(M, W, budget) is None
+            assert len(M._adj_cache) <= budget + 1
 
     def test_independent_of_oracles(self, k4, monkeypatch):
         from matropt import oracles
@@ -420,14 +453,35 @@ class TestFiberBFSDriver:
         lambda M: dict(bfs_depth=1, boundary_retry_limit=1, random_retry_limit=1),
         lambda M: dict(bfs_depth=0, num_searches=100, boundary_retry_limit=2,
                        random_retry_limit=3),
-    ], ids=["exhaustive", "defaults", "over-budget", "small-budget-depth0"])
+        lambda M: dict(bfs_depth=1, num_searches=50),
+        lambda M: dict(num_searches=2),
+    ], ids=["exhaustive", "defaults", "over-budget", "small-budget-depth0",
+            "searches-budget", "few-searches"])
     def test_equals_loop_without_image_stop(self, knobs):
         for trial, (M, W) in enumerate(criterion9_instances(6)):
             params = SearchParams(seed=trial, **knobs(M))
-            budget = params.boundary_retry_limit + params.random_retry_limit
+            budget = min(
+                params.num_searches, params.boundary_retry_limit + params.random_retry_limit
+            )
             over = len(enumerate_bases(M)) > budget
             assert (_image(M, W, budget) is None) == over
             assert fiber_bfs_driver(M, W, params) == fiber_bfs_driver_loop(M, W, params)
+
+    def test_listing_scans_at_most_budget_plus_one_more(self, monkeypatch):
+        k6 = graphic_matroid([[int(i != j) for j in range(6)] for i in range(6)])
+        cases = [(M, W, {}) for M, W in criterion9_instances(3)] + [
+            (k6, WeightMatrix(random_weight_matrix(random.Random(5), 2, k6.n, 0, 20)), knobs)
+            for knobs in ({}, dict(bfs_depth=1), dict(bfs_depth=0, num_searches=40))
+        ]
+        calls = count_scans(monkeypatch)
+        for M, W, knobs in cases:
+            params = SearchParams(seed=3, **knobs)
+            calls[0] = 0
+            expected = fiber_bfs_driver_loop(M, W, params)
+            searched = calls[0]
+            calls[0] = 0
+            assert fiber_bfs_driver(M, W, params) == expected
+            assert calls[0] <= searched + params.num_searches + 1
 
     def test_monotone_in_num_searches(self, k4):
         base = dict(seed=9, bfs_depth=2, boundary_retry_limit=5, random_retry_limit=20)
