@@ -22,8 +22,6 @@ from .genfun import (
     generic_lambda,
     matroid_genfun,
     specialize_count,
-    term_from_dict,
-    term_to_dict,
     todd_eval,
 )
 from .heuristics import (
@@ -69,7 +67,6 @@ from .multicriteria import (
     SquaredDistance,
     WeightMatrix,
     bounding_box,
-    minmax_value,
     pareto_filter,
     project,
 )

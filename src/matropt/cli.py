@@ -102,7 +102,7 @@ def _objective(args, d):
 
 
 def _emit(args, payload, point_rows=None, csv_rows=None):
-    fmt = getattr(args, "format", "json")
+    fmt = args.format
     if fmt == "json":
         text = json.dumps(payload, sort_keys=True, separators=(", ", ": ")) + "\n"
     elif fmt == "points":
@@ -117,7 +117,7 @@ def _emit(args, payload, point_rows=None, csv_rows=None):
         text = "\n".join(",".join(str(x) for x in row) for row in csv_rows) + "\n"
     else:
         raise ParseError(f"unknown format {fmt!r}")
-    if getattr(args, "output", None):
+    if args.output:
         write_text(args.output, text)
     else:
         sys.stdout.write(text)
@@ -130,22 +130,6 @@ def _weights(args, M):
     if W.n != M.n:
         raise DimensionError(f"weights have {W.n} columns, matroid has {M.n}")
     return W
-
-
-def _sorted_points(points):
-    return [list(p) for p in sorted(points)]
-
-
-def _search_params(args):
-    return SearchParams(
-        seed=args.seed,
-        tabu_limit=getattr(args, "tabu_limit", 10),
-        tries=getattr(args, "tries", 10),
-        bfs_depth=getattr(args, "depth", 2),
-        num_searches=getattr(args, "searches", 10),
-        boundary_retry_limit=getattr(args, "boundary_retries", 100),
-        random_retry_limit=getattr(args, "random_retries", 1000),
-    )
 
 
 def cmd_bases(args):
@@ -294,7 +278,13 @@ def cmd_btrpt(args):
 def cmd_dfbfs(args):
     M = load_matroid(args.matroid)
     W = _weights(args, M)
-    params = _search_params(args)
+    params = SearchParams(
+        seed=args.seed,
+        bfs_depth=args.depth,
+        num_searches=args.searches,
+        boundary_retry_limit=args.boundary_retries,
+        random_retry_limit=args.random_retries,
+    )
     seen, witnesses = fiber_bfs_driver(M, W, params)
     points = sorted(seen)
     payload = {
@@ -433,7 +423,7 @@ def build_parser():
     top = argparse.ArgumentParser(prog="matropt", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, matroid=True, weights=False, seeded=False, output=True):
+    def add(name, fn, matroid=True, weights=False, seeded=False):
         p = sub.add_parser(name)
         if matroid:
             p.add_argument("--matroid", required=True, help="matroid file")
@@ -441,9 +431,8 @@ def build_parser():
             p.add_argument("--weights", help="weights file")
         if seeded:
             p.add_argument("--seed", type=int, required=True)
-        if output:
-            p.add_argument("--output", help="write here instead of stdout")
-            p.add_argument("--format", choices=("json", "csv", "points"), default="json")
+        p.add_argument("--output", help="write here instead of stdout")
+        p.add_argument("--format", choices=("json", "csv", "points"), default="json")
         p.set_defaults(func=fn)
         return p
 

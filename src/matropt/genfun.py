@@ -236,23 +236,6 @@ def ehrhart_polynomial(M: Matroid):
     return dilation_polynomial(terms, dim)
 
 
-def term_to_dict(term: GenFunTerm) -> dict:
-    """JSON-ready form: {a, v, b}."""
-    return {
-        "a": list(term.numerator),
-        "v": list(term.vertex),
-        "b": [list(b) for b in term.denominators],
-    }
-
-
-def term_from_dict(payload: dict) -> GenFunTerm:
-    return GenFunTerm(
-        numerator=tuple(int(x) for x in payload["a"]),
-        vertex=tuple(int(x) for x in payload["v"]),
-        denominators=tuple(tuple(int(x) for x in b) for b in payload["b"]),
-    )
-
-
 def count_lattice_points(M: Matroid) -> int:
     """#(P_M intersect Z^n) by specializing the generating function."""
     return specialize_count(matroid_genfun(M))

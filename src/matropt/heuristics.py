@@ -19,10 +19,8 @@ work spent on empty fibers.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import DimensionError
 from .matroid import Matroid, greedy_max_basis, random_basis
@@ -48,18 +46,17 @@ class SearchParams:
     """Driver knobs shared by the seeded procedures."""
 
     seed: int = 0
-    tabu_limit: int = 10
-    tries: int = 10
     bfs_depth: int = 2
     num_searches: int = 10
     boundary_retry_limit: int = 100
     random_retry_limit: int = 1000
 
     def __post_init__(self):
-        _check_knobs(**{
-            name: getattr(self, name)
-            for name in ("tabu_limit", "tries", "num_searches", "boundary_retry_limit", "random_retry_limit")
-        })
+        _check_knobs(
+            num_searches=self.num_searches,
+            boundary_retry_limit=self.boundary_retry_limit,
+            random_retry_limit=self.random_retry_limit,
+        )
         if self.bfs_depth < 0:
             raise DimensionError("bfs_depth must be >= 0")
 
@@ -227,89 +224,53 @@ def pivot_test(M: Matroid, W: WeightMatrix, targets, tries, searcher="ls", seed=
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            found = list(pool.map(_pivot_test_star, jobs, chunksize=max(1, len(jobs) // workers)))
+            found = list(pool.map(_pivot_test_point, *zip(*jobs),
+                                  chunksize=max(1, len(jobs) // workers)))
     else:
-        found = [_pivot_test_star(job) for job in jobs]
+        found = [_pivot_test_point(*job) for job in jobs]
     return {b for b in found if b is not None}
-
-
-def _pivot_test_star(job):
-    return _pivot_test_point(*job)
 
 
 # Planar boundary walk ------------------------------------------------------
 
 
-def _primitive(d):
-    g = gcd(abs(d[0]), abs(d[1]))
-    return (d[0] // g, d[1] // g)
+def _in_halfplane(M: Matroid, W: WeightMatrix, basis, strict) -> bool:
+    """Do the directions from the basis's projection p to its neighbours'
+    projections fit in a half-plane (d = 2)?
 
-
-def _angle_sorted(dirs):
-    """Distinct primitive directions in counter-clockwise order from +x."""
-
-    def half(d):
-        return 0 if (d[1] > 0 or (d[1] == 0 and d[0] > 0)) else 1
-
-    def cmp(u, v):
-        hu, hv = half(u), half(v)
-        if hu != hv:
-            return -1 if hu < hv else 1
-        cross = u[0] * v[1] - u[1] * v[0]
-        return 0 if cross == 0 else (-1 if cross > 0 else 1)
-
-    return sorted(dirs, key=functools.cmp_to_key(cmp))
-
-
-def _projection_gap_crossings(M: Matroid, W: WeightMatrix, basis):
-    """Cross products of consecutive CCW neighbor directions, or None when
-    there are at most one distinct direction."""
-    p = _point(W, basis)
-    dirs = set()
-    for nb in M.adjacent_bases(basis):
-        q = _point(W, nb)
-        d = (q[0] - p[0], q[1] - p[1])
-        if d != (0, 0):
-            dirs.add(_primitive(d))
-    if len(dirs) <= 1:
-        return None
-    vecs = _angle_sorted(dirs)
-    return [
-        vecs[i][0] * vecs[(i + 1) % len(vecs)][1]
-        - vecs[i][1] * vecs[(i + 1) % len(vecs)][0]
-        for i in range(len(vecs))
-    ]
-
-
-def _is_extreme_projection(M: Matroid, W: WeightMatrix, basis) -> bool:
-    """d=2 vertex test: sort neighbor directions by angle; the projection is
-    extreme iff some cyclic angular gap exceeds pi.  Exact integer arithmetic:
-    with distinct primitive directions sorted CCW, a gap is > pi exactly when
-    the cross product of its endpoints is negative."""
-    crossings = _projection_gap_crossings(M, W, basis)
-    if crossings is None:
-        return True  # image is a point, or all moves leave in one direction
-    return any(c < 0 for c in crossings)
-
-
-def _is_boundary_projection(M: Matroid, W: WeightMatrix, basis) -> bool:
-    """Weak variant: some gap >= pi, i.e. all directions fit in a closed
-    halfplane.  Holds for every projection on the hull boundary, including
-    non-vertex lattice points sitting inside hull edges."""
-    crossings = _projection_gap_crossings(M, W, basis)
-    if crossings is None:
-        return True
-    return any(c <= 0 for c in crossings)
+    The nonzero directions d = q - p lie in a closed half-plane exactly when
+    one of them, u, has cross(u, v) >= 0 for every direction v: the most
+    clockwise direction of the half-plane is such a u, and any such u bounds
+    one.  They lie in an open half-plane (`strict`), which makes p a vertex of
+    the projected hull, exactly when in addition every v with cross(u, v) = 0
+    points the same way as u (dot(u, v) > 0).  No directions at all counts
+    as true.  This is the angular gap test without sorting: with the
+    directions in counter-clockwise order, a cyclic gap of at least pi (more
+    than pi when strict) ends at u exactly when every direction lies within
+    pi (strictly less than pi) counter-clockwise of u.
+    """
+    x, y = _point(W, basis)
+    dirs = {(q[0] - x, q[1] - y) for q in (_point(W, nb) for nb in M.adjacent_bases(basis))}
+    dirs.discard((0, 0))
+    for ux, uy in dirs:
+        for vx, vy in dirs:
+            cross = ux * vy - uy * vx
+            if cross < 0 or (cross == 0 and strict and ux * vx + uy * vy < 0):
+                break
+        else:
+            return True
+    return not dirs
 
 
 def projected_boundary(M: Matroid, W: WeightMatrix, start):
     """Walk the base-exchange graph along hull-boundary projections (d = 2).
 
-    Starting from a basis whose projection is a vertex of the projected
-    hull, pivots onto neighbors whose projections are new and on the hull
-    boundary (weak halfplane test), so that non-vertex lattice points inside
-    hull edges never block the path.  The output projections contain every
-    hull vertex and stay on the boundary.
+    The start basis must project to a vertex of the projected hull (the
+    strict half-plane test); otherwise DimensionError.  The walk is a
+    breadth-first search that pivots onto neighbours whose projections are
+    new and pass the closed half-plane test, so lattice points inside hull
+    edges never block the path.  The output projections contain every hull
+    vertex and stay on the boundary.
     """
     _check(M, W)
     if W.d != 2:
@@ -317,22 +278,17 @@ def projected_boundary(M: Matroid, W: WeightMatrix, start):
     start = tuple(sorted(start))
     if not M.is_basis(start):
         raise DimensionError(f"{start} is not a basis")
-    if not _is_extreme_projection(M, W, start):
+    if not _in_halfplane(M, W, start, strict=True):
         raise DimensionError("start basis must project to an extreme point")
-    out = {start}
     seen_points = {_point(W, start)}
     queue = [start]
-    while queue:
-        current = queue.pop(0)
+    for current in queue:
         for nb in M.adjacent_bases(current):
             p = _point(W, nb)
-            if p in seen_points:
-                continue
-            if _is_boundary_projection(M, W, nb):
+            if p not in seen_points and _in_halfplane(M, W, nb, strict=False):
                 seen_points.add(p)
-                out.add(nb)
                 queue.append(nb)
-    return out
+    return set(queue)
 
 
 def _random_direction(rng, d):
@@ -459,13 +415,15 @@ def fiber_bfs(M: Matroid, W: WeightMatrix, start, depth, seen=None, witnesses=No
 def fiber_bfs_driver(M: Matroid, W: WeightMatrix, params: SearchParams):
     """Alternate boundary and random seeding, exploring each fresh projection.
 
-    Boundary attempts run a lexicographically refined linear minimization in
-    a random direction; random attempts draw a basis by rejection sampling.
-    An attempt whose projection is already known counts against that side's
-    consecutive-failure budget.  Stops after `num_searches` fresh seeds or
-    when both budgets are exhausted.  Per-attempt seeds make the first N
-    successes of a longer run identical to a shorter one, so output grows
-    monotonically in num_searches.
+    Phase 0 (boundary) attempts run a lexicographically refined linear
+    minimization in a random direction; phase 1 (random) attempts draw a
+    basis by rejection sampling.  An attempt whose projection is already
+    known counts against its phase's consecutive-failure budget
+    (boundary_retry_limit, random_retry_limit); a phase whose budget is
+    spent sits out.  Stops after `num_searches` fresh seeds or when both
+    budgets are spent.  Per-attempt seeds make the first N successes of a
+    longer run identical to a shorter one, so output grows monotonically in
+    num_searches.
 
     It also stops once every projected point has a witness: from then on
     each attempt would fail and change nothing.  That needs the image from
@@ -477,44 +435,27 @@ def fiber_bfs_driver(M: Matroid, W: WeightMatrix, params: SearchParams):
     most one neighbourhood more than that.
     """
     _check(M, W)
-    budget = min(params.num_searches, params.boundary_retry_limit + params.random_retry_limit)
-    image = _image(M, W, budget)
+    limits = (params.boundary_retry_limit, params.random_retry_limit)
+    image = _image(M, W, min(params.num_searches, sum(limits)))
     seen: set = set()
     witnesses: dict = {}
     successes = 0
-    boundary_failures = 0
-    random_failures = 0
+    failures = [0, 0]  # consecutive failures per phase
     attempt = [0, 0]  # per-phase attempt counters for seed derivation
-    while successes < params.num_searches:
-        if (
-            boundary_failures >= params.boundary_retry_limit
-            and random_failures >= params.random_retry_limit
-        ):
-            break
+    while successes < params.num_searches and any(f < n for f, n in zip(failures, limits)):
         for phase in (0, 1):
-            if phase == 0 and boundary_failures >= params.boundary_retry_limit:
-                continue
-            if phase == 1 and random_failures >= params.random_retry_limit:
+            if failures[phase] >= limits[phase]:
                 continue
             if image is not None and len(seen) == len(image):
                 return seen, witnesses
             rng = random.Random(_derived_seed(params.seed, phase, attempt[phase]))
             attempt[phase] += 1
-            if phase == 0:
-                basis = boundary_start(M, W, rng)
-            else:
-                basis = random_basis(M, rng=rng)
+            basis = boundary_start(M, W, rng) if phase == 0 else random_basis(M, rng=rng)
             p = _point(W, basis)
             if p in seen:
-                if phase == 0:
-                    boundary_failures += 1
-                else:
-                    random_failures += 1
+                failures[phase] += 1
                 continue
-            if phase == 0:
-                boundary_failures = 0
-            else:
-                random_failures = 0
+            failures[phase] = 0
             successes += 1
             if params.bfs_depth == 0:
                 seen.add(p)

@@ -64,10 +64,6 @@ def pareto_filter(points):
     return {p for p in pts if not any(dominates(q, p) for q in pts if q != p)}
 
 
-def minmax_value(point) -> int:
-    return max(point)
-
-
 @dataclass(frozen=True)
 class BoundingBox:
     lo: tuple

@@ -202,11 +202,6 @@ def dilation_lattice_count(M: Matroid, k: int) -> int:
     return count
 
 
-def dilation_count_table(M: Matroid, kmax: int):
-    """Counts for k = 0..kmax as a list."""
-    return [dilation_lattice_count(M, k) for k in range(kmax + 1)]
-
-
 def interpolate_ehrhart(counts, dim: int):
     """Unique degree-dim polynomial through counts at k = 0, 1, 2, ...
 

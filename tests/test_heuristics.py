@@ -40,7 +40,7 @@ from matropt import heuristics
 from matropt.heuristics import (
     _derived_seed,
     _image,
-    _is_extreme_projection,
+    _in_halfplane,
     _pivot_test_point,
     _point,
 )
@@ -362,7 +362,57 @@ class TestExtremenessOracle:
         hull = set(planar_convex_hull(exact))
         for b in enumerate_bases(k4):
             p = project(W_K4, b)
-            assert _is_extreme_projection(k4, W_K4, b) == (p in hull)
+            assert _in_halfplane(k4, W_K4, b, strict=True) == (p in hull)
+
+
+class TestHalfPlaneOracle:
+    """_in_halfplane against the convex hull of each basis's neighbourhood.
+
+    With p the basis's projection and H the hull of p and its neighbours'
+    projections, the strict test holds exactly when p is a vertex of H and
+    the closed test exactly when p lies on H's boundary (a hull of at most
+    two points is all boundary)."""
+
+    @staticmethod
+    def weights(kind, rng, n):
+        row = tuple(rng.randint(-5, 20) for _ in range(n))
+        return {
+            "random": random_weight_matrix(rng, 2, n, -5, 20),
+            "identical-rows": (row, row),
+            "zero-row": (row, (0,) * n),
+            "constant-rows": ((3,) * n, (-1,) * n),
+            "entries-0-2": random_weight_matrix(rng, 2, n, 0, 2),
+        }[kind]
+
+    @staticmethod
+    def local_hull(M, W, b):
+        p = project(W, b)
+        hull = planar_convex_hull([p] + [project(W, nb) for nb in M.adjacent_bases(b)])
+
+        def cross(o, a, c):
+            return (a[0] - o[0]) * (c[1] - o[1]) - (a[1] - o[1]) * (c[0] - o[0])
+
+        # p lies in H, so it is on H's boundary exactly when it is on the
+        # line through some edge.
+        on_boundary = len(hull) <= 2 or any(
+            cross(a, c, p) == 0 for a, c in zip(hull, hull[1:] + hull[:1])
+        )
+        return p in hull, on_boundary
+
+    @pytest.mark.parametrize(
+        "kind", ["random", "identical-rows", "zero-row", "constant-rows", "entries-0-2"]
+    )
+    def test_matches_local_hull(self, kind):
+        rng = random.Random(424)
+        matroids = catalog_small() + [
+            graphic_matroid(random_connected_graph(rng, max_nodes=7)) for _ in range(50)
+        ]
+        for M in matroids:
+            W = WeightMatrix(self.weights(kind, rng, M.n))
+            for b in enumerate_bases(M):
+                vertex, on_boundary = self.local_hull(M, W, b)
+                assert _in_halfplane(M, W, b, strict=True) == vertex
+                assert _in_halfplane(M, W, b, strict=False) == on_boundary
 
 
 class TestBoundaryParetoSearch:
@@ -554,7 +604,7 @@ class TestProjectionMemo:
 class TestSearchParams:
     def test_validation(self):
         with pytest.raises(DimensionError):
-            SearchParams(tries=0)
+            SearchParams(num_searches=0)
         with pytest.raises(DimensionError):
             SearchParams(bfs_depth=-1)
         assert SearchParams(bfs_depth=0).bfs_depth == 0

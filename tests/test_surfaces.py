@@ -1,7 +1,6 @@
-"""Cross-cutting surfaces: serialization, error taxonomy, and the
-equivalence of the placing fast path with the visibility LP."""
+"""Cross-cutting surfaces: the error taxonomy and the equivalence of the
+placing fast path with the visibility LP."""
 
-import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -16,11 +15,7 @@ from matropt import (
     ParseError,
     enumerate_bases,
     incidence_vector,
-    matroid_genfun,
     placing_triangulation,
-    specialize_count,
-    term_from_dict,
-    term_to_dict,
 )
 
 
@@ -37,19 +32,6 @@ def _placed_prefix(pts, order, cut):
 
 def _affine_rank(points):
     return fraction_rank([tuple(a - b for a, b in zip(p, points[0])) for p in points[1:]])
-
-
-class TestTermSerialization:
-    def test_round_trip_preserves_counts(self, u24):
-        terms = matroid_genfun(u24)
-        payload = json.dumps([term_to_dict(t) for t in terms], sort_keys=True)
-        back = [term_from_dict(d) for d in json.loads(payload)]
-        assert back == terms
-        assert specialize_count(back) == 6
-
-    def test_shape(self, u24):
-        d = term_to_dict(matroid_genfun(u24)[0])
-        assert set(d) == {"a", "v", "b"}
 
 
 class TestErrorTaxonomy:
