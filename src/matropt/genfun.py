@@ -6,9 +6,13 @@ that partition it, the spanning-forest cells of its exchange graph
 z^a / prod(1 - z^b_j), and the vertex sum equals the full lattice-point
 generating function.  Evaluating at z = 1 (a removable singularity)
 through Todd-polynomial weights yields exact counts and, with the dilation
-form z^(a + (k-1)v), the whole Ehrhart polynomial.  Each term's weights
-are integer numerators over one denominator, from one integer exponential
-of a power series, and the terms are summed over one common denominator.
+form z^(a + (k-1)v), the whole Ehrhart polynomial (the exponential
+substitution of De Loera, Hemmecke, Tauzer and Yoshida, Effective lattice
+point counting in rational convex polytopes, J. Symbolic Comput. 2004).
+Each term's value is a polynomial in k read off one integer exponential of
+a power series, with the dilation shift folded into its x^1 weight; it has
+integer numerators over one denominator, and the terms are summed over one
+common denominator.  Counting is the same polynomial at k = 1.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial, gcd, lcm, perm
+from math import comb, factorial, gcd, lcm, perm
 from operator import mul
 
 from .errors import DimensionError, InternalInconsistencyError
@@ -38,7 +42,7 @@ class GenFunTerm:
 
     def __post_init__(self):
         for b in self.denominators:
-            if all(x == 0 for x in b):
+            if not any(b):
                 raise DimensionError("denominator exponents must be nonzero")
 
 
@@ -79,41 +83,61 @@ def _todd_log(m: int):
     return big, tuple(-int(x * big) for x in log)
 
 
-def _todd_product(m: int, xis):
-    """prod_j (x*xi_j / (1-exp(-x*xi_j))) truncated at x^m, in integers.
+@cache
+def _exp_table(m: int):
+    """(A, alpha_1, rows, binomials, m! A^m) for integer exponentials of
+    series h(x) = sum_k beta_k / A x^k up to x^m whose odd coefficients
+    above x^1 vanish, as in sum_k alpha_k / A * P_k x^k (P_k a power sum).
 
-    Returns (p, den) with coefficient n equal to p[n] / den.  The product
-    is exp(sum_k alpha_k / A * P_k x^k), P_k the power sums of the xi; with
-    xi_j = r_j / q and R_k = sum_j r_j^k, exp's recurrence
-    n g_n = sum_k k h_k g_(n-k) stays integral as g_n = gamma_n / (n! (Aq)^n),
-    gamma_n = sum_k k (n-1)!/(n-k)! alpha_k A^(k-1) R_k gamma_(n-k).
+    exp(h) = sum_n gamma_n / (n! A^n) x^n with gamma_0 = 1 and
+    gamma_n = beta_1 gamma_(n-1) + sum_(even k <= n) c_nk P_k gamma_(n-k),
+    c_nk = k (n-1)!/(n-k)! alpha_k A^(k-1); rows[n] lists (k, c_nk).
     """
     big, alpha = _todd_log(m)
-    xis = [Fraction(x) for x in xis]
-    q = lcm(*[x.denominator for x in xis])
-    rs = [x.numerator * (q // x.denominator) for x in xis]
-    weights = [
-        (k, alpha[k] * big ** (k - 1) * sum([r**k for r in rs]))
-        for k in range(1, m + 1)
-        if alpha[k]
+    rows = [
+        tuple((k, k * perm(n - 1, k - 1) * alpha[k] * big ** (k - 1))
+              for k in range(2, n + 1, 2) if alpha[k])
+        for n in range(m + 1)
     ]
+    half = alpha[1] if m else 0
+    return big, half, rows, tuple(comb(m, i) for i in range(m + 1)), factorial(m) * big**m
+
+
+def _exp_gamma(rows, beta_1: int, values):
+    """gamma_0..gamma_m for the rows of `_exp_table(m)`, beta_1 and the
+    power sums of `values` at the even orders."""
+    m = len(rows) - 1
+    sums = [0] * (m + 1)
+    squares = [v * v for v in values]
+    power = squares
+    for k in range(2, m + 1, 2):
+        sums[k] = sum(power)
+        power = [a * b for a, b in zip(power, squares)]
     gamma = [1]
     for n in range(1, m + 1):
-        gamma.append(sum([k * perm(n - 1, k - 1) * w * gamma[n - k] for k, w in weights if k <= n]))
-    scale = big * q
-    p = [g * perm(m, m - n) * scale ** (m - n) for n, g in enumerate(gamma)]
-    return p, factorial(m) * scale**m
+        g = beta_1 * gamma[n - 1]
+        for k, c in rows[n]:
+            g += c * sums[k] * gamma[n - k]
+        gamma.append(g)
+    return gamma
 
 
 def todd_eval(m: int, xis):
     """td_m(xi_1..xi_s): coefficient of x^m in prod_j (x*xi_j / (1-exp(-x*xi_j))).
 
-    Read from one integer exp of summed power series, O(s m + m^2) operations.
+    The product is exp(sum_k alpha_k / A * P_k x^k), P_k the power sums of
+    the xi; with xi_j = r_j / q it is gamma_m / (m! (A q)^m) of one integer
+    exponential (`_exp_gamma`) of the power sums of the r_j, O(s m + m^2)
+    operations.
     """
     if m < 0:
         raise DimensionError("order must be >= 0")
-    p, den = _todd_product(m, xis)
-    return Fraction(p[m], den)
+    xis = [Fraction(x) for x in xis]
+    q = lcm(*[x.denominator for x in xis])
+    rs = [x.numerator * (q // x.denominator) for x in xis]
+    big, half, rows, _, _ = _exp_table(m)
+    gamma = _exp_gamma(rows, half * sum(rs), rs)
+    return Fraction(gamma[m], factorial(m) * (big * q) ** m)
 
 
 # Specialization at z = 1 --------------------------------------------------
@@ -139,28 +163,43 @@ def _idot(a, b):
     return sum(map(mul, a, b))
 
 
-def _term_weights(term: GenFunTerm, lam):
-    """Todd weights w_0..w_s of one term at the singular point, as integer
-    numerators over one positive denominator: w_l = nums[l] / den.
+def _term_polynomial(term: GenFunTerm, lam):
+    """The term's value at z = 1 in its k-th dilation z^(a + (k-1)v), as a
+    polynomial in k: (nums, den) with coefficient m equal to nums[m] / den,
+    den > 0.
 
-    w_l = (-1)^s td_(s-l)(-<lam, b_1>, ..., -<lam, b_s>) / (l! prod_j <lam, b_j>),
-    and all s + 1 Todd values come from a single series product.
+    With d_j = <lam, b_j> and X = <lam, a + (k-1)v> = S + kV the value is
+    (-1)^s / prod_j d_j * [x^s] exp(xX + sum_k alpha_k / A P_k(-d) x^k).
+    Splitting off exp(xkV) leaves one integer exponential (`_exp_gamma`)
+    with beta_1 = A S - alpha_1 P_1(d), and k^m has the numerator
+    +-C(s, m) (A V)^m gamma_(s-m) over s! A^s |prod_j d_j|.
     """
     s = len(term.denominators)
+    if not s:
+        return [1], 1  # a point vertex: one lattice point in every dilation
     dots = [_idot(lam, b) for b in term.denominators]
-    if any(d == 0 for d in dots):
+    if 0 in dots:
         raise DimensionError("lambda is not generic for this term")
-    p, den = _todd_product(s, [-d for d in dots])
-    den *= factorial(s)
+    big, half, rows, binomials, den = _exp_table(s)
+    sign = -1 if s % 2 else 1
     for d in dots:
         den *= d
-    sign = -1 if (s % 2) != (den < 0) else 1
-    nums = [sign * p[s - l] * (factorial(s) // factorial(l)) for l in range(s + 1)]
-    return nums, abs(den)
+    if den < 0:
+        sign, den = -sign, -den
+    va = _idot(lam, term.vertex)
+    gamma = _exp_gamma(rows, big * (_idot(lam, term.numerator) - va) - half * sum(dots), dots)
+    step = big * va
+    nums = []
+    scale = sign
+    for m in range(s + 1):
+        nums.append(scale * binomials[m] * gamma[s - m])
+        scale *= step
+    return nums, den
 
 
 def specialize_count(terms, lam=None) -> int:
-    """Exact number of lattice points represented by the term sum.
+    """Exact number of lattice points represented by the term sum: every
+    term's dilation polynomial (`_term_polynomial`) at k = 1.
 
     Independent of the chosen generic lambda; a non-integer total means the
     lambda was not generic or the terms are wrong, and raises.
@@ -169,12 +208,8 @@ def specialize_count(terms, lam=None) -> int:
         lam = generic_lambda(terms)
     total = Fraction(0)
     for t in terms:
-        if not t.denominators:
-            total += 1
-            continue
-        nums, den = _term_weights(t, lam)
-        na = _idot(lam, t.numerator)
-        total += Fraction(sum(w * na**l for l, w in enumerate(nums)), den)
+        nums, den = _term_polynomial(t, lam)
+        total += Fraction(sum(nums), den)
     if total.denominator != 1:
         raise InternalInconsistencyError(f"specialization gave non-integer {total}")
     return int(total)
@@ -183,30 +218,19 @@ def specialize_count(terms, lam=None) -> int:
 def dilation_polynomial(terms, dim: int, lam=None):
     """Ehrhart coefficients from dilated terms z^(a + (k-1) v).
 
-    A term with Todd weights w_l contributes sum_l w_l <lam, a + (k-1)v>^l,
-    the weight polynomial shifted by <lam, a - v> (a Taylor shift) with k^m
-    scaled by <lam, v>^m.  The integer numerators of all terms are summed
-    over the lcm of their denominators, one division per coefficient at
-    the end.  All coefficients above the polytope dimension must vanish
-    exactly, and the constant term must be 1.
+    Each term's value at z = 1 is a polynomial in k with integer numerators
+    over one denominator (`_term_polynomial`).  The numerators of all terms
+    are summed over the lcm of their denominators, one division per
+    coefficient at the end.  All coefficients above the polytope dimension
+    must vanish exactly, and the constant term must be 1.
     """
     if lam is None:
         lam = generic_lambda(terms)
     smax = max((len(t.denominators) for t in terms), default=0)
     acc = [0] * (smax + 1)
     common = 1
-    points = 0  # point vertices: one lattice point per dilation
     for t in terms:
-        s = len(t.denominators)
-        if s == 0:
-            points += 1
-            continue
-        nums, den = _term_weights(t, lam)
-        va = _idot(lam, t.vertex)
-        shifted = _idot(lam, t.numerator) - va
-        for i in range(s):
-            for j in range(s - 1, i - 1, -1):
-                nums[j] += shifted * nums[j + 1]
+        nums, den = _term_polynomial(t, lam)
         grow = den // gcd(common, den)
         if grow > 1:
             common *= grow
@@ -214,9 +238,7 @@ def dilation_polynomial(terms, dim: int, lam=None):
         scale = common // den
         for m, c in enumerate(nums):
             acc[m] += c * scale
-            scale *= va
     coeffs = [Fraction(x, common) for x in acc]
-    coeffs[0] += points
     for m in range(dim + 1, smax + 1):
         if coeffs[m] != 0:
             raise InternalInconsistencyError(

@@ -24,7 +24,9 @@ class Matroid:
 
     Do not mutate after construction.  Rank queries are memoized, and the
     neighbor lists of bases are cached on first use because the search
-    heuristics hammer them.
+    heuristics hammer them.  Both caches stay behind when the matroid is
+    pickled (to worker processes, say): it travels as its constructor
+    arguments.
     """
 
     def __init__(self, kind, n, rank, data, label=None):
@@ -38,6 +40,9 @@ class Matroid:
 
     def __repr__(self):
         return f"Matroid({self.label}, n={self.n}, rank={self.rank})"
+
+    def __reduce__(self):
+        return (Matroid, (self.kind, self.n, self.rank, self.data, self.label))
 
     def _check_subset(self, subset):
         for i in subset:

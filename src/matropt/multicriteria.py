@@ -18,13 +18,17 @@ class WeightMatrix:
 
     `_points` memoizes basis -> projection for the search procedures in
     `heuristics`, which fill it through `project` on a miss.  It is bounded
-    by the number of bases a search visits, travels with `W` when pickled
-    to worker processes, and takes no part in equality or hashing.  The
-    brute-force oracles call `project` directly and never touch it.
+    by the number of bases a search visits, stays behind when `W` is
+    pickled to worker processes (each starts with an empty one), and takes
+    no part in equality or hashing.  The brute-force oracles call `project`
+    directly and never touch it.
     """
 
     rows: tuple
     _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __reduce__(self):
+        return (WeightMatrix, (self.rows,))
 
     def __post_init__(self):
         rows = tuple(tuple(int(x) for x in row) for row in self.rows)

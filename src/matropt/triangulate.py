@@ -40,7 +40,7 @@ class Cone:
 
     def __post_init__(self):
         for g in self.generators:
-            if all(x == 0 for x in g):
+            if not any(g):
                 raise DimensionError("cone generators must be nonzero")
 
 
@@ -60,17 +60,21 @@ class HalfOpenSimplicialCone:
 def tangent_cone(M, basis) -> Cone:
     """Vertex cone of the matroid polytope at e_B.
 
-    Generators are the edge directions toward the adjacent bases, which are
-    differences of two unit vectors by the exchange structure.
+    Generators are the edge directions toward the adjacent bases B - i + j,
+    the differences e_j - e_i of two unit vectors.
     """
     from .matroid import incidence_vector
 
     b = tuple(sorted(basis))
-    apex = incidence_vector(b, M.n)
-    gens = tuple(
-        tuple(a - c for a, c in zip(incidence_vector(nb, M.n), apex)) for nb in M.adjacent_bases(b)
-    )
-    return Cone(apex=apex, generators=gens)
+    gens = []
+    for nb in M.adjacent_bases(b):
+        g = [0] * M.n
+        for e in nb:
+            g[e] += 1
+        for e in b:
+            g[e] -= 1
+        gens.append(tuple(g))
+    return Cone(apex=incidence_vector(b, M.n), generators=tuple(gens))
 
 
 def placing_triangulation(points, order=None):
@@ -218,27 +222,35 @@ def tree_cells(cone: Cone):
     if {i for i, _ in ends} & {j for _, j in ends}:
         raise DimensionError("generators must all point from one side of a bipartition")
     n = len(apex)
-    supplies = [[sum(t**k * g[p] for k, g in enumerate(gens)) for p in range(n)] for t in (1, 2)]
     first, comp = 0, list(range(n))
     for k, (i, j) in enumerate(ends):  # Kruskal by index: the minimum spanning forest
         if comp[i] != comp[j]:
             first |= 1 << k
             comp = [comp[i] if c == comp[j] else c for c in comp]
-    cells, queue = {first: None}, [first]
+    forests, queue = {first: None}, [first]
     for tree in queue:  # grows while it is read: breadth-first over the cells
-        rows = _rooted_forest(tree, ends)
-        cells[tree] = [_tree_coordinates(rows, y, tree) for y in supplies]
+        bits = _bits(tree)
+        rows = _rooted_forest(bits, ends)
+        forests[tree] = (bits, rows)
         for nb in _neighbours(tree, rows, ends, n):
-            if nb not in cells:
-                cells[nb] = None
+            if nb not in forests:
+                forests[nb] = None
                 queue.append(nb)
-    t = 0 if all(0 not in coords[0] for coords in cells.values()) else 1
+    cells = list(forests.values())
+    y = _supply(ends, n, 1)
+    coords = []
+    for bits, rows in cells:
+        coords.append(_tree_coordinates(rows, y, bits))
+        if 0 in coords[-1]:  # t = 1 puts y on a wall: take t = 2 throughout
+            y = _supply(ends, n, 2)
+            coords = [_tree_coordinates(rows, y, bits) for bits, rows in cells]
+            break
     out = []
-    for tree, coords in cells.items():
-        if 0 in coords[t]:
+    for (bits, _), x in zip(cells, coords):
+        if 0 in x:
             raise InternalInconsistencyError("y = sum 2^k g_k lies on a cell wall")
-        strict = frozenset(j for j, x in enumerate(coords[t]) if x < 0)
-        out.append(HalfOpenSimplicialCone(apex, tuple(gens[k] for k in _bits(tree)), strict))
+        strict = frozenset(j for j, c in enumerate(x) if c < 0)
+        out.append(HalfOpenSimplicialCone(apex, tuple(gens[k] for k in bits), strict))
     if sum(1 for h in out if not h.strict_indices) != 1:
         raise InternalInconsistencyError("y is interior to the cone, so one cell must be closed")
     return out
@@ -257,12 +269,23 @@ def _bits(mask):
     return [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
-def _rooted_forest(tree, ends):
+def _supply(ends, n, t):
+    """y = sum_k t^k g_k for the generators g_k = e_j - e_i with ends (i, j)."""
+    y = [0] * n
+    w = 1
+    for i, j in ends:
+        y[i] -= w
+        y[j] += w
+        w *= t
+    return y
+
+
+def _rooted_forest(bits, ends):
     """Rows (vertex, parent, edge, +1 if the vertex is the edge's head else
-    -1) of a forest in preorder, so every vertex follows its parent; roots
-    are left out."""
+    -1) of the forest with edges `bits` in preorder, so every vertex follows
+    its parent; roots are left out."""
     adj: dict = {}
-    for k in _bits(tree):
+    for k in bits:
         i, j = ends[k]
         adj.setdefault(i, []).append((k, j, 1))
         adj.setdefault(j, []).append((k, i, -1))
@@ -312,8 +335,8 @@ def _neighbours(tree, rows, ends, n):
     return [tree ^ (1 << e) ^ (1 << f) for e, (_, f) in best.items()]
 
 
-def _tree_coordinates(rows, y, tree):
-    """Coordinates of y in the generators of a tree cell, in cone order:
+def _tree_coordinates(rows, y, bits):
+    """Coordinates of y in the generators `bits` of a tree cell, in cone order:
     the tree flow with supplies y.  The flow on a vertex's parent edge is
     the net supply of its subtree, signed by the edge's direction, so
     pruning leaves first gives every coordinate in O(n) integer steps."""
@@ -322,4 +345,4 @@ def _tree_coordinates(rows, y, tree):
     for v, p, k, sign in reversed(rows):
         net[p] += net[v]
         flow[k] = sign * net[v]
-    return [flow[k] for k in _bits(tree)]
+    return [flow[k] for k in bits]

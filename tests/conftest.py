@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import comb, factorial, gcd, lcm, perm
 
 import pytest
 
@@ -31,9 +31,10 @@ from matropt import (
     uniform_matroid,
     vector_matroid,
 )
+from matropt.genfun import _idot, _todd_log
 from matropt.heuristics import _derived_seed, _point, boundary_start, fiber_bfs
 from matropt.linalg import _extend, _integral, _unit
-from matropt.triangulate import _add_facets
+from matropt.triangulate import _add_facets, _exchange_edge
 
 K4_ADJACENCY = [
     [0, 1, 1, 1],
@@ -675,6 +676,186 @@ def genfun_of_halfopen(half) -> GenFunTerm:
         vertex=tuple(half.apex),
         denominators=tuple(half.generators),
     )
+
+
+# Tree cells with both supplies on every cell ------------------------------
+# `triangulate.tree_cells` as it was before it built the supplies from the
+# exchange edges and stopped the t = 1 coordinates at the first zero: every
+# cell gets its coordinates at t = 1 and t = 2, from supplies summed over
+# every generator and coordinate.
+
+
+def tree_cells_both_supplies(cone: Cone):
+    """The half-open tree cells of a vertex cone, in the same order, with
+    the same generators and strict flags as `triangulate.tree_cells`."""
+    apex = tuple(cone.apex)
+    gens = cone.generators
+    if not gens:
+        return [HalfOpenSimplicialCone(apex, (), frozenset())]
+    ends = [_exchange_edge(g) for g in gens]
+    if {i for i, _ in ends} & {j for _, j in ends}:
+        raise DimensionError("generators must all point from one side of a bipartition")
+    n = len(apex)
+    supplies = [[sum(t**k * g[p] for k, g in enumerate(gens)) for p in range(n)] for t in (1, 2)]
+    first, comp = 0, list(range(n))
+    for k, (i, j) in enumerate(ends):  # Kruskal by index: the minimum spanning forest
+        if comp[i] != comp[j]:
+            first |= 1 << k
+            comp = [comp[i] if c == comp[j] else c for c in comp]
+    cells, queue = {first: None}, [first]
+    for tree in queue:  # grows while it is read: breadth-first over the cells
+        rows = _mask_rooted_forest(tree, ends)
+        cells[tree] = [_mask_tree_coordinates(rows, y, tree) for y in supplies]
+        for nb in _mask_neighbours(tree, rows, ends, n):
+            if nb not in cells:
+                cells[nb] = None
+                queue.append(nb)
+    t = 0 if all(0 not in coords[0] for coords in cells.values()) else 1
+    out = []
+    for tree, coords in cells.items():
+        if 0 in coords[t]:
+            raise InternalInconsistencyError("y = sum 2^k g_k lies on a cell wall")
+        strict = frozenset(j for j, x in enumerate(coords[t]) if x < 0)
+        out.append(HalfOpenSimplicialCone(apex, tuple(gens[k] for k in _mask_bits(tree)), strict))
+    if sum(1 for h in out if not h.strict_indices) != 1:
+        raise InternalInconsistencyError("y is interior to the cone, so one cell must be closed")
+    return out
+
+
+def _mask_bits(mask):
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
+def _mask_rooted_forest(tree, ends):
+    """Rows (vertex, parent, edge, +1 if the vertex is the edge's head else
+    -1) of a forest in preorder, so every vertex follows its parent; roots
+    are left out."""
+    adj: dict = {}
+    for k in _mask_bits(tree):
+        i, j = ends[k]
+        adj.setdefault(i, []).append((k, j, 1))
+        adj.setdefault(j, []).append((k, i, -1))
+    rows, seen = [], set()
+    for r in adj:
+        stack = [] if r in seen else [r]
+        seen.add(r)
+        while stack:
+            v = stack.pop()
+            for k, w, sign in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    rows.append((w, v, k, sign))
+                    stack.append(w)
+    return rows
+
+
+def _mask_neighbours(tree, rows, ends, n):
+    """Cells across the facets of a tree cell, by one network-simplex ratio
+    test per tree edge."""
+    pi = [0] * n
+    depth = [0] * n
+    up = [None] * n  # (parent, edge, sign) per vertex
+    for v, p, k, sign in rows:
+        pi[v] = pi[p] + sign * (1 << k)
+        depth[v] = depth[p] + 1
+        up[v] = (p, k, sign)
+    best: dict = {}
+    for f, (a, b) in enumerate(ends):
+        if tree >> f & 1:
+            continue
+        cost = (1 << f) - (pi[b] - pi[a])
+        if cost <= 0:
+            raise InternalInconsistencyError("a tree with a non-positive reduced cost is not a cell")
+        u, w = a, b
+        while u != w:
+            if depth[u] >= depth[w]:
+                u, e, sign = up[u]
+                backward = sign > 0
+            else:
+                w, e, sign = up[w]
+                backward = sign < 0
+            if backward and (e not in best or cost < best[e][0]):
+                best[e] = (cost, f)
+    return [tree ^ (1 << e) ^ (1 << f) for e, (_, f) in best.items()]
+
+
+def _mask_tree_coordinates(rows, y, tree):
+    """Coordinates of y in the generators of a tree cell, in cone order,
+    by pruning leaves first."""
+    net = list(y)
+    flow = {}
+    for v, p, k, sign in reversed(rows):
+        net[p] += net[v]
+        flow[k] = sign * net[v]
+    return [flow[k] for k in _mask_bits(tree)]
+
+
+# Todd weights with a Taylor shift ------------------------------------------
+# `genfun.dilation_polynomial` as it was before the shift <lam, a - v> moved
+# into the exponential: Todd weights w_l of each term from a series product,
+# then a Taylor shift of sum_l w_l X^l and k^m scaled by <lam, v>^m.
+
+
+def _todd_product(m: int, xis):
+    """prod_j (x*xi_j / (1-exp(-x*xi_j))) truncated at x^m, in integers.
+
+    Returns (p, den) with coefficient n equal to p[n] / den.  The product
+    is exp(sum_k alpha_k / A * P_k x^k), P_k the power sums of the xi; with
+    xi_j = r_j / q and R_k = sum_j r_j^k, exp's recurrence
+    n g_n = sum_k k h_k g_(n-k) stays integral as g_n = gamma_n / (n! (Aq)^n),
+    gamma_n = sum_k k (n-1)!/(n-k)! alpha_k A^(k-1) R_k gamma_(n-k).
+    """
+    big, alpha = _todd_log(m)
+    xis = [Fraction(x) for x in xis]
+    q = lcm(*[x.denominator for x in xis])
+    rs = [x.numerator * (q // x.denominator) for x in xis]
+    weights = [
+        (k, alpha[k] * big ** (k - 1) * sum([r**k for r in rs]))
+        for k in range(1, m + 1)
+        if alpha[k]
+    ]
+    gamma = [1]
+    for n in range(1, m + 1):
+        gamma.append(sum([k * perm(n - 1, k - 1) * w * gamma[n - k] for k, w in weights if k <= n]))
+    scale = big * q
+    p = [g * perm(m, m - n) * scale ** (m - n) for n, g in enumerate(gamma)]
+    return p, factorial(m) * scale**m
+
+
+def _term_weights(term: GenFunTerm, lam):
+    """Todd weights w_0..w_s of one term at the singular point, as integer
+    numerators over one positive denominator: w_l = nums[l] / den.
+
+    w_l = (-1)^s td_(s-l)(-<lam, b_1>, ..., -<lam, b_s>) / (l! prod_j <lam, b_j>),
+    and all s + 1 Todd values come from a single series product.
+    """
+    s = len(term.denominators)
+    dots = [_idot(lam, b) for b in term.denominators]
+    if any(d == 0 for d in dots):
+        raise DimensionError("lambda is not generic for this term")
+    p, den = _todd_product(s, [-d for d in dots])
+    den *= factorial(s)
+    for d in dots:
+        den *= d
+    sign = -1 if (s % 2) != (den < 0) else 1
+    nums = [sign * p[s - l] * (factorial(s) // factorial(l)) for l in range(s + 1)]
+    return nums, abs(den)
+
+
+def term_polynomial_taylor_shift(term: GenFunTerm, lam):
+    """Coefficients of k^0..k^s, as Fractions, of the term's value at z = 1
+    in its k-th dilation: the Todd weights, shifted by <lam, a - v> and
+    scaled by <lam, v>^m."""
+    s = len(term.denominators)
+    if s == 0:
+        return [Fraction(1)]
+    nums, den = _term_weights(term, lam)
+    va = _idot(lam, term.vertex)
+    shifted = _idot(lam, term.numerator) - va
+    for i in range(s):
+        for j in range(s - 1, i - 1, -1):
+            nums[j] += shifted * nums[j + 1]
+    return [Fraction(c * va**m, den) for m, c in enumerate(nums)]
 
 
 # Fiber-BFS driver without the image stop -----------------------------------

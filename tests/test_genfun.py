@@ -6,7 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import catalog_connected, genfun_of_halfopen
+from conftest import (
+    catalog_connected,
+    catalog_small,
+    genfun_of_halfopen,
+    term_polynomial_taylor_shift,
+)
 from matropt import (
     DimensionError,
     GenFunTerm,
@@ -14,6 +19,7 @@ from matropt import (
     InternalInconsistencyError,
     count_lattice_points,
     dilation_lattice_count,
+    dilation_polynomial,
     ehrhart_polynomial,
     generic_lambda,
     hstar_from_counts,
@@ -24,6 +30,7 @@ from matropt import (
     todd_eval,
     uniform_matroid,
 )
+from matropt.genfun import _idot, _term_polynomial
 from matropt.oracles import evaluate_polynomial
 
 
@@ -168,6 +175,60 @@ class TestSpecializeCount:
             for b in t.denominators:
                 assert sum(x * y for x, y in zip(lam2, b)) != 0
         assert specialize_count(terms, lam1) == specialize_count(terms, lam2) == 16
+
+
+def _as_fractions(term, lam):
+    nums, den = _term_polynomial(term, lam)
+    assert den > 0
+    return [Fraction(c, den) for c in nums]
+
+
+class TestTermPolynomial:
+    """Each term's dilation polynomial from one exponential with the shift
+    folded in, against Todd weights followed by a Taylor shift."""
+
+    def test_catalog_terms_at_two_lambdas(self):
+        for M in catalog_small():  # the 8-edge wheel among them
+            terms = matroid_genfun(M)
+            lam1 = generic_lambda(terms)
+            if lam1 is None:
+                continue  # a point: no denominators
+            lam2 = tuple(23**p for p in range(len(lam1)))
+            for lam in (lam1, lam2):
+                for t in terms:
+                    assert _as_fractions(t, lam) == term_polynomial_taylor_shift(t, lam), (M, t)
+
+    def test_box_terms(self):
+        rng = random.Random(29)
+        for _ in range(10):
+            terms = box_terms([rng.randint(1, 6) for _ in range(rng.randint(1, 4))])
+            lam = generic_lambda(terms)
+            for t in terms:
+                assert _as_fractions(t, lam) == term_polynomial_taylor_shift(t, lam)
+
+    def test_random_terms(self):
+        # Denominators with arbitrary integer entries, not e_j - e_i.
+        rng = random.Random(31)
+        checked = 0
+        while checked < 200:
+            n, s = rng.randint(1, 5), rng.randint(0, 7)
+            dens = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(s))
+            if any(not any(b) for b in dens):
+                continue
+            lam = tuple(rng.randint(-9, 9) for _ in range(n))
+            if any(_idot(lam, b) == 0 for b in dens):
+                continue
+            vertex = tuple(rng.randint(-5, 5) for _ in range(n))
+            num = tuple(rng.randint(-5, 5) for _ in range(n))
+            t = GenFunTerm(num, vertex, dens)
+            assert _as_fractions(t, lam) == term_polynomial_taylor_shift(t, lam), t
+            checked += 1
+
+    def test_count_is_the_polynomial_at_one(self):
+        for M in catalog_small():
+            terms = matroid_genfun(M)
+            coeffs = dilation_polynomial(terms, polytope_dimension(M))
+            assert specialize_count(terms) == sum(coeffs)
 
 
 class TestMatroidGenfun:

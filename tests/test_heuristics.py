@@ -598,7 +598,27 @@ class TestProjectionMemo:
         assert filled._points and not fresh._points
         assert filled == fresh and hash(filled) == hash(fresh)
         assert repr(filled) == repr(fresh)
-        assert pickle.loads(pickle.dumps(filled))._points == filled._points
+        assert pickle.loads(pickle.dumps(filled))._points == {}
+
+
+class TestPickling:
+    def test_caches_stay_behind(self):
+        # Workers get M and W as their constructor arguments: a search that
+        # fills the rank, neighbour and projection caches pickles no more.
+        import pickle
+
+        rng = random.Random(41)
+        M = graphic_matroid([[int(i != j) for j in range(5)] for i in range(5)])
+        W = WeightMatrix(random_weight_matrix(rng, 2, M.n, 0, 9))
+        sizes = len(pickle.dumps(M)), len(pickle.dumps(W))
+        pivot_test(M, W, list(bounding_box(M, W).lattice_points()), tries=1, seed=2)
+        assert M._rank_cache and M._adj_cache and W._points
+        assert (len(pickle.dumps(M)), len(pickle.dumps(W))) == sizes
+        M2, W2 = pickle.loads(pickle.dumps((M, W)))
+        assert (M2.kind, M2.n, M2.rank, M2.data, M2.label) == (M.kind, M.n, M.rank, M.data, M.label)
+        assert W2 == W
+        assert M2._rank_cache == {} and M2._adj_cache == {} and W2._points == {}
+        assert sorted(enumerate_bases(M2)) == sorted(enumerate_bases(M))
 
 
 class TestSearchParams:

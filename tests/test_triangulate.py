@@ -16,6 +16,7 @@ from conftest import (
     half_open_decompose,
     join_to_apex,
     rational_kernel_basis,
+    tree_cells_both_supplies,
     visible,
 )
 from matropt import (
@@ -362,9 +363,15 @@ class TestTreeCells:
                 y = [a + c * x for a, x in zip(y, g)]
             halves = tree_cells(cone)
             for half in rng.sample(halves, min(len(halves), 12)):
-                tree = sum(1 << gens.index(g) for g in half.generators)
-                coords = _tree_coordinates(_rooted_forest(tree, ends), y, tree)
+                bits = [gens.index(g) for g in half.generators]
+                coords = _tree_coordinates(_rooted_forest(bits, ends), y, bits)
                 assert tuple(coords) == fraction_solve(half.generators, y)
+
+    def test_same_cells_as_both_supplies_route(self, oracle_cones):
+        # The same list as when every cell took its coordinates at t = 1
+        # and t = 2: cells, their order, generators and strict flags.
+        for cone, _ in oracle_cones:
+            assert tree_cells(cone) == tree_cells_both_supplies(cone)
 
     def test_catalog_cells_unimodular(self, catalog):
         for M in catalog:
