@@ -16,13 +16,10 @@ from .errors import (
 )
 from .genfun import (
     GenFunTerm,
-    count_lattice_points,
     dilation_polynomial,
     ehrhart_polynomial,
     generic_lambda,
     matroid_genfun,
-    specialize_count,
-    todd_eval,
 )
 from .heuristics import (
     SearchParams,
@@ -38,12 +35,7 @@ from .heuristics import (
 from .incidence import (
     NOT_A_2FACE,
     SQUARE_2FACE,
-    ExchangeGraphs,
     classify_square_2face,
-    exchange_graphs,
-    is_unimodular_simplex,
-    rank_component_relation,
-    reduced_determinant,
 )
 from .io import load_matroid, load_weights, parse_matroid, parse_weights
 from .matroid import (
@@ -51,9 +43,6 @@ from .matroid import (
     graphic_matroid,
     greedy_max_basis,
     incidence_vector,
-    is_connected,
-    matroid_components,
-    polytope_constraints,
     random_basis,
     uniform_matroid,
     vector_matroid,
@@ -74,7 +63,6 @@ from .oracles import (
     dilation_lattice_count,
     enumerate_bases,
     exact_projected_set,
-    interpolate_ehrhart,
     laplacian_tree_count,
     planar_convex_hull,
     polytope_dimension,

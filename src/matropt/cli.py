@@ -385,8 +385,9 @@ def cmd_check_unimodular(args):
         # Normalized volume over the affine lattice of the polytope: placing
         # cells are full-dimensional, so the gcd of the maximal minors of the
         # edge vectors is the cell's index in that lattice.  For a connected
-        # matroid this equals |det of the n incidence vectors| divided by the
-        # rank, so unimodularity reads "lattice det == 1".
+        # matroid (exactly when a cell has n vertices) this equals |det of
+        # the n incidence vectors| divided by the rank, checked on every such
+        # cell, so unimodularity reads "lattice det == 1".
         first = points[cell[0]]
         lattice_det = cell_lattice_determinant(
             [tuple(a - b for a, b in zip(points[idx], first)) for idx in cell[1:]]
@@ -399,6 +400,11 @@ def cmd_check_unimodular(args):
         }
         if len(cell) == M.n:
             entry["det"] = abs(bareiss_det([points[i] for i in cell]))
+            if entry["det"] != M.rank * lattice_det:
+                raise InternalInconsistencyError(
+                    f"cell {entry['cell']}: |det| {entry['det']} is not "
+                    f"rank {M.rank} times lattice det {lattice_det}"
+                )
         all_ok = all_ok and ok
         report.append(entry)
     _emit(args, {
@@ -414,8 +420,7 @@ def cmd_classify_2face(args):
     rows = parse_point_rows(read_text(args.points))
     if len(rows) != 4 or any(len(r) != M.n for r in rows):
         raise DimensionError("expected a 'vector 4 n' file of the four corners")
-    corners = [[int(x) for x in row] for row in rows]
-    verdict = classify_square_2face(M, *corners)
+    verdict = classify_square_2face(M, *rows)
     _emit(args, {"classification": verdict})
 
 

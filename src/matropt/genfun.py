@@ -12,7 +12,7 @@ point counting in rational convex polytopes, J. Symbolic Comput. 2004).
 Each term's value is a polynomial in k read off one integer exponential of
 a power series, with the dilation shift folded into its x^1 weight; it has
 integer numerators over one denominator, and the terms are summed over one
-common denominator.  Counting is the same polynomial at k = 1.
+common denominator.
 """
 
 from __future__ import annotations
@@ -122,24 +122,6 @@ def _exp_gamma(rows, beta_1: int, values):
     return gamma
 
 
-def todd_eval(m: int, xis):
-    """td_m(xi_1..xi_s): coefficient of x^m in prod_j (x*xi_j / (1-exp(-x*xi_j))).
-
-    The product is exp(sum_k alpha_k / A * P_k x^k), P_k the power sums of
-    the xi; with xi_j = r_j / q it is gamma_m / (m! (A q)^m) of one integer
-    exponential (`_exp_gamma`) of the power sums of the r_j, O(s m + m^2)
-    operations.
-    """
-    if m < 0:
-        raise DimensionError("order must be >= 0")
-    xis = [Fraction(x) for x in xis]
-    q = lcm(*[x.denominator for x in xis])
-    rs = [x.numerator * (q // x.denominator) for x in xis]
-    big, half, rows, _, _ = _exp_table(m)
-    gamma = _exp_gamma(rows, half * sum(rs), rs)
-    return Fraction(gamma[m], factorial(m) * (big * q) ** m)
-
-
 # Specialization at z = 1 --------------------------------------------------
 
 
@@ -197,24 +179,6 @@ def _term_polynomial(term: GenFunTerm, lam):
     return nums, den
 
 
-def specialize_count(terms, lam=None) -> int:
-    """Exact number of lattice points represented by the term sum: every
-    term's dilation polynomial (`_term_polynomial`) at k = 1.
-
-    Independent of the chosen generic lambda; a non-integer total means the
-    lambda was not generic or the terms are wrong, and raises.
-    """
-    if lam is None:
-        lam = generic_lambda(terms)
-    total = Fraction(0)
-    for t in terms:
-        nums, den = _term_polynomial(t, lam)
-        total += Fraction(sum(nums), den)
-    if total.denominator != 1:
-        raise InternalInconsistencyError(f"specialization gave non-integer {total}")
-    return int(total)
-
-
 def dilation_polynomial(terms, dim: int, lam=None):
     """Ehrhart coefficients from dilated terms z^(a + (k-1) v).
 
@@ -256,8 +220,3 @@ def ehrhart_polynomial(M: Matroid):
     dim = polytope_dimension(M, bases)
     terms = matroid_genfun(M, bases)
     return dilation_polynomial(terms, dim)
-
-
-def count_lattice_points(M: Matroid) -> int:
-    """#(P_M intersect Z^n) by specializing the generating function."""
-    return specialize_count(matroid_genfun(M))

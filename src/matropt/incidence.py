@@ -1,145 +1,14 @@
-"""Combinatorics of collections of basis incidence vectors.
+"""Square 2-faces of the matroid polytope.
 
-Two graphs sit on any collection X of incidence vectors: one joins rows
-that differ by a single exchange, the other joins the pair of coordinates
-realized by such an exchange.  Their component structure controls |det(X)|
-and hence which simplices on the vertices of P_M are unimodular.
+A parallelogram of vertices w1 + {0, e_s - e_t} + {0, e_m - e_l} of P_M is
+a square 2-face exactly when one of its two diagonal exchanges is not a
+vertex (`classify_square_2face`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DimensionError
-from .linalg import bareiss_det, rational_rank
 from .matroid import Matroid
-
-
-@dataclass(frozen=True)
-class ExchangeGraphs:
-    """row_edges joins exchange-adjacent rows, column_edges the coordinate
-    pairs those exchanges touch; node counts come with each edge set."""
-
-    n_rows: int
-    n_cols: int
-    row_edges: frozenset
-    column_edges: frozenset
-
-    def row_components(self):
-        return _components(self.n_rows, self.row_edges)
-
-    def column_components(self):
-        return _components(self.n_cols, self.column_edges)
-
-
-def _components(n, edges):
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values(), key=lambda g: g[0])
-
-
-def _validate_rows(rows):
-    rows = [tuple(int(x) for x in r) for r in rows]
-    if not rows:
-        raise DimensionError("need at least one incidence vector")
-    n = len(rows[0])
-    if any(len(r) != n for r in rows):
-        raise DimensionError("incidence vectors must share a length")
-    if any(x not in (0, 1) for r in rows for x in r):
-        raise DimensionError("incidence vectors must be 0/1")
-    if len(set(rows)) != len(rows):
-        raise DimensionError("incidence vectors must be distinct")
-    weights = {sum(r) for r in rows}
-    if len(weights) != 1:
-        raise DimensionError("incidence vectors must have a common weight")
-    return rows
-
-
-def exchange_graphs(rows) -> ExchangeGraphs:
-    """Build both exchange graphs of an incidence collection."""
-    rows = _validate_rows(rows)
-    n = len(rows[0])
-    row_edges = set()
-    col_edges = set()
-    for a in range(len(rows)):
-        for b in range(a + 1, len(rows)):
-            diff = [x - y for x, y in zip(rows[a], rows[b])]
-            plus = [i for i, d in enumerate(diff) if d == 1]
-            minus = [i for i, d in enumerate(diff) if d == -1]
-            if len(plus) == 1 and len(minus) == 1:
-                row_edges.add((a, b))
-                col_edges.add(tuple(sorted((plus[0], minus[0]))))
-    return ExchangeGraphs(
-        n_rows=len(rows),
-        n_cols=n,
-        row_edges=frozenset(row_edges),
-        column_edges=frozenset(col_edges),
-    )
-
-
-def reduced_determinant(rows):
-    """Collapse X along its exchange components and report |det|.
-
-    Rows are replaced by one representative per row component, columns are
-    summed over each column component; the c x c result has the same |det|
-    as X.  Requires linearly independent rows.
-    """
-    rows = _validate_rows(rows)
-    n = len(rows[0])
-    if len(rows) != n:
-        raise DimensionError("determinant reduction needs a square collection")
-    det = bareiss_det(rows)
-    if det == 0:
-        raise DimensionError("rows are linearly dependent; reduction skipped")
-    graphs = exchange_graphs(rows)
-    row_comps = graphs.row_components()
-    col_comps = graphs.column_components()
-    if len(row_comps) != len(col_comps):
-        # Equal component counts need independent rows from a connected
-        # matroid; a mismatch means the input broke that hypothesis.
-        raise DimensionError(
-            f"component counts differ: {len(row_comps)} row vs {len(col_comps)} column"
-        )
-    reps = [comp[0] for comp in row_comps]
-    reduced = [
-        tuple(sum(rows[rep][i] for i in comp) for comp in col_comps) for rep in reps
-    ]
-    reduced_det = bareiss_det(reduced)
-    return reduced, abs(det), abs(reduced_det)
-
-
-def is_unimodular_simplex(rows, M: Matroid) -> bool:
-    """A full simplex on vertices of P_M is unimodular iff |det| = rank."""
-    rows = _validate_rows(rows)
-    if len(rows) != M.n:
-        raise DimensionError(f"need exactly {M.n} incidence vectors")
-    return abs(bareiss_det(rows)) == M.rank
-
-
-def rank_component_relation(rows):
-    """(rank of X, column components) for a row-connected collection.
-
-    When the row graph is connected these satisfy
-    rank(X) = n + 1 - #column components.
-    """
-    rows = _validate_rows(rows)
-    graphs = exchange_graphs(rows)
-    if len(graphs.row_components()) != 1:
-        raise DimensionError("relation requires a connected row graph")
-    return rational_rank(rows), len(graphs.column_components())
 
 
 SQUARE_2FACE = "square-2-face"
@@ -155,13 +24,13 @@ def classify_square_2face(M: Matroid, w1, w2, w3, w4) -> str:
     least one of the two diagonal exchanges w1 + e_s - e_l, w1 + e_m - e_t
     fails to be a vertex of P_M.
     """
-    pts = [tuple(int(x) for x in w) for w in (w1, w2, w3, w4)]
+    pts = [tuple(w) for w in (w1, w2, w3, w4)]
     if any(len(p) != M.n for p in pts):
         raise DimensionError("points must have one coordinate per element")
+    if any(x not in (0, 1) for p in pts for x in p):
+        raise DimensionError("points must be 0/1 incidence vectors")
     for p in pts:
-        if any(x not in (0, 1) for x in p):
-            raise DimensionError("points must be 0/1 incidence vectors")
-        if not M.is_basis([i for i, x in enumerate(p) if x == 1]):
+        if not M.is_basis(_support(p)):
             raise DimensionError("all four points must be vertices of the polytope")
     s, t = _single_exchange(pts[0], pts[1])
     m, l = _single_exchange(pts[0], pts[2])

@@ -1,22 +1,22 @@
-"""Matroids behind a rank/independence oracle, with three exact backends.
+"""Matroids behind a rank oracle, with three exact backends.
 
-Elements are 0-based internally and rendered 1-based at the file/CLI surface.
-A `Matroid` is immutable after construction and safe to share across
-workers; every operation is a pure function of (matroid, arguments, seed).
+A `Matroid` (uniform, graphic or vector) answers rank, basis and
+basis-exchange queries; around it sit incidence vectors, the greedy
+maximum-weight basis and seeded random bases.  Elements are 0-based
+internally and rendered 1-based at the file/CLI surface.  A `Matroid` is
+immutable after construction and safe to share across workers; every
+operation is a pure function of (matroid, arguments, seed).
 """
 
 from __future__ import annotations
 
-import os
 import random
 from fractions import Fraction
-from itertools import combinations
 
-from .errors import CapError, DimensionError, ParseError
+from .errors import CapError, DimensionError
 from .linalg import _integral, rational_rank
 
 REJECTION_CAP = 10_000_000
-SUBSET_CAP_DEFAULT = 16
 
 
 class Matroid:
@@ -64,10 +64,6 @@ class Matroid:
             r = rational_rank([self.data[1][j] for j in key])
         self._rank_cache[key] = r
         return r
-
-    def is_independent(self, subset) -> bool:
-        subset = tuple(subset)
-        return self.rank_of(subset) == len(set(subset)) == len(subset)
 
     def is_basis(self, subset) -> bool:
         subset = set(subset)
@@ -203,72 +199,3 @@ def random_basis(M: Matroid, seed=None, rng=None):
         if M.rank_of(cand) == M.rank:
             return tuple(sorted(cand))
     raise CapError(f"no basis found in {REJECTION_CAP} random draws")
-
-
-class PolytopeConstraints:
-    """Facet-style description of the matroid polytope and its dilations.
-
-    Membership in k * P: x >= 0, sum(x) = k * rank, and for every nonempty
-    subset A, sum over A <= k * rank(A).
-    """
-
-    def __init__(self, M: Matroid, subset_ranks):
-        self.matroid = M
-        self.subset_ranks = subset_ranks  # dict frozenset -> rank
-
-    def contains(self, x, k=1) -> bool:
-        if len(x) != self.matroid.n:
-            raise DimensionError("point dimension mismatch")
-        xs = [Fraction(v) for v in x]
-        if any(v < 0 for v in xs):
-            return False
-        if sum(xs) != k * self.matroid.rank:
-            return False
-        for subset, r in self.subset_ranks.items():
-            if sum(xs[i] for i in subset) > k * r:
-                return False
-        return True
-
-
-def env_cap(name: str, default: int) -> int:
-    """Integer cap from the environment variable `name`, else `default`."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def polytope_constraints(M: Matroid, cap=None) -> PolytopeConstraints:
-    """All 2^n - 1 subset rank constraints; refuses ground sets above the cap."""
-    if cap is None:
-        cap = env_cap("MATROPT_SUBSET_CAP", SUBSET_CAP_DEFAULT)
-    if M.n > cap:
-        raise CapError(f"ground set size {M.n} exceeds subset-constraint cap {cap}")
-    ranks = {}
-    for size in range(1, M.n + 1):
-        for subset in combinations(range(M.n), size):
-            ranks[frozenset(subset)] = M.rank_of(subset)
-    return PolytopeConstraints(M, ranks)
-
-
-def is_connected(M: Matroid, bases=None) -> bool:
-    """Connectivity via the polytope dimension: dim P = n - #components."""
-    return matroid_components(M, bases) == 1
-
-
-def matroid_components(M: Matroid, bases=None) -> int:
-    """Number of connected components, as n minus the rank of edge directions."""
-    from .oracles import enumerate_bases
-
-    if bases is None:
-        bases = enumerate_bases(M)
-    base0 = incidence_vector(bases[0], M.n)
-    diffs = []
-    for b in bases[1:]:
-        vec = incidence_vector(b, M.n)
-        diffs.append(tuple(a - c for a, c in zip(vec, base0)))
-    dim = rational_rank(diffs) if diffs else 0
-    return M.n - dim

@@ -47,10 +47,8 @@ class WeightMatrix:
         return len(self.rows[0])
 
 
-def project(W: WeightMatrix, basis, n=None):
+def project(W: WeightMatrix, basis):
     """W e_B: sum the selected columns of each criteria row."""
-    if n is not None and W.n != n:
-        raise DimensionError(f"weight matrix has {W.n} columns, matroid has {n}")
     for i in basis:
         if not 0 <= i < W.n:
             raise DimensionError(f"basis element {i} outside weight columns")
@@ -72,9 +70,6 @@ def pareto_filter(points):
 class BoundingBox:
     lo: tuple
     hi: tuple
-
-    def contains(self, point) -> bool:
-        return all(a <= x <= b for a, x, b in zip(self.lo, point, self.hi))
 
     def lattice_points(self):
         """All integer points of the box, in row-major order."""

@@ -8,16 +8,27 @@ may ever call into the pipeline it validates.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import os
 from itertools import combinations
 from math import comb
 
-from .errors import CapError, DimensionError, InternalInconsistencyError
-from .linalg import bareiss_det
-from .matroid import Matroid, env_cap, matroid_components
+from .errors import CapError, DimensionError, ParseError
+from .linalg import bareiss_det, rational_rank
+from .matroid import Matroid, incidence_vector
 from .multicriteria import WeightMatrix, project
 
 BASES_CAP_DEFAULT = 10_000_000
+
+
+def env_cap(name: str, default: int) -> int:
+    """Integer cap from the environment variable `name`, else `default`."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParseError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def enumerate_bases(M: Matroid, cap=None):
@@ -202,48 +213,12 @@ def dilation_lattice_count(M: Matroid, k: int) -> int:
     return count
 
 
-def interpolate_ehrhart(counts, dim: int):
-    """Unique degree-dim polynomial through counts at k = 0, 1, 2, ...
-
-    Over-determined tables must agree with the fit; disagreement signals an
-    upstream bug and raises.
-    Returns ascending coefficients as exact Fractions.
-    """
-    if len(counts) < dim + 1:
-        raise DimensionError(f"need at least {dim + 1} counts for degree {dim}")
-    xs = list(range(dim + 1))
-    ys = [Fraction(c) for c in counts[: dim + 1]]
-    # Newton divided differences, then expand to monomial coefficients.
-    table = list(ys)
-    for level in range(1, dim + 1):
-        for i in range(dim, level - 1, -1):
-            table[i] = (table[i] - table[i - 1]) / (xs[i] - xs[i - level])
-    coeffs = [Fraction(0)] * (dim + 1)
-    basis = [Fraction(1)]  # expanding product (k - x_0)...(k - x_{i-1})
-    for i in range(dim + 1):
-        for j, b in enumerate(basis):
-            coeffs[j] += table[i] * b
-        new = [Fraction(0)] * (len(basis) + 1)
-        for j, b in enumerate(basis):
-            new[j] -= b * xs[i]
-            new[j + 1] += b
-        basis = new
-    for k in range(dim + 1, len(counts)):
-        if evaluate_polynomial(coeffs, k) != counts[k]:
-            raise InternalInconsistencyError(
-                f"count at k={k} disagrees with the degree-{dim} interpolant"
-            )
-    return tuple(coeffs)
-
-
-def evaluate_polynomial(coeffs, k):
-    """Horner evaluation with exact arithmetic."""
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * k + c
-    return acc
-
-
 def polytope_dimension(M: Matroid, bases=None) -> int:
-    """dim P_M = n - number of connected components of the matroid."""
-    return M.n - matroid_components(M, bases)
+    """dim P_M: the rank of the edge directions from one vertex to the rest
+    (n minus the number of connected components of the matroid)."""
+    if bases is None:
+        bases = enumerate_bases(M)
+    base0 = incidence_vector(bases[0], M.n)
+    return rational_rank(
+        [tuple(a - c for a, c in zip(incidence_vector(b, M.n), base0)) for b in bases[1:]]
+    )

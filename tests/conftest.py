@@ -7,6 +7,7 @@ definitions) so they can serve as oracles for the package's cleverer code.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, gcd, lcm, perm
@@ -23,17 +24,19 @@ from matropt import (
     bounded_composition_counts,
     cell_lattice_determinant,
     enumerate_bases,
+    generic_lambda,
     graphic_matroid,
     incidence_vector,
-    is_connected,
+    matroid_genfun,
     placing_triangulation,
+    polytope_dimension,
     random_basis,
     uniform_matroid,
     vector_matroid,
 )
-from matropt.genfun import _idot, _todd_log
+from matropt.genfun import _exp_gamma, _exp_table, _idot, _term_polynomial, _todd_log
 from matropt.heuristics import _derived_seed, _point, boundary_start, fiber_bfs
-from matropt.linalg import _extend, _integral, _unit
+from matropt.linalg import _extend, _integral, _unit, bareiss_det, rational_rank
 from matropt.triangulate import _add_facets, _exchange_edge
 
 K4_ADJACENCY = [
@@ -141,7 +144,7 @@ def catalog_small():
 
 
 def catalog_connected(max_n):
-    return [M for M in catalog_small() if M.n <= max_n and is_connected(M)]
+    return [M for M in catalog_small() if M.n <= max_n and polytope_dimension(M) == M.n - 1]
 
 
 @pytest.fixture(scope="session")
@@ -908,6 +911,269 @@ def fiber_bfs_driver_loop(M: Matroid, W, params):
             if successes >= params.num_searches:
                 break
     return seen, witnesses
+
+
+# Exchange graphs and determinant reduction --------------------------------
+# Two graphs sit on any collection X of incidence vectors: one joins rows
+# that differ by a single exchange, the other joins the pair of coordinates
+# realized by such an exchange.  Their component structure controls |det(X)|
+# and hence which simplices on the vertices of P_M are unimodular: a second
+# route to the lattice determinants of `check-unimodular`.
+
+
+@dataclass(frozen=True)
+class ExchangeGraphs:
+    """row_edges joins exchange-adjacent rows, column_edges the coordinate
+    pairs those exchanges touch; node counts come with each edge set."""
+
+    n_rows: int
+    n_cols: int
+    row_edges: frozenset
+    column_edges: frozenset
+
+    def row_components(self):
+        return _components(self.n_rows, self.row_edges)
+
+    def column_components(self):
+        return _components(self.n_cols, self.column_edges)
+
+
+def _components(n, edges):
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values(), key=lambda g: g[0])
+
+
+def _validate_rows(rows):
+    rows = [tuple(int(x) for x in r) for r in rows]
+    if not rows:
+        raise DimensionError("need at least one incidence vector")
+    n = len(rows[0])
+    if any(len(r) != n for r in rows):
+        raise DimensionError("incidence vectors must share a length")
+    if any(x not in (0, 1) for r in rows for x in r):
+        raise DimensionError("incidence vectors must be 0/1")
+    if len(set(rows)) != len(rows):
+        raise DimensionError("incidence vectors must be distinct")
+    weights = {sum(r) for r in rows}
+    if len(weights) != 1:
+        raise DimensionError("incidence vectors must have a common weight")
+    return rows
+
+
+def exchange_graphs(rows) -> ExchangeGraphs:
+    """Build both exchange graphs of an incidence collection."""
+    rows = _validate_rows(rows)
+    n = len(rows[0])
+    row_edges = set()
+    col_edges = set()
+    for a in range(len(rows)):
+        for b in range(a + 1, len(rows)):
+            diff = [x - y for x, y in zip(rows[a], rows[b])]
+            plus = [i for i, d in enumerate(diff) if d == 1]
+            minus = [i for i, d in enumerate(diff) if d == -1]
+            if len(plus) == 1 and len(minus) == 1:
+                row_edges.add((a, b))
+                col_edges.add(tuple(sorted((plus[0], minus[0]))))
+    return ExchangeGraphs(
+        n_rows=len(rows),
+        n_cols=n,
+        row_edges=frozenset(row_edges),
+        column_edges=frozenset(col_edges),
+    )
+
+
+def reduced_determinant(rows):
+    """Collapse X along its exchange components and report |det|.
+
+    Rows are replaced by one representative per row component, columns are
+    summed over each column component; the c x c result has the same |det|
+    as X.  Requires linearly independent rows.
+    """
+    rows = _validate_rows(rows)
+    n = len(rows[0])
+    if len(rows) != n:
+        raise DimensionError("determinant reduction needs a square collection")
+    det = bareiss_det(rows)
+    if det == 0:
+        raise DimensionError("rows are linearly dependent; reduction skipped")
+    graphs = exchange_graphs(rows)
+    row_comps = graphs.row_components()
+    col_comps = graphs.column_components()
+    if len(row_comps) != len(col_comps):
+        # Equal component counts need independent rows from a connected
+        # matroid; a mismatch means the input broke that hypothesis.
+        raise DimensionError(
+            f"component counts differ: {len(row_comps)} row vs {len(col_comps)} column"
+        )
+    reps = [comp[0] for comp in row_comps]
+    reduced = [
+        tuple(sum(rows[rep][i] for i in comp) for comp in col_comps) for rep in reps
+    ]
+    reduced_det = bareiss_det(reduced)
+    return reduced, abs(det), abs(reduced_det)
+
+
+def is_unimodular_simplex(rows, M: Matroid) -> bool:
+    """A full simplex on vertices of P_M is unimodular iff |det| = rank."""
+    rows = _validate_rows(rows)
+    if len(rows) != M.n:
+        raise DimensionError(f"need exactly {M.n} incidence vectors")
+    return abs(bareiss_det(rows)) == M.rank
+
+
+def rank_component_relation(rows):
+    """(rank of X, column components) for a row-connected collection.
+
+    When the row graph is connected these satisfy
+    rank(X) = n + 1 - #column components.
+    """
+    rows = _validate_rows(rows)
+    graphs = exchange_graphs(rows)
+    if len(graphs.row_components()) != 1:
+        raise DimensionError("relation requires a connected row graph")
+    return rational_rank(rows), len(graphs.column_components())
+
+
+# Lattice-point counts and Todd values from the pipeline's kernels ---------
+# `genfun._term_polynomial` at k = 1 counts the lattice points of a term
+# sum; `genfun._exp_gamma` alone gives one Todd polynomial value.  Both
+# check the kernels of `ehrhart_polynomial` against brute-force routes.
+
+
+def todd_eval(m: int, xis):
+    """td_m(xi_1..xi_s): coefficient of x^m in prod_j (x*xi_j / (1-exp(-x*xi_j))).
+
+    The product is exp(sum_k alpha_k / A * P_k x^k), P_k the power sums of
+    the xi; with xi_j = r_j / q it is gamma_m / (m! (A q)^m) of one integer
+    exponential (`_exp_gamma`) of the power sums of the r_j, O(s m + m^2)
+    operations.
+    """
+    if m < 0:
+        raise DimensionError("order must be >= 0")
+    xis = [Fraction(x) for x in xis]
+    q = lcm(*[x.denominator for x in xis])
+    rs = [x.numerator * (q // x.denominator) for x in xis]
+    big, half, rows, _, _ = _exp_table(m)
+    gamma = _exp_gamma(rows, half * sum(rs), rs)
+    return Fraction(gamma[m], factorial(m) * (big * q) ** m)
+
+
+def specialize_count(terms, lam=None) -> int:
+    """Exact number of lattice points represented by the term sum: every
+    term's dilation polynomial (`_term_polynomial`) at k = 1.
+
+    Independent of the chosen generic lambda; a non-integer total means the
+    lambda was not generic or the terms are wrong, and raises.
+    """
+    if lam is None:
+        lam = generic_lambda(terms)
+    total = Fraction(0)
+    for t in terms:
+        nums, den = _term_polynomial(t, lam)
+        total += Fraction(sum(nums), den)
+    if total.denominator != 1:
+        raise InternalInconsistencyError(f"specialization gave non-integer {total}")
+    return int(total)
+
+
+def count_lattice_points(M: Matroid) -> int:
+    """#(P_M intersect Z^n) by specializing the generating function."""
+    return specialize_count(matroid_genfun(M))
+
+
+# Ehrhart interpolation and the subset-rank facet description -------------
+# Counts at k = 0..dim fix the Ehrhart polynomial; membership in k * P_M is
+# read off all 2^n - 1 subset rank constraints.
+
+
+def interpolate_ehrhart(counts, dim: int):
+    """Unique degree-dim polynomial through counts at k = 0, 1, 2, ...
+
+    Over-determined tables must agree with the fit; disagreement signals an
+    upstream bug and raises.
+    Returns ascending coefficients as exact Fractions.
+    """
+    if len(counts) < dim + 1:
+        raise DimensionError(f"need at least {dim + 1} counts for degree {dim}")
+    xs = list(range(dim + 1))
+    ys = [Fraction(c) for c in counts[: dim + 1]]
+    # Newton divided differences, then expand to monomial coefficients.
+    table = list(ys)
+    for level in range(1, dim + 1):
+        for i in range(dim, level - 1, -1):
+            table[i] = (table[i] - table[i - 1]) / (xs[i] - xs[i - level])
+    coeffs = [Fraction(0)] * (dim + 1)
+    basis = [Fraction(1)]  # expanding product (k - x_0)...(k - x_{i-1})
+    for i in range(dim + 1):
+        for j, b in enumerate(basis):
+            coeffs[j] += table[i] * b
+        new = [Fraction(0)] * (len(basis) + 1)
+        for j, b in enumerate(basis):
+            new[j] -= b * xs[i]
+            new[j + 1] += b
+        basis = new
+    for k in range(dim + 1, len(counts)):
+        if evaluate_polynomial(coeffs, k) != counts[k]:
+            raise InternalInconsistencyError(
+                f"count at k={k} disagrees with the degree-{dim} interpolant"
+            )
+    return tuple(coeffs)
+
+
+def evaluate_polynomial(coeffs, k):
+    """Horner evaluation with exact arithmetic."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * k + c
+    return acc
+
+
+class PolytopeConstraints:
+    """Facet-style description of the matroid polytope and its dilations.
+
+    Membership in k * P: x >= 0, sum(x) = k * rank, and for every nonempty
+    subset A, sum over A <= k * rank(A).
+    """
+
+    def __init__(self, M: Matroid, subset_ranks):
+        self.matroid = M
+        self.subset_ranks = subset_ranks  # dict frozenset -> rank
+
+    def contains(self, x, k=1) -> bool:
+        if len(x) != self.matroid.n:
+            raise DimensionError("point dimension mismatch")
+        xs = [Fraction(v) for v in x]
+        if any(v < 0 for v in xs):
+            return False
+        if sum(xs) != k * self.matroid.rank:
+            return False
+        for subset, r in self.subset_ranks.items():
+            if sum(xs[i] for i in subset) > k * r:
+                return False
+        return True
+
+
+def polytope_constraints(M: Matroid) -> PolytopeConstraints:
+    """All 2^n - 1 subset rank constraints."""
+    ranks = {}
+    for size in range(1, M.n + 1):
+        for subset in combinations(range(M.n), size):
+            ranks[frozenset(subset)] = M.rank_of(subset)
+    return PolytopeConstraints(M, ranks)
 
 
 # Sequence helpers ----------------------------------------------------------

@@ -13,10 +13,17 @@ from conftest import (
     catalog_connected,
     composition_count,
     cone_triangulation,
+    evaluate_polynomial,
+    exchange_graphs,
     incidence_rows,
+    interpolate_ehrhart,
     is_unimodal,
+    is_unimodular_simplex,
     random_connected_graph,
     random_weight_matrix,
+    reduced_determinant,
+    specialize_count,
+    todd_eval,
 )
 from matropt import (
     Linear,
@@ -31,14 +38,11 @@ from matropt import (
     ehrhart_uniform,
     enumerate_bases,
     exact_projected_set,
-    exchange_graphs,
     fiber_bfs_driver,
     graphic_matroid,
     hstar_from_counts,
     hstar_uniform,
     incidence_vector,
-    interpolate_ehrhart,
-    is_unimodular_simplex,
     laplacian_tree_count,
     local_search,
     pareto_filter,
@@ -47,17 +51,13 @@ from matropt import (
     project,
     projected_boundary,
     random_basis,
-    reduced_determinant,
     spanning_trees,
-    specialize_count,
     tangent_cone,
-    todd_eval,
     uniform_matroid,
     generic_lambda,
     matroid_genfun,
 )
 from matropt.linalg import bareiss_det
-from matropt.oracles import evaluate_polynomial
 from test_genfun import box_terms, todd_taylor_oracle
 
 K4_EHRHART = (

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_graph, random_weight_matrix
+from conftest import evaluate_polynomial, random_connected_graph, random_weight_matrix
 from matropt import cli
 
 K4_GRAPH = "graph 4\n0 1 1 1\n1 0 1 1\n1 1 0 1\n1 1 1 0\n"
@@ -418,6 +418,24 @@ class TestExitCodes:
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    def test_fractional_2face_corner_is_three(self, files, tmp_path):
+        quad = tmp_path / "frac.points"
+        quad.write_text("vector 4 4\n3/2 1 0 0\n0 1 1 0\n1 0 0 1\n0 0 1 1\n")
+        res = run_cli("classify-2face", "--matroid", files["u24.matroid"],
+                      "--points", str(quad))
+        self._one_error_line(res, 3)
+        assert res.stdout == ""
+
+    def test_check_unimodular_det_relation_is_five(self, files, monkeypatch, capsys):
+        # On a full-size cell |det| must be rank times the lattice
+        # determinant; a wrong lattice determinant is caught, not printed.
+        monkeypatch.setattr(cli, "cell_lattice_determinant", lambda rows: 2)
+        assert cli.main(["check-unimodular", "--matroid", files["u24.matroid"]]) == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_non_basis_start_is_three(self, files):
         res = run_cli("ls", "--matroid", files["k4.graph"], "--weights", files["k4.weights"],
                       "--seed", "1", "--start", "1,2,4", "--target", "9,9")
@@ -496,7 +514,6 @@ class TestRoundTripValidation:
 
     def test_ehrhart_coefficients_revalidate(self, files):
         from matropt.io import parse_rational
-        from matropt.oracles import evaluate_polynomial
 
         res = run_cli("ehrhart", "--matroid", files["k4.graph"])
         coeffs = [parse_rational(tok) for tok in json.loads(res.stdout)["coefficients"]]

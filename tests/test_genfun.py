@@ -9,29 +9,29 @@ import pytest
 from conftest import (
     catalog_connected,
     catalog_small,
+    count_lattice_points,
+    evaluate_polynomial,
     genfun_of_halfopen,
+    interpolate_ehrhart,
+    specialize_count,
     term_polynomial_taylor_shift,
+    todd_eval,
 )
 from matropt import (
     DimensionError,
     GenFunTerm,
     HalfOpenSimplicialCone,
     InternalInconsistencyError,
-    count_lattice_points,
     dilation_lattice_count,
     dilation_polynomial,
     ehrhart_polynomial,
     generic_lambda,
     hstar_from_counts,
-    interpolate_ehrhart,
     matroid_genfun,
     polytope_dimension,
-    specialize_count,
-    todd_eval,
     uniform_matroid,
 )
 from matropt.genfun import _idot, _term_polynomial
-from matropt.oracles import evaluate_polynomial
 
 
 def todd_taylor_oracle(m, xis):

@@ -1,22 +1,26 @@
 """Exchange graphs, determinant reduction, unimodular simplices, 2-faces."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from conftest import catalog_connected, incidence_rows
+from conftest import (
+    catalog_connected,
+    exchange_graphs,
+    incidence_rows,
+    is_unimodular_simplex,
+    rank_component_relation,
+    reduced_determinant,
+)
 from matropt import (
     DimensionError,
     NOT_A_2FACE,
     SQUARE_2FACE,
     classify_square_2face,
     enumerate_bases,
-    exchange_graphs,
     incidence_vector,
-    is_unimodular_simplex,
-    rank_component_relation,
-    reduced_determinant,
     uniform_matroid,
 )
 from matropt.linalg import bareiss_det
@@ -232,6 +236,14 @@ class TestSquare2Face:
         w2 = (1, 0, 1, 0)
         with pytest.raises(DimensionError):
             classify_square_2face(u24, w1, w2, w2, w1)
+
+    def test_fractional_corner_rejected(self, u24):
+        # Truncated to 1, the 3/2 would turn the corners into a valid
+        # parallelogram of U(2,4), which is not a 2-face.
+        rest = [(0, 1, 1, 0), (1, 0, 0, 1), (0, 0, 1, 1)]
+        with pytest.raises(DimensionError, match="0/1"):
+            classify_square_2face(u24, (Fraction(3, 2), 1, 0, 0), *rest)
+        assert classify_square_2face(u24, (Fraction(1), 1, 0, 0), *rest) == NOT_A_2FACE
 
     def test_candidates_never_a_third_shape(self):
         # Sweep all parallelogram quadruples of catalog vertices: each either

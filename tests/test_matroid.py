@@ -13,15 +13,14 @@ from conftest import (
     brute_max_weight,
     brute_rank,
     k4_matroid,
+    polytope_constraints,
 )
 from matropt import (
-    CapError,
     DimensionError,
     ParseError,
     enumerate_bases,
     graphic_matroid,
     greedy_max_basis,
-    polytope_constraints,
     random_basis,
     uniform_matroid,
     vector_matroid,
@@ -211,23 +210,7 @@ class TestPolytopeConstraints:
         assert pc.contains((2, 1, 1, 0), k=2)
         assert not pc.contains((3, 1, 0, 0), k=2)  # x_i <= k fails
 
-    def test_cap(self):
-        with pytest.raises(CapError):
-            polytope_constraints(uniform_matroid(17, 2))
-
-    def test_cap_from_environment_boundary(self, monkeypatch):
-        M = uniform_matroid(5, 2)
-        monkeypatch.setenv("MATROPT_SUBSET_CAP", "5")
-        assert len(polytope_constraints(M).subset_ranks) == 2**5 - 1
-        monkeypatch.setenv("MATROPT_SUBSET_CAP", "4")
-        with pytest.raises(CapError) as info:
-            polytope_constraints(M)
-        assert info.value.exit_code == 4
-
     def test_non_integer_caps_are_parse_errors(self, monkeypatch):
-        monkeypatch.setenv("MATROPT_SUBSET_CAP", "abc")
-        with pytest.raises(ParseError, match="MATROPT_SUBSET_CAP"):
-            polytope_constraints(uniform_matroid(4, 2))
         monkeypatch.setenv("MATROPT_BASES_CAP", "1e3")
         with pytest.raises(ParseError, match="MATROPT_BASES_CAP"):
             enumerate_bases(uniform_matroid(4, 2))

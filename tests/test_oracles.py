@@ -6,7 +6,13 @@ from itertools import combinations
 
 import pytest
 
-from conftest import cycle_adjacency, random_connected_graph
+from conftest import (
+    cycle_adjacency,
+    evaluate_polynomial,
+    interpolate_ehrhart,
+    polytope_constraints,
+    random_connected_graph,
+)
 from matropt import (
     CapError,
     DimensionError,
@@ -16,16 +22,13 @@ from matropt import (
     enumerate_bases,
     exact_projected_set,
     graphic_matroid,
-    interpolate_ehrhart,
     laplacian_tree_count,
     planar_convex_hull,
-    polytope_constraints,
     polytope_dimension,
     project,
     spanning_trees,
     uniform_matroid,
 )
-from matropt.oracles import evaluate_polynomial
 
 
 def cube_adjacency():

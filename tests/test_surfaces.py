@@ -1,11 +1,16 @@
-"""Cross-cutting surfaces: the error taxonomy and the equivalence of the
-placing fast path with the visibility LP."""
+"""Cross-cutting surfaces: the error taxonomy, the public names the library
+itself uses, and the equivalence of the placing fast path with the
+visibility LP."""
 
+import ast
 import random
+import types
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
+import matropt
 from conftest import fraction_rank, visible
 from matropt import (
     CapError,
@@ -41,6 +46,30 @@ class TestErrorTaxonomy:
         assert CapError("x").exit_code == 4
         assert InternalInconsistencyError("x").exit_code == 5
         assert issubclass(ParseError, MatroptError)
+
+
+class TestPublicNamesAreUsed:
+    def test_every_exported_name_is_referenced_in_the_library(self):
+        # A name exported from the package that no library module refers to
+        # has only tests as callers; such code belongs with the oracles in
+        # tests/conftest.py.
+        used = set()
+        package = Path(matropt.__file__).parent
+        for path in package.glob("*.py"):
+            if path.name == "__init__.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    used.update(alias.name for alias in node.names)
+        exported = {
+            name for name in matropt.__all__
+            if not isinstance(getattr(matropt, name), types.ModuleType)
+        }
+        assert sorted(exported - used) == []
 
 
 class TestPlacingMatchesVisibilityLP:

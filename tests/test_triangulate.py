@@ -122,7 +122,7 @@ class TestPlacingTriangulation:
             assert total == sum(hstar_from_counts(counts, dim))
 
     def test_cells_inside_polytope_sampled(self, u24):
-        from matropt import polytope_constraints
+        from conftest import polytope_constraints
 
         bases = enumerate_bases(u24)
         pts = [incidence_vector(b, u24.n) for b in bases]

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import composition_count, hstar_uniform_triple_sum, is_unimodal
+from conftest import (
+    composition_count,
+    evaluate_polynomial,
+    hstar_uniform_triple_sum,
+    is_unimodal,
+)
 from matropt import (
     DimensionError,
     InternalInconsistencyError,
@@ -17,7 +22,6 @@ from matropt import (
     hstar_uniform,
     uniform_matroid,
 )
-from matropt.oracles import evaluate_polynomial
 
 
 def expand_power_oracle(n, r):
