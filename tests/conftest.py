@@ -23,6 +23,7 @@ from matropt import (
     Matroid,
     bounded_composition_counts,
     cell_lattice_determinant,
+    ehrhart_uniform,
     enumerate_bases,
     generic_lambda,
     graphic_matroid,
@@ -1196,3 +1197,56 @@ def is_unimodal(vec) -> bool:
     while i + 1 < len(seq) and seq[i] >= seq[i + 1]:
         i += 1
     return i == len(seq) - 1
+
+
+# Sparse paving matroids: Ehrhart polynomials without a generic vector ------
+# Ferroni (Matroids are not Ehrhart positive, Adv. Math. 2022; On the
+# Ehrhart polynomial of minimal matroids, Discrete Comput. Geom. 2022): a
+# sparse paving matroid M of rank r on n elements with lam circuit-
+# hyperplanes has ehr(M, t) = ehr(U(r, n), t) - lam * ehr(T(r, n), t - 1),
+# where T(r, n) is the minimal matroid, whose Ehrhart polynomial has a
+# closed form of its own.  Neither uses the generating-function pipeline.
+
+
+def minimal_matroid(r: int, n: int) -> Matroid:
+    """T(r, n): columns e_1..e_r and n - r copies of (1, ..., 1).  Its bases
+    are {0..r-1} and every single exchange of it, r(n - r) + 1 in all."""
+    return vector_matroid([[int(i == j) for j in range(r)] + [1] * (n - r) for i in range(r)])
+
+
+def sparse_paving_non_bases(M: Matroid):
+    """The non-bases of M when M is sparse paving, else None.  M is sparse
+    paving when its non-bases (r-subsets that are not bases) pairwise share
+    at most r - 2 elements; they are then its circuit-hyperplanes."""
+    r = M.rank
+    non_bases = [set(s) for s in combinations(range(M.n), r) if not M.is_basis(s)]
+    if any(len(a & b) > r - 2 for a, b in combinations(non_bases, 2)):
+        return None
+    return non_bases
+
+
+def _binomial(x: int, m: int) -> Fraction:
+    """C(x, m) as the polynomial x (x - 1) ... (x - m + 1) / m!, any integer x."""
+    p = 1
+    for i in range(m):
+        p *= x - i
+    return Fraction(p, factorial(m))
+
+
+def minimal_matroid_count(r: int, n: int, t: int) -> Fraction:
+    """ehr(T(r, n), t) = C(t + n - r, n - r) / C(n - 1, r - 1)
+    * sum_(j < r) C(n - r - 1 + j, j) C(t + j, j), for 1 <= r < n."""
+    total = sum(comb(n - r - 1 + j, j) * _binomial(t + j, j) for j in range(r))
+    return _binomial(t + n - r, n - r) * total / comb(n - 1, r - 1)
+
+
+def sparse_paving_count(M: Matroid, t: int) -> Fraction:
+    """ehr(M, t) of a sparse paving matroid by Ferroni's relation."""
+    non_bases = sparse_paving_non_bases(M)
+    if non_bases is None:
+        raise DimensionError(f"{M} is not sparse paving")
+    r, n = M.rank, M.n
+    if r in (0, n):
+        return Fraction(1)  # P_M is a point
+    uniform = evaluate_polynomial(ehrhart_uniform(n, r), t)
+    return uniform - len(non_bases) * minimal_matroid_count(r, n, t - 1)

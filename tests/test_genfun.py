@@ -13,6 +13,10 @@ from conftest import (
     evaluate_polynomial,
     genfun_of_halfopen,
     interpolate_ehrhart,
+    minimal_matroid,
+    minimal_matroid_count,
+    sparse_paving_count,
+    sparse_paving_non_bases,
     specialize_count,
     term_polynomial_taylor_shift,
     todd_eval,
@@ -25,6 +29,7 @@ from matropt import (
     dilation_lattice_count,
     dilation_polynomial,
     ehrhart_polynomial,
+    enumerate_bases,
     generic_lambda,
     hstar_from_counts,
     matroid_genfun,
@@ -354,6 +359,24 @@ class TestEhrhartPipeline:
         )
         assert evaluate_polynomial(coeffs, 1) == 432
 
+    @pytest.mark.slow
+    def test_k6_pinned(self):
+        # K6 (15 edges, 1,296 bases, dim 14, 350,370 cells): about a minute,
+        # so it runs only under `pytest -m slow`.  The value at k = 1 is the
+        # spanning-tree count 6^4 (Cayley).
+        from matropt import graphic_matroid
+
+        M = graphic_matroid([[int(i != j) for j in range(6)] for i in range(6)])
+        coeffs = ehrhart_polynomial(M)
+        assert coeffs == tuple(map(Fraction, (
+            "1", "1563391/180180", "2710218517/75675600", "37289185/399168",
+            "187782661/1088640", "57856559/241920", "5603803493/21772800",
+            "2267927/10368", "2247716213/15240960", "56758883/725760",
+            "346782833/10886400", "1271213/133056", "47174219/23950080",
+            "12821917/51891840", "5591699/396264960",
+        )))
+        assert evaluate_polynomial(coeffs, 1) == 1296
+
     def test_vector_backend_agrees_with_graphic(self, k4):
         # The oriented-incidence realization has the same bases, so the whole
         # pipeline must produce the identical polynomial through a different
@@ -375,3 +398,46 @@ class TestEhrhartPipeline:
         terms = matroid_genfun(u24)
         with pytest.raises((DimensionError, InternalInconsistencyError)):
             specialize_count(terms, (0, 0, 0, 0))
+
+
+class TestSparsePaving:
+    """The pipeline against Ferroni's closed forms, a route that needs no
+    generic vector: minimal matroids T(r, n), and sparse paving matroids
+    through ehr(U(r, n), t) - lam * ehr(T(r, n), t - 1)."""
+
+    @staticmethod
+    def agree(M, count):
+        # Both sides have degree <= n - 1, so n + 1 values fix them.
+        coeffs = ehrhart_polynomial(M)
+        return all(evaluate_polynomial(coeffs, t) == count(t) for t in range(M.n + 1))
+
+    def test_minimal_matroids_match_closed_form(self):
+        for r, n in ((2, 4), (2, 6), (3, 6), (3, 7), (4, 8)):
+            M = minimal_matroid(r, n)
+            assert len(enumerate_bases(M)) == r * (n - r) + 1
+            assert self.agree(M, lambda t: minimal_matroid_count(r, n, t)), (r, n)
+
+    def test_k4_has_four_circuit_hyperplanes(self, k4):
+        non_bases = sparse_paving_non_bases(k4)
+        assert sorted(map(sorted, non_bases)) == [[0, 1, 3], [0, 2, 4], [1, 2, 5], [3, 4, 5]]
+        assert self.agree(k4, lambda t: sparse_paving_count(k4, t))
+
+    def test_detector(self):
+        from conftest import wheel4_adjacency
+        from matropt import graphic_matroid
+
+        assert sparse_paving_non_bases(uniform_matroid(5, 2)) == []
+        # A triangle of the wheel plus any fourth edge is a non-basis, and
+        # two of those share the triangle's three edges.
+        assert sparse_paving_non_bases(graphic_matroid(wheel4_adjacency())) is None
+        # {0, 3, 4} and {0, 3, 5} share two elements.
+        assert sparse_paving_non_bases(minimal_matroid(3, 6)) is None
+
+    def test_catalog_sparse_paving_matches_formula(self):
+        checked = 0
+        for M in catalog_small():
+            if sparse_paving_non_bases(M) is None:
+                continue
+            assert self.agree(M, lambda t: sparse_paving_count(M, t)), M
+            checked += 1
+        assert checked == len(catalog_small()) - 1  # all but the 8-edge wheel
