@@ -15,11 +15,9 @@ from .errors import (
     ParseError,
 )
 from .genfun import (
-    GenFunTerm,
     dilation_polynomial,
     ehrhart_polynomial,
     generic_lambda,
-    matroid_genfun,
 )
 from .heuristics import (
     SearchParams,
@@ -70,7 +68,6 @@ from .oracles import (
 )
 from .triangulate import (
     Cone,
-    HalfOpenSimplicialCone,
     cell_lattice_determinant,
     placing_triangulation,
     tangent_cone,

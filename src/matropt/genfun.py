@@ -9,61 +9,27 @@ through Todd-polynomial weights yields exact counts and, with the dilation
 form z^(a + (k-1)v), the whole Ehrhart polynomial (the exponential
 substitution of De Loera, Hemmecke, Tauzer and Yoshida, Effective lattice
 point counting in rational convex polytopes, J. Symbolic Comput. 2004).
-Each term's value is a polynomial in k read off one integer exponential of
-a power series, with the dilation shift folded into its x^1 weight; it has
-integer numerators over one denominator, and the terms are summed over one
-common denominator.
+
+The terms are never built.  A cone arrives as exchange pairs (i, j) and a
+cell as generator indices, so <lam, e_j - e_i> = lam_j - lam_i needs no
+dot product: lam, each pair's value and its even powers are taken once per
+matroid, and a cell only sums and multiplies them over its indices.  Each
+cell's value is a polynomial in k read off one integer exponential of a
+power series, with the dilation shift folded into its x^1 weight; a cone
+sums its cells over one denominator, and the cones are summed, one after
+the other, over one common denominator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, gcd, lcm, perm
-from operator import mul
+from math import comb, factorial, gcd, lcm, perm, prod
 
 from .errors import DimensionError, InternalInconsistencyError
 from .matroid import Matroid
 from .oracles import enumerate_bases, polytope_dimension
 from .triangulate import tangent_cone, tree_cells
-
-
-@dataclass(frozen=True)
-class GenFunTerm:
-    """One term z^numerator / prod_j (1 - z^denominators[j]).
-
-    `vertex` stores the apex so the k-th dilation reads numerator+(k-1)*vertex.
-    """
-
-    numerator: tuple
-    vertex: tuple
-    denominators: tuple
-
-    def __post_init__(self):
-        for b in self.denominators:
-            if not any(b):
-                raise DimensionError("denominator exponents must be nonzero")
-
-
-def matroid_genfun(M: Matroid, bases=None):
-    """Generating-function terms of P_M by the vertex-cone decomposition.
-
-    One term per half-open tree cell of every vertex cone: the cell's
-    generators are the denominators, and the numerator sits at the unique
-    lattice point of its fundamental parallelepiped, the apex plus the
-    strict generators (the cells are unimodular by construction).
-    """
-    if bases is None:
-        bases = enumerate_bases(M)
-    terms = []
-    for b in bases:
-        for half in tree_cells(tangent_cone(M, b)):
-            num = list(half.apex)
-            for j in half.strict_indices:
-                num = [a + g for a, g in zip(num, half.generators[j])]
-            terms.append(GenFunTerm(tuple(num), half.apex, half.generators))
-    return terms
 
 
 # Todd polynomials ---------------------------------------------------------
@@ -91,11 +57,12 @@ def _exp_table(m: int):
 
     exp(h) = sum_n gamma_n / (n! A^n) x^n with gamma_0 = 1 and
     gamma_n = beta_1 gamma_(n-1) + sum_(even k <= n) c_nk P_k gamma_(n-k),
-    c_nk = k (n-1)!/(n-k)! alpha_k A^(k-1); rows[n] lists (k, c_nk).
+    c_nk = k (n-1)!/(n-k)! alpha_k A^(k-1); rows[n] lists (k // 2, n - k,
+    c_nk), the positions of P_k and gamma_(n-k) with their factor.
     """
     big, alpha = _todd_log(m)
     rows = [
-        tuple((k, k * perm(n - 1, k - 1) * alpha[k] * big ** (k - 1))
+        tuple((k // 2, n - k, k * perm(n - 1, k - 1) * alpha[k] * big ** (k - 1))
               for k in range(2, n + 1, 2) if alpha[k])
         for n in range(m + 1)
     ]
@@ -103,21 +70,14 @@ def _exp_table(m: int):
     return big, half, rows, tuple(comb(m, i) for i in range(m + 1)), factorial(m) * big**m
 
 
-def _exp_gamma(rows, beta_1: int, values):
+def _exp_gamma(rows, beta_1: int, sums):
     """gamma_0..gamma_m for the rows of `_exp_table(m)`, beta_1 and the
-    power sums of `values` at the even orders."""
-    m = len(rows) - 1
-    sums = [0] * (m + 1)
-    squares = [v * v for v in values]
-    power = squares
-    for k in range(2, m + 1, 2):
-        sums[k] = sum(power)
-        power = [a * b for a, b in zip(power, squares)]
+    power sums P_k at the even orders k, sums[k // 2] = P_k."""
     gamma = [1]
-    for n in range(1, m + 1):
-        g = beta_1 * gamma[n - 1]
-        for k, c in rows[n]:
-            g += c * sums[k] * gamma[n - k]
+    for row in rows[1:]:
+        g = beta_1 * gamma[-1]
+        for i, j, c in row:
+            g += c * sums[i] * gamma[j]
         gamma.append(g)
     return gamma
 
@@ -125,76 +85,95 @@ def _exp_gamma(rows, beta_1: int, values):
 # Specialization at z = 1 --------------------------------------------------
 
 
-def generic_lambda(terms):
-    """Moment-curve vector not orthogonal to any denominator exponent."""
-    denominators = {b for t in terms for b in t.denominators}
-    if not denominators:
+def generic_lambda(pairs, n: int):
+    """Moment-curve vector lam = (xi^0, ..., xi^(n-1)) orthogonal to no
+    denominator e_j - e_i of an exchange pair (i, j), least xi first.
+
+    <lam, e_j - e_i> = xi^j - xi^i is a nonzero polynomial in xi of degree
+    at most n - 1, so of the (n - 1) D + 1 values of xi up to (n - 1) D,
+    D the number of distinct pairs, at most (n - 1) D are roots.
+    """
+    pairs = set(pairs)
+    if not pairs:
         return None
-    n = len(next(iter(denominators)))
-    xi = 0
-    bound = (n - 1) * sum(len(t.denominators) for t in terms) + 1
+    xi, bound = 0, (n - 1) * len(pairs) + 1
     while xi <= bound:
         lam = tuple(xi**p for p in range(n))
-        if all(_idot(lam, b) != 0 for b in denominators):
+        if all(lam[i] != lam[j] for i, j in pairs):
             return lam
         xi += 1
     raise InternalInconsistencyError("moment-curve search exhausted its bound")
 
 
-def _idot(a, b):
-    return sum(map(mul, a, b))
+def _pair_powers(pairs, lam, order: int):
+    """Per exchange pair (i, j), d = <lam, e_j - e_i> = lam_j - lam_i and
+    its even powers up to the given order: [d, d^2, d^4, ...]."""
+    out = {}
+    for i, j in pairs:
+        d = lam[j] - lam[i]
+        out[i, j] = [d] + [d ** (2 * k) for k in range(1, order // 2 + 1)]
+    return out
 
 
-def _term_polynomial(term: GenFunTerm, lam):
-    """The term's value at z = 1 in its k-th dilation z^(a + (k-1)v), as a
-    polynomial in k: (nums, den) with coefficient m equal to nums[m] / den,
-    den > 0.
+def _cone_value(cone, lam, powers):
+    """The value at z = 1 of the terms of a vertex cone's cells, summed,
+    in the k-th dilation: (nums, den) with the coefficient of k^m equal to
+    nums[m] / den, den > 0.  `powers` holds d_j and its even powers for
+    every exchange pair of the cone, up to the order of its cells
+    (`_pair_powers`).
 
-    With d_j = <lam, b_j> and X = <lam, a + (k-1)v> = S + kV the value is
+    A cell's term is z^a / prod_j (1 - z^(g_j)) over its generators, a
+    being the apex v plus its strict generators, in the k-th dilation
+    z^(a + (k-1)v).  With d_j = <lam, g_j> = lam_head - lam_tail and
+    X = <lam, a + (k-1)v> = S + kV its value is
     (-1)^s / prod_j d_j * [x^s] exp(xX + sum_k alpha_k / A P_k(-d) x^k).
     Splitting off exp(xkV) leaves one integer exponential (`_exp_gamma`)
-    with beta_1 = A S - alpha_1 P_1(d), and k^m has the numerator
-    +-C(s, m) (A V)^m gamma_(s-m) over s! A^s |prod_j d_j|.
+    with beta_1 = A S - alpha_1 P_1(d), S the sum of d_j over the strict
+    generators, and k^m has the numerator +-C(s, m) (A V)^m gamma_(s-m)
+    over s! A^s |prod_j d_j|.  Each cell sums the d_j and their even
+    powers over its generator indices: column sums of (d_j, d_j^2, d_j^4,
+    ...) give P_1, P_2, P_4, ...  The product D of the d_j over all the
+    cone's generators is a common denominator of its cells, cell c
+    entering with D / prod_(j in c) d_j.
     """
-    s = len(term.denominators)
-    if not s:
+    cells = tree_cells(cone)
+    if not cone.pairs:
         return [1], 1  # a point vertex: one lattice point in every dilation
-    dots = [_idot(lam, b) for b in term.denominators]
-    if 0 in dots:
-        raise DimensionError("lambda is not generic for this term")
+    table = [powers[p] for p in cone.pairs]
+    d = [row[0] for row in table]
+    total = prod(d)
+    if not total:
+        raise DimensionError("lambda is not generic for this cone")
+    s = len(cells[0][0])
     big, half, rows, binomials, den = _exp_table(s)
-    sign = -1 if s % 2 else 1
-    for d in dots:
-        den *= d
-    if den < 0:
-        sign, den = -sign, -den
-    va = _idot(lam, term.vertex)
-    gamma = _exp_gamma(rows, big * (_idot(lam, term.numerator) - va) - half * sum(dots), dots)
-    step = big * va
-    nums = []
-    scale = sign
-    for m in range(s + 1):
-        nums.append(scale * binomials[m] * gamma[s - m])
-        scale *= step
-    return nums, den
+    d_at, powers_at = d.__getitem__, table.__getitem__
+    acc = [0] * (s + 1)
+    for bits, strict in cells:
+        sums = list(map(sum, zip(*map(powers_at, bits))))
+        gamma = _exp_gamma(rows, big * sum(map(d_at, strict)) - half * sums[0], sums)
+        share = total // prod(map(d_at, bits))
+        acc = [a + share * g for a, g in zip(acc, gamma)]
+    step = big * sum(x for x, v in zip(lam, cone.apex) if v)
+    sign = -1 if (s % 2) != (total < 0) else 1
+    nums = [sign * c * step**m * a for m, (c, a) in enumerate(zip(binomials, reversed(acc)))]
+    return nums, den * abs(total)
 
 
-def dilation_polynomial(terms, dim: int, lam=None):
-    """Ehrhart coefficients from dilated terms z^(a + (k-1) v).
+def dilation_polynomial(values, dim: int):
+    """Ehrhart coefficients from the values (nums, den) at z = 1 of the
+    dilated terms z^(a + (k-1) v) of every vertex cone, each a polynomial
+    in k with integer numerators over one denominator (`_cone_value`).
 
-    Each term's value at z = 1 is a polynomial in k with integer numerators
-    over one denominator (`_term_polynomial`).  The numerators of all terms
-    are summed over the lcm of their denominators, one division per
-    coefficient at the end.  All coefficients above the polytope dimension
-    must vanish exactly, and the constant term must be 1.
+    The numerators are summed over the lcm of the denominators as they
+    arrive, one division per coefficient at the end.  All coefficients
+    above the polytope dimension must vanish exactly, and the constant
+    term must be 1.
     """
-    if lam is None:
-        lam = generic_lambda(terms)
-    smax = max((len(t.denominators) for t in terms), default=0)
-    acc = [0] * (smax + 1)
+    acc = []
     common = 1
-    for t in terms:
-        nums, den = _term_polynomial(t, lam)
+    for nums, den in values:
+        if len(nums) > len(acc):
+            acc += [0] * (len(nums) - len(acc))
         grow = den // gcd(common, den)
         if grow > 1:
             common *= grow
@@ -203,7 +182,7 @@ def dilation_polynomial(terms, dim: int, lam=None):
         for m, c in enumerate(nums):
             acc[m] += c * scale
     coeffs = [Fraction(x, common) for x in acc]
-    for m in range(dim + 1, smax + 1):
+    for m in range(dim + 1, len(coeffs)):
         if coeffs[m] != 0:
             raise InternalInconsistencyError(
                 f"degree-{m} coefficient {coeffs[m]} should vanish above dim={dim}"
@@ -215,8 +194,12 @@ def dilation_polynomial(terms, dim: int, lam=None):
 
 
 def ehrhart_polynomial(M: Matroid):
-    """Exact Ehrhart polynomial of P_M via the full vertex-cone pipeline."""
+    """Exact Ehrhart polynomial of P_M via the full vertex-cone pipeline,
+    streamed cone by cone."""
     bases = enumerate_bases(M)
     dim = polytope_dimension(M, bases)
-    terms = matroid_genfun(M, bases)
-    return dilation_polynomial(terms, dim)
+    cones = [tangent_cone(M, b) for b in bases]
+    pairs = {p for cone in cones for p in cone.pairs}
+    lam = generic_lambda(pairs, M.n)
+    powers = _pair_powers(pairs, lam, dim)
+    return dilation_polynomial((_cone_value(cone, lam, powers) for cone in cones), dim)

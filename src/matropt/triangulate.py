@@ -7,11 +7,15 @@ test against a cached facet normal; the test suite checks it against an
 exact LP visibility test.  Insertion order is recorded with every result so
 a run can be replayed.
 
-A vertex cone is the cone over the root polytope of its exchange graph
-(Postnikov, Permutohedra, associahedra, and beyond, IMRN 2009, section
-12), so `tree_cells` reads its cells off spanning forests; they are those
-of the placing triangulation in generator order (De Loera, Rambau and
-Santos, Triangulations, 2010, section 4.3), as the tests check.
+A vertex cone of a matroid polytope is carried as exchange pairs: its
+generators are the differences e_j - e_i of the adjacent bases B - i + j.
+It is the cone over the root polytope of its exchange graph (Postnikov,
+Permutohedra, associahedra, and beyond, IMRN 2009, section 12), so
+`tree_cells` reads its cells off spanning forests, as tuples of generator
+indices; they are those of the placing triangulation in generator order
+(De Loera, Rambau and Santos, Triangulations, 2010, section 4.3), as the
+tests check.  The walk from cell to cell keeps each forest as bit masks
+and updates them, its potentials and its flows across every swap.
 
 Half-open flags follow the coordinate sign rule of Koeppe & Verdoolaege
 (Computing parametric rational generating functions with a primal Barvinok
@@ -22,9 +26,10 @@ the j-th coordinate of y in the cell's own generators is negative.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import lcm
 
 from .errors import DimensionError, InternalInconsistencyError
@@ -33,48 +38,37 @@ from .linalg import _extend, _null_vector, bareiss_det, max_minor_gcd
 
 @dataclass(frozen=True)
 class Cone:
-    """Affine cone apex + integer generators (extremal rays)."""
+    """Vertex cone of a matroid polytope at a vertex e_B.
 
-    apex: tuple
-    generators: tuple
-
-    def __post_init__(self):
-        for g in self.generators:
-            if not any(g):
-                raise DimensionError("cone generators must be nonzero")
-
-
-@dataclass(frozen=True)
-class HalfOpenSimplicialCone:
-    """Simplicial cone with a subset of facets made strict.
-
-    Points are apex + sum(lambda_j * b_j) with lambda_j >= 0, strictly
-    positive for j in strict_indices (0-based positions into generators).
+    `apex` is e_B, and generator k is e_j - e_i for the k-th exchange pair
+    (i, j) of `pairs`: i leaves B and j enters it.
     """
 
     apex: tuple
-    generators: tuple
-    strict_indices: frozenset
+    pairs: tuple
+
+    def __post_init__(self):
+        n = len(self.apex)
+        for i, j in self.pairs:
+            if not (0 <= i < n and 0 <= j < n and self.apex[i] == 1 and self.apex[j] == 0):
+                raise DimensionError(f"({i}, {j}) is not an exchange pair at the apex {self.apex}")
 
 
 def tangent_cone(M, basis) -> Cone:
-    """Vertex cone of the matroid polytope at e_B.
-
-    Generators are the edge directions toward the adjacent bases B - i + j,
-    the differences e_j - e_i of two unit vectors.
-    """
+    """Vertex cone of the matroid polytope at e_B, one exchange pair per
+    adjacent basis B - i + j in the order of `M.adjacent_bases`."""
     from .matroid import incidence_vector
 
     b = tuple(sorted(basis))
-    gens = []
+    inside = set(b)
+    total = sum(b)
+    pairs = []
     for nb in M.adjacent_bases(b):
-        g = [0] * M.n
-        for e in nb:
-            g[e] += 1
-        for e in b:
-            g[e] -= 1
-        gens.append(tuple(g))
-    return Cone(apex=incidence_vector(b, M.n), generators=tuple(gens))
+        for j in nb:
+            if j not in inside:
+                break
+        pairs.append((total - sum(nb) + j, j))  # i = sum(B) - sum(B - i + j) + j
+    return Cone(apex=incidence_vector(b, M.n), pairs=tuple(pairs))
 
 
 def placing_triangulation(points, order=None):
@@ -195,154 +189,212 @@ def cell_lattice_determinant(generators) -> int:
 
 def tree_cells(cone: Cone):
     """Half-open unimodular cells partitioning a vertex cone of a matroid
-    polytope, one per spanning forest cell of its exchange graph.
+    polytope, one per spanning forest of its exchange graph, as pairs
+    (bits, strict) of generator indices: the cell's generators in cone
+    order, and those of its facets that are strict.
 
-    Generator k of the cone at e_B is e_j - e_i for an exchange B - i + j:
-    an edge i -> j, of height 2^k, of the bipartite exchange graph G.  The
-    cells of the regular triangulation for these heights (the placing
-    triangulation in generator order) are spanning forests of G, unimodular
-    as network matrices are totally unimodular.  Kruskal by generator index
-    gives the first cell.  The cell across the facet of tree edge e swaps e
-    for the non-tree edge crossing its cut against e with the least reduced
-    cost 2^f - (pi_head - pi_tail), pi the tree's integer potentials; with
-    no such edge the facet is on the boundary.
+    Generator k, e_j - e_i for the exchange pair (i, j), is an edge i -> j
+    of height 2^k of the bipartite exchange graph G.  The cells of the
+    regular triangulation for these heights (the placing triangulation in
+    generator order) are spanning forests of G, unimodular as network
+    matrices are totally unimodular.  Kruskal by generator index gives the
+    first cell, and the walk visits the others breadth-first.  The cell
+    across the facet of tree edge e swaps e for the non-tree edge f
+    crossing its cut against e with the least reduced cost
+    2^f - (pi_head - pi_tail), pi the tree's integer potentials; with no
+    such edge the facet is on the boundary.  A cell lists its neighbours in
+    the order in which walks along the tree paths of the non-tree edges, by
+    index, each from both ends with the deeper end first, meet their e.
 
-    Each cell lists its generators in cone order, and its facet j is
-    strict exactly when coordinate j of y = sum_k t^k g_k is negative, t
-    being the least integer >= 1 that leaves no zero coordinate in any
-    cell.  In a tree cell g_k has coordinates 0 and +-1 (its fundamental
-    cycle), so at t = 2 every coordinate is a signed sum of distinct powers
-    of two, never zero.
+    A forest is rooted, each component at the tail of its lowest edge, and
+    kept as masks: anc[v] holds the edges from v up to its root, so the
+    tree path of f = a -> b is anc[a] ^ anc[b], and `heads` the tree edges
+    whose lower end is their head.  A new cell takes the masks, potentials
+    and flows of the cell it was found from and changes only the subtree
+    that moves across the swap, and the root when its component's lowest
+    edge changed (the network simplex update of Ahuja, Magnanti and Orlin,
+    Network Flows, 1993, ch. 11).
+
+    Facet j of a cell is strict exactly when coordinate j of
+    y_t = sum_k t^k g_k is negative, t being the least integer >= 1 that
+    leaves no zero coordinate in any cell.  The coordinates are the tree's
+    flows with supplies y_t.  Flows are linear in the supplies, so the walk
+    carries one list, the flows of y_1 + M y_2 with M > 2m: no flow of y_1
+    exceeds m, so it is the residue mod M, and the sign of the whole is
+    that of the flow of y_2.  A swap changes them only around the
+    fundamental cycle of f.  In a tree cell g_k has coordinates 0 and +-1
+    (its fundamental cycle), so at t = 2 every coordinate is a signed sum
+    of distinct powers of two, never zero.
     """
-    apex = tuple(cone.apex)
-    gens = cone.generators
-    if not gens:
-        return [HalfOpenSimplicialCone(apex, (), frozenset())]
-    ends = [_exchange_edge(g) for g in gens]
-    if {i for i, _ in ends} & {j for _, j in ends}:
-        raise DimensionError("generators must all point from one side of a bipartition")
-    n = len(apex)
-    first, comp = 0, list(range(n))
-    for k, (i, j) in enumerate(ends):  # Kruskal by index: the minimum spanning forest
-        if comp[i] != comp[j]:
+    pairs = cone.pairs
+    if not pairs:
+        return [((), ())]
+    n, m = len(cone.apex), len(pairs)
+    label, first, adj = list(range(n)), 0, [[] for _ in range(n)]
+    for k, (i, j) in enumerate(pairs):  # Kruskal by index: the minimum spanning forest
+        if label[i] != label[j]:
             first |= 1 << k
-            comp = [comp[i] if c == comp[j] else c for c in comp]
-    forests, queue = {first: None}, [first]
-    for tree in queue:  # grows while it is read: breadth-first over the cells
-        bits = _bits(tree)
-        rows = _rooted_forest(bits, ends)
-        forests[tree] = (bits, rows)
-        for nb in _neighbours(tree, rows, ends, n):
-            if nb not in forests:
-                forests[nb] = None
-                queue.append(nb)
-    cells = list(forests.values())
-    y = _supply(ends, n, 1)
-    coords = []
-    for bits, rows in cells:
-        coords.append(_tree_coordinates(rows, y, bits))
-        if 0 in coords[-1]:  # t = 1 puts y on a wall: take t = 2 throughout
-            y = _supply(ends, n, 2)
-            coords = [_tree_coordinates(rows, y, bits) for bits, rows in cells]
-            break
-    out = []
-    for (bits, _), x in zip(cells, coords):
-        if 0 in x:
+            old, new = label[j], label[i]
+            label = [new if c == old else c for c in label]
+            adj[i].append((j, k, 1))
+            adj[j].append((i, k, -1))
+    component = {}  # label -> mask of the component's edges
+    for k, (i, _) in enumerate(pairs):
+        component[label[i]] = component.get(label[i], 0) | 1 << k
+    members = {c: [v for v in range(n) if label[v] == c] for c in component}
+    half = 1 << m.bit_length()  # above every flow of y_1; M = 2 * half
+    cells = [_first_cell(first, adj, pairs, component.values(), 2 * half)]
+    seen = {first}
+    for cell in cells:  # grows while it is read: breadth-first over the cells
+        tree, _, anc, pi, heads, _ = cell
+        crossing, order, covered = [], [], 0
+        for f in range(m):
+            if tree >> f & 1:
+                continue
+            a, b = pairs[f]
+            cost = (1 << f) - pi[b] + pi[a]
+            if cost <= 0:
+                raise InternalInconsistencyError("a tree with a non-positive reduced cost is not a cell")
+            up_a, up_b = anc[a], anc[b]
+            path = up_a ^ up_b  # the tree path from a to b
+            back = path & ((up_a & heads) | (up_b & ~heads))  # run from head to tail
+            crossing.append((cost, f, path, back))
+            new = back & ~covered
+            if new & (new - 1):  # deeper lower end first, a's side first at equal depth
+                order += sorted(_bits(new), key=lambda e: (
+                    -anc[pairs[e][1] if heads >> e & 1 else pairs[e][0]].bit_count(),
+                    not up_a >> e & 1))
+            elif new:
+                order.append(new.bit_length() - 1)
+            covered |= new
+        best = {}
+        crossing.sort()  # least reduced cost, then least index
+        for cost, f, path, back in crossing:
+            new = back & covered
+            if new:
+                covered ^= new
+                for e in _bits(new):
+                    best[e] = (f, path, back)
+                if not covered:
+                    break
+        for e in order:
+            f, path, back = best[e]
+            child = tree ^ (1 << e) ^ (1 << f)
+            if child not in seen:
+                seen.add(child)
+                c = label[pairs[f][0]]
+                cells.append(_swap(cell, child, e, f, pairs, path, back, component[c], members[c]))
+        cell[2] = cell[3] = None  # only the bits and flows are needed from here on
+    modulus = 2 * half
+    bits = [cell[1] for cell in cells]
+    rows = [[cell[5][k] for k in cell[1]] for cell in cells]
+    if all(map(modulus.__rmod__, chain.from_iterable(rows))):  # t = 1: the residues are its flows
+        strict = [tuple(k for k, x in zip(b, row) if x % modulus > half) for b, row in zip(bits, rows)]
+    else:
+        if min(map(abs, chain.from_iterable(rows))) < half:
             raise InternalInconsistencyError("y = sum 2^k g_k lies on a cell wall")
-        strict = frozenset(j for j, c in enumerate(x) if c < 0)
-        out.append(HalfOpenSimplicialCone(apex, tuple(gens[k] for k in bits), strict))
-    if sum(1 for h in out if not h.strict_indices) != 1:
+        strict = [tuple(k for k, x in zip(b, row) if x < 0) for b, row in zip(bits, rows)]
+    if strict.count(()) != 1:
         raise InternalInconsistencyError("y is interior to the cone, so one cell must be closed")
-    return out
+    return list(zip(bits, strict))
 
 
-def _exchange_edge(g):
-    """(tail, head) of a generator e_head - e_tail."""
-    support = [p for p, x in enumerate(g) if x]
-    if len(support) != 2 or sorted(g[p] for p in support) != [-1, 1]:
-        raise DimensionError("tree cells need generators of the form e_j - e_i")
-    i, j = support
-    return (i, j) if g[i] < 0 else (j, i)
+def _first_cell(tree, adj, pairs, components, modulus):
+    """[tree, bits, anc, pi, heads, flows] of the Kruskal forest, given as
+    (neighbour, edge, +1 if the neighbour is the edge's head else -1) per
+    vertex, every component rooted at the tail of its lowest edge.
+
+    bits lists the tree edges, lowest first; anc[v] masks the edges from v
+    up to its root and pi[v] is its potential, pi_head - pi_tail = 2^k on
+    tree edge k; heads masks the tree edges whose lower end is their head.
+    The flows, indexed by edge, are those of the supplies
+    y_1 + modulus * y_2: the flow on a vertex's parent edge is the net
+    supply of its subtree, signed by the edge's direction, so pruning
+    leaves first gives every flow.
+    """
+    n = len(adj)
+    up = [None] * n
+    order = []
+    for mask in components:
+        stack = [pairs[(mask & -mask).bit_length() - 1][0]]
+        while stack:
+            v = stack.pop()
+            for w, k, sign in adj[v]:
+                if up[v] is None or up[v][1] != k:
+                    up[w] = (v, k, sign)
+                    order.append(w)
+                    stack.append(w)
+    anc, pi, heads = [0] * n, [0] * n, 0
+    for v in order:  # parents first
+        p, k, sign = up[v]
+        anc[v] = anc[p] | 1 << k
+        pi[v] = pi[p] + sign * (1 << k)
+        if sign > 0:
+            heads |= 1 << k
+    net = [0] * n
+    for k, (i, j) in enumerate(pairs):
+        supply = 1 + (modulus << k)
+        net[i] -= supply
+        net[j] += supply
+    flows = [0] * len(pairs)
+    for v in reversed(order):  # children first
+        p, k, sign = up[v]
+        net[p] += net[v]
+        flows[k] = sign * net[v]
+    return [tree, tuple(_bits(tree)), anc, pi, heads, flows]
 
 
 def _bits(mask):
-    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+    """Indices of the set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _supply(ends, n, t):
-    """y = sum_k t^k g_k for the generators g_k = e_j - e_i with ends (i, j)."""
-    y = [0] * n
-    w = 1
-    for i, j in ends:
-        y[i] -= w
-        y[j] += w
-        w *= t
-    return y
+def _swap(cell, child, e, f, pairs, path, back, component, members):
+    """[child, bits, anc, pi, heads, flows] of the cell that swaps tree
+    edge e for f = a -> b.
 
-
-def _rooted_forest(bits, ends):
-    """Rows (vertex, parent, edge, +1 if the vertex is the edge's head else
-    -1) of the forest with edges `bits` in preorder, so every vertex follows
-    its parent; roots are left out."""
-    adj: dict = {}
-    for k in bits:
-        i, j = ends[k]
-        adj.setdefault(i, []).append((k, j, 1))
-        adj.setdefault(j, []).append((k, i, -1))
-    rows, seen = [], set()
-    for r in adj:
-        stack = [] if r in seen else [r]
-        seen.add(r)
-        while stack:
-            v = stack.pop()
-            for k, w, sign in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    rows.append((w, v, k, sign))
-                    stack.append(w)
-    return rows
-
-
-def _neighbours(tree, rows, ends, n):
-    """Cells across the facets of a tree cell, by one network-simplex ratio
-    test per tree edge.  Non-tree edge f = a -> b crosses the cut of tree
-    edge e against e exactly when the tree path from a to b runs through e
-    from head to tail, with reduced cost 2^f - (pi_b - pi_a) > 0."""
-    pi = [0] * n
-    depth = [0] * n
-    up = [None] * n  # (parent, edge, sign) per vertex
-    for v, p, k, sign in rows:
-        pi[v] = pi[p] + sign * (1 << k)
-        depth[v] = depth[p] + 1
-        up[v] = (p, k, sign)
-    best: dict = {}
-    for f, (a, b) in enumerate(ends):
-        if tree >> f & 1:
-            continue
-        cost = (1 << f) - (pi[b] - pi[a])
-        if cost <= 0:
-            raise InternalInconsistencyError("a tree with a non-positive reduced cost is not a cell")
-        u, w = a, b
-        while u != w:
-            if depth[u] >= depth[w]:  # climbing from a: head to tail when u is the head
-                u, e, sign = up[u]
-                backward = sign > 0
-            else:  # descending to b: head to tail when w is the tail
-                w, e, sign = up[w]
-                backward = sign < 0
-            if backward and (e not in best or cost < best[e][0]):
-                best[e] = (cost, f)
-    return [tree ^ (1 << e) ^ (1 << f) for e, (_, f) in best.items()]
-
-
-def _tree_coordinates(rows, y, bits):
-    """Coordinates of y in the generators `bits` of a tree cell, in cone order:
-    the tree flow with supplies y.  The flow on a vertex's parent edge is
-    the net supply of its subtree, signed by the edge's direction, so
-    pruning leaves first gives every coordinate in O(n) integer steps."""
-    net = list(y)
-    flow = {}
-    for v, p, k, sign in reversed(rows):
-        net[p] += net[v]
-        flow[k] = sign * net[v]
-    return [flow[k] for k in bits]
+    `path` masks the tree path from a to b and `back` those of its edges
+    that it runs from head to tail, e among them.  With g_f = sum_k c_k g_k
+    over the path (c_k = -1 on `back`, else +1) the flows move by x_e c_k
+    and f takes -x_e.  The subtree below e, the vertices whose root path
+    holds e, hangs from f by its end x of f: the path from v to x, f and
+    the path above f's other end y make its new root path, and its
+    potentials move by one constant.  The edges from x up to e turn around.
+    When the component's lowest edge changed, it is re-rooted at that
+    edge's tail: every root path there gains or loses the new root's path.
+    """
+    tree, bits, anc, pi, heads, flows = cell
+    bits = list(bits)
+    bits.remove(e)
+    insort(bits, f)
+    flows = list(flows)
+    through = flows[e]
+    for k in _bits(path & ~back):
+        flows[k] += through
+    for k in _bits(back):
+        flows[k] -= through
+    flows[f] = -through
+    a, b = pairs[f]
+    x, y, sign = (a, b, -1) if anc[a] >> e & 1 else (b, a, 1)
+    lower = pairs[e][1] if heads >> e & 1 else pairs[e][0]
+    heads ^= (anc[x] ^ anc[lower]) | (heads & 1 << e)  # turn x's path to e around, drop e
+    if sign > 0:
+        heads |= 1 << f
+    ax, above = anc[x], anc[y] | 1 << f
+    shift = pi[y] + sign * (1 << f) - pi[x]
+    anc, pi = list(anc), list(pi)
+    for v in members:
+        if anc[v] >> e & 1:
+            anc[v] = anc[v] ^ ax | above
+            pi[v] += shift
+    old, new = tree & component, child & component
+    root = pairs[(new & -new).bit_length() - 1][0]
+    if root != pairs[(old & -old).bit_length() - 1][0]:
+        flip = anc[root]
+        heads ^= flip
+        for v in members:
+            anc[v] ^= flip
+    return [child, tuple(bits), anc, pi, heads, flows]

@@ -17,28 +17,26 @@ import pytest
 from matropt import (
     Cone,
     DimensionError,
-    GenFunTerm,
-    HalfOpenSimplicialCone,
     InternalInconsistencyError,
     Matroid,
     bounded_composition_counts,
     cell_lattice_determinant,
     ehrhart_uniform,
     enumerate_bases,
-    generic_lambda,
     graphic_matroid,
     incidence_vector,
-    matroid_genfun,
     placing_triangulation,
     polytope_dimension,
     random_basis,
+    tangent_cone,
+    tree_cells,
     uniform_matroid,
     vector_matroid,
 )
-from matropt.genfun import _exp_gamma, _exp_table, _idot, _term_polynomial, _todd_log
+from matropt.genfun import _exp_gamma, _exp_table, _todd_log
 from matropt.heuristics import _derived_seed, _point, boundary_start, fiber_bfs
 from matropt.linalg import _extend, _integral, _unit, bareiss_det, rational_rank
-from matropt.triangulate import _add_facets, _exchange_edge
+from matropt.triangulate import _add_facets
 
 K4_ADJACENCY = [
     [0, 1, 1, 1],
@@ -161,6 +159,86 @@ def u24():
 @pytest.fixture(scope="session")
 def catalog():
     return catalog_small()
+
+
+# Vector views of the pipeline's cones and cells ---------------------------
+# The pipeline carries a vertex cone as exchange pairs and a cell as
+# generator indices; the oracles below work on vectors: the generators
+# e_j - e_i, half-open simplicial cones and generating-function terms.
+
+
+@dataclass(frozen=True)
+class HalfOpenSimplicialCone:
+    """Simplicial cone with a subset of facets made strict.
+
+    Points are apex + sum(lambda_j * b_j) with lambda_j >= 0, strictly
+    positive for j in strict_indices (0-based positions into generators).
+    """
+
+    apex: tuple
+    generators: tuple
+    strict_indices: frozenset
+
+
+@dataclass(frozen=True)
+class GenFunTerm:
+    """One term z^numerator / prod_j (1 - z^denominators[j]).
+
+    `vertex` stores the apex so the k-th dilation reads numerator+(k-1)*vertex.
+    """
+
+    numerator: tuple
+    vertex: tuple
+    denominators: tuple
+
+    def __post_init__(self):
+        for b in self.denominators:
+            if not any(b):
+                raise DimensionError("denominator exponents must be nonzero")
+
+
+def cone_generators(cone: Cone):
+    """The generators e_j - e_i of a vertex cone, in cone order."""
+    out = []
+    for i, j in cone.pairs:
+        g = [0] * len(cone.apex)
+        g[i], g[j] = -1, 1
+        out.append(tuple(g))
+    return tuple(out)
+
+
+def half_open_cells(cone: Cone):
+    """`tree_cells` as half-open simplicial cones, strict facets given
+    by their positions among the cell's generators."""
+    gens = cone_generators(cone)
+    return [
+        HalfOpenSimplicialCone(cone.apex, tuple(gens[k] for k in bits),
+                               frozenset(bits.index(k) for k in strict))
+        for bits, strict in tree_cells(cone)
+    ]
+
+
+def cell_term(cone: Cone, bits, strict) -> GenFunTerm:
+    """Term of one tree cell: the numerator sits at the unique lattice
+    point of its fundamental parallelepiped, the apex plus the strict
+    generators (the cells are unimodular by construction)."""
+    gens = cone_generators(cone)
+    num = list(cone.apex)
+    for k in strict:
+        num = [a + g for a, g in zip(num, gens[k])]
+    return GenFunTerm(tuple(num), cone.apex, tuple(gens[k] for k in bits))
+
+
+def matroid_genfun(M: Matroid, bases=None):
+    """Generating-function terms of P_M by the vertex-cone decomposition,
+    one per half-open tree cell of every vertex cone."""
+    if bases is None:
+        bases = enumerate_bases(M)
+    terms = []
+    for b in bases:
+        cone = tangent_cone(M, b)
+        terms += [cell_term(cone, bits, strict) for bits, strict in tree_cells(cone)]
+    return terms
 
 
 # Independent oracles -------------------------------------------------------
@@ -585,7 +663,7 @@ def cone_triangulation(cone: Cone, order=None):
     origin to the boundary facets away from it.  Each resulting cell is a
     tuple of generators in cone order.
     """
-    gens = [tuple(g) for g in cone.generators]
+    gens = list(cone_generators(cone))
     if not gens:
         return [()]
     dim = len(gens[0])
@@ -682,24 +760,23 @@ def genfun_of_halfopen(half) -> GenFunTerm:
     )
 
 
-# Tree cells with both supplies on every cell ------------------------------
-# `triangulate.tree_cells` as it was before it built the supplies from the
-# exchange edges and stopped the t = 1 coordinates at the first zero: every
-# cell gets its coordinates at t = 1 and t = 2, from supplies summed over
-# every generator and coordinate.
+# Tree cells with every forest rebuilt --------------------------------------
+# `triangulate.tree_cells` before its forests became masks that a swap
+# updates: every cell rebuilds its rooted forest from its edges, walks the
+# tree path of every non-tree edge for its neighbours, and prunes leaves
+# for its coordinates at t = 1 and t = 2, from supplies summed over every
+# generator and coordinate.
 
 
 def tree_cells_both_supplies(cone: Cone):
-    """The half-open tree cells of a vertex cone, in the same order, with
-    the same generators and strict flags as `triangulate.tree_cells`."""
-    apex = tuple(cone.apex)
-    gens = cone.generators
+    """The tree cells of a vertex cone as (bits, strict) generator indices,
+    in the same order and with the same strict flags as
+    `triangulate.tree_cells`, every forest rebuilt from its edges."""
+    gens = cone_generators(cone)
     if not gens:
-        return [HalfOpenSimplicialCone(apex, (), frozenset())]
-    ends = [_exchange_edge(g) for g in gens]
-    if {i for i, _ in ends} & {j for _, j in ends}:
-        raise DimensionError("generators must all point from one side of a bipartition")
-    n = len(apex)
+        return [((), ())]
+    ends = cone.pairs
+    n = len(cone.apex)
     supplies = [[sum(t**k * g[p] for k, g in enumerate(gens)) for p in range(n)] for t in (1, 2)]
     first, comp = 0, list(range(n))
     for k, (i, j) in enumerate(ends):  # Kruskal by index: the minimum spanning forest
@@ -719,9 +796,9 @@ def tree_cells_both_supplies(cone: Cone):
     for tree, coords in cells.items():
         if 0 in coords[t]:
             raise InternalInconsistencyError("y = sum 2^k g_k lies on a cell wall")
-        strict = frozenset(j for j, x in enumerate(coords[t]) if x < 0)
-        out.append(HalfOpenSimplicialCone(apex, tuple(gens[k] for k in _mask_bits(tree)), strict))
-    if sum(1 for h in out if not h.strict_indices) != 1:
+        bits = tuple(_mask_bits(tree))
+        out.append((bits, tuple(k for k, x in zip(bits, coords[t]) if x < 0)))
+    if sum(1 for _, strict in out if not strict) != 1:
         raise InternalInconsistencyError("y is interior to the cone, so one cell must be closed")
     return out
 
@@ -1050,9 +1127,21 @@ def rank_component_relation(rows):
 
 
 # Lattice-point counts and Todd values from the pipeline's kernels ---------
-# `genfun._term_polynomial` at k = 1 counts the lattice points of a term
-# sum; `genfun._exp_gamma` alone gives one Todd polynomial value.  Both
-# check the kernels of `ehrhart_polynomial` against brute-force routes.
+# The specialization of any term z^a / prod_j (1 - z^(b_j)), general
+# denominators b_j included, over the kernels `genfun._exp_table` and
+# `genfun._exp_gamma`: at k = 1 it counts the lattice points of a term sum,
+# and `_exp_gamma` alone gives one Todd polynomial value.  Both check the
+# kernels of `ehrhart_polynomial` against brute-force routes.
+
+
+def _idot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _power_sums(values, m):
+    """[P_1, P_2, P_4, ...] up to order m: P_k at index k // 2, the layout
+    `_exp_gamma` reads."""
+    return [sum(values)] + [sum(v ** (2 * i) for v in values) for i in range(1, m // 2 + 1)]
 
 
 def todd_eval(m: int, xis):
@@ -1069,22 +1158,70 @@ def todd_eval(m: int, xis):
     q = lcm(*[x.denominator for x in xis])
     rs = [x.numerator * (q // x.denominator) for x in xis]
     big, half, rows, _, _ = _exp_table(m)
-    gamma = _exp_gamma(rows, half * sum(rs), rs)
+    gamma = _exp_gamma(rows, half * sum(rs), _power_sums(rs, m))
     return Fraction(gamma[m], factorial(m) * (big * q) ** m)
+
+
+def generic_lambda_of_terms(terms):
+    """Moment-curve vector not orthogonal to any denominator exponent, by
+    the search over xi with the bound (n - 1) * (number of denominators,
+    repeats counted) + 1 that `genfun.generic_lambda` had before it took
+    distinct exchange pairs."""
+    denominators = {b for t in terms for b in t.denominators}
+    if not denominators:
+        return None
+    n = len(next(iter(denominators)))
+    xi = 0
+    bound = (n - 1) * sum(len(t.denominators) for t in terms) + 1
+    while xi <= bound:
+        lam = tuple(xi**p for p in range(n))
+        if all(_idot(lam, b) != 0 for b in denominators):
+            return lam
+        xi += 1
+    raise InternalInconsistencyError("moment-curve search exhausted its bound")
+
+
+def term_polynomial(term: GenFunTerm, lam):
+    """The term's value at z = 1 in its k-th dilation z^(a + (k-1)v), as a
+    polynomial in k: (nums, den) with coefficient m equal to nums[m] / den,
+    den > 0, for any integer denominators: one integer exponential per
+    term, as `genfun._cone_value` takes it per cell of a vertex cone."""
+    s = len(term.denominators)
+    if not s:
+        return [1], 1  # a point vertex: one lattice point in every dilation
+    dots = [_idot(lam, b) for b in term.denominators]
+    if 0 in dots:
+        raise DimensionError("lambda is not generic for this term")
+    big, half, rows, binomials, den = _exp_table(s)
+    sign = -1 if s % 2 else 1
+    for d in dots:
+        den *= d
+    if den < 0:
+        sign, den = -sign, -den
+    va = _idot(lam, term.vertex)
+    beta = big * (_idot(lam, term.numerator) - va) - half * sum(dots)
+    gamma = _exp_gamma(rows, beta, _power_sums(dots, s))
+    step = big * va
+    nums = []
+    scale = sign
+    for m in range(s + 1):
+        nums.append(scale * binomials[m] * gamma[s - m])
+        scale *= step
+    return nums, den
 
 
 def specialize_count(terms, lam=None) -> int:
     """Exact number of lattice points represented by the term sum: every
-    term's dilation polynomial (`_term_polynomial`) at k = 1.
+    term's dilation polynomial (`term_polynomial`) at k = 1.
 
     Independent of the chosen generic lambda; a non-integer total means the
     lambda was not generic or the terms are wrong, and raises.
     """
     if lam is None:
-        lam = generic_lambda(terms)
+        lam = generic_lambda_of_terms(terms)
     total = Fraction(0)
     for t in terms:
-        nums, den = _term_polynomial(t, lam)
+        nums, den = term_polynomial(t, lam)
         total += Fraction(sum(nums), den)
     if total.denominator != 1:
         raise InternalInconsistencyError(f"specialization gave non-integer {total}")

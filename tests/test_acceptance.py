@@ -15,10 +15,12 @@ from conftest import (
     cone_triangulation,
     evaluate_polynomial,
     exchange_graphs,
+    generic_lambda_of_terms,
     incidence_rows,
     interpolate_ehrhart,
     is_unimodal,
     is_unimodular_simplex,
+    matroid_genfun,
     random_connected_graph,
     random_weight_matrix,
     reduced_determinant,
@@ -54,8 +56,6 @@ from matropt import (
     spanning_trees,
     tangent_cone,
     uniform_matroid,
-    generic_lambda,
-    matroid_genfun,
 )
 from matropt.linalg import bareiss_det
 from test_genfun import box_terms, todd_taylor_oracle
@@ -217,7 +217,7 @@ def test_criterion_08_todd_and_specialization():
         # Two independent generic vectors give identical counts.
         M = uniform_matroid(5, 2)
         terms = matroid_genfun(M)
-        lam1 = generic_lambda(terms)
+        lam1 = generic_lambda_of_terms(terms)
         lam2 = tuple(31 ** p for p in range(5))
         for t in terms:
             for b in t.denominators:

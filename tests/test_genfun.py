@@ -6,37 +6,50 @@ from fractions import Fraction
 
 import pytest
 
+import matropt.genfun
 from conftest import (
+    GenFunTerm,
+    HalfOpenSimplicialCone,
+    _idot,
     catalog_connected,
     catalog_small,
+    cell_term,
     count_lattice_points,
     evaluate_polynomial,
+    generic_lambda_of_terms,
     genfun_of_halfopen,
     interpolate_ehrhart,
+    matroid_genfun,
     minimal_matroid,
     minimal_matroid_count,
     sparse_paving_count,
     sparse_paving_non_bases,
     specialize_count,
+    term_polynomial,
     term_polynomial_taylor_shift,
     todd_eval,
 )
 from matropt import (
     DimensionError,
-    GenFunTerm,
-    HalfOpenSimplicialCone,
     InternalInconsistencyError,
     dilation_lattice_count,
     dilation_polynomial,
     ehrhart_polynomial,
     enumerate_bases,
     generic_lambda,
+    graphic_matroid,
     hstar_from_counts,
-    matroid_genfun,
     polytope_dimension,
+    tangent_cone,
+    tree_cells,
     uniform_matroid,
 )
-from matropt.genfun import _idot, _term_polynomial
+from matropt.genfun import _cone_value, _pair_powers
+
+
+def cone_pairs(M):
+    """The exchange pairs of every vertex cone of P_M, cone after cone."""
+    return [p for b in enumerate_bases(M) for p in tangent_cone(M, b).pairs]
 
 
 def todd_taylor_oracle(m, xis):
@@ -126,20 +139,27 @@ class TestGenFunOfHalfOpen:
 
 class TestGenericLambda:
     def test_single_unit_vector(self):
-        t = GenFunTerm((0, 0, 0), (0, 0, 0), ((1, 0, 0),))
-        assert generic_lambda([t]) == (1, 0, 0)
+        # One pair: xi = 0 gives (1, 0, 0), which tells elements 0 and 1 apart.
+        assert generic_lambda([(0, 1)], 3) == (1, 0, 0)
 
     def test_difference_pair_needs_xi_two(self):
-        t = GenFunTerm((0,) * 3, (0,) * 3, ((1, -1, 0), (0, 1, -1)))
-        lam = generic_lambda([t])
-        assert lam == (1, 2, 4)
+        # xi = 0 ties elements 1 and 2, xi = 1 ties all of them.
+        assert generic_lambda([(1, 0), (2, 1), (1, 0)], 3) == (1, 2, 4)
 
     def test_k4_terms_all_nonorthogonal(self, k4):
-        terms = matroid_genfun(k4)
-        lam = generic_lambda(terms)
-        for t in terms:
+        lam = generic_lambda(cone_pairs(k4), k4.n)
+        for t in matroid_genfun(k4):
             for b in t.denominators:
-                assert sum(x * y for x, y in zip(lam, b)) != 0
+                assert _idot(lam, b) != 0
+
+    def test_same_as_the_search_over_every_term(self):
+        # The bound counts distinct pairs, not every denominator of every
+        # term; the first xi that works, and so lambda, stays the same.
+        k5 = graphic_matroid([[int(i != j) for j in range(5)] for i in range(5)])
+        k34 = graphic_matroid([[int((i < 3) != (j < 3)) for j in range(7)] for i in range(7)])
+        for M in catalog_small() + [k5, k34]:
+            assert generic_lambda(cone_pairs(M), M.n) == generic_lambda_of_terms(matroid_genfun(M)), M
+        assert generic_lambda([], 4) is None
 
 
 class TestSpecializeCount:
@@ -171,7 +191,7 @@ class TestSpecializeCount:
 
     def test_two_lambdas_agree(self, k4):
         terms = matroid_genfun(k4)
-        lam1 = generic_lambda(terms)
+        lam1 = generic_lambda_of_terms(terms)
         # A different generic vector: shift the moment curve base.
         n = len(lam1)
         xi = 23
@@ -183,7 +203,7 @@ class TestSpecializeCount:
 
 
 def _as_fractions(term, lam):
-    nums, den = _term_polynomial(term, lam)
+    nums, den = term_polynomial(term, lam)
     assert den > 0
     return [Fraction(c, den) for c in nums]
 
@@ -192,22 +212,30 @@ class TestTermPolynomial:
     """Each term's dilation polynomial from one exponential with the shift
     folded in, against Todd weights followed by a Taylor shift."""
 
-    def test_catalog_terms_at_two_lambdas(self):
-        for M in catalog_small():  # the 8-edge wheel among them
-            terms = matroid_genfun(M)
-            lam1 = generic_lambda(terms)
+    def test_catalog_terms_at_two_lambdas(self, monkeypatch):
+        # Every cell of every catalog cone (the 8-edge wheel among them) on
+        # its own: `_cone_value` of a cone whose walk yields just that cell.
+        for M in catalog_small():
+            cones = [tangent_cone(M, b) for b in enumerate_bases(M)]
+            lam1 = generic_lambda(cone_pairs(M), M.n)
             if lam1 is None:
                 continue  # a point: no denominators
-            lam2 = tuple(23**p for p in range(len(lam1)))
-            for lam in (lam1, lam2):
-                for t in terms:
-                    assert _as_fractions(t, lam) == term_polynomial_taylor_shift(t, lam), (M, t)
+            lam2 = tuple(23**p for p in range(M.n))
+            for cone in cones:
+                for cell in tree_cells(cone):
+                    monkeypatch.setattr(matropt.genfun, "tree_cells", lambda _, cell=cell: [cell])
+                    term = cell_term(cone, *cell)
+                    for lam in (lam1, lam2):
+                        nums, den = _cone_value(cone, lam, _pair_powers(cone.pairs, lam, M.n))
+                        assert den > 0
+                        got = [Fraction(c, den) for c in nums]
+                        assert got == term_polynomial_taylor_shift(term, lam), (M, cone, cell)
 
     def test_box_terms(self):
         rng = random.Random(29)
         for _ in range(10):
             terms = box_terms([rng.randint(1, 6) for _ in range(rng.randint(1, 4))])
-            lam = generic_lambda(terms)
+            lam = generic_lambda_of_terms(terms)
             for t in terms:
                 assert _as_fractions(t, lam) == term_polynomial_taylor_shift(t, lam)
 
@@ -231,9 +259,7 @@ class TestTermPolynomial:
 
     def test_count_is_the_polynomial_at_one(self):
         for M in catalog_small():
-            terms = matroid_genfun(M)
-            coeffs = dilation_polynomial(terms, polytope_dimension(M))
-            assert specialize_count(terms) == sum(coeffs)
+            assert specialize_count(matroid_genfun(M)) == sum(ehrhart_polynomial(M))
 
 
 class TestMatroidGenfun:
@@ -398,6 +424,17 @@ class TestEhrhartPipeline:
         terms = matroid_genfun(u24)
         with pytest.raises((DimensionError, InternalInconsistencyError)):
             specialize_count(terms, (0, 0, 0, 0))
+        with pytest.raises(DimensionError):
+            cone = tangent_cone(u24, (0, 1))
+            _cone_value(cone, (1, 1, 1, 1), _pair_powers(cone.pairs, (1, 1, 1, 1), 3))
+
+    def test_dilation_polynomial_checks(self):
+        # Values (nums, den) summed over the lcm of their denominators.
+        assert dilation_polynomial([([3, 1], 6), ([1, 1], 2)], 1) == (Fraction(1), Fraction(2, 3))
+        with pytest.raises(InternalInconsistencyError):  # degree 2 above dim = 1
+            dilation_polynomial([([1, 0, 1], 1)], 1)
+        with pytest.raises(InternalInconsistencyError):  # constant term 2
+            dilation_polynomial([([1, 1], 1), ([1, 0], 1)], 1)
 
 
 class TestSparsePaving:

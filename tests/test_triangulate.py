@@ -7,11 +7,16 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    HalfOpenSimplicialCone,
+    _mask_rooted_forest,
+    _mask_tree_coordinates,
     catalog_connected,
     catalog_small,
+    cone_generators,
     cone_triangulation,
     fraction_solve,
     generic_y_for_cells,
+    half_open_cells,
     half_open_contains,
     half_open_decompose,
     join_to_apex,
@@ -23,7 +28,6 @@ from matropt import (
     Cone,
     DimensionError,
     cell_lattice_determinant,
-    HalfOpenSimplicialCone,
     ehrhart_polynomial,
     enumerate_bases,
     graphic_matroid,
@@ -36,7 +40,6 @@ from matropt import (
     tree_cells,
     uniform_matroid,
 )
-from matropt.triangulate import _exchange_edge, _rooted_forest, _tree_coordinates
 
 
 class TestVisible:
@@ -145,24 +148,25 @@ class TestPlacingTriangulation:
 class TestTangentCone:
     def test_k4_has_six_generators(self, k4):
         cone = tangent_cone(k4, (0, 1, 2))
-        assert len(cone.generators) == 6
-        diffs = {
+        assert len(cone.pairs) == 6
+        diffs = [
             tuple(a - b for a, b in zip(incidence_vector(nb, 6), cone.apex))
             for nb in k4.adjacent_bases((0, 1, 2))
-        }
-        assert set(cone.generators) == diffs
+        ]
+        assert cone_generators(cone) == tuple(diffs)  # in the order of adjacent_bases
 
     def test_segment_single_generator(self):
         M = uniform_matroid(2, 1)
         cone = tangent_cone(M, (0,))
-        assert cone.generators == ((-1, 1),)
+        assert cone.pairs == ((0, 1),)
+        assert cone_generators(cone) == ((-1, 1),)
 
     def test_generators_sum_to_zero_total(self, catalog):
         for M in catalog:
             if M.n > 6:
                 continue
             for b in enumerate_bases(M):
-                for g in tangent_cone(M, b).generators:
+                for g in cone_generators(tangent_cone(M, b)):
                     assert sum(g) == 0
 
     def test_generator_count_bound(self, catalog):
@@ -172,14 +176,14 @@ class TestTangentCone:
                 continue
             for b in enumerate_bases(M):
                 cone = tangent_cone(M, b)
-                assert len(cone.generators) <= M.n * len(b) + M.n + len(b)
+                assert len(cone.pairs) <= M.n * len(b) + M.n + len(b)
 
 
 class TestConeTriangulation:
     def test_simplicial_cone_is_itself(self):
-        cone = Cone(apex=(0, 0, 0), generators=((1, 0, 0), (0, 1, 0)))
+        cone = Cone(apex=(1, 0, 0), pairs=((0, 1), (0, 2)))
         cells = cone_triangulation(cone)
-        assert cells == [((1, 0, 0), (0, 1, 0))] or set(cells[0]) == {(1, 0, 0), (0, 1, 0)}
+        assert cells == [((-1, 1, 0), (-1, 0, 1))] or set(cells[0]) == {(-1, 1, 0), (-1, 0, 1)}
 
     def test_u24_vertex_cone_two_cells(self, u24):
         cells = cone_triangulation(tangent_cone(u24, (0, 1)))
@@ -268,7 +272,7 @@ class TestHalfOpen:
         rng = random.Random(0)
         for _ in range(1000):
             point = list(cone.apex)
-            for g in cone.generators:
+            for g in cone_generators(cone):
                 c = rng.randint(0, 3)
                 for i in range(len(point)):
                     point[i] += c * g[i]
@@ -281,13 +285,13 @@ class TestHalfOpen:
                 continue
             for b in enumerate_bases(M)[:3]:
                 cone = tangent_cone(M, b)
-                if not cone.generators:
+                if not cone.pairs:
                     continue
                 cells = cone_triangulation(cone)
                 halves = half_open_decompose(cone.apex, cells)
                 for _ in range(60):
                     point = list(cone.apex)
-                    for g in cone.generators:
+                    for g in cone_generators(cone):
                         c = rng.randint(0, 2)
                         for i in range(len(point)):
                             point[i] += c * g[i]
@@ -334,7 +338,7 @@ class TestTreeCells:
     def test_cells_match_placing(self, oracle_cones):
         total = 0
         for cone, cells in oracle_cones:
-            halves = tree_cells(cone)
+            halves = half_open_cells(cone)
             assert len(halves) == len(cells)
             assert {h.generators for h in halves} == set(cells)
             total += len(cells)
@@ -344,28 +348,28 @@ class TestTreeCells:
         # y = sum_k t^k g_k over the generators in cone order, with the
         # least t, through the Fraction row-space solve.
         for cone, cells in oracle_cones:
-            if not cone.generators:
+            if not cone.pairs:
                 continue
-            y, _ = generic_y_for_cells(cells, rays=cone.generators)
+            y, _ = generic_y_for_cells(cells, rays=cone_generators(cone))
             expected = {h.generators: h.strict_indices
                         for h in half_open_decompose(cone.apex, cells, y=y)}
-            assert {h.generators: h.strict_indices for h in tree_cells(cone)} == expected
+            assert {h.generators: h.strict_indices for h in half_open_cells(cone)} == expected
 
     def test_leaf_pruned_coordinates_match_fraction_solve(self, oracle_cones):
-        # A random y in the span, on up to 12 cells of every cone.
+        # The coordinates of the oracle walk, which rebuilds every forest:
+        # a random y in the span, on up to 12 cells of every cone.
         rng = random.Random(7)
         for cone, _ in oracle_cones:
-            gens = cone.generators
-            ends = [_exchange_edge(g) for g in gens]
+            gens = cone_generators(cone)
             y = [0] * len(cone.apex)
             for g in gens:
                 c = rng.randint(-3, 3)
                 y = [a + c * x for a, x in zip(y, g)]
-            halves = tree_cells(cone)
-            for half in rng.sample(halves, min(len(halves), 12)):
-                bits = [gens.index(g) for g in half.generators]
-                coords = _tree_coordinates(_rooted_forest(bits, ends), y, bits)
-                assert tuple(coords) == fraction_solve(half.generators, y)
+            cells = tree_cells(cone)
+            for bits, _ in rng.sample(cells, min(len(cells), 12)):
+                tree = sum(1 << k for k in bits)
+                coords = _mask_tree_coordinates(_mask_rooted_forest(tree, cone.pairs), y, tree)
+                assert tuple(coords) == fraction_solve([gens[k] for k in bits], y)
 
     def test_same_cells_as_both_supplies_route(self, oracle_cones):
         # The same list as when every cell took its coordinates at t = 1
@@ -376,7 +380,7 @@ class TestTreeCells:
     def test_catalog_cells_unimodular(self, catalog):
         for M in catalog:
             for b in enumerate_bases(M):
-                for half in tree_cells(tangent_cone(M, b)):
+                for half in half_open_cells(tangent_cone(M, b)):
                     assert cell_lattice_determinant(half.generators) == 1
 
     def test_half_open_cells_partition_box(self, catalog):
@@ -391,7 +395,7 @@ class TestTreeCells:
                 cone = tangent_cone(M, b)
                 closed = [HalfOpenSimplicialCone(cone.apex, c, frozenset())
                           for c in cone_triangulation(cone)]
-                halves = tree_cells(cone)
+                halves = half_open_cells(cone)
                 ranges = [range(-2, 1) if i in b else range(0, 3) for i in range(M.n)]
                 for d in product(*ranges):
                     if sum(d) != 0:
@@ -402,20 +406,22 @@ class TestTreeCells:
                     assert hits == int(inside), (M, b, d)
 
     def test_cone_without_generators(self):
-        assert tree_cells(Cone(apex=(1, 1, 0), generators=())) == [
-            HalfOpenSimplicialCone((1, 1, 0), (), frozenset())
-        ]
+        assert tree_cells(Cone(apex=(1, 1, 0), pairs=())) == [((), ())]
         M = uniform_matroid(3, 3)
-        assert tree_cells(tangent_cone(M, (0, 1, 2)))[0].generators == ()
+        assert tree_cells(tangent_cone(M, (0, 1, 2))) == [((), ())]
+        assert half_open_cells(tangent_cone(M, (0, 1, 2))) == [
+            HalfOpenSimplicialCone((1, 1, 1), (), frozenset())
+        ]
 
     def test_rejects_cones_outside_the_matroid_setting(self):
+        # A pair (i, j) must leave the apex's support at i and enter at j.
         with pytest.raises(DimensionError):
-            tree_cells(Cone(apex=(0, 0), generators=((2, -2),)))
+            Cone(apex=(1, 0), pairs=((1, 0),))
         with pytest.raises(DimensionError):
-            tree_cells(Cone(apex=(0, 0, 0), generators=((1, 1, -1),)))
+            Cone(apex=(1, 0), pairs=((0, 2),))
         # Element 1 would be both in and out of the basis.
         with pytest.raises(DimensionError):
-            tree_cells(Cone(apex=(0, 0, 0), generators=((-1, 1, 0), (0, -1, 1))))
+            Cone(apex=(1, 0, 0), pairs=((0, 1), (1, 2)))
 
     def test_pipeline_needs_no_placing(self, k4, monkeypatch):
         import matropt.genfun
