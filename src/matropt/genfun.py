@@ -136,9 +136,9 @@ def _cone_value(cone, lam, powers):
     cone's generators is a common denominator of its cells, cell c
     entering with D / prod_(j in c) d_j.
     """
-    cells = tree_cells(cone)
     if not cone.pairs:
         return [1], 1  # a point vertex: one lattice point in every dilation
+    cells = tree_cells(cone)
     table = [powers[p] for p in cone.pairs]
     d = [row[0] for row in table]
     total = prod(d)

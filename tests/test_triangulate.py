@@ -39,6 +39,7 @@ from matropt import (
     tangent_cone,
     tree_cells,
     uniform_matroid,
+    vector_matroid,
 )
 
 
@@ -376,6 +377,27 @@ class TestTreeCells:
         # and t = 2: cells, their order, generators and strict flags.
         for cone, _ in oracle_cones:
             assert tree_cells(cone) == tree_cells_both_supplies(cone)
+
+    def test_disconnected_cones_match_the_rebuilt_walk(self):
+        # Several components of the exchange graph, each rooted and re-rooted
+        # on its own: K4 beside a triangle, and a vector matroid that is
+        # U(2,4) + U(1,3) + U(1,2) with its parallel and free columns.
+        k4_and_triangle = [[0] * 7 for _ in range(7)]
+        for block in (range(4), range(4, 7)):
+            for u in block:
+                for v in block:
+                    k4_and_triangle[u][v] = int(u != v)
+        direct_sum = vector_matroid([
+            [1, 1, 1, 1, 0, 0, 0, 0, 0],
+            [0, 1, 2, 3, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 1, 1, 1, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0, 1, 1],
+        ])
+        for M in (graphic_matroid(k4_and_triangle), direct_sum):
+            assert polytope_dimension(M) < M.n - 1
+            for b in enumerate_bases(M):
+                cone = tangent_cone(M, b)
+                assert tree_cells(cone) == tree_cells_both_supplies(cone), (M, b)
 
     def test_catalog_cells_unimodular(self, catalog):
         for M in catalog:
