@@ -242,8 +242,9 @@ def tree_cells(cone: Cone):
     for k, (i, _) in enumerate(pairs):
         component[label[i]] = component.get(label[i], 0) | 1 << k
     members = {c: [v for v in range(n) if label[v] == c] for c in component}
-    half = 1 << m.bit_length()  # above every flow of y_1; M = 2 * half
-    cells = [_first_cell(first, adj, pairs, component.values(), 2 * half)]
+    half = 1 << m.bit_length()  # above every flow of y_1
+    modulus = 2 * half
+    cells = [_first_cell(first, adj, pairs, component.values(), modulus)]
     seen = {first}
     for cell in cells:  # grows while it is read: breadth-first over the cells
         tree, _, anc, pi, heads, _ = cell
@@ -285,7 +286,6 @@ def tree_cells(cone: Cone):
                 c = label[pairs[f][0]]
                 cells.append(_swap(cell, child, e, f, pairs, path, back, component[c], members[c]))
         cell[2] = cell[3] = None  # only the bits and flows are needed from here on
-    modulus = 2 * half
     bits = [cell[1] for cell in cells]
     rows = [[cell[5][k] for k in cell[1]] for cell in cells]
     if all(map(modulus.__rmod__, chain.from_iterable(rows))):  # t = 1: the residues are its flows
