@@ -387,9 +387,9 @@ class TestEhrhartPipeline:
 
     @pytest.mark.slow
     def test_k6_pinned(self):
-        # K6 (15 edges, 1,296 bases, dim 14, 350,370 cells): half a minute or
-        # more, so it runs only under `pytest -m slow`.  The value at k = 1 is the
-        # spanning-tree count 6^4 (Cayley).
+        # K6 (15 edges, 1,296 bases, dim 14, 350,370 cells): half a minute
+        # or more, so it runs only under `pytest -m slow`.  The value at
+        # k = 1 is the spanning-tree count 6^4 (Cayley).
         from matropt import graphic_matroid
 
         M = graphic_matroid([[int(i != j) for j in range(6)] for i in range(6)])
