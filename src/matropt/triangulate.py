@@ -255,7 +255,8 @@ def tree_cells(cone: Cone):
             a, b = pairs[f]
             cost = (1 << f) - pi[b] + pi[a]
             if cost <= 0:
-                raise InternalInconsistencyError("a tree with a non-positive reduced cost is not a cell")
+                raise InternalInconsistencyError(
+                    "a tree with a non-positive reduced cost is not a cell")
             up_a, up_b = anc[a], anc[b]
             path = up_a ^ up_b  # the tree path from a to b
             back = path & ((up_a & heads) | (up_b & ~heads))  # run from head to tail
@@ -289,7 +290,8 @@ def tree_cells(cone: Cone):
     bits = [cell[1] for cell in cells]
     rows = [[cell[5][k] for k in cell[1]] for cell in cells]
     if all(map(modulus.__rmod__, chain.from_iterable(rows))):  # t = 1: the residues are its flows
-        strict = [tuple(k for k, x in zip(b, row) if x % modulus > half) for b, row in zip(bits, rows)]
+        strict = [tuple(k for k, x in zip(b, row) if x % modulus > half)
+                  for b, row in zip(bits, rows)]
     else:
         if min(map(abs, chain.from_iterable(rows))) < half:
             raise InternalInconsistencyError("y = sum 2^k g_k lies on a cell wall")

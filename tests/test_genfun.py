@@ -158,7 +158,8 @@ class TestGenericLambda:
         k5 = graphic_matroid([[int(i != j) for j in range(5)] for i in range(5)])
         k34 = graphic_matroid([[int((i < 3) != (j < 3)) for j in range(7)] for i in range(7)])
         for M in catalog_small() + [k5, k34]:
-            assert generic_lambda(cone_pairs(M), M.n) == generic_lambda_of_terms(matroid_genfun(M)), M
+            lam = generic_lambda(cone_pairs(M), M.n)
+            assert lam == generic_lambda_of_terms(matroid_genfun(M)), M
         assert generic_lambda([], 4) is None
 
 
