@@ -19,12 +19,15 @@ from .errors import ParseError
 from .matroid import Matroid, graphic_matroid, uniform_matroid, vector_matroid
 
 
-def parse_rational(token: str, line=None, column=None) -> Fraction:
+def parse_rational(token: str, line=None, column=None) -> int | Fraction:
+    """An integer or "p/q" token: a plain int when its value is integral
+    ("42", "6/3"), a Fraction only for a true rational."""
     try:
         if "/" in token:
             p, q = token.split("/")
-            return Fraction(int(p), int(q))
-        return Fraction(int(token))
+            x = Fraction(int(p), int(q))
+            return x.numerator if x.denominator == 1 else x
+        return int(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad rational {token!r}", line=line, column=column) from None
 
@@ -63,7 +66,7 @@ def parse_matroid(text: str) -> Matroid:
         for lno, row in zip((l for l, _ in lines[1:]), rows):
             if any(x not in (0, 1) for x in row):
                 raise ParseError("adjacency entries must be 0 or 1", line=lno)
-        return graphic_matroid([[int(x) for x in row] for row in rows])
+        return graphic_matroid(rows)
     if kind == "vector":
         if len(fields) != 3:
             raise ParseError("expected 'vector m n'", line=lineno)
@@ -74,7 +77,7 @@ def parse_matroid(text: str) -> Matroid:
 
 
 def parse_weights(text: str):
-    """Weight file -> list of integer rows (d x n)."""
+    """Weight file -> list of integer rows (d x n), as tuples of int."""
     lines = _lines(text)
     if not lines:
         raise ParseError("empty weights file", line=1)
@@ -83,8 +86,7 @@ def parse_weights(text: str):
     if len(fields) != 3 or fields[0].lower() != "weights":
         raise ParseError("expected 'weights d n'", line=lineno)
     d, n = _ints(fields[1:], lineno)
-    rows = _matrix(lines[1:], d, n, lineno, integer=True)
-    return [tuple(int(x) for x in row) for row in rows]
+    return _matrix(lines[1:], d, n, lineno, integer=True)
 
 
 def _ints(tokens, lineno):
@@ -116,7 +118,7 @@ def _matrix(lines, nrows, ncols, header_line, integer):
             val = parse_rational(tok, line=lineno, column=col)
             if integer and val.denominator != 1:
                 raise ParseError("expected integer entry", line=lineno, column=col)
-            row.append(int(val) if integer else val)
+            row.append(val)
         rows.append(tuple(row))
     return rows
 

@@ -171,12 +171,12 @@ def greedy_max_basis(M: Matroid, weights):
     """Maximum-weight basis by the greedy algorithm.
 
     Ties are broken by scanning elements in ascending index order, which
-    yields the lexicographically smallest optimal basis.
+    yields the lexicographically smallest optimal basis.  The weight of the
+    basis is an int for integer weights.
     """
     if len(weights) != M.n:
         raise DimensionError(f"weight vector length {len(weights)} != {M.n}")
-    w = [Fraction(x) for x in weights]
-    order = sorted(range(M.n), key=lambda i: (-w[i], i))
+    order = sorted(range(M.n), key=lambda i: (-weights[i], i))
     chosen = []
     current = set()
     for i in order:
@@ -186,8 +186,7 @@ def greedy_max_basis(M: Matroid, weights):
             if len(chosen) == M.rank:
                 break
     basis = tuple(sorted(chosen))
-    total = sum((w[i] for i in basis), Fraction(0))
-    return basis, total
+    return basis, sum(weights[i] for i in basis)
 
 
 def random_basis(M: Matroid, seed=None, rng=None):

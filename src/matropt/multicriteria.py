@@ -95,8 +95,8 @@ def bounding_box(M: Matroid, W: WeightMatrix) -> BoundingBox:
     for row in W.rows:
         _, mx = greedy_max_basis(M, row)
         _, neg = greedy_max_basis(M, [-x for x in row])
-        lo.append(int(-neg))
-        hi.append(int(mx))
+        lo.append(-neg)
+        hi.append(mx)
     return BoundingBox(tuple(lo), tuple(hi))
 
 

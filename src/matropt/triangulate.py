@@ -2,10 +2,14 @@
 the vertex cones of matroid polytopes.
 
 The placing loop works in integers and only ever queries hull-boundary
-facets, where visibility drops out of a strict supporting-hyperplane sign
-test against a cached facet normal; the test suite checks it against an
-exact LP visibility test.  Insertion order is recorded with every result so
-a run can be replayed.
+facets, where visibility drops out of a strict sign test of one facet
+functional of the facet's cell.  A new cell takes its functionals from the
+cell it is glued to, through the pencil of hyperplanes on each shared ridge
+(the beneath-beyond step of De Loera, Rambau and Santos, Triangulations,
+2010, section 4.3); the only eliminations are one per growth of the affine
+hull.  The test suite checks visibility against an exact LP test and the
+cells against a loop that takes one kernel elimination per boundary facet.
+Insertion order is recorded with every result so a run can be replayed.
 
 A vertex cone of a matroid polytope is carried as exchange pairs: its
 generators are the differences e_j - e_i of the adjacent bases B - i + j.
@@ -26,14 +30,15 @@ the j-th coordinate of y in the cell's own generators is negative.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from .errors import DimensionError, InternalInconsistencyError
-from .linalg import _extend, _null_vector, bareiss_det, max_minor_gcd
+from .linalg import _extend, _null_vector, bareiss_det, max_minor_gcd, rational_rank
 
 
 @dataclass(frozen=True)
@@ -85,11 +90,20 @@ def placing_triangulation(points, order=None):
     All arithmetic is in integers.  Rational input is scaled by the lcm of
     its denominators, an affine map that keeps the combinatorics.  An
     integer echelon of difference rows tracks the affine hull; its pivot
-    columns give a projection that is injective on the hull.  Candidate
-    facets always lie on the current hull boundary, where visibility is a
-    strict supporting-hyperplane sign test: one dot product with the
-    facet's normal (a kernel vector of its edges), compared with the side
-    of the opposite vertex of the facet's cell.
+    columns give a projection that is injective on the hull.  A cell carries
+    its d + 1 facet functionals in those coordinates: l_p, one per vertex p,
+    is the primitive integer affine functional that vanishes on the facet
+    opposite p and is positive at p.  Candidate facets always lie on the
+    hull boundary, where visibility is a strict supporting-hyperplane sign
+    test: the boundary facet F of the cell F + {o} is visible from v exactly
+    when l_o(v) < 0.  The cell F + {v} then takes l'_v = -l_o and, for q in
+    F, the member of the pencil of l_o and l_q (the hyperplanes through the
+    ridge F - q) that vanishes at v, l_q(v) l_o - l_o(v) l_q.  When v leaves
+    the hull, one elimination gives the functional h that vanishes on the
+    old hull and is positive at v; each cell C + {v} takes l'_v = h and, for
+    p in C, h(v) l_p - l_p(v) h.  Every functional is scaled to be
+    primitive.  Until the hull is full every cell keeps its functionals;
+    from then on a cell's functionals go with its last boundary facet.
     """
     pts = [tuple(map(Fraction, p)) for p in points]
     if not pts:
@@ -99,13 +113,16 @@ def placing_triangulation(points, order=None):
         raise DimensionError("order must be a permutation of the point indices")
     scale = lcm(*(x.denominator for p in pts for x in p))
     ipts = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in pts]
+    full = rational_rank([[a - b for a, b in zip(p, ipts[0])] for p in ipts])
     cells: list = []
+    tables: list = []  # every cell's functionals, while the hull can still grow
     seen: set = set()
     origin = None
     echelon: list = []  # (pivot column, row): reduced difference rows of the hull
-    boundary: dict = {}  # boundary facet -> opposite vertex, first-occurrence order
+    # boundary facet -> (position of its opposite vertex, its cell's functionals),
+    # in first-occurrence order
+    boundary: dict = {}
     interior: set = set()
-    normals: dict = {}  # boundary facet -> (normal, offset, side of opposite vertex)
     for idx in order:
         v = ipts[idx]
         if v in seen:
@@ -113,27 +130,45 @@ def placing_triangulation(points, order=None):
         seen.add(v)
         if origin is None:
             origin = v
-            cells = [(idx,)]
+            cells, tables = [(idx,)], [[(1,)]]  # a point's one functional: the constant 1
             continue
+        qv = [v[c] for c, _ in echelon]
         if _extend(echelon, [a - b for a, b in zip(v, origin)]) is None:
-            cells = [tuple(sorted(cell + (idx,))) for cell in cells]
+            qv += [v[echelon[-1][0]], 1]  # the new pivot column comes last
+            h = _facet_normal([ipts[i] for i in cells[0]], v, [c for c, _ in echelon])
+            hv = sum(map(mul, h, qv))
+            grown_cells, grown_tables = [], []
+            for cell, table in zip(cells, tables):
+                grown = []
+                for lp in table:
+                    ext = (*lp[:-1], 0, lp[-1])  # no term in the new pivot column
+                    grown.append(_pencil(ext, sum(map(mul, ext, qv)), h, hv))
+                j = bisect(cell, idx)
+                grown.insert(j, h)
+                grown_cells.append(cell[:j] + (idx,) + cell[j:])
+                grown_tables.append(grown)
+            cells, tables = grown_cells, grown_tables
             boundary, interior = {}, set()
-            _add_facets(boundary, interior, cells)
-            normals.clear()
+            _add_facets(boundary, interior, cells, tables)
+            if len(echelon) == full:
+                tables = None
             continue
-        cols = [c for c, _ in echelon]
-        qv = [v[c] for c in cols]
-        new = []
-        for f, opp in boundary.items():
-            entry = normals.get(f)
-            if entry is None:
-                entry = normals[f] = _facet_normal([ipts[i] for i in f], ipts[opp], cols)
-            nu, offset, ref = entry
-            sv = sum(a * b for a, b in zip(nu, qv)) - offset
-            if sv != 0 and (sv > 0) != (ref > 0):
-                new.append(tuple(sorted(f + (idx,))))
+        qv.append(1)
+        new, grown_tables = [], []
+        for f, (k, table) in boundary.items():
+            lo = table[k]
+            s = sum(map(mul, lo, qv))
+            if s < 0:
+                grown = [_pencil(lo, s, lq, sum(map(mul, lq, qv)))
+                         for lq in table[:k] + table[k + 1:]]
+                j = bisect(f, idx)
+                grown.insert(j, tuple([-a for a in lo]))
+                new.append(f[:j] + (idx,) + f[j:])
+                grown_tables.append(grown)
         cells += new
-        _add_facets(boundary, interior, new)
+        if tables is not None:
+            tables += grown_tables
+        _add_facets(boundary, interior, new, grown_tables)
     cols = [c for c, _ in echelon]
     for cell in cells:
         base = ipts[cell[0]]
@@ -143,10 +178,11 @@ def placing_triangulation(points, order=None):
     return cells, order
 
 
-def _add_facets(boundary, interior, cells):
+def _add_facets(boundary, interior, cells, tables):
     """Count the facets of new cells: a facet seen once is on the boundary
-    (kept with its cell's opposite vertex), one seen again is interior."""
-    for cell in cells:
+    (kept with the position of its cell's opposite vertex and the cell's
+    functionals), one seen again is interior."""
+    for cell, table in zip(cells, tables):
         last = len(cell) - 1
         for k, f in enumerate(combinations(cell, last)):
             if f in interior:
@@ -155,13 +191,14 @@ def _add_facets(boundary, interior, cells):
                 del boundary[f]
                 interior.add(f)
             else:
-                boundary[f] = cell[last - k]  # combinations drop the last vertex first
+                boundary[f] = (last - k, table)  # combinations drop the last vertex first
 
 
 def _facet_normal(facet, opposite, cols):
-    """Normal of a hull facet in projected coordinates (a kernel vector of
-    its edge matrix), its offset, and the side of the opposite vertex of the
-    facet's cell; only signs against the normal are ever used."""
+    """The facet functional of a hull facet in projected coordinates: the
+    primitive integer affine functional (coefficients, then the constant)
+    that vanishes on the facet and is positive at the opposite vertex of the
+    facet's cell.  Its linear part is a kernel vector of the edge matrix."""
     q = [[p[c] for c in cols] for p in facet]
     nu = _null_vector([[a - b for a, b in zip(row, q[0])] for row in q[1:]], len(cols))
     if nu is None:
@@ -170,7 +207,20 @@ def _facet_normal(facet, opposite, cols):
     ref = sum(a * opposite[c] for a, c in zip(nu, cols)) - offset
     if ref == 0:
         raise InternalInconsistencyError("degenerate cell: opposite vertex on the facet")
-    return nu, offset, ref
+    return _primitive([*nu, -offset] if ref > 0 else [-a for a in nu] + [offset])
+
+
+def _pencil(a, av, b, bv):
+    """The member bv a - av b of the pencil of functionals a and b, which
+    vanishes at the point where they take the values av and bv, scaled to
+    be primitive."""
+    return _primitive([bv * x - av * y for x, y in zip(a, b)])
+
+
+def _primitive(row):
+    """A nonzero integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return tuple([a // g for a in row])
 
 
 def cell_lattice_determinant(generators) -> int:

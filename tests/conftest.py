@@ -35,8 +35,7 @@ from matropt import (
 )
 from matropt.genfun import _exp_gamma, _exp_table, _todd_log
 from matropt.heuristics import _derived_seed, _point, boundary_start, fiber_bfs
-from matropt.linalg import _extend, _integral, _unit, bareiss_det, rational_rank
-from matropt.triangulate import _add_facets
+from matropt.linalg import _extend, _integral, _null_vector, _unit, bareiss_det, rational_rank
 
 K4_ADJACENCY = [
     [0, 1, 1, 1],
@@ -618,6 +617,170 @@ def hstar_uniform_triple_sum(n: int, r: int):
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+# Placing with one facet normal per boundary facet --------------------------
+# `triangulate.placing_triangulation` before each cell carried its facet
+# functionals: every boundary facet gets its normal from its own kernel
+# elimination the first time a point tests it.  The cells and their order
+# must be the library's.
+
+
+def placing_with_facet_normals(points, order=None):
+    """Incremental triangulation of a point set in the given insertion order.
+
+    Returns (cells, order): cells are sorted tuples of point indices, each
+    affinely independent and of the common maximal dimension.  A point that
+    extends the affine hull cones over every existing cell; otherwise it is
+    attached to every boundary facet visible from it (a point inside the
+    current hull sees nothing and stays unused).  Duplicate points are
+    skipped.  The result depends on the order, which is therefore returned
+    alongside the cells.
+
+    All arithmetic is in integers.  Rational input is scaled by the lcm of
+    its denominators, an affine map that keeps the combinatorics.  An
+    integer echelon of difference rows tracks the affine hull; its pivot
+    columns give a projection that is injective on the hull.  Candidate
+    facets always lie on the current hull boundary, where visibility is a
+    strict supporting-hyperplane sign test: one dot product with the
+    facet's normal (a kernel vector of its edges), compared with the side
+    of the opposite vertex of the facet's cell.
+    """
+    pts = [tuple(map(Fraction, p)) for p in points]
+    if not pts:
+        raise DimensionError("need at least one point")
+    order = tuple(range(len(pts))) if order is None else tuple(order)
+    if sorted(order) != list(range(len(pts))):
+        raise DimensionError("order must be a permutation of the point indices")
+    scale = lcm(*(x.denominator for p in pts for x in p))
+    ipts = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in pts]
+    cells: list = []
+    seen: set = set()
+    origin = None
+    echelon: list = []  # (pivot column, row): reduced difference rows of the hull
+    boundary: dict = {}  # boundary facet -> opposite vertex, first-occurrence order
+    interior: set = set()
+    normals: dict = {}  # boundary facet -> (normal, offset, side of opposite vertex)
+    for idx in order:
+        v = ipts[idx]
+        if v in seen:
+            continue  # duplicate of an already-placed point: unused
+        seen.add(v)
+        if origin is None:
+            origin = v
+            cells = [(idx,)]
+            continue
+        if _extend(echelon, [a - b for a, b in zip(v, origin)]) is None:
+            cells = [tuple(sorted(cell + (idx,))) for cell in cells]
+            boundary, interior = {}, set()
+            _add_facets(boundary, interior, cells)
+            normals.clear()
+            continue
+        cols = [c for c, _ in echelon]
+        qv = [v[c] for c in cols]
+        new = []
+        for f, opp in boundary.items():
+            entry = normals.get(f)
+            if entry is None:
+                entry = normals[f] = _facet_normal([ipts[i] for i in f], ipts[opp], cols)
+            nu, offset, ref = entry
+            sv = sum(a * b for a, b in zip(nu, qv)) - offset
+            if sv != 0 and (sv > 0) != (ref > 0):
+                new.append(tuple(sorted(f + (idx,))))
+        cells += new
+        _add_facets(boundary, interior, new)
+    cols = [c for c, _ in echelon]
+    for cell in cells:
+        base = ipts[cell[0]]
+        edges = [[ipts[i][c] - base[c] for c in cols] for i in cell[1:]]
+        if bareiss_det(edges) == 0:
+            raise InternalInconsistencyError("placing produced a degenerate cell")
+    return cells, order
+
+
+def _add_facets(boundary, interior, cells):
+    """Count the facets of new cells: a facet seen once is on the boundary
+    (kept with its cell's opposite vertex), one seen again is interior."""
+    for cell in cells:
+        last = len(cell) - 1
+        for k, f in enumerate(combinations(cell, last)):
+            if f in interior:
+                continue
+            if f in boundary:
+                del boundary[f]
+                interior.add(f)
+            else:
+                boundary[f] = cell[last - k]  # combinations drop the last vertex first
+
+
+def _facet_normal(facet, opposite, cols):
+    """Normal of a hull facet in projected coordinates (a kernel vector of
+    its edge matrix), its offset, and the side of the opposite vertex of the
+    facet's cell; only signs against the normal are ever used."""
+    q = [[p[c] for c in cols] for p in facet]
+    nu = _null_vector([[a - b for a, b in zip(row, q[0])] for row in q[1:]], len(cols))
+    if nu is None:
+        raise InternalInconsistencyError("boundary facet does not span a hyperplane")
+    offset = sum(a * b for a, b in zip(nu, q[0]))
+    ref = sum(a * opposite[c] for a, c in zip(nu, cols)) - offset
+    if ref == 0:
+        raise InternalInconsistencyError("degenerate cell: opposite vertex on the facet")
+    return nu, offset, ref
+
+
+def seeded_rational_point_sets(trials):
+    """(points, insertion order) pairs drawn as
+    `test_surfaces.py::TestPlacingMatchesVisibilityLP::test_random_sets_agree_with_lp`
+    draws its 40: rational points in dims 1-4, a point on a segment, the
+    centroid, a duplicate and a shuffled order.  The first 40 are its sets."""
+    rng = random.Random(20261018)
+    for trial in range(trials):
+        dim = 1 + trial % 4
+        pts = [
+            tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(dim))
+            for _ in range(rng.randint(2, 4 + dim))
+        ]
+        a, b = rng.sample(pts, 2)
+        pts.append(tuple((x + y) / 2 for x, y in zip(a, b)))
+        pts.append(tuple(sum(c) / len(pts) for c in zip(*pts)))
+        pts.append(rng.choice(pts))
+        order = list(range(len(pts)))
+        rng.shuffle(order)
+        yield pts, order
+
+
+# Half-open placing of the whole polytope -----------------------------------
+# A second route to h* that needs no generic lambda and no Ehrhart counts:
+# for a unimodular triangulation and a generic point q of the relative
+# interior, make facet j of a cell strict exactly when the j-th barycentric
+# coordinate of q is negative.  The half-open cells then partition P
+# (Stanley, Decompositions of rational convex polytopes, 1980; Koeppe and
+# Verdoolaege, 2008), and a cell with i strict facets adds t^i to the
+# numerator of the Ehrhart series.
+
+
+def hstar_by_half_open_placing(M: Matroid):
+    """h* of P_M from its placing triangulation, counting each cell by the
+    barycentric coordinates of q that are negative.  q is a seeded random
+    positive combination of all vertices, so it lies in the relative
+    interior; a zero coordinate means it is not generic and raises."""
+    pts = [incidence_vector(b, M.n) for b in enumerate_bases(M)]
+    cells, _ = placing_triangulation(pts)
+    rng = random.Random(1)
+    weights = [rng.randint(1, 10**6) for _ in pts]
+    # q in homogeneous coordinates, scaled by the total weight.
+    q = [sum(w * p[c] for w, p in zip(weights, pts)) for c in range(M.n)] + [sum(weights)]
+    hstar = [0] * len(cells[0])
+    for cell in cells:
+        coords = solve_in_row_space([(*pts[i], 1) for i in cell], q)
+        if coords is None:
+            raise InternalInconsistencyError("a placing cell does not span the polytope's hull")
+        if 0 in coords:
+            raise DimensionError("q lies on a cell wall")
+        hstar[sum(c < 0 for c in coords)] += 1
+    while hstar and hstar[-1] == 0:
+        hstar.pop()
+    return tuple(hstar)
 
 
 # Placing-based cone triangulation and half-open flags ---------------------

@@ -18,6 +18,7 @@ from conftest import (
     evaluate_polynomial,
     generic_lambda_of_terms,
     genfun_of_halfopen,
+    hstar_by_half_open_placing,
     interpolate_ehrhart,
     matroid_genfun,
     minimal_matroid,
@@ -404,6 +405,24 @@ class TestEhrhartPipeline:
         )))
         assert evaluate_polynomial(coeffs, 1) == 1296
 
+    @pytest.mark.slow
+    def test_k35_pinned(self):
+        # K3,5 (15 edges, 2,025 bases, dim 14, 753,060 cells): about 70 s.
+        # Pinned from the pipeline's own output; the value at k = 1 is the
+        # spanning-tree count 3^4 * 5^2.
+        from matropt import graphic_matroid
+
+        M = graphic_matroid([[int((i < 3) != (j < 3)) for j in range(8)] for i in range(8)])
+        coeffs = ehrhart_polynomial(M)
+        assert coeffs == tuple(map(Fraction, (
+            "1", "3354997/360360", "6247448869/151351200", "21003413/181440",
+            "550734467/2395008", "15567137/45360", "2166158863/5443200",
+            "151431887/414720", "3253395653/12192768", "89739101/580608",
+            "3036661051/43545600", "756067313/31933440", "108977651/19160064",
+            "32459047/37739520", "2676698273/43589145600",
+        )))
+        assert evaluate_polynomial(coeffs, 1) == 2025
+
     def test_vector_backend_agrees_with_graphic(self, k4):
         # The oriented-incidence realization has the same bases, so the whole
         # pipeline must produce the identical polynomial through a different
@@ -479,3 +498,36 @@ class TestSparsePaving:
             assert self.agree(M, lambda t: sparse_paving_count(M, t)), M
             checked += 1
         assert checked == len(catalog_small()) - 1  # all but the 8-edge wheel
+
+
+class TestHalfOpenPlacing:
+    """The pipeline's h* against half-open cells of the whole polytope's
+    placing triangulation, a route that needs no generic lambda and no
+    Ehrhart counts."""
+
+    @staticmethod
+    def pipeline_hstar(M):
+        dim = polytope_dimension(M)
+        coeffs = ehrhart_polynomial(M)
+        return hstar_from_counts([int(evaluate_polynomial(coeffs, k)) for k in range(dim + 1)], dim)
+
+    def test_small_polytopes(self, k4):
+        # U(2,5), U(3,6), K4 and the 8-edge wheel (1,068 cells): about 0.5 s.
+        from conftest import wheel4_adjacency
+
+        wheel = graphic_matroid(wheel4_adjacency())
+        for M in (uniform_matroid(5, 2), uniform_matroid(6, 3), k4, wheel):
+            assert hstar_by_half_open_placing(M) == self.pipeline_hstar(M), M.label
+        assert hstar_by_half_open_placing(wheel) == (1, 37, 254, 475, 262, 38, 1)
+
+    @pytest.mark.slow
+    def test_k33(self):
+        # 8,923 cells: about 4 s.
+        M = graphic_matroid([[int((i < 3) != (j < 3)) for j in range(6)] for i in range(6)])
+        assert hstar_by_half_open_placing(M) == self.pipeline_hstar(M)
+
+    @pytest.mark.slow
+    def test_k5(self):
+        # 45,444 cells: about 25 s, half of it placing.
+        M = graphic_matroid([[int(i != j) for j in range(5)] for i in range(5)])
+        assert hstar_by_half_open_placing(M) == self.pipeline_hstar(M)

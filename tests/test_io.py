@@ -15,6 +15,28 @@ class TestRationals:
     def test_parse_fraction(self):
         assert parse_rational("-7/3") == Fraction(-7, 3)
 
+    def test_integral_values_are_plain_int(self):
+        for token, value in (("42", 42), ("-3", -3), ("6/3", 2), ("0/5", 0), ("4/-2", -2)):
+            x = parse_rational(token)
+            assert type(x) is int and x == value, token
+        assert type(parse_rational("-7/3")) is Fraction
+
+    def test_matrices_weights_and_coefficients_keep_int(self):
+        import argparse
+
+        from matropt.cli import _objective
+        from matropt.io import parse_point_rows
+
+        rows = parse_point_rows("vector 1 3\n1 1/2 4/2\n")
+        assert rows == [(1, Fraction(1, 2), 2)]
+        assert [type(x) for x in rows[0]] == [int, Fraction, int]
+        weights = parse_weights("weights 1 3\n1 -2 3\n")
+        assert all(type(x) is int for row in weights for x in row)
+        graph = parse_matroid("graph 3\n0 1 1\n1 0 1\n1 1 0\n")
+        assert graph.data == (3, ((0, 1), (0, 2), (1, 2)))
+        args = argparse.Namespace(objective="linear", coeff="3,6/3,1/2")
+        assert [type(x) for x in _objective(args, 3).c] == [int, int, Fraction]
+
     def test_reject_decimal(self):
         with pytest.raises(ParseError):
             parse_rational("1.5")

@@ -155,6 +155,10 @@ class TestGreedy:
     def test_u24_top_two(self, u24):
         assert greedy_max_basis(u24, (1, 2, 3, 4)) == ((2, 3), Fraction(7))
 
+    def test_weight_keeps_the_type_of_the_weights(self, u24):
+        assert type(greedy_max_basis(u24, (1, 2, 3, 4))[1]) is int
+        assert greedy_max_basis(u24, (1, 2, Fraction(7, 2), 4)) == ((2, 3), Fraction(15, 2))
+
     def test_matches_brute_force_on_catalog(self, catalog):
         import random
 

@@ -20,7 +20,9 @@ from conftest import (
     half_open_contains,
     half_open_decompose,
     join_to_apex,
+    placing_with_facet_normals,
     rational_kernel_basis,
+    seeded_rational_point_sets,
     tree_cells_both_supplies,
     visible,
 )
@@ -144,6 +146,27 @@ class TestPlacingTriangulation:
                     for i in range(u24.n)
                 ]
                 assert pc.contains(point)
+
+
+class TestPlacingMatchesFacetNormals:
+    # The carried functionals against the loop that takes one kernel
+    # elimination per boundary facet: the same cells in the same order.
+    def test_catalog_polytopes(self, catalog):
+        for M in catalog:  # U(3,7) among them
+            pts = [incidence_vector(b, M.n) for b in enumerate_bases(M)]
+            assert placing_triangulation(pts) == placing_with_facet_normals(pts), M.label
+
+    def test_k33(self):
+        # 8,923 cells: about 1.5 s for the library, 4.5 s for the oracle.
+        M = graphic_matroid([[int((i < 3) != (j < 3)) for j in range(6)] for i in range(6)])
+        pts = [incidence_vector(b, M.n) for b in enumerate_bases(M)]
+        assert placing_triangulation(pts) == placing_with_facet_normals(pts)
+
+    def test_seeded_rational_sets(self):
+        # Duplicates, points inside the hull and shuffled orders, dims 1-4.
+        for pts, order in seeded_rational_point_sets(300):
+            assert placing_triangulation(pts, order) == placing_with_facet_normals(pts, order)
+            assert placing_triangulation(pts) == placing_with_facet_normals(pts)
 
 
 class TestTangentCone:
