@@ -68,7 +68,6 @@ from .oracles import (
 )
 from .triangulate import (
     Cone,
-    cell_lattice_determinant,
     placing_triangulation,
     tangent_cone,
     tree_cells,

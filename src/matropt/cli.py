@@ -56,7 +56,7 @@ from .oracles import (
     spanning_trees,
 )
 from .linalg import bareiss_det
-from .triangulate import cell_lattice_determinant, placing_triangulation
+from .triangulate import placing_triangulation
 from .uniform import ehrhart_uniform, hstar_uniform
 
 
@@ -213,7 +213,7 @@ def cmd_ts(args):
 def cmd_pt(args):
     M = load_matroid(args.matroid)
     W = _weights(args, M)
-    if args.targets:
+    if args.targets is not None:
         targets = [(_parse_point(tok)) for tok in args.targets.split(";") if tok.strip()]
         for t in targets:
             if len(t) != W.d:
@@ -377,21 +377,21 @@ def cmd_check_unimodular(args):
     M = load_matroid(args.matroid)
     bases = enumerate_bases(M)
     points = [incidence_vector(b, M.n) for b in bases]
-    cells, order = placing_triangulation(points)
+    cells, order, volumes = placing_triangulation(points)
     dim = polytope_dimension(M, bases)
     report = []
     all_ok = True
-    for cell in cells:
-        # Normalized volume over the affine lattice of the polytope: placing
-        # cells are full-dimensional, so the gcd of the maximal minors of the
-        # edge vectors is the cell's index in that lattice.  For a connected
-        # matroid (exactly when a cell has n vertices) this equals |det of
-        # the n incidence vectors| divided by the rank, checked on every such
-        # cell, so unimodularity reads "lattice det == 1".
-        first = points[cell[0]]
-        lattice_det = cell_lattice_determinant(
-            [tuple(a - b for a, b in zip(points[idx], first)) for idx in cell[1:]]
-        )
+    # Each volume is the cell's lattice determinant, its index in the affine
+    # lattice of P.  lin(P - P) is cut out by "each connected component's
+    # coordinates sum to zero", and placing's pivot columns project it
+    # injectively, so they leave out exactly one element per component.
+    # That element's coordinate is minus the sum of the rest of its
+    # component, so the projection maps Z^n meet lin(P - P) onto Z^dim and
+    # keeps every determinant.  For a connected matroid (exactly when a cell
+    # has n vertices) |det| of the n incidence vectors is the rank times the
+    # lattice determinant, a second route checked on every such cell, so
+    # unimodularity reads "lattice det == 1".
+    for cell, lattice_det in zip(cells, volumes):
         ok = lattice_det == 1
         entry = {
             "cell": [_one_based(bases[i]) for i in cell],

@@ -1,6 +1,6 @@
 """Exact linear algebra over integers and rationals.
 
-Determinants and minors are integer-only (fraction-free Bareiss).  Rank,
+Determinants are integer-only (fraction-free Bareiss).  Rank,
 span membership and kernel vectors all come from one fraction-free row
 reduction with gcd normalisation (`_extend`); rational rows are first
 scaled to integers.  No floating point anywhere.  Matrices are plain lists
@@ -10,7 +10,6 @@ next to exactness.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import gcd, lcm
 
 
@@ -108,21 +107,3 @@ def _null_vector(rows, d):
 def _unit(i, k):
     return [int(j == i) for j in range(k)]
 
-
-def max_minor_gcd(rows) -> int:
-    """gcd of all maximal minors of a full-row-rank integer matrix.
-
-    Equals the index of the row lattice inside Z^n intersected with the row
-    span, so the value 1 certifies a lattice basis (unimodularity).
-    """
-    k = len(rows)
-    if k == 0:
-        return 1
-    n = len(rows[0])
-    g = 0
-    for cols in combinations(range(n), k):
-        sub = [[row[c] for c in cols] for row in rows]
-        g = gcd(g, abs(bareiss_det(sub)))
-        if g == 1:
-            return 1
-    return g

@@ -7,9 +7,10 @@ functional of the facet's cell.  A new cell takes its functionals from the
 cell it is glued to, through the pencil of hyperplanes on each shared ridge
 (the beneath-beyond step of De Loera, Rambau and Santos, Triangulations,
 2010, section 4.3); the only eliminations are one per growth of the affine
-hull.  The test suite checks visibility against an exact LP test and the
-cells against a loop that takes one kernel elimination per boundary facet.
-Insertion order is recorded with every result so a run can be replayed.
+hull.  The test suite checks visibility against an exact LP test, the
+cells against a loop that takes one kernel elimination per boundary facet,
+and each cell's volume against the gcd of its maximal minors.  Insertion
+order is recorded with every result so a run can be replayed.
 
 A vertex cone of a matroid polytope is carried as exchange pairs: its
 generators are the differences e_j - e_i of the adjacent bases B - i + j.
@@ -38,7 +39,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import DimensionError, InternalInconsistencyError
-from .linalg import _extend, _null_vector, bareiss_det, max_minor_gcd, rational_rank
+from .linalg import _extend, _null_vector, bareiss_det, rational_rank
 
 
 @dataclass(frozen=True)
@@ -79,21 +80,23 @@ def tangent_cone(M, basis) -> Cone:
 def placing_triangulation(points, order=None):
     """Incremental triangulation of a point set in the given insertion order.
 
-    Returns (cells, order): cells are sorted tuples of point indices, each
-    affinely independent and of the common maximal dimension.  A point that
-    extends the affine hull cones over every existing cell; otherwise it is
-    attached to every boundary facet visible from it (a point inside the
-    current hull sees nothing and stays unused).  Duplicate points are
-    skipped.  The result depends on the order, which is therefore returned
-    alongside the cells.
+    Returns (cells, order, volumes): cells are sorted tuples of point
+    indices, each affinely independent and of the common maximal dimension,
+    and volumes[i] > 0 is the |det| of the edge vectors of cells[i] in the
+    hull's pivot coordinates.  A point that extends the affine hull cones
+    over every existing cell; otherwise it is attached to every boundary
+    facet visible from it (a point inside the current hull sees nothing and
+    stays unused).  Duplicate points are skipped.  The result depends on the
+    order, which is therefore returned alongside the cells.
 
     All arithmetic is in integers.  Rational input is scaled by the lcm of
-    its denominators, an affine map that keeps the combinatorics.  An
-    integer echelon of difference rows tracks the affine hull; its pivot
-    columns give a projection that is injective on the hull.  A cell carries
-    its d + 1 facet functionals in those coordinates: l_p, one per vertex p,
-    is the primitive integer affine functional that vanishes on the facet
-    opposite p and is positive at p.  Candidate facets always lie on the
+    its denominators, an affine map that keeps the combinatorics, and the
+    volumes are those of the scaled points.  An integer echelon of
+    difference rows tracks the affine hull; its pivot columns give a
+    projection that is injective on the hull.  A cell carries its d + 1
+    facet functionals in those coordinates: l_p, one per vertex p, is the
+    primitive integer affine functional that vanishes on the facet opposite
+    p and is positive at p.  Candidate facets always lie on the
     hull boundary, where visibility is a strict supporting-hyperplane sign
     test: the boundary facet F of the cell F + {o} is visible from v exactly
     when l_o(v) < 0.  The cell F + {v} then takes l'_v = -l_o and, for q in
@@ -104,6 +107,8 @@ def placing_triangulation(points, order=None):
     p in C, h(v) l_p - l_p(v) h.  Every functional is scaled to be
     primitive.  Until the hull is full every cell keeps its functionals;
     from then on a cell's functionals go with its last boundary facet.
+    A facet seen twice leaves the boundary for good: every other facet of a
+    later cell contains that cell's new point.
     """
     pts = [tuple(map(Fraction, p)) for p in points]
     if not pts:
@@ -122,7 +127,6 @@ def placing_triangulation(points, order=None):
     # boundary facet -> (position of its opposite vertex, its cell's functionals),
     # in first-occurrence order
     boundary: dict = {}
-    interior: set = set()
     for idx in order:
         v = ipts[idx]
         if v in seen:
@@ -148,8 +152,8 @@ def placing_triangulation(points, order=None):
                 grown_cells.append(cell[:j] + (idx,) + cell[j:])
                 grown_tables.append(grown)
             cells, tables = grown_cells, grown_tables
-            boundary, interior = {}, set()
-            _add_facets(boundary, interior, cells, tables)
+            boundary = {}
+            _add_facets(boundary, cells, tables)
             if len(echelon) == full:
                 tables = None
             continue
@@ -168,28 +172,27 @@ def placing_triangulation(points, order=None):
         cells += new
         if tables is not None:
             tables += grown_tables
-        _add_facets(boundary, interior, new, grown_tables)
+        _add_facets(boundary, new, grown_tables)
     cols = [c for c, _ in echelon]
+    volumes = []
     for cell in cells:
         base = ipts[cell[0]]
-        edges = [[ipts[i][c] - base[c] for c in cols] for i in cell[1:]]
-        if bareiss_det(edges) == 0:
+        volume = abs(bareiss_det([[ipts[i][c] - base[c] for c in cols] for i in cell[1:]]))
+        if volume == 0:
             raise InternalInconsistencyError("placing produced a degenerate cell")
-    return cells, order
+        volumes.append(volume)
+    return cells, order, volumes
 
 
-def _add_facets(boundary, interior, cells, tables):
+def _add_facets(boundary, cells, tables):
     """Count the facets of new cells: a facet seen once is on the boundary
     (kept with the position of its cell's opposite vertex and the cell's
-    functionals), one seen again is interior."""
+    functionals), one seen again is interior and leaves it."""
     for cell, table in zip(cells, tables):
         last = len(cell) - 1
         for k, f in enumerate(combinations(cell, last)):
-            if f in interior:
-                continue
             if f in boundary:
                 del boundary[f]
-                interior.add(f)
             else:
                 boundary[f] = (last - k, table)  # combinations drop the last vertex first
 
@@ -221,20 +224,6 @@ def _primitive(row):
     """A nonzero integer row divided by the gcd of its entries."""
     g = gcd(*row)
     return tuple([a // g for a in row])
-
-
-def cell_lattice_determinant(generators) -> int:
-    """|det| of a simplicial cell over Z^n intersected with its span.
-
-    Equals the gcd of the maximal minors of the generator matrix (the last
-    determinantal divisor), so 1 certifies a lattice basis.
-    """
-    if not generators:
-        return 1
-    g = max_minor_gcd([tuple(map(int, v)) for v in generators])
-    if g == 0:
-        raise DimensionError("cell generators are linearly dependent")
-    return g
 
 
 def tree_cells(cone: Cone):

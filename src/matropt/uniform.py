@@ -4,7 +4,9 @@ Both closed forms rest on the alternating binomial count
   i(k) = sum_{s=0}^{r-1} (-1)^s C(n,s) C(k(r-s) - s + n - 1, n - 1)
 of the lattice points of k P(U^{r,n}).  The h*-vector is the series
 numerator of i(0), ..., i(n); the Ehrhart polynomial is the same sum
-expanded in k.  Everything is plain `int` until the last division by
+expanded in k.  x -> 1 - x maps P(U^{r,n}) onto P(U^{n-r,n}) and Z^n onto
+itself, so both closed forms take the rank min(r, n - r) and sum the
+fewer terms.  Everything is plain `int` until the last division by
 (n-1)!.  The coefficient tables of (1 + T + ... + T^(r-1))^n, the counts of
 n-part compositions with parts below r, serve the uniform lattice sweep in
 `oracles.dilation_lattice_count`, independent of the closed forms.
@@ -48,7 +50,9 @@ def bounded_composition_counts(n: int, r: int):
 
 def _count_terms(n: int, r: int):
     """Triples (c, slope, offset) = ((-1)^s C(n,s), r - s, n - 1 - s) for
-    s < r, so that i(k) is the sum of c * C(slope * k + offset, n - 1)."""
+    s < r, so that i(k) is the sum of c * C(slope * k + offset, n - 1); r is
+    first replaced by min(r, n - r), which keeps every i(k)."""
+    r = min(r, n - r)
     return [(-comb(n, s) if s % 2 else comb(n, s), r - s, n - 1 - s) for s in range(r)]
 
 
@@ -108,13 +112,9 @@ def hstar_from_counts(counts, dim: int):
     """
     if len(counts) < dim + 1:
         raise DimensionError(f"need at least {dim + 1} counts for dimension {dim}")
-    out = []
-    for j in range(len(counts)):
-        h = 0
-        for i in range(min(j, dim + 1) + 1):
-            term = comb(dim + 1, i) * counts[j - i]
-            h += -term if i % 2 else term
-        out.append(h)
+    signed = [-comb(dim + 1, i) if i % 2 else comb(dim + 1, i) for i in range(dim + 2)]
+    out = [sum(c * counts[j - i] for i, c in enumerate(signed[: j + 1]))
+           for j in range(len(counts))]
     for j in range(dim + 1, len(counts)):
         if out[j] != 0:
             raise InternalInconsistencyError(

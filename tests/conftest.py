@@ -20,7 +20,6 @@ from matropt import (
     InternalInconsistencyError,
     Matroid,
     bounded_composition_counts,
-    cell_lattice_determinant,
     ehrhart_uniform,
     enumerate_bases,
     graphic_matroid,
@@ -765,7 +764,7 @@ def hstar_by_half_open_placing(M: Matroid):
     positive combination of all vertices, so it lies in the relative
     interior; a zero coordinate means it is not generic and raises."""
     pts = [incidence_vector(b, M.n) for b in enumerate_bases(M)]
-    cells, _ = placing_triangulation(pts)
+    cells, _, _ = placing_triangulation(pts)
     rng = random.Random(1)
     weights = [rng.randint(1, 10**6) for _ in pts]
     # q in homogeneous coordinates, scaled by the total weight.
@@ -831,7 +830,7 @@ def cone_triangulation(cone: Cone, order=None):
         return [()]
     dim = len(gens[0])
     pts = [tuple([0] * dim)] + gens
-    cells, _ = placing_triangulation(pts, order=order)
+    cells, _, _ = placing_triangulation(pts, order=order)
     star = join_to_apex(cells, 0)
     return [tuple(pts[i] for i in c if i != 0) for c in star]
 
@@ -1152,6 +1151,44 @@ def fiber_bfs_driver_loop(M: Matroid, W, params):
             if successes >= params.num_searches:
                 break
     return seen, witnesses
+
+
+# Lattice determinants by the gcd of maximal minors ------------------------
+# `check-unimodular` reads each cell's lattice determinant off the volumes
+# of `placing_triangulation`, determinants in the hull's pivot coordinates.
+# This route needs no choice of coordinates: the index of a sublattice in
+# Z^n meet its span is the gcd of the maximal minors of a basis (its last
+# determinantal divisor).
+
+
+def max_minor_gcd(rows) -> int:
+    """gcd of all maximal minors of a full-row-rank integer matrix.
+
+    Equals the index of the row lattice inside Z^n intersected with the row
+    span, so the value 1 certifies a lattice basis (unimodularity).
+    """
+    k = len(rows)
+    if k == 0:
+        return 1
+    n = len(rows[0])
+    g = 0
+    for cols in combinations(range(n), k):
+        sub = [[row[c] for c in cols] for row in rows]
+        g = gcd(g, abs(bareiss_det(sub)))
+        if g == 1:
+            return 1
+    return g
+
+
+def cell_lattice_determinant(generators) -> int:
+    """|det| of a simplicial cell over Z^n intersected with its span: 1
+    certifies a lattice basis."""
+    if not generators:
+        return 1
+    g = max_minor_gcd([tuple(map(int, v)) for v in generators])
+    if g == 0:
+        raise DimensionError("cell generators are linearly dependent")
+    return g
 
 
 # Exchange graphs and determinant reduction --------------------------------

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from conftest import (
     catalog_connected,
+    cell_lattice_determinant,
     composition_count,
     cone_triangulation,
     evaluate_polynomial,
@@ -34,7 +35,6 @@ from matropt import (
     boundary_pareto_search,
     boundary_start,
     bounded_composition_counts,
-    cell_lattice_determinant,
     dilation_lattice_count,
     ehrhart_polynomial,
     ehrhart_uniform,
@@ -187,7 +187,7 @@ def test_criterion_07_unimodular_triangulations():
         for M in catalog_connected(6):
             bases = enumerate_bases(M)
             pts = [incidence_vector(b, M.n) for b in bases]
-            cells, _ = placing_triangulation(pts)
+            cells, _, _ = placing_triangulation(pts)
             for cell in cells:
                 assert len(cell) == M.n
                 rows = [pts[i] for i in cell]

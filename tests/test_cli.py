@@ -173,6 +173,21 @@ class TestStochasticCommands:
         payload = json.loads(res.stdout)
         assert payload["points"] == [[6, 16], [8, 10]]
 
+    def test_pt_empty_targets_run_none(self, tmp_path, capsys):
+        # An empty --targets is an empty list, as ';' is; only an omitted
+        # one means the bounding box (49 points here).
+        matroid, weights = tmp_path / "u25.matroid", tmp_path / "u25.weights"
+        matroid.write_text("uniform 5 2\n")
+        weights.write_text("weights 2 5\n1 2 3 4 5\n5 1 4 2 3\n")
+        argv = ["pt", "--matroid", str(matroid), "--weights", str(weights), "--seed", "1"]
+        outs = []
+        for extra in (["--targets", ""], ["--targets", ";"], []):
+            assert cli.main(argv + extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["params"]["targets"] == 0
+        assert json.loads(outs[2])["params"]["targets"] == 49
+
     def test_points_format(self, files):
         res = run_cli(
             "pareto", "--matroid", files["u24.matroid"], "--weights", files["u24.weights"],
@@ -329,6 +344,19 @@ class TestCheckUnimodularGolden:
         assert res.returncode == 0, res.stderr
         assert res.stdout == (self.GOLDEN / f"check_unimodular_{name}.json").read_text()
 
+    @pytest.mark.slow
+    def test_k5_all_unimodular(self, tmp_path, capsys):
+        # 45,444 cells, the normalized volume 9! * 541 / 4320 of P(K5),
+        # each of lattice det 1 and |det| 4 = rank: about 17 s.
+        f = tmp_path / "k5.graph"
+        f.write_text("graph 5\n" + "".join(
+            " ".join(str(int(i != j)) for j in range(5)) + "\n" for i in range(5)))
+        assert cli.main(["check-unimodular", "--matroid", str(f)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["cells"]) == 45444 == 362880 * 541 // 4320
+        assert all(cell["lattice_det"] == 1 and cell["det"] == 4 for cell in payload["cells"])
+        assert payload["all_unimodular"] is True
+
 
 class TestUniformGolden:
     """hstar-uniform and ehrhart-uniform stdout, recorded before h* moved
@@ -429,7 +457,13 @@ class TestExitCodes:
     def test_check_unimodular_det_relation_is_five(self, files, monkeypatch, capsys):
         # On a full-size cell |det| must be rank times the lattice
         # determinant; a wrong lattice determinant is caught, not printed.
-        monkeypatch.setattr(cli, "cell_lattice_determinant", lambda rows: 2)
+        placing = cli.placing_triangulation
+
+        def doubled(points):
+            cells, order, volumes = placing(points)
+            return cells, order, [2 * v for v in volumes]
+
+        monkeypatch.setattr(cli, "placing_triangulation", doubled)
         assert cli.main(["check-unimodular", "--matroid", files["u24.matroid"]]) == 5
         out, err = capsys.readouterr()
         assert out == ""

@@ -44,6 +44,7 @@ from matropt import (
     tangent_cone,
     tree_cells,
     uniform_matroid,
+    vector_matroid,
 )
 from matropt.genfun import _cone_value, _pair_powers
 
@@ -498,6 +499,35 @@ class TestSparsePaving:
             assert self.agree(M, lambda t: sparse_paving_count(M, t)), M
             checked += 1
         assert checked == len(catalog_small()) - 1  # all but the 8-edge wheel
+
+    def test_seeded_planar_point_sets(self):
+        # Rank-3 vector matroids of rational points (x, y, 1) in the plane,
+        # each with one or two 3-point lines drawn on purpose; a set with
+        # a 4-point line or a repeated point is not sparse paving and is
+        # drawn again.  The circuit-hyperplanes are the 3-point lines
+        # (about 0.3 s).
+        rng = random.Random(14)
+
+        def point():
+            return tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(2))
+
+        lines_seen = []
+        while len(lines_seen) < 12:
+            n = 6 + len(lines_seen) % 3
+            pts = []
+            for _ in range(rng.randint(1, 2)):
+                a, b = point(), point()
+                share = Fraction(rng.randint(1, 4), 5)
+                pts += [a, b, tuple(x + share * (y - x) for x, y in zip(a, b))]
+            while len(pts) < n:
+                pts.append(point())
+            M = vector_matroid([[p[0] for p in pts], [p[1] for p in pts], [1] * n])
+            non_bases = sparse_paving_non_bases(M)
+            if M.rank != 3 or not non_bases:
+                continue
+            assert self.agree(M, lambda t: sparse_paving_count(M, t)), pts
+            lines_seen.append(len(non_bases))
+        assert min(lines_seen) >= 1 and max(lines_seen) >= 2
 
 
 class TestHalfOpenPlacing:

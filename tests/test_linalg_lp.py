@@ -16,6 +16,7 @@ from conftest import (
     clear_denominators,
     fraction_rank,
     fraction_solve,
+    max_minor_gcd,
     rational_kernel_basis,
     simplex_maximize,
     solve_in_row_space,
@@ -23,7 +24,6 @@ from conftest import (
 from matropt.linalg import (
     _null_vector,
     bareiss_det,
-    max_minor_gcd,
     rational_rank,
 )
 

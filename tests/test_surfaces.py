@@ -30,7 +30,7 @@ def _placed_prefix(pts, order, cut):
     keep = sorted(order[:cut])
     local = {g: i for i, g in enumerate(keep)}
     sub_order = tuple(local[g] for g in order[:cut])
-    cells, got = placing_triangulation([pts[g] for g in keep], order=sub_order)
+    cells, got, _ = placing_triangulation([pts[g] for g in keep], order=sub_order)
     assert got == sub_order
     return [tuple(keep[i] for i in c) for c in cells]
 
@@ -79,11 +79,11 @@ class TestPlacingMatchesVisibilityLP:
         # boundary facet.
         rng = random.Random(12)
         pts = [(0, 0), (4, 0), (0, 4), (4, 4), (2, 5), (5, 2)]
-        cells, order = placing_triangulation(pts)
+        cells, order, _ = placing_triangulation(pts)
         for cut in range(3, len(pts)):
             placed = [pts[i] for i in order[:cut]]
             v = pts[order[cut]]
-            sub_cells, _ = placing_triangulation(placed)
+            sub_cells, _, _ = placing_triangulation(placed)
             counts = Counter()
             for c in sub_cells:
                 for f in combinations(c, len(c) - 1):
@@ -95,7 +95,7 @@ class TestPlacingMatchesVisibilityLP:
                 # Recompute what placing would decide by re-running it with
                 # the point appended and checking whether the coned cell
                 # appears.
-                appended, _ = placing_triangulation(placed + [v])
+                appended, _, _ = placing_triangulation(placed + [v])
                 coned = tuple(sorted(f + (len(placed),)))
                 assert (coned in appended) == lp_says
 
@@ -137,11 +137,11 @@ class TestPlacingMatchesVisibilityLP:
                     ]
                     assert after == before + coned
                 before = after
-            cells, _ = placing_triangulation(pts, order=order)
+            cells, _, _ = placing_triangulation(pts, order=order)
             assert [tuple(c) for c in cells] == before
 
     def test_u24_polytope_replay(self, u24):
         bases = enumerate_bases(u24)
         pts = [incidence_vector(b, u24.n) for b in bases]
-        cells, _ = placing_triangulation(pts)
+        cells, _, _ = placing_triangulation(pts)
         assert len(cells) == 4  # normalized volume of the octahedron slice

@@ -12,6 +12,7 @@ from conftest import (
     _mask_tree_coordinates,
     catalog_connected,
     catalog_small,
+    cell_lattice_determinant,
     cone_generators,
     cone_triangulation,
     fraction_solve,
@@ -29,7 +30,6 @@ from conftest import (
 from matropt import (
     Cone,
     DimensionError,
-    cell_lattice_determinant,
     ehrhart_polynomial,
     enumerate_bases,
     graphic_matroid,
@@ -81,13 +81,15 @@ class TestVisible:
 
 class TestPlacingTriangulation:
     def test_affinely_independent_single_cell(self):
-        cells, order = placing_triangulation([(0, 0), (1, 0), (0, 1)])
+        cells, order, volumes = placing_triangulation([(0, 0), (1, 0), (0, 1)])
         assert cells == [(0, 1, 2)]
         assert order == (0, 1, 2)
+        assert volumes == [1]
 
     def test_unit_square_two_triangles(self):
-        cells, _ = placing_triangulation([(0, 0), (1, 0), (0, 1), (1, 1)])
+        cells, _, volumes = placing_triangulation([(0, 0), (1, 0), (0, 1), (1, 1)])
         assert len(cells) == 2
+        assert volumes == [1, 1]
         assert all(len(c) == 3 for c in cells)
         covered = set()
         for c in cells:
@@ -96,17 +98,17 @@ class TestPlacingTriangulation:
 
     def test_order_is_recorded_and_respected(self):
         pts = [(0, 0), (2, 0), (0, 2), (1, 1)]
-        _, order = placing_triangulation(pts, order=(3, 0, 1, 2))
+        _, order, _ = placing_triangulation(pts, order=(3, 0, 1, 2))
         assert order == (3, 0, 1, 2)
 
     def test_interior_points_left_unused(self):
         # A point inside the current hull sees no facet, so it joins no cell;
         # configurations may legitimately triangulate on a subset.
-        cells, _ = placing_triangulation([(0, 0), (2, 0), (1, 0), (0, 1)])
+        cells, _, _ = placing_triangulation([(0, 0), (2, 0), (1, 0), (0, 1)])
         assert cells == [(0, 1, 3)]
 
     def test_duplicates_ignored(self):
-        cells, _ = placing_triangulation([(0, 0), (1, 0), (0, 0), (0, 1)])
+        cells, _, _ = placing_triangulation([(0, 0), (1, 0), (0, 0), (0, 1)])
         assert all(2 not in c for c in cells)
 
     def test_volume_coverage_on_polytopes(self):
@@ -115,7 +117,7 @@ class TestPlacingTriangulation:
         for M in catalog_connected(6):
             bases = enumerate_bases(M)
             pts = [incidence_vector(b, M.n) for b in bases]
-            cells, _ = placing_triangulation(pts)
+            cells, _, _ = placing_triangulation(pts)
             dim = polytope_dimension(M, bases)
             total = 0
             for cell in cells:
@@ -127,12 +129,37 @@ class TestPlacingTriangulation:
             counts = [dilation_lattice_count(M, k) for k in range(dim + 1)]
             assert total == sum(hstar_from_counts(counts, dim))
 
+    def test_volumes_are_lattice_determinants(self, catalog):
+        # Placing's volumes, determinants in the hull's pivot coordinates,
+        # against the gcd of the maximal minors of each cell's edge vectors:
+        # the disconnected square and U(2,3) + U(1,2) among them, in the
+        # default order and three seeded shuffled ones, which place cells
+        # of volumes 1 to 5 (about 3 s).
+        two_components = vector_matroid([[1, 0, 1, 0, 0], [0, 1, 1, 0, 0], [0, 0, 0, 1, 2]])
+        assert polytope_dimension(two_components) == 3
+        rng = random.Random(5)
+        seen = set()
+        for M in [*catalog, two_components]:
+            pts = [incidence_vector(b, M.n) for b in enumerate_bases(M)]
+            orders = [None]
+            for _ in range(3):
+                orders.append(rng.sample(range(len(pts)), len(pts)))
+            for order in orders:
+                cells, _, volumes = placing_triangulation(pts, order)
+                assert len(volumes) == len(cells)
+                for cell, volume in zip(cells, volumes):
+                    first = pts[cell[0]]
+                    edges = [tuple(a - b for a, b in zip(pts[i], first)) for i in cell[1:]]
+                    assert volume == cell_lattice_determinant(edges), (M.label, order, cell)
+                    seen.add(volume)
+        assert seen == {1, 2, 3, 4, 5}
+
     def test_cells_inside_polytope_sampled(self, u24):
         from conftest import polytope_constraints
 
         bases = enumerate_bases(u24)
         pts = [incidence_vector(b, u24.n) for b in bases]
-        cells, _ = placing_triangulation(pts)
+        cells, _, _ = placing_triangulation(pts)
         pc = polytope_constraints(u24)
         rng = random.Random(3)
         for cell in cells:
@@ -154,19 +181,19 @@ class TestPlacingMatchesFacetNormals:
     def test_catalog_polytopes(self, catalog):
         for M in catalog:  # U(3,7) among them
             pts = [incidence_vector(b, M.n) for b in enumerate_bases(M)]
-            assert placing_triangulation(pts) == placing_with_facet_normals(pts), M.label
+            assert placing_triangulation(pts)[:2] == placing_with_facet_normals(pts), M.label
 
     def test_k33(self):
         # 8,923 cells: about 1.5 s for the library, 4.5 s for the oracle.
         M = graphic_matroid([[int((i < 3) != (j < 3)) for j in range(6)] for i in range(6)])
         pts = [incidence_vector(b, M.n) for b in enumerate_bases(M)]
-        assert placing_triangulation(pts) == placing_with_facet_normals(pts)
+        assert placing_triangulation(pts)[:2] == placing_with_facet_normals(pts)
 
     def test_seeded_rational_sets(self):
         # Duplicates, points inside the hull and shuffled orders, dims 1-4.
         for pts, order in seeded_rational_point_sets(300):
-            assert placing_triangulation(pts, order) == placing_with_facet_normals(pts, order)
-            assert placing_triangulation(pts) == placing_with_facet_normals(pts)
+            assert placing_triangulation(pts, order)[:2] == placing_with_facet_normals(pts, order)
+            assert placing_triangulation(pts)[:2] == placing_with_facet_normals(pts)
 
 
 class TestTangentCone:
@@ -476,7 +503,6 @@ class TestTreeCells:
             raise AssertionError("the Ehrhart pipeline must not call this")
 
         for module in (matropt.genfun, matropt.triangulate):
-            for name in ("placing_triangulation", "cell_lattice_determinant", "max_minor_gcd"):
-                monkeypatch.setattr(module, name, refuse, raising=False)
+            monkeypatch.setattr(module, "placing_triangulation", refuse, raising=False)
         coeffs = ehrhart_polynomial(k4)
         assert coeffs[1] == Fraction(107, 30)
