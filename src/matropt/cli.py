@@ -102,21 +102,17 @@ def _objective(args, d):
 
 
 def _emit(args, payload, point_rows=None, csv_rows=None):
+    """Write the payload in the --format that the subcommand's parser
+    offers: json always, points and csv only where rows are passed."""
     fmt = args.format
-    if fmt == "json":
-        text = json.dumps(payload, sort_keys=True, separators=(", ", ": ")) + "\n"
-    elif fmt == "points":
-        if point_rows is None:
-            raise ParseError("points format is not available for this subcommand")
+    if fmt == "points":
         lines = [f"# {k}={payload[k]}" for k in ("seed",) if k in payload]
         lines += [" ".join(str(x) for x in row) for row in point_rows]
         text = "\n".join(lines) + "\n"
     elif fmt == "csv":
-        if csv_rows is None:
-            raise ParseError("csv format is not available for this subcommand")
         text = "\n".join(",".join(str(x) for x in row) for row in csv_rows) + "\n"
     else:
-        raise ParseError(f"unknown format {fmt!r}")
+        text = json.dumps(payload, sort_keys=True, separators=(", ", ": ")) + "\n"
     if args.output:
         write_text(args.output, text)
     else:
@@ -362,6 +358,8 @@ def cmd_hstar_uniform(args):
 
 
 def cmd_lattice_count(args):
+    if args.format == "csv" and args.kmax is None:
+        raise ParseError("csv format needs --kmax")
     M = load_matroid(args.matroid)
     if args.kmax is not None:
         if args.kmax < 0:
@@ -428,7 +426,7 @@ def build_parser():
     top = argparse.ArgumentParser(prog="matropt", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, matroid=True, weights=False, seeded=False):
+    def add(name, fn, matroid=True, weights=False, seeded=False, formats=("json",)):
         p = sub.add_parser(name)
         if matroid:
             p.add_argument("--matroid", required=True, help="matroid file")
@@ -437,10 +435,11 @@ def build_parser():
         if seeded:
             p.add_argument("--seed", type=int, required=True)
         p.add_argument("--output", help="write here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv", "points"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.set_defaults(func=fn)
         return p
 
+    points = ("json", "points")  # the formats of the subcommands that find points
     add("bases", cmd_bases)
     p = add("adjacency", cmd_adjacency)
     p.add_argument("--basis", required=True, help="comma-separated 1-based elements")
@@ -448,7 +447,7 @@ def build_parser():
     p.add_argument("--row", type=int, default=1)
 
     for name, fn in (("ls", cmd_ls), ("ts", cmd_ts)):
-        p = add(name, fn, weights=True, seeded=True)
+        p = add(name, fn, weights=True, seeded=True, formats=points)
         p.add_argument("--objective", choices=("linear", "sqdist", "quartic", "minmax"),
                        default="sqdist")
         p.add_argument("--coeff", help="comma-separated rationals for linear")
@@ -457,30 +456,30 @@ def build_parser():
         p.add_argument("--tabu-limit", dest="tabu_limit", type=int, default=10)
         p.add_argument("--transcript", help="stream pivot records here as JSON lines")
 
-    p = add("pt", cmd_pt, weights=True, seeded=True)
+    p = add("pt", cmd_pt, weights=True, seeded=True, formats=points)
     p.add_argument("--targets", help="semicolon-separated points; bounding box when omitted")
     p.add_argument("--tries", type=int, default=10)
     p.add_argument("--searcher", choices=("ls", "ts"), default="ls")
     p.add_argument("--tabu-limit", dest="tabu_limit", type=int, default=10)
     p.add_argument("--workers", type=int, default=1)
 
-    add("pb", cmd_pb, weights=True, seeded=True)
+    add("pb", cmd_pb, weights=True, seeded=True, formats=points)
 
-    p = add("btrpt", cmd_btrpt, weights=True, seeded=True)
+    p = add("btrpt", cmd_btrpt, weights=True, seeded=True, formats=points)
     p.add_argument("--tries", type=int, default=10)
     p.add_argument("--searcher", choices=("ls", "ts"), default="ts")
     p.add_argument("--tabu-limit", dest="tabu_limit", type=int, default=10)
     p.add_argument("--workers", type=int, default=1)
 
-    p = add("dfbfs", cmd_dfbfs, weights=True, seeded=True)
+    p = add("dfbfs", cmd_dfbfs, weights=True, seeded=True, formats=points)
     p.add_argument("--searches", type=int, default=10)
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--boundary-retries", dest="boundary_retries", type=int, default=100)
     p.add_argument("--random-retries", dest="random_retries", type=int, default=1000)
 
     add("enumerate-trees", cmd_enumerate_trees)
-    add("projected-set", cmd_projected_set, weights=True)
-    add("pareto", cmd_pareto, weights=True)
+    add("projected-set", cmd_projected_set, weights=True, formats=("json", "csv", "points"))
+    add("pareto", cmd_pareto, weights=True, formats=points)
     add("ehrhart", cmd_ehrhart)
 
     p = add("ehrhart-uniform", cmd_ehrhart_uniform, matroid=False)
@@ -490,7 +489,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
 
-    p = add("lattice-count", cmd_lattice_count)
+    p = add("lattice-count", cmd_lattice_count, formats=("json", "csv"))
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--kmax", type=int)
 

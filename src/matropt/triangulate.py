@@ -20,13 +20,15 @@ Permutohedra, associahedra, and beyond, IMRN 2009, section 12), so
 indices; they are those of the placing triangulation in generator order
 (De Loera, Rambau and Santos, Triangulations, 2010, section 4.3), as the
 tests check.  The walk from cell to cell keeps each forest as bit masks
-and updates them, its potentials and its flows across every swap.
+and updates them across every swap; reduced costs and half-open flags are
+read off the masks of the tree paths.
 
 Half-open flags follow the coordinate sign rule of Koeppe & Verdoolaege
 (Computing parametric rational generating functions with a primal Barvinok
 algorithm, Electron. J. Combin. 2008): for a generic y in the relative
 interior of the cone, facet j of a simplicial cell is strict exactly when
-the j-th coordinate of y in the cell's own generators is negative.
+the j-th coordinate of y in the cell's own generators is negative.  The
+cones take y = sum_k 2^k g_k, generic in every tree cell.
 """
 
 from __future__ import annotations
@@ -34,12 +36,13 @@ from __future__ import annotations
 from bisect import bisect, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
 from .errors import DimensionError, InternalInconsistencyError
 from .linalg import _extend, _null_vector, bareiss_det, rational_rank
+from .matroid import incidence_vector
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,6 @@ class Cone:
 def tangent_cone(M, basis) -> Cone:
     """Vertex cone of the matroid polytope at e_B, one exchange pair per
     adjacent basis B - i + j in the order of `M.adjacent_bases`."""
-    from .matroid import incidence_vector
-
     b = tuple(sorted(basis))
     inside = set(b)
     total = sum(b)
@@ -240,30 +241,30 @@ def tree_cells(cone: Cone):
     first cell, and the walk visits the others breadth-first.  The cell
     across the facet of tree edge e swaps e for the non-tree edge f
     crossing its cut against e with the least reduced cost
-    2^f - (pi_head - pi_tail), pi the tree's integer potentials; with no
-    such edge the facet is on the boundary.  A cell lists its neighbours in
-    the order in which walks along the tree paths of the non-tree edges, by
-    index, each from both ends with the deeper end first, meet their e.
+    2^f - (pi_head - pi_tail), pi the tree's potentials (pi_head - pi_tail
+    = 2^k on tree edge k); with no such edge the facet is on the boundary.
+    A cell lists its neighbours in the order in which walks along the tree
+    paths of the non-tree edges, by index, each from both ends with the
+    deeper end first, meet their e.
 
     A forest is rooted, each component at the tail of its lowest edge, and
     kept as masks: anc[v] holds the edges from v up to its root, so the
     tree path of f = a -> b is anc[a] ^ anc[b], and `heads` the tree edges
-    whose lower end is their head.  A new cell takes the masks, potentials
-    and flows of the cell it was found from and changes only the subtree
-    that moves across the swap, and the root when its component's lowest
-    edge changed (the network simplex update of Ahuja, Magnanti and Orlin,
-    Network Flows, 1993, ch. 11).
+    whose lower end is their head.  A new cell takes the masks of the cell
+    it was found from and changes only the subtree that moves across the
+    swap, and the root when its component's lowest edge changed (the
+    network simplex update of Ahuja, Magnanti and Orlin, Network Flows,
+    1993, ch. 11).  The path masks give the rest: with `back` the edges
+    that the path of f runs from head to tail, pi_b - pi_a is
+    (path ^ back) - back, both masks read as sums of powers of two.
 
     Facet j of a cell is strict exactly when coordinate j of
-    y_t = sum_k t^k g_k is negative, t being the least integer >= 1 that
-    leaves no zero coordinate in any cell.  The coordinates are the tree's
-    flows with supplies y_t.  Flows are linear in the supplies, so the walk
-    carries one list, the flows of y_1 + M y_2 with M > 2m: no flow of y_1
-    exceeds m, so it is the residue mod M, and the sign of the whole is
-    that of the flow of y_2.  A swap changes them only around the
-    fundamental cycle of f.  In a tree cell g_k has coordinates 0 and +-1
-    (its fundamental cycle), so at t = 2 every coordinate is a signed sum
-    of distinct powers of two, never zero.
+    y = sum_k 2^k g_k is negative.  In a tree cell g_f is the signed sum of
+    the generators on its fundamental cycle, -1 on `back`, so the
+    coordinate of tree edge e is 2^e plus +-2^f for every non-tree f whose
+    path holds e: a signed sum of distinct powers of two, never zero, with
+    the sign of its highest term.  So e is strict exactly when the highest
+    such f exceeds e and runs e from head to tail.
     """
     pairs = cone.pairs
     if not pairs:
@@ -281,24 +282,23 @@ def tree_cells(cone: Cone):
     for k, (i, _) in enumerate(pairs):
         component[label[i]] = component.get(label[i], 0) | 1 << k
     members = {c: [v for v in range(n) if label[v] == c] for c in component}
-    half = 1 << m.bit_length()  # above every flow of y_1
-    modulus = 2 * half
-    cells = [_first_cell(first, adj, pairs, component.values(), modulus)]
+    cells = [_first_cell(first, adj, pairs, component.values())]
     seen = {first}
+    out = []
     for cell in cells:  # grows while it is read: breadth-first over the cells
-        tree, _, anc, pi, heads, _ = cell
+        tree, bits, anc, heads = cell
         crossing, order, covered = [], [], 0
         for f in range(m):
             if tree >> f & 1:
                 continue
             a, b = pairs[f]
-            cost = (1 << f) - pi[b] + pi[a]
-            if cost <= 0:
-                raise InternalInconsistencyError(
-                    "a tree with a non-positive reduced cost is not a cell")
             up_a, up_b = anc[a], anc[b]
             path = up_a ^ up_b  # the tree path from a to b
             back = path & ((up_a & heads) | (up_b & ~heads))  # run from head to tail
+            cost = (1 << f) + back - (path ^ back)  # 2^f - (pi_b - pi_a)
+            if cost <= 0:
+                raise InternalInconsistencyError(
+                    "a tree with a non-positive reduced cost is not a cell")
             crossing.append((cost, f, path, back))
             new = back & ~covered
             if new & (new - 1):  # deeper lower end first, a's side first at equal depth
@@ -308,6 +308,11 @@ def tree_cells(cone: Cone):
             elif new:
                 order.append(new.bit_length() - 1)
             covered |= new
+        strict = decided = 0
+        for _, f, path, back in reversed(crossing):  # the highest f decides its path's signs
+            strict |= back & ~decided & ((1 << f) - 1)
+            decided |= path
+        out.append((bits, tuple(_bits(strict))))
         best = {}
         crossing.sort()  # least reduced cost, then least index
         for cost, f, path, back in crossing:
@@ -325,33 +330,20 @@ def tree_cells(cone: Cone):
                 seen.add(child)
                 c = label[pairs[f][0]]
                 cells.append(_swap(cell, child, e, f, pairs, path, back, component[c], members[c]))
-        cell[2] = cell[3] = None  # only the bits and flows are needed from here on
-    bits = [cell[1] for cell in cells]
-    rows = [[cell[5][k] for k in cell[1]] for cell in cells]
-    if all(map(modulus.__rmod__, chain.from_iterable(rows))):  # t = 1: the residues are its flows
-        strict = [tuple(k for k, x in zip(b, row) if x % modulus > half)
-                  for b, row in zip(bits, rows)]
-    else:
-        if min(map(abs, chain.from_iterable(rows))) < half:
-            raise InternalInconsistencyError("y = sum 2^k g_k lies on a cell wall")
-        strict = [tuple(k for k, x in zip(b, row) if x < 0) for b, row in zip(bits, rows)]
-    if strict.count(()) != 1:
+        cell[2] = None  # no later cell is found from this one
+    if [strict for _, strict in out].count(()) != 1:
         raise InternalInconsistencyError("y is interior to the cone, so one cell must be closed")
-    return list(zip(bits, strict))
+    return out
 
 
-def _first_cell(tree, adj, pairs, components, modulus):
-    """[tree, bits, anc, pi, heads, flows] of the Kruskal forest, given as
+def _first_cell(tree, adj, pairs, components):
+    """[tree, bits, anc, heads] of the Kruskal forest, given as
     (neighbour, edge, +1 if the neighbour is the edge's head else -1) per
     vertex, every component rooted at the tail of its lowest edge.
 
     bits lists the tree edges, lowest first; anc[v] masks the edges from v
-    up to its root and pi[v] is its potential, pi_head - pi_tail = 2^k on
-    tree edge k; heads masks the tree edges whose lower end is their head.
-    The flows, indexed by edge, are those of the supplies
-    y_1 + modulus * y_2: the flow on a vertex's parent edge is the net
-    supply of its subtree, signed by the edge's direction, so pruning
-    leaves first gives every flow.
+    up to its root; heads masks the tree edges whose lower end is their
+    head.
     """
     n = len(adj)
     up = [None] * n
@@ -365,24 +357,13 @@ def _first_cell(tree, adj, pairs, components, modulus):
                     up[w] = (v, k, sign)
                     order.append(w)
                     stack.append(w)
-    anc, pi, heads = [0] * n, [0] * n, 0
+    anc, heads = [0] * n, 0
     for v in order:  # parents first
         p, k, sign = up[v]
         anc[v] = anc[p] | 1 << k
-        pi[v] = pi[p] + sign * (1 << k)
         if sign > 0:
             heads |= 1 << k
-    net = [0] * n
-    for k, (i, j) in enumerate(pairs):
-        supply = 1 + (modulus << k)
-        net[i] -= supply
-        net[j] += supply
-    flows = [0] * len(pairs)
-    for v in reversed(order):  # children first
-        p, k, sign = up[v]
-        net[p] += net[v]
-        flows[k] = sign * net[v]
-    return [tree, tuple(_bits(tree)), anc, pi, heads, flows]
+    return [tree, tuple(_bits(tree)), anc, heads]
 
 
 def _bits(mask):
@@ -394,43 +375,32 @@ def _bits(mask):
 
 
 def _swap(cell, child, e, f, pairs, path, back, component, members):
-    """[child, bits, anc, pi, heads, flows] of the cell that swaps tree
-    edge e for f = a -> b.
+    """[child, bits, anc, heads] of the cell that swaps tree edge e for
+    f = a -> b.
 
     `path` masks the tree path from a to b and `back` those of its edges
-    that it runs from head to tail, e among them.  With g_f = sum_k c_k g_k
-    over the path (c_k = -1 on `back`, else +1) the flows move by x_e c_k
-    and f takes -x_e.  The subtree below e, the vertices whose root path
-    holds e, hangs from f by its end x of f: the path from v to x, f and
-    the path above f's other end y make its new root path, and its
-    potentials move by one constant.  The edges from x up to e turn around.
-    When the component's lowest edge changed, it is re-rooted at that
-    edge's tail: every root path there gains or loses the new root's path.
+    that it runs from head to tail, e among them.  The subtree below e, the
+    vertices whose root path holds e, hangs from f by its end x of f: the
+    path from v to x, f and the path above f's other end y make its new
+    root path.  The edges from x up to e turn around.  When the component's
+    lowest edge changed, it is re-rooted at that edge's tail: every root
+    path there gains or loses the new root's path.
     """
-    tree, bits, anc, pi, heads, flows = cell
+    tree, bits, anc, heads = cell
     bits = list(bits)
     bits.remove(e)
     insort(bits, f)
-    flows = list(flows)
-    through = flows[e]
-    for k in _bits(path & ~back):
-        flows[k] += through
-    for k in _bits(back):
-        flows[k] -= through
-    flows[f] = -through
     a, b = pairs[f]
-    x, y, sign = (a, b, -1) if anc[a] >> e & 1 else (b, a, 1)
+    x, y = (a, b) if anc[a] >> e & 1 else (b, a)
     lower = pairs[e][1] if heads >> e & 1 else pairs[e][0]
     heads ^= (anc[x] ^ anc[lower]) | (heads & 1 << e)  # turn x's path to e around, drop e
-    if sign > 0:
+    if x == b:
         heads |= 1 << f
     ax, above = anc[x], anc[y] | 1 << f
-    shift = pi[y] + sign * (1 << f) - pi[x]
-    anc, pi = list(anc), list(pi)
+    anc = list(anc)
     for v in members:
         if anc[v] >> e & 1:
             anc[v] = anc[v] ^ ax | above
-            pi[v] += shift
     old, new = tree & component, child & component
     root = pairs[(new & -new).bit_length() - 1][0]
     if root != pairs[(old & -old).bit_length() - 1][0]:
@@ -438,4 +408,4 @@ def _swap(cell, child, e, f, pairs, path, back, component, members):
         heads ^= flip
         for v in members:
             anc[v] ^= flip
-    return [child, tuple(bits), anc, pi, heads, flows]
+    return [child, tuple(bits), anc, heads]

@@ -845,18 +845,17 @@ def _cell_coordinates(cell, y):
     return c
 
 
-def generic_y_for_cells(cells, rays=None):
+def generic_y_for_cells(cells):
     """Relative-interior vector of the cone avoiding every cell wall.
 
     y = sum_i t^i rays_i, strictly positive on all the rays, so the cone's
     own boundary facets keep weak inequalities and only internal walls are
     opened; t grows from 1 until y has no zero coordinate in any cell.  The
-    rays default to their order of first appearance in the cells.  Returns
-    y and its coordinates per cell.
+    rays are taken in their order of first appearance in the cells.
+    Returns y and its coordinates per cell.
     """
     cells = [cell for cell in cells if cell]
-    if rays is None:
-        rays = list(dict.fromkeys(g for cell in cells for g in cell))
+    rays = list(dict.fromkeys(g for cell in cells for g in cell))
     if not rays:
         return None, {}
     dim = len(rays[0])
@@ -926,20 +925,21 @@ def genfun_of_halfopen(half) -> GenFunTerm:
 # `triangulate.tree_cells` before its forests became masks that a swap
 # updates: every cell rebuilds its rooted forest from its edges, walks the
 # tree path of every non-tree edge for its neighbours, and prunes leaves
-# for its coordinates at t = 1 and t = 2, from supplies summed over every
+# for its coordinates at y = sum_k 2^k g_k, from supplies summed over every
 # generator and coordinate.
 
 
 def tree_cells_both_supplies(cone: Cone):
     """The tree cells of a vertex cone as (bits, strict) generator indices,
     in the same order and with the same strict flags as
-    `triangulate.tree_cells`, every forest rebuilt from its edges."""
+    `triangulate.tree_cells`, every forest rebuilt from its edges and every
+    strict flag the sign of a pruned coordinate of y = sum_k 2^k g_k."""
     gens = cone_generators(cone)
     if not gens:
         return [((), ())]
     ends = cone.pairs
     n = len(cone.apex)
-    supplies = [[sum(t**k * g[p] for k, g in enumerate(gens)) for p in range(n)] for t in (1, 2)]
+    y = [sum(g[p] << k for k, g in enumerate(gens)) for p in range(n)]
     first, comp = 0, list(range(n))
     for k, (i, j) in enumerate(ends):  # Kruskal by index: the minimum spanning forest
         if comp[i] != comp[j]:
@@ -948,18 +948,17 @@ def tree_cells_both_supplies(cone: Cone):
     cells, queue = {first: None}, [first]
     for tree in queue:  # grows while it is read: breadth-first over the cells
         rows = _mask_rooted_forest(tree, ends)
-        cells[tree] = [_mask_tree_coordinates(rows, y, tree) for y in supplies]
+        cells[tree] = _mask_tree_coordinates(rows, y, tree)
         for nb in _mask_neighbours(tree, rows, ends, n):
             if nb not in cells:
                 cells[nb] = None
                 queue.append(nb)
-    t = 0 if all(0 not in coords[0] for coords in cells.values()) else 1
     out = []
     for tree, coords in cells.items():
-        if 0 in coords[t]:
+        if 0 in coords:
             raise InternalInconsistencyError("y = sum 2^k g_k lies on a cell wall")
         bits = tuple(_mask_bits(tree))
-        out.append((bits, tuple(k for k, x in zip(bits, coords[t]) if x < 0)))
+        out.append((bits, tuple(k for k, x in zip(bits, coords) if x < 0)))
     if sum(1 for _, strict in out if not strict) != 1:
         raise InternalInconsistencyError("y is interior to the cone, so one cell must be closed")
     return out

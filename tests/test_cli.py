@@ -518,6 +518,21 @@ class TestExitCodes:
         assert lines[1] == "0,1"
         assert lines[2] == "1,6"
 
+    def test_unsupported_format_is_two_before_any_work(self, files, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rejected --format must stop before the work")
+
+        for name in ("placing_triangulation", "enumerate_bases", "dilation_lattice_count"):
+            monkeypatch.setattr(cli, name, refuse)
+        for argv in (["check-unimodular", "--format", "csv"], ["bases", "--format", "points"],
+                     ["ehrhart", "--format", "points"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*argv, "--matroid", files["k4.graph"]])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
+        assert cli.main(["lattice-count", "--matroid", files["k4.graph"], "--format", "csv"]) == 2
+        assert capsys.readouterr().err == "error: csv format needs --kmax\n"
+
     def test_negative_kmax_is_three(self, files):
         res = run_cli("lattice-count", "--matroid", files["u24.matroid"], "--kmax", "-1")
         self._one_error_line(res, 3)
