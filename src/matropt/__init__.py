@@ -17,7 +17,6 @@ from .errors import (
 from .genfun import (
     dilation_polynomial,
     ehrhart_polynomial,
-    generic_lambda,
 )
 from .heuristics import (
     SearchParams,
@@ -38,6 +37,7 @@ from .incidence import (
 from .io import load_matroid, load_weights, parse_matroid, parse_weights
 from .matroid import (
     Matroid,
+    automorphism_generators,
     graphic_matroid,
     greedy_max_basis,
     incidence_vector,

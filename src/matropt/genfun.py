@@ -2,7 +2,9 @@
 
 Pipeline: every vertex cone of P_M is cut into unimodular half-open cells
 that partition it, the spanning-forest cells of its exchange graph
-(`triangulate.tree_cells`); each cell contributes one term
+(`triangulate.tree_cells`), walked once per orbit of the bases under the
+matroid's automorphisms and carried to the other cones of the orbit; each
+cell contributes one term
 z^a / prod(1 - z^b_j), and the vertex sum equals the full lattice-point
 generating function.  Evaluating at z = 1 (a removable singularity)
 through Todd-polynomial weights yields exact counts and, with the dilation
@@ -11,9 +13,10 @@ substitution of De Loera, Hemmecke, Tauzer and Yoshida, Effective lattice
 point counting in rational convex polytopes, J. Symbolic Comput. 2004).
 
 The terms are never built.  A cone arrives as exchange pairs (i, j) and a
-cell as generator indices, so <lam, e_j - e_i> = lam_j - lam_i needs no
-dot product: lam, each pair's value and its even powers are taken once per
-matroid, and a cell only sums and multiplies them over its indices.  Each
+cell as generator indices, and lam = (0, 1, ..., n - 1) is generic for
+every cone: <lam, e_j - e_i> = j - i is never zero and needs no dot
+product.  The even powers of each such value are taken once per matroid,
+and a cell only sums and multiplies them over its indices.  Each
 cell's value is a polynomial in k read off one integer exponential of a
 power series, with the dilation shift folded into its x^1 weight; a cone
 sums its cells over one denominator, and the cones are summed, one after
@@ -27,9 +30,9 @@ from functools import cache
 from math import comb, factorial, gcd, lcm, perm, prod
 
 from .errors import DimensionError, InternalInconsistencyError
-from .matroid import Matroid
+from .matroid import Matroid, automorphism_generators, incidence_vector
 from .oracles import enumerate_bases, polytope_dimension
-from .triangulate import tangent_cone, tree_cells
+from .triangulate import Cone, tangent_cone, tree_cells
 
 
 # Todd polynomials ---------------------------------------------------------
@@ -85,42 +88,19 @@ def _exp_gamma(rows, beta_1: int, sums):
 # Specialization at z = 1 --------------------------------------------------
 
 
-def generic_lambda(pairs, n: int):
-    """Moment-curve vector lam = (xi^0, ..., xi^(n-1)) orthogonal to no
-    denominator e_j - e_i of an exchange pair (i, j), least xi first.
-
-    <lam, e_j - e_i> = xi^j - xi^i is a nonzero polynomial in xi of degree
-    at most n - 1, so of the (n - 1) D + 1 values of xi up to (n - 1) D,
-    D the number of distinct pairs, at most (n - 1) D are roots.
-    """
-    pairs = set(pairs)
-    if not pairs:
-        return None
-    xi, bound = 0, (n - 1) * len(pairs) + 1
-    while xi <= bound:
-        lam = tuple(xi**p for p in range(n))
-        if all(lam[i] != lam[j] for i, j in pairs):
-            return lam
-        xi += 1
-    raise InternalInconsistencyError("moment-curve search exhausted its bound")
+def _powers(values, order: int):
+    """Per value d, d and its even powers up to the given order:
+    [d, d^2, d^4, ...]."""
+    return {d: [d] + [d ** (2 * k) for k in range(1, order // 2 + 1)] for d in values}
 
 
-def _pair_powers(pairs, lam, order: int):
-    """Per exchange pair (i, j), d = <lam, e_j - e_i> = lam_j - lam_i and
-    its even powers up to the given order: [d, d^2, d^4, ...]."""
-    out = {}
-    for i, j in pairs:
-        d = lam[j] - lam[i]
-        out[i, j] = [d] + [d ** (2 * k) for k in range(1, order // 2 + 1)]
-    return out
-
-
-def _cone_value(cone, lam, powers):
-    """The value at z = 1 of the terms of a vertex cone's cells, summed,
-    in the k-th dilation: (nums, den) with the coefficient of k^m equal to
-    nums[m] / den, den > 0.  `powers` holds d_j and its even powers for
-    every exchange pair of the cone, up to the order of its cells
-    (`_pair_powers`).
+def _cone_value(cone, cells, lam, powers):
+    """The value at z = 1 of the terms of a vertex cone's half-open cells
+    (pairs (bits, strict) of generator indices, as `tree_cells` gives
+    them), summed, in the k-th dilation: (nums, den) with the coefficient
+    of k^m equal to nums[m] / den, den > 0.  `powers` holds, per value
+    d = lam_j - lam_i of an exchange pair (i, j) of the cone, d and its
+    even powers up to the order of the cells (`_powers`).
 
     A cell's term is z^a / prod_j (1 - z^(g_j)) over its generators, a
     being the apex v plus its strict generators, in the k-th dilation
@@ -138,8 +118,7 @@ def _cone_value(cone, lam, powers):
     """
     if not cone.pairs:
         return [1], 1  # a point vertex: one lattice point in every dilation
-    cells = tree_cells(cone)
-    table = [powers[p] for p in cone.pairs]
+    table = [powers[lam[j] - lam[i]] for i, j in cone.pairs]
     d = [row[0] for row in table]
     total = prod(d)
     if not total:
@@ -193,13 +172,46 @@ def dilation_polynomial(values, dim: int):
     return tuple(out)
 
 
+def _orbit_cones(M: Matroid, bases):
+    """Every vertex cone of P_M, once each, with half-open cells: pairs
+    (cone, cells), `tree_cells` taken once per orbit of the bases under
+    `automorphism_generators`.
+
+    An automorphism sigma carries the vertex cone at e_R onto the one at
+    e_sigma(R), and exchange pair (i, j) of R onto (sigma(i), sigma(j)).
+    `tree_cells` reads only the pair order, never the element labels, so
+    R's cells are those of every transported cone: a half-open unimodular
+    decomposition of it, for the interior vector sigma(y).  The orbit of
+    each representative R, the least basis not yet reached, is searched
+    one generator at a time, each reached basis carrying its transported
+    pairs; the group itself is never listed.
+    """
+    gens = automorphism_generators(M)
+    todo = set(bases)
+    for rep in bases:
+        if rep not in todo:
+            continue
+        todo.remove(rep)
+        cone = tangent_cone(M, rep)
+        cells = tree_cells(cone)
+        stack = [(rep, cone.pairs)]
+        while stack:
+            basis, pairs = stack.pop()
+            yield Cone(incidence_vector(basis, M.n), pairs), cells
+            for g in gens:
+                image = tuple(sorted([g[e] for e in basis]))
+                if image in todo:
+                    todo.remove(image)
+                    stack.append((image, tuple([(g[i], g[j]) for i, j in pairs])))
+
+
 def ehrhart_polynomial(M: Matroid):
     """Exact Ehrhart polynomial of P_M via the full vertex-cone pipeline,
-    streamed cone by cone."""
+    streamed cone by cone, for lam = (0, 1, ..., n - 1): lam_j - lam_i =
+    j - i is nonzero for every exchange pair (i, j)."""
     bases = enumerate_bases(M)
     dim = polytope_dimension(M, bases)
-    cones = [tangent_cone(M, b) for b in bases]
-    pairs = {p for cone in cones for p in cone.pairs}
-    lam = generic_lambda(pairs, M.n)
-    powers = _pair_powers(pairs, lam, dim)
-    return dilation_polynomial((_cone_value(cone, lam, powers) for cone in cones), dim)
+    lam = tuple(range(M.n))
+    powers = _powers(range(1 - M.n, M.n), dim)
+    return dilation_polynomial(
+        (_cone_value(cone, cells, lam, powers) for cone, cells in _orbit_cones(M, bases)), dim)

@@ -159,6 +159,84 @@ def _forest_size(data, edge_subset) -> int:
     return size
 
 
+def automorphism_generators(M: Matroid):
+    """Automorphisms of M, each a permutation sigma of the ground set (a
+    tuple, sigma[e] the image of e) that maps bases onto bases.
+
+    Uniform matroids take the n - 1 adjacent transpositions, which generate
+    every permutation.  Graphic matroids take vertex permutations that keep
+    adjacency, acting on edge labels, of the graph without its bridges:
+    a bridge is a coloop, in every basis, so it is fixed and no orbit of
+    bases is lost.  For each vertex v_i in turn (those that meet no edge
+    are left out), one automorphism per image w that fixes v_0..v_(i-1)
+    and sends v_i to w: at most v(v - 1)/2 of them however large the group.
+    Vector matroids take none.
+    """
+    if M.kind == "uniform":
+        return [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, M.n)) for i in range(M.n - 1)]
+    if M.kind != "graphic":
+        return []
+    nv, edges = M.data
+    ground = set(range(M.n))
+    bridges = {e for e in ground if M.rank_of(ground - {e}) < M.rank}
+    adj = [set() for _ in range(nv)]
+    for e, (u, v) in enumerate(edges):
+        if e not in bridges:
+            adj[u].add(v)
+            adj[v].add(u)
+    # Breadth-first, component by component: up[p] is the position of the
+    # parent of order[p], None at a component's first vertex.  An image of
+    # order[p] must be a neighbour of its parent's image.
+    order, up = [], []
+    for root in range(nv):
+        if adj[root] and root not in order:
+            k = len(order)
+            order.append(root)
+            up.append(None)
+            while k < len(order):
+                below = sorted(adj[order[k]].difference(order))
+                order += below
+                up += [k] * len(below)
+                k += 1
+    index = {e: k for k, e in enumerate(edges)}
+    out = []
+    for i in range(len(order)):
+        for w in order[i + 1:]:
+            if up[i] is not None and w not in adj[order[up[i]]]:
+                continue
+            images = _graph_automorphism(adj, order, up, order[:i], w)
+            if images is not None:
+                to = dict(zip(order, images))
+                out.append(tuple(e if e in bridges else index[min(to[u], to[v]), max(to[u], to[v])]
+                                 for e, (u, v) in enumerate(edges)))
+    return out
+
+
+def _graph_automorphism(adj, order, up, images, w):
+    """Images of the vertices of `order` under an automorphism of the graph
+    that sends order[:len(images)] to `images` and the next vertex to w,
+    by backtracking with degree and adjacency pruning; None if there is
+    none."""
+    pools = [iter([w])]  # pools[-1]: the candidates left for the next position
+    while pools:
+        v = order[len(images)]
+        for x in pools[-1]:
+            if x not in images and len(adj[x]) == len(adj[v]) and all(
+                    (a in adj[v]) == (b in adj[x]) for a, b in zip(order, images)):
+                images.append(x)
+                break
+        else:
+            pools.pop()
+            if pools:
+                images.pop()
+            continue
+        p = len(images)
+        if p == len(order):
+            return images
+        pools.append(iter(order if up[p] is None else adj[images[up[p]]]))
+    return None
+
+
 def incidence_vector(basis, n):
     """0/1 vector with ones on the basis elements."""
     vec = [0] * n

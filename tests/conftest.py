@@ -20,6 +20,7 @@ from matropt import (
     InternalInconsistencyError,
     Matroid,
     bounded_composition_counts,
+    dilation_polynomial,
     ehrhart_uniform,
     enumerate_bases,
     graphic_matroid,
@@ -32,7 +33,7 @@ from matropt import (
     uniform_matroid,
     vector_matroid,
 )
-from matropt.genfun import _exp_gamma, _exp_table, _todd_log
+from matropt.genfun import _cone_value, _exp_gamma, _exp_table, _powers, _todd_log
 from matropt.heuristics import _derived_seed, _point, boundary_start, fiber_bfs
 from matropt.linalg import _extend, _integral, _null_vector, _unit, bareiss_det, rational_rank
 
@@ -144,6 +145,24 @@ def catalog_connected(max_n):
     return [M for M in catalog_small() if M.n <= max_n and polytope_dimension(M) == M.n - 1]
 
 
+def disconnected_matroids():
+    """Several components of the exchange graph, each rooted and re-rooted
+    on its own: K4 beside a triangle, and a vector matroid that is
+    U(2,4) + U(1,3) + U(1,2) with its parallel and free columns."""
+    k4_and_triangle = [[0] * 7 for _ in range(7)]
+    for block in (range(4), range(4, 7)):
+        for u in block:
+            for v in block:
+                k4_and_triangle[u][v] = int(u != v)
+    direct_sum = vector_matroid([
+        [1, 1, 1, 1, 0, 0, 0, 0, 0],
+        [0, 1, 2, 3, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 1, 1, 1, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 1, 1],
+    ])
+    return [graphic_matroid(k4_and_triangle), direct_sum]
+
+
 @pytest.fixture(scope="session")
 def k4():
     return k4_matroid()
@@ -205,14 +224,15 @@ def cone_generators(cone: Cone):
     return tuple(out)
 
 
-def half_open_cells(cone: Cone):
-    """`tree_cells` as half-open simplicial cones, strict facets given
-    by their positions among the cell's generators."""
+def half_open_cells(cone: Cone, cells=None):
+    """The cone's cells (by default its `tree_cells`) as half-open
+    simplicial cones, strict facets given by their positions among the
+    cell's generators."""
     gens = cone_generators(cone)
     return [
         HalfOpenSimplicialCone(cone.apex, tuple(gens[k] for k in bits),
                                frozenset(bits.index(k) for k in strict))
-        for bits, strict in tree_cells(cone)
+        for bits, strict in (tree_cells(cone) if cells is None else cells)
     ]
 
 
@@ -237,6 +257,21 @@ def matroid_genfun(M: Matroid, bases=None):
         cone = tangent_cone(M, b)
         terms += [cell_term(cone, bits, strict) for bits, strict in tree_cells(cone)]
     return terms
+
+
+def ehrhart_per_cone(M: Matroid):
+    """Ehrhart coefficients with one `tree_cells` walk per vertex cone,
+    no cells shared across automorphism orbits: the second route for
+    `ehrhart_polynomial`."""
+    bases = enumerate_bases(M)
+    dim = polytope_dimension(M, bases)
+    lam = tuple(range(M.n))
+    powers = _powers(range(1 - M.n, M.n), dim)
+    values = []
+    for b in bases:
+        cone = tangent_cone(M, b)
+        values.append(_cone_value(cone, tree_cells(cone), lam, powers))
+    return dilation_polynomial(values, dim)
 
 
 # Independent oracles -------------------------------------------------------
@@ -1363,9 +1398,9 @@ def todd_eval(m: int, xis):
 
 def generic_lambda_of_terms(terms):
     """Moment-curve vector not orthogonal to any denominator exponent, by
-    the search over xi with the bound (n - 1) * (number of denominators,
-    repeats counted) + 1 that `genfun.generic_lambda` had before it took
-    distinct exchange pairs."""
+    a search over xi with the bound (n - 1) * (number of denominators,
+    repeats counted) + 1: a generic vector for any integer terms, where
+    the pipeline's lam = (0, 1, ..., n - 1) serves only exchange pairs."""
     denominators = {b for t in terms for b in t.denominators}
     if not denominators:
         return None

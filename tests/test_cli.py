@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,23 @@ class TestCoreCommands:
         assert res.returncode == 0
         payload = json.loads(res.stdout)
         assert payload["coefficients"] == ["1", "107/30", "21/4", "49/12", "7/4", "7/20"]
+
+    def test_ehrhart_star_is_quick(self, tmp_path):
+        # The 9-leaf star has 9! automorphisms and one basis: its generators
+        # stay at most v(v - 1)/2 and its polytope is a point, at once.
+        from matropt import automorphism_generators, graphic_matroid
+
+        v = 10
+        adj = [[int((i == 0) != (j == 0)) for j in range(v)] for i in range(v)]
+        assert len(automorphism_generators(graphic_matroid(adj))) <= v * (v - 1) // 2
+        path = tmp_path / "star.graph"
+        path.write_text(f"graph {v}\n" + "".join(" ".join(map(str, row)) + "\n" for row in adj))
+        start = time.perf_counter()
+        res = run_cli("ehrhart", "--matroid", str(path))
+        elapsed = time.perf_counter() - start
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["coefficients"] == ["1"]
+        assert elapsed < 10, f"the star took {elapsed:.1f}s"
 
     def test_enumerate_trees_k4(self, files):
         res = run_cli("enumerate-trees", "--matroid", files["k4.graph"])

@@ -8,6 +8,7 @@ import pytest
 
 import matropt.genfun
 from conftest import (
+    VECTOR_2x5,
     GenFunTerm,
     HalfOpenSimplicialCone,
     _idot,
@@ -15,6 +16,8 @@ from conftest import (
     catalog_small,
     cell_term,
     count_lattice_points,
+    disconnected_matroids,
+    ehrhart_per_cone,
     evaluate_polynomial,
     generic_lambda_of_terms,
     genfun_of_halfopen,
@@ -37,7 +40,6 @@ from matropt import (
     dilation_polynomial,
     ehrhart_polynomial,
     enumerate_bases,
-    generic_lambda,
     graphic_matroid,
     hstar_from_counts,
     polytope_dimension,
@@ -46,7 +48,7 @@ from matropt import (
     uniform_matroid,
     vector_matroid,
 )
-from matropt.genfun import _cone_value, _pair_powers
+from matropt.genfun import _cone_value, _orbit_cones, _powers
 
 
 def cone_pairs(M):
@@ -140,29 +142,20 @@ class TestGenFunOfHalfOpen:
 
 
 class TestGenericLambda:
-    def test_single_unit_vector(self):
-        # One pair: xi = 0 gives (1, 0, 0), which tells elements 0 and 1 apart.
-        assert generic_lambda([(0, 1)], 3) == (1, 0, 0)
-
-    def test_difference_pair_needs_xi_two(self):
-        # xi = 0 ties elements 1 and 2, xi = 1 ties all of them.
-        assert generic_lambda([(1, 0), (2, 1), (1, 0)], 3) == (1, 2, 4)
+    """The pipeline's fixed lam = (0, 1, ..., n - 1): lam_j - lam_i = j - i."""
 
     def test_k4_terms_all_nonorthogonal(self, k4):
-        lam = generic_lambda(cone_pairs(k4), k4.n)
+        lam = tuple(range(k4.n))
         for t in matroid_genfun(k4):
             for b in t.denominators:
                 assert _idot(lam, b) != 0
 
-    def test_same_as_the_search_over_every_term(self):
-        # The bound counts distinct pairs, not every denominator of every
-        # term; the first xi that works, and so lambda, stays the same.
+    def test_fixed_lambda_orthogonal_to_no_catalog_pair(self):
         k5 = graphic_matroid([[int(i != j) for j in range(5)] for i in range(5)])
         k34 = graphic_matroid([[int((i < 3) != (j < 3)) for j in range(7)] for i in range(7)])
         for M in catalog_small() + [k5, k34]:
-            lam = generic_lambda(cone_pairs(M), M.n)
-            assert lam == generic_lambda_of_terms(matroid_genfun(M)), M
-        assert generic_lambda([], 4) is None
+            lam = tuple(range(M.n))
+            assert all(lam[j] != lam[i] for i, j in cone_pairs(M)), M
 
 
 class TestSpecializeCount:
@@ -215,21 +208,21 @@ class TestTermPolynomial:
     """Each term's dilation polynomial from one exponential with the shift
     folded in, against Todd weights followed by a Taylor shift."""
 
-    def test_catalog_terms_at_two_lambdas(self, monkeypatch):
+    def test_catalog_terms_at_two_lambdas(self):
         # Every cell of every catalog cone (the 8-edge wheel among them) on
-        # its own: `_cone_value` of a cone whose walk yields just that cell.
+        # its own: `_cone_value` of a cone given just that cell.
         for M in catalog_small():
             cones = [tangent_cone(M, b) for b in enumerate_bases(M)]
-            lam1 = generic_lambda(cone_pairs(M), M.n)
-            if lam1 is None:
-                continue  # a point: no denominators
+            lam1 = tuple(range(M.n))
             lam2 = tuple(23**p for p in range(M.n))
             for cone in cones:
+                if not cone.pairs:
+                    continue  # a point: no denominators
                 for cell in tree_cells(cone):
-                    monkeypatch.setattr(matropt.genfun, "tree_cells", lambda _, cell=cell: [cell])
                     term = cell_term(cone, *cell)
                     for lam in (lam1, lam2):
-                        nums, den = _cone_value(cone, lam, _pair_powers(cone.pairs, lam, M.n))
+                        powers = _powers({lam[j] - lam[i] for i, j in cone.pairs}, M.n)
+                        nums, den = _cone_value(cone, [cell], lam, powers)
                         assert den > 0
                         got = [Fraction(c, den) for c in nums]
                         assert got == term_polynomial_taylor_shift(term, lam), (M, cone, cell)
@@ -390,8 +383,8 @@ class TestEhrhartPipeline:
 
     @pytest.mark.slow
     def test_k6_pinned(self):
-        # K6 (15 edges, 1,296 bases, dim 14, 350,370 cells): half a minute
-        # or more, so it runs only under `pytest -m slow`.  The value at
+        # K6 (15 edges, 1,296 bases in 6 orbits, dim 14, 350,370 cells):
+        # about 10 s, so it runs only under `pytest -m slow`.  The value at
         # k = 1 is the spanning-tree count 6^4 (Cayley).
         from matropt import graphic_matroid
 
@@ -408,7 +401,8 @@ class TestEhrhartPipeline:
 
     @pytest.mark.slow
     def test_k35_pinned(self):
-        # K3,5 (15 edges, 2,025 bases, dim 14, 753,060 cells): about 70 s.
+        # K3,5 (15 edges, 2,025 bases in 10 orbits, dim 14, 753,060 cells):
+        # about 27 s.
         # Pinned from the pipeline's own output; the value at k = 1 is the
         # spanning-tree count 3^4 * 5^2.
         from matropt import graphic_matroid
@@ -445,9 +439,9 @@ class TestEhrhartPipeline:
         terms = matroid_genfun(u24)
         with pytest.raises((DimensionError, InternalInconsistencyError)):
             specialize_count(terms, (0, 0, 0, 0))
+        cone = tangent_cone(u24, (0, 1))
         with pytest.raises(DimensionError):
-            cone = tangent_cone(u24, (0, 1))
-            _cone_value(cone, (1, 1, 1, 1), _pair_powers(cone.pairs, (1, 1, 1, 1), 3))
+            _cone_value(cone, tree_cells(cone), (1, 1, 1, 1), _powers([0], 3))
 
     def test_dilation_polynomial_checks(self):
         # Values (nums, den) summed over the lcm of their denominators.
@@ -456,6 +450,49 @@ class TestEhrhartPipeline:
             dilation_polynomial([([1, 0, 1], 1)], 1)
         with pytest.raises(InternalInconsistencyError):  # constant term 2
             dilation_polynomial([([1, 1], 1), ([1, 0], 1)], 1)
+
+
+def orbit_matroids():
+    """The catalog, K3,3, K5 and the disconnected matroids."""
+    k33 = [[int((i < 3) != (j < 3)) for j in range(6)] for i in range(6)]
+    k5 = [[int(i != j) for j in range(5)] for i in range(5)]
+    return catalog_small() + [graphic_matroid(k33), graphic_matroid(k5)] + disconnected_matroids()
+
+
+class TestOrbitCones:
+    """Cells walked once per automorphism orbit of the bases, carried to
+    the other cones of the orbit."""
+
+    def test_every_cone_once_with_its_own_cells(self):
+        # A carried cone has the pairs of `tangent_cone` in another order,
+        # and `tree_cells` of it gives back its representative's cells.
+        for M in orbit_matroids():
+            bases = enumerate_bases(M)
+            seen = []
+            for cone, cells in _orbit_cones(M, bases):
+                b = tuple(e for e, x in enumerate(cone.apex) if x)
+                assert sorted(cone.pairs) == sorted(tangent_cone(M, b).pairs), (M, b)
+                assert tree_cells(cone) == cells, (M, b)
+                seen.append(b)
+            assert sorted(seen) == bases, M
+
+    def test_one_walk_per_orbit(self, monkeypatch):
+        walks = []
+
+        def counted(cone):
+            walks.append(cone)
+            return tree_cells(cone)
+
+        monkeypatch.setattr(matropt.genfun, "tree_cells", counted)
+        k5 = graphic_matroid([[int(i != j) for j in range(5)] for i in range(5)])
+        for M, orbits in ((k5, 3), (uniform_matroid(6, 3), 1), (vector_matroid(VECTOR_2x5), 9)):
+            walks.clear()
+            assert len(list(_orbit_cones(M, enumerate_bases(M)))) == len(enumerate_bases(M))
+            assert len(walks) == orbits, M
+
+    def test_orbit_route_matches_per_cone_route(self):
+        for M in orbit_matroids():
+            assert ehrhart_polynomial(M) == ehrhart_per_cone(M), M
 
 
 class TestSparsePaving:

@@ -12,12 +12,15 @@ from conftest import (
     brute_adjacent,
     brute_max_weight,
     brute_rank,
+    catalog_small,
+    disconnected_matroids,
     k4_matroid,
     polytope_constraints,
 )
 from matropt import (
     DimensionError,
     ParseError,
+    automorphism_generators,
     enumerate_bases,
     graphic_matroid,
     greedy_max_basis,
@@ -137,6 +140,40 @@ class TestAdjacency:
     def test_rejects_non_basis(self, u24):
         with pytest.raises(DimensionError):
             u24.adjacent_bases((0, 1, 2))
+
+
+class TestAutomorphismGenerators:
+    def test_generators_map_the_bases_onto_themselves(self):
+        k33 = [[int((i < 3) != (j < 3)) for j in range(6)] for i in range(6)]
+        k5 = [[int(i != j) for j in range(5)] for i in range(5)]
+        # A triangle and a pendant edge beside two vertices that meet no edge.
+        isolated = [[0] * 6 for _ in range(6)]
+        for u, v in ((1, 3), (3, 4), (1, 4), (4, 5)):
+            isolated[u][v] = isolated[v][u] = 1
+        loop = vector_matroid([[1, 0, 2], [3, 0, 1]])  # column 1 is a loop
+        mats = catalog_small() + disconnected_matroids() + [
+            graphic_matroid(k33), graphic_matroid(k5), graphic_matroid(isolated), loop,
+            uniform_matroid(4, 0), uniform_matroid(4, 4),
+        ]
+        for M in mats:
+            bases = set(enumerate_bases(M))
+            for g in automorphism_generators(M):
+                assert sorted(g) == list(range(M.n)), (M, g)
+                assert {tuple(sorted(g[e] for e in b)) for b in bases} == bases, (M, g)
+        # The pendant edge 4-5 is a bridge, so it stays; the triangle's
+        # edges 1-3, 1-4 and 3-4 trade places.
+        gens = automorphism_generators(graphic_matroid(isolated))
+        assert len(gens) == 3 and all(g[3] == 3 for g in gens)
+        orbit = {0}
+        for _ in range(2):
+            orbit |= {g[e] for g in gens for e in orbit}
+        assert orbit == {0, 1, 2}
+        assert automorphism_generators(loop) == []
+
+    def test_uniform_transpositions(self):
+        assert automorphism_generators(uniform_matroid(4, 2)) == [
+            (1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)]
+        assert automorphism_generators(uniform_matroid(1, 1)) == []
 
 
 class TestGreedy:

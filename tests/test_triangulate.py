@@ -15,6 +15,7 @@ from conftest import (
     cell_lattice_determinant,
     cone_generators,
     cone_triangulation,
+    disconnected_matroids,
     fraction_solve,
     generic_y_for_cells,
     half_open_cells,
@@ -43,6 +44,7 @@ from matropt import (
     uniform_matroid,
     vector_matroid,
 )
+from matropt.genfun import _orbit_cones
 
 
 class TestVisible:
@@ -370,24 +372,6 @@ class TestHalfOpen:
                 assert (j in half.strict_indices) == ((side_y > 0) != (side_b > 0))
 
 
-def _disconnected_matroids():
-    """Several components of the exchange graph, each rooted and re-rooted
-    on its own: K4 beside a triangle, and a vector matroid that is
-    U(2,4) + U(1,3) + U(1,2) with its parallel and free columns."""
-    k4_and_triangle = [[0] * 7 for _ in range(7)]
-    for block in (range(4), range(4, 7)):
-        for u in block:
-            for v in block:
-                k4_and_triangle[u][v] = int(u != v)
-    direct_sum = vector_matroid([
-        [1, 1, 1, 1, 0, 0, 0, 0, 0],
-        [0, 1, 2, 3, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 1, 1, 1, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 1, 1],
-    ])
-    return [graphic_matroid(k4_and_triangle), direct_sum]
-
-
 @pytest.fixture(scope="module")
 def oracle_cones():
     """(cone, placing cells) for every vertex cone of the catalog (the
@@ -418,7 +402,7 @@ class TestTreeCells:
         # Fraction row-space solve, on the placing cells of every cone and
         # of the disconnected matroids, whose forests are re-rooted.
         cones = list(oracle_cones)
-        for M in _disconnected_matroids():
+        for M in disconnected_matroids():
             for b in enumerate_bases(M):
                 cone = tangent_cone(M, b)
                 cones.append((cone, cone_triangulation(cone)))
@@ -455,7 +439,7 @@ class TestTreeCells:
             assert tree_cells(cone) == tree_cells_both_supplies(cone)
 
     def test_disconnected_cones_match_the_rebuilt_walk(self):
-        for M in _disconnected_matroids():
+        for M in disconnected_matroids():
             assert polytope_dimension(M) < M.n - 1
             for b in enumerate_bases(M):
                 cone = tangent_cone(M, b)
@@ -467,29 +451,44 @@ class TestTreeCells:
                 for half in half_open_cells(tangent_cone(M, b)):
                     assert cell_lattice_determinant(half.generators) == 1
 
-    def test_half_open_cells_partition_box(self, catalog):
+    @staticmethod
+    def assert_partitions_box(cone, cells=None):
         # Every lattice point of a box around the apex lies in exactly one
-        # half-open cell if a closed placing cell holds it, else in none:
-        # at every basis for n <= 5, at the first three for n = 6.
+        # half-open cell if a closed placing cell holds it, else in none.
         from itertools import product
 
+        closed = [HalfOpenSimplicialCone(cone.apex, c, frozenset())
+                  for c in cone_triangulation(cone)]
+        halves = half_open_cells(cone, cells)
+        ranges = [range(-2, 1) if x else range(0, 3) for x in cone.apex]
+        for d in product(*ranges):
+            if sum(d) != 0:
+                continue
+            point = [a + x for a, x in zip(cone.apex, d)]
+            inside = any(half_open_contains(c, point) for c in closed)
+            hits = sum(half_open_contains(h, point) for h in halves)
+            assert hits == int(inside), (cone, d)
+
+    def test_half_open_cells_partition_box(self, catalog):
+        # At every basis for n <= 5, at the first three for n = 6.
         for M in catalog:
             if M.n > 6:
                 continue
             bases = enumerate_bases(M)
             for b in bases if M.n <= 5 else bases[:3]:
-                cone = tangent_cone(M, b)
-                closed = [HalfOpenSimplicialCone(cone.apex, c, frozenset())
-                          for c in cone_triangulation(cone)]
-                halves = half_open_cells(cone)
-                ranges = [range(-2, 1) if i in b else range(0, 3) for i in range(M.n)]
-                for d in product(*ranges):
-                    if sum(d) != 0:
-                        continue
-                    point = [a + x for a, x in zip(cone.apex, d)]
-                    inside = any(half_open_contains(c, point) for c in closed)
-                    hits = sum(half_open_contains(h, point) for h in halves)
-                    assert hits == int(inside), (M, b, d)
+                self.assert_partitions_box(tangent_cone(M, b))
+
+    def test_carried_cells_partition_box(self, catalog):
+        # A representative's cells on the other cones of its orbit: every
+        # cone for n <= 5, and for n = 6 the three after the first
+        # representative, which carry its cells.  The carried flags are
+        # those of sigma(y), not of the cone's own y.
+        for M in catalog:
+            if M.n > 6:
+                continue
+            cones = list(_orbit_cones(M, enumerate_bases(M)))
+            for cone, cells in cones if M.n <= 5 else cones[1:4]:
+                self.assert_partitions_box(cone, cells)
 
     def test_cone_without_generators(self):
         assert tree_cells(Cone(apex=(1, 1, 0), pairs=())) == [((), ())]
