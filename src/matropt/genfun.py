@@ -180,11 +180,11 @@ def _orbit_cones(M: Matroid, bases):
     An automorphism sigma carries the vertex cone at e_R onto the one at
     e_sigma(R), and exchange pair (i, j) of R onto (sigma(i), sigma(j)).
     `tree_cells` reads only the pair order, never the element labels, so
-    R's cells are those of every transported cone: a half-open unimodular
+    R's cells are those of every carried cone: a half-open unimodular
     decomposition of it, for the interior vector sigma(y).  The orbit of
     each representative R, the least basis not yet reached, is searched
-    one generator at a time, each reached basis carrying its transported
-    pairs; the group itself is never listed.
+    one generator at a time, each reached basis taking the pairs of the
+    basis it was reached from, carried; the group itself is never listed.
     """
     gens = automorphism_generators(M)
     todo = set(bases)

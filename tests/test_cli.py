@@ -55,8 +55,10 @@ class TestCoreCommands:
         assert payload["coefficients"] == ["1", "107/30", "21/4", "49/12", "7/4", "7/20"]
 
     def test_ehrhart_star_is_quick(self, tmp_path):
-        # The 9-leaf star has 9! automorphisms and one basis: its generators
-        # stay at most v(v - 1)/2 and its polytope is a point, at once.
+        # The 9-leaf star has 9! automorphisms and one basis, so listing
+        # the group would cost seconds for nothing.  Its generators stay at
+        # most v(v - 1)/2 (none: every edge is a bridge), and its polytope
+        # is a point.
         from matropt import automorphism_generators, graphic_matroid
 
         v = 10

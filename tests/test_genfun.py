@@ -384,7 +384,7 @@ class TestEhrhartPipeline:
     @pytest.mark.slow
     def test_k6_pinned(self):
         # K6 (15 edges, 1,296 bases in 6 orbits, dim 14, 350,370 cells):
-        # about 10 s, so it runs only under `pytest -m slow`.  The value at
+        # 10-15 s, so it runs only under `pytest -m slow`.  The value at
         # k = 1 is the spanning-tree count 6^4 (Cayley).
         from matropt import graphic_matroid
 
