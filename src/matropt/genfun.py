@@ -15,19 +15,24 @@ point counting in rational convex polytopes, J. Symbolic Comput. 2004).
 The terms are never built.  A cone arrives as exchange pairs (i, j) and a
 cell as generator indices, and lam = (0, 1, ..., n - 1) is generic for
 every cone: <lam, e_j - e_i> = j - i is never zero and needs no dot
-product.  The even powers of each such value are taken once per matroid,
-and a cell only sums and multiplies them over its indices.  Each
-cell's value is a polynomial in k read off one integer exponential of a
-power series, with the dilation shift folded into its x^1 weight; a cone
-sums its cells over one denominator, and the cones are summed, one after
-the other, over one common denominator.
+product.  The even powers of each such value are taken once per matroid.
+Each cell's value is a polynomial in k read off one integer exponential of
+a power series, with the dilation shift folded into its x^1 weight; a cone
+sums its cells over one denominator, each cell seeding its exponential
+with its share of it.  The walk finds every cell but the first from an
+earlier one by swapping one generator, and records the swap, so a cell
+takes its power sums and its share from that cell's with one generator
+out and one in; only a cone's first cell sums over all its indices.  The
+cones are summed, one after the other, over one common denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import compress
 from math import comb, factorial, gcd, lcm, perm, prod
+from operator import add, sub
 
 from .errors import DimensionError, InternalInconsistencyError
 from .matroid import Matroid, automorphism_generators, incidence_vector
@@ -73,12 +78,15 @@ def _exp_table(m: int):
     return big, half, rows, tuple(comb(m, i) for i in range(m + 1)), factorial(m) * big**m
 
 
-def _exp_gamma(rows, beta_1: int, sums):
-    """gamma_0..gamma_m for the rows of `_exp_table(m)`, beta_1 and the
-    power sums P_k at the even orders k, sums[k // 2] = P_k."""
-    gamma = [1]
+def _exp_gamma(rows, gamma_0: int, beta_1: int, sums):
+    """gamma_0..gamma_m for the rows of `_exp_table(m)`, the seed gamma_0,
+    beta_1 and the power sums P_k at the even orders k, sums[k // 2] = P_k.
+    The recurrence is linear in gamma, so a seed c gives c times the
+    exponential's coefficients, the seed 1 the coefficients themselves."""
+    g = gamma_0
+    gamma = [g]
     for row in rows[1:]:
-        g = beta_1 * gamma[-1]
+        g *= beta_1
         for i, j, c in row:
             g += c * sums[i] * gamma[j]
         gamma.append(g)
@@ -96,11 +104,12 @@ def _powers(values, order: int):
 
 def _cone_value(cone, cells, lam, powers):
     """The value at z = 1 of the terms of a vertex cone's half-open cells
-    (pairs (bits, strict) of generator indices, as `tree_cells` gives
-    them), summed, in the k-th dilation: (nums, den) with the coefficient
-    of k^m equal to nums[m] / den, den > 0.  `powers` holds, per value
-    d = lam_j - lam_i of an exchange pair (i, j) of the cone, d and its
-    even powers up to the order of the cells (`_powers`).
+    (triples (bits, strict, origin) of generator indices and the swap that
+    found the cell, as `tree_cells` gives them: the whole list, or one
+    cell alone), summed, in the k-th dilation: (nums, den) with the
+    coefficient of k^m equal to nums[m] / den, den > 0.  `powers` holds,
+    per value d = lam_j - lam_i of an exchange pair (i, j) of the cone, d
+    and its even powers up to the order of the cells (`_powers`).
 
     A cell's term is z^a / prod_j (1 - z^(g_j)) over its generators, a
     being the apex v plus its strict generators, in the k-th dilation
@@ -110,11 +119,14 @@ def _cone_value(cone, cells, lam, powers):
     Splitting off exp(xkV) leaves one integer exponential (`_exp_gamma`)
     with beta_1 = A S - alpha_1 P_1(d), S the sum of d_j over the strict
     generators, and k^m has the numerator +-C(s, m) (A V)^m gamma_(s-m)
-    over s! A^s |prod_j d_j|.  Each cell sums the d_j and their even
-    powers over its generator indices: column sums of (d_j, d_j^2, d_j^4,
-    ...) give P_1, P_2, P_4, ...  The product D of the d_j over all the
-    cone's generators is a common denominator of its cells, cell c
-    entering with D / prod_(j in c) d_j.
+    over s! A^s |prod_j d_j|.  The column sums of (d_j, d_j^2, d_j^4, ...)
+    over a cell's generator indices give P_1, P_2, P_4, ...  The product
+    D of the d_j over all the cone's generators is a common denominator of
+    its cells, cell c entering with its share D / prod_(j in c) d_j, the
+    seed of its exponential.  A cell found from cells[p] by the swap of
+    generator e for f takes both from that cell's: its sums minus row e
+    plus row f, and its share times d_e, exactly divided by d_f.  The
+    cone's first cell, or a cell given alone, sums its generators afresh.
     """
     if not cone.pairs:
         return [1], 1  # a point vertex: one lattice point in every dilation
@@ -126,13 +138,20 @@ def _cone_value(cone, cells, lam, powers):
     s = len(cells[0][0])
     big, half, rows, binomials, den = _exp_table(s)
     d_at, powers_at = d.__getitem__, table.__getitem__
-    acc = [0] * (s + 1)
-    for bits, strict in cells:
-        sums = list(map(sum, zip(*map(powers_at, bits))))
-        gamma = _exp_gamma(rows, big * sum(map(d_at, strict)) - half * sums[0], sums)
-        share = total // prod(map(d_at, bits))
-        acc = [a + share * g for a, g in zip(acc, gamma)]
-    step = big * sum(x for x, v in zip(lam, cone.apex) if v)
+    found, gammas = [], []
+    for bits, strict, origin in cells:
+        if origin is None or not found:
+            sums = list(map(sum, zip(*map(powers_at, bits))))
+            share = total // prod(map(d_at, bits))
+        else:
+            p, e, f = origin
+            sums, share = found[p]
+            sums = list(map(add, map(sub, sums, table[e]), table[f]))
+            share = share * d[e] // d[f]
+        found.append((sums, share))
+        gammas.append(_exp_gamma(rows, share, big * sum(map(d_at, strict)) - half * sums[0], sums))
+    acc = list(map(sum, zip(*gammas)))
+    step = big * sum(compress(lam, cone.apex))
     sign = -1 if (s % 2) != (total < 0) else 1
     nums = [sign * c * step**m * a for m, (c, a) in enumerate(zip(binomials, reversed(acc)))]
     return nums, den * abs(total)

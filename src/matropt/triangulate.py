@@ -21,7 +21,8 @@ indices; they are those of the placing triangulation in generator order
 (De Loera, Rambau and Santos, Triangulations, 2010, section 4.3), as the
 tests check.  The walk from cell to cell keeps each forest as bit masks
 and updates them across every swap; reduced costs and half-open flags are
-read off the masks of the tree paths.
+read off the masks of the tree paths, and every cell records the swap
+that found it.
 
 Half-open flags follow the coordinate sign rule of Koeppe & Verdoolaege
 (Computing parametric rational generating functions with a primal Barvinok
@@ -229,9 +230,12 @@ def _primitive(row):
 
 def tree_cells(cone: Cone):
     """Half-open unimodular cells partitioning a vertex cone of a matroid
-    polytope, one per spanning forest of its exchange graph, as pairs
-    (bits, strict) of generator indices: the cell's generators in cone
-    order, and those of its facets that are strict.
+    polytope, one per spanning forest of its exchange graph, as triples
+    (bits, strict, origin): the cell's generator indices in cone order,
+    those of its facets that are strict, and the swap the walk found it
+    by.  origin is (p, e, f) when the cell is cells[p] with generator e
+    swapped out and f swapped in, p always an earlier position, and None
+    for the first cell.
 
     Generator k, e_j - e_i for the exchange pair (i, j), is an edge i -> j
     of height 2^k of the bipartite exchange graph G.  The cells of the
@@ -256,7 +260,10 @@ def tree_cells(cone: Cone):
     network simplex update of Ahuja, Magnanti and Orlin, Network Flows,
     1993, ch. 11).  The path masks give the rest: with `back` the edges
     that the path of f runs from head to tail, pi_b - pi_a is
-    (path ^ back) - back, both masks read as sums of powers of two.
+    (path ^ back) - back, both masks read as sums of powers of two.  The
+    new cell keeps the swap as its origin, so that a consumer can update
+    what it sums over a cell's generators from the cell's origin, with one
+    generator out and one in, instead of summing it afresh.
 
     Facet j of a cell is strict exactly when coordinate j of
     y = sum_k 2^k g_k is negative.  In a tree cell g_f is the signed sum of
@@ -268,7 +275,7 @@ def tree_cells(cone: Cone):
     """
     pairs = cone.pairs
     if not pairs:
-        return [((), ())]
+        return [((), (), None)]
     n, m = len(cone.apex), len(pairs)
     label, first, adj = list(range(n)), 0, [[] for _ in range(n)]
     for k, (i, j) in enumerate(pairs):  # Kruskal by index: the minimum spanning forest
@@ -285,8 +292,8 @@ def tree_cells(cone: Cone):
     cells = [_first_cell(first, adj, pairs, component.values())]
     seen = {first}
     out = []
-    for cell in cells:  # grows while it is read: breadth-first over the cells
-        tree, bits, anc, heads = cell
+    for index, cell in enumerate(cells):  # grows while it is read: breadth-first
+        tree, bits, anc, heads, origin = cell
         crossing, order, covered = [], [], 0
         for f in range(m):
             if tree >> f & 1:
@@ -312,7 +319,7 @@ def tree_cells(cone: Cone):
         for _, f, path, back in reversed(crossing):  # the highest f decides its path's signs
             strict |= back & ~decided & ((1 << f) - 1)
             decided |= path
-        out.append((bits, tuple(_bits(strict))))
+        out.append((bits, tuple(_bits(strict)), origin))
         best = {}
         crossing.sort()  # least reduced cost, then least index
         for cost, f, path, back in crossing:
@@ -320,24 +327,24 @@ def tree_cells(cone: Cone):
             if new:
                 covered ^= new
                 for e in _bits(new):
-                    best[e] = (f, path, back)
+                    best[e] = f
                 if not covered:
                     break
         for e in order:
-            f, path, back = best[e]
+            f = best[e]
             child = tree ^ (1 << e) ^ (1 << f)
             if child not in seen:
                 seen.add(child)
                 c = label[pairs[f][0]]
-                cells.append(_swap(cell, child, e, f, pairs, path, back, component[c], members[c]))
+                cells.append(_swap(cell, index, child, e, f, pairs, component[c], members[c]))
         cell[2] = None  # no later cell is found from this one
-    if [strict for _, strict in out].count(()) != 1:
+    if [strict for _, strict, _ in out].count(()) != 1:
         raise InternalInconsistencyError("y is interior to the cone, so one cell must be closed")
     return out
 
 
 def _first_cell(tree, adj, pairs, components):
-    """[tree, bits, anc, heads] of the Kruskal forest, given as
+    """[tree, bits, anc, heads, None] of the Kruskal forest, given as
     (neighbour, edge, +1 if the neighbour is the edge's head else -1) per
     vertex, every component rooted at the tail of its lowest edge.
 
@@ -363,7 +370,7 @@ def _first_cell(tree, adj, pairs, components):
         anc[v] = anc[p] | 1 << k
         if sign > 0:
             heads |= 1 << k
-    return [tree, tuple(_bits(tree)), anc, heads]
+    return [tree, tuple(_bits(tree)), anc, heads, None]
 
 
 def _bits(mask):
@@ -374,19 +381,18 @@ def _bits(mask):
         mask ^= low
 
 
-def _swap(cell, child, e, f, pairs, path, back, component, members):
-    """[child, bits, anc, heads] of the cell that swaps tree edge e for
-    f = a -> b.
+def _swap(cell, index, child, e, f, pairs, component, members):
+    """[child, bits, anc, heads, (index, e, f)] of the cell that swaps tree
+    edge e of cells[index] for f = a -> b, e on the tree path of f.
 
-    `path` masks the tree path from a to b and `back` those of its edges
-    that it runs from head to tail, e among them.  The subtree below e, the
-    vertices whose root path holds e, hangs from f by its end x of f: the
-    path from v to x, f and the path above f's other end y make its new
-    root path.  The edges from x up to e turn around.  When the component's
-    lowest edge changed, it is re-rooted at that edge's tail: every root
-    path there gains or loses the new root's path.
+    The subtree below e, the vertices whose root path holds e, hangs from
+    f by its end x of f: the path from v to x, f and the path above f's
+    other end y make its new root path.  The edges from x up to e turn
+    around.  When the component's lowest edge changed, it is re-rooted at
+    that edge's tail: every root path there gains or loses the new root's
+    path.
     """
-    tree, bits, anc, heads = cell
+    tree, bits, anc, heads, _ = cell
     bits = list(bits)
     bits.remove(e)
     insort(bits, f)
@@ -408,4 +414,4 @@ def _swap(cell, child, e, f, pairs, path, back, component, members):
         heads ^= flip
         for v in members:
             anc[v] ^= flip
-    return [child, tuple(bits), anc, heads]
+    return [child, tuple(bits), anc, heads, (index, e, f)]

@@ -232,7 +232,7 @@ def half_open_cells(cone: Cone, cells=None):
     return [
         HalfOpenSimplicialCone(cone.apex, tuple(gens[k] for k in bits),
                                frozenset(bits.index(k) for k in strict))
-        for bits, strict in (tree_cells(cone) if cells is None else cells)
+        for bits, strict, _ in (tree_cells(cone) if cells is None else cells)
     ]
 
 
@@ -255,7 +255,7 @@ def matroid_genfun(M: Matroid, bases=None):
     terms = []
     for b in bases:
         cone = tangent_cone(M, b)
-        terms += [cell_term(cone, bits, strict) for bits, strict in tree_cells(cone)]
+        terms += [cell_term(cone, bits, strict) for bits, strict, _ in tree_cells(cone)]
     return terms
 
 
@@ -965,13 +965,15 @@ def genfun_of_halfopen(half) -> GenFunTerm:
 
 
 def tree_cells_both_supplies(cone: Cone):
-    """The tree cells of a vertex cone as (bits, strict) generator indices,
-    in the same order and with the same strict flags as
-    `triangulate.tree_cells`, every forest rebuilt from its edges and every
-    strict flag the sign of a pruned coordinate of y = sum_k 2^k g_k."""
+    """The tree cells of a vertex cone as (bits, strict, origin), in the
+    same order and with the same strict flags and swap records as
+    `triangulate.tree_cells`, every forest rebuilt from its edges, every
+    strict flag the sign of a pruned coordinate of y = sum_k 2^k g_k and
+    every origin (p, e, f) read off the masks of the cell and of the cell
+    at position p that first listed it as a neighbour."""
     gens = cone_generators(cone)
     if not gens:
-        return [((), ())]
+        return [((), (), None)]
     ends = cone.pairs
     n = len(cone.apex)
     y = [sum(g[p] << k for k, g in enumerate(gens)) for p in range(n)]
@@ -980,21 +982,22 @@ def tree_cells_both_supplies(cone: Cone):
         if comp[i] != comp[j]:
             first |= 1 << k
             comp = [comp[i] if c == comp[j] else c for c in comp]
-    cells, queue = {first: None}, [first]
-    for tree in queue:  # grows while it is read: breadth-first over the cells
+    cells, queue, origins = {first: None}, [first], {first: None}
+    for p, tree in enumerate(queue):  # grows while it is read: breadth-first
         rows = _mask_rooted_forest(tree, ends)
         cells[tree] = _mask_tree_coordinates(rows, y, tree)
         for nb in _mask_neighbours(tree, rows, ends, n):
             if nb not in cells:
                 cells[nb] = None
                 queue.append(nb)
+                origins[nb] = (p, (tree & ~nb).bit_length() - 1, (nb & ~tree).bit_length() - 1)
     out = []
     for tree, coords in cells.items():
         if 0 in coords:
             raise InternalInconsistencyError("y = sum 2^k g_k lies on a cell wall")
         bits = tuple(_mask_bits(tree))
-        out.append((bits, tuple(k for k, x in zip(bits, coords) if x < 0)))
-    if sum(1 for _, strict in out if not strict) != 1:
+        out.append((bits, tuple(k for k, x in zip(bits, coords) if x < 0), origins[tree]))
+    if sum(1 for _, strict, _ in out if not strict) != 1:
         raise InternalInconsistencyError("y is interior to the cone, so one cell must be closed")
     return out
 
@@ -1392,7 +1395,7 @@ def todd_eval(m: int, xis):
     q = lcm(*[x.denominator for x in xis])
     rs = [x.numerator * (q // x.denominator) for x in xis]
     big, half, rows, _, _ = _exp_table(m)
-    gamma = _exp_gamma(rows, half * sum(rs), _power_sums(rs, m))
+    gamma = _exp_gamma(rows, 1, half * sum(rs), _power_sums(rs, m))
     return Fraction(gamma[m], factorial(m) * (big * q) ** m)
 
 
@@ -1434,7 +1437,7 @@ def term_polynomial(term: GenFunTerm, lam):
         sign, den = -sign, -den
     va = _idot(lam, term.vertex)
     beta = big * (_idot(lam, term.numerator) - va) - half * sum(dots)
-    gamma = _exp_gamma(rows, beta, _power_sums(dots, s))
+    gamma = _exp_gamma(rows, 1, beta, _power_sums(dots, s))
     step = big * va
     nums = []
     scale = sign

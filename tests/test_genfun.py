@@ -39,6 +39,7 @@ from matropt import (
     dilation_lattice_count,
     dilation_polynomial,
     ehrhart_polynomial,
+    ehrhart_uniform,
     enumerate_bases,
     graphic_matroid,
     hstar_from_counts,
@@ -219,7 +220,7 @@ class TestTermPolynomial:
                 if not cone.pairs:
                     continue  # a point: no denominators
                 for cell in tree_cells(cone):
-                    term = cell_term(cone, *cell)
+                    term = cell_term(cone, *cell[:2])
                     for lam in (lam1, lam2):
                         powers = _powers({lam[j] - lam[i] for i, j in cone.pairs}, M.n)
                         nums, den = _cone_value(cone, [cell], lam, powers)
@@ -418,6 +419,15 @@ class TestEhrhartPipeline:
         )))
         assert evaluate_polynomial(coeffs, 1) == 2025
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n, r", [(30, 2), (16, 3)])
+    def test_fixed_rank_matches_closed_form(self, n, r):
+        # Fixed rank at large n: U(2,30) (435 bases, 28 cells per cone,
+        # dim 29) and U(3,16) (560 bases, 91 cells per cone, dim 15), so
+        # the specialization runs at s = 29 and s = 15, against the closed
+        # form of `ehrhart_uniform`.
+        assert ehrhart_polynomial(uniform_matroid(n, r)) == ehrhart_uniform(n, r)
+
     def test_vector_backend_agrees_with_graphic(self, k4):
         # The oriented-incidence realization has the same bases, so the whole
         # pipeline must produce the identical polynomial through a different
@@ -493,6 +503,26 @@ class TestOrbitCones:
     def test_orbit_route_matches_per_cone_route(self):
         for M in orbit_matroids():
             assert ehrhart_polynomial(M) == ehrhart_per_cone(M), M
+
+    def test_swapped_cells_match_cells_alone(self):
+        # A cone's value, each cell after the first updated from the cell
+        # it was found from, against the sum of every cell's value with
+        # the cell given alone, summed afresh: on every cone of the
+        # catalog, K3,3 and the disconnected matroids, carried cones among
+        # them, and on every seventh cone of K5.
+        for M in orbit_matroids():
+            lam = tuple(range(M.n))
+            powers = _powers(range(1 - M.n, M.n), polytope_dimension(M))
+            cones = list(_orbit_cones(M, enumerate_bases(M)))
+            if M.n == 10:  # K5
+                cones = cones[::7]
+            for cone, cells in cones:
+                nums, den = _cone_value(cone, cells, lam, powers)
+                alone = [Fraction(0)] * len(nums)
+                for cell in cells:
+                    c_nums, c_den = _cone_value(cone, [cell], lam, powers)
+                    alone = [a + Fraction(c, c_den) for a, c in zip(alone, c_nums)]
+                assert [Fraction(c, den) for c in nums] == alone, (M, cone)
 
 
 class TestSparsePaving:

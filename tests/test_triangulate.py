@@ -426,7 +426,7 @@ class TestTreeCells:
                 c = rng.randint(-3, 3)
                 y = [a + c * x for a, x in zip(y, g)]
             cells = tree_cells(cone)
-            for bits, _ in rng.sample(cells, min(len(cells), 12)):
+            for bits, _, _ in rng.sample(cells, min(len(cells), 12)):
                 tree = sum(1 << k for k in bits)
                 coords = _mask_tree_coordinates(_mask_rooted_forest(tree, cone.pairs), y, tree)
                 assert tuple(coords) == fraction_solve([gens[k] for k in bits], y)
@@ -437,6 +437,31 @@ class TestTreeCells:
         # flags.
         for cone, _ in oracle_cones:
             assert tree_cells(cone) == tree_cells_both_supplies(cone)
+
+    def test_swap_record(self, oracle_cones):
+        # Every cell after the first is an earlier cell with generator e
+        # out and f in; the first cell and a point vertex carry no record.
+        # On the catalog, K3,3 and K5 cones, both disconnected matroids,
+        # and a cone carried from its orbit's representative, whose own
+        # walk records the representative's swaps.
+        lists = [tree_cells(cone) for cone, _ in oracle_cones]
+        for M in disconnected_matroids():
+            lists += [tree_cells(tangent_cone(M, b)) for b in enumerate_bases(M)]
+        u36 = uniform_matroid(6, 3)
+        (rep, cells), *carried = _orbit_cones(u36, enumerate_bases(u36))
+        cone, carried_cells = carried[-1]
+        assert cone != rep and carried_cells is cells
+        assert tree_cells(cone) == cells
+        lists.append(cells)
+        lists.append(tree_cells(Cone(apex=(1, 1, 0), pairs=())))
+        for cells in lists:
+            assert cells[0][2] is None
+            for index, (bits, _, origin) in enumerate(cells[1:], 1):
+                p, e, f = origin
+                assert 0 <= p < index
+                parent = cells[p][0]
+                assert e in parent and f not in parent
+                assert bits == tuple(sorted(set(parent) - {e} | {f}))
 
     def test_disconnected_cones_match_the_rebuilt_walk(self):
         for M in disconnected_matroids():
@@ -491,9 +516,9 @@ class TestTreeCells:
                 self.assert_partitions_box(cone, cells)
 
     def test_cone_without_generators(self):
-        assert tree_cells(Cone(apex=(1, 1, 0), pairs=())) == [((), ())]
+        assert tree_cells(Cone(apex=(1, 1, 0), pairs=())) == [((), (), None)]
         M = uniform_matroid(3, 3)
-        assert tree_cells(tangent_cone(M, (0, 1, 2))) == [((), ())]
+        assert tree_cells(tangent_cone(M, (0, 1, 2))) == [((), (), None)]
         assert half_open_cells(tangent_cone(M, (0, 1, 2))) == [
             HalfOpenSimplicialCone((1, 1, 1), (), frozenset())
         ]
