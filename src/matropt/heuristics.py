@@ -6,7 +6,10 @@ arithmetically so that parallel and sequential runs agree bit for bit.
 Objective values are plain ints on integer points with integer data and
 exact Fractions only for truly rational coefficients or targets; ties
 always break toward the lexicographically smallest basis.  Projections go
-through `_point`, which memoizes them on the weight matrix.
+through `_point`, which memoizes them on the weight matrix.  Neighbourhoods
+come from `Matroid.adjacent_bases`, cached on the matroid.  Within one call,
+`tabu_search` scores each projected point once and `projected_boundary`
+tests each basis against the half-plane rule once.
 
 The pivot test and the fiber-BFS driver first list the projected image with
 `_image`, a breadth-first search of the exchange graph that gives up once
@@ -140,15 +143,22 @@ def tabu_search(M: Matroid, start, W: WeightMatrix, objective, tabu_limit, trans
     if not M.is_basis(current):
         raise DimensionError(f"{current} is not a basis")
     visited = {current}
+    scores = {}  # objective value per projected point, each scored once
+
+    def score(basis):
+        p = _point(W, basis)
+        value = scores.get(p)
+        if value is None:
+            value = scores[p] = objective(p)
+        return value
+
     best_basis = current
-    best_value = objective(_point(W, current))
+    best_value = score(current)
     stale = 0
     pivots = 0
     while stale < tabu_limit:
         # Neighbors are distinct, so the pair order is the (value, basis) order.
-        candidates = [
-            (objective(_point(W, nb)), nb) for nb in M.adjacent_bases(current) if nb not in visited
-        ]
+        candidates = [(score(nb), nb) for nb in M.adjacent_bases(current) if nb not in visited]
         if not candidates:
             break
         value, current = min(candidates)
@@ -281,13 +291,18 @@ def projected_boundary(M: Matroid, W: WeightMatrix, start):
     if not _in_halfplane(M, W, start, strict=True):
         raise DimensionError("start basis must project to an extreme point")
     seen_points = {_point(W, start)}
+    off_boundary = set()  # bases that failed the test, whose verdict is theirs alone
     queue = [start]
     for current in queue:
         for nb in M.adjacent_bases(current):
             p = _point(W, nb)
-            if p not in seen_points and _in_halfplane(M, W, nb, strict=False):
+            if p in seen_points or nb in off_boundary:
+                continue
+            if _in_halfplane(M, W, nb, strict=False):
                 seen_points.add(p)
                 queue.append(nb)
+            else:
+                off_boundary.add(nb)
     return set(queue)
 
 

@@ -11,10 +11,11 @@ operation is a pure function of (matroid, arguments, seed).
 from __future__ import annotations
 
 import random
+from bisect import insort
 from fractions import Fraction
 
 from .errors import CapError, DimensionError
-from .linalg import _integral, rational_rank
+from .linalg import _extend, _integral, _reduce, _unit, rational_rank
 
 REJECTION_CAP = 10_000_000
 
@@ -24,9 +25,11 @@ class Matroid:
 
     Do not mutate after construction.  Rank queries are memoized, and the
     neighbor lists of bases are cached on first use because the search
-    heuristics hammer them.  Both caches stay behind when the matroid is
-    pickled (to worker processes, say): it travels as its constructor
-    arguments.
+    heuristics hammer them.  A neighbor list comes from fundamental circuits
+    read off the backend's data, so it costs one rank query (the basis
+    check) and does not fill the rank cache.  Both caches stay behind when
+    the matroid is pickled (to worker processes, say): it travels as its
+    constructor arguments.
     """
 
     def __init__(self, kind, n, rank, data, label=None):
@@ -66,29 +69,78 @@ class Matroid:
         return r
 
     def is_basis(self, subset) -> bool:
-        subset = set(subset)
+        # The input's own length: a repeated element must not pass.
+        subset = tuple(subset)
         return len(subset) == self.rank and self.rank_of(subset) == self.rank
 
     def adjacent_bases(self, basis):
-        """All bases reachable by one exchange, sorted; excludes the input."""
+        """All bases reachable by one exchange, sorted; excludes the input.
+
+        B - i + j is a basis exactly when i lies on the fundamental circuit
+        C(B, j), so each element j outside B contributes one neighbor per
+        element of B on its circuit; only the basis check asks the rank
+        oracle.
+        """
+        if type(basis) is tuple:
+            cached = self._adj_cache.get(basis)
+            if cached is not None:
+                return cached
         b = tuple(sorted(basis))
         cached = self._adj_cache.get(b)
         if cached is not None:
             return cached
         if not self.is_basis(b):
             raise DimensionError(f"{b} is not a basis")
-        inside = set(b)
-        out = [j for j in range(self.n) if j not in inside]
         neighbors = []
-        for i in b:
-            rest = inside - {i}
-            for j in out:
-                cand = rest | {j}
-                if self.rank_of(cand) == self.rank:
-                    neighbors.append(tuple(sorted(cand)))
-        neighbors = tuple(sorted(neighbors))
+        for j, circuit in self._fundamental_circuits(b):
+            for i in circuit:
+                nb = list(b)
+                nb.remove(i)
+                insort(nb, j)
+                neighbors.append(tuple(nb))
+        neighbors.sort()
+        neighbors = tuple(neighbors)
         self._adj_cache[b] = neighbors
         return neighbors
+
+    def _fundamental_circuits(self, b):
+        """(j, the elements of the basis b on C(b, j)) for each j outside b."""
+        inside = set(b)
+        out = [j for j in range(self.n) if j not in inside]
+        if self.kind == "uniform":
+            return [(j, b) for j in out]
+        if self.kind == "graphic":
+            # C(b, j) is j and the tree path between j's endpoints in the
+            # forest b: the symmetric difference of their root-path masks.
+            nv, edges = self.data
+            adj = [[] for _ in range(nv)]
+            for e in b:
+                u, v = edges[e]
+                adj[u].append((v, e))
+                adj[v].append((u, e))
+            mask = [None] * nv
+            for root in range(nv):
+                if mask[root] is None:
+                    mask[root] = 0
+                    stack = [root]
+                    while stack:
+                        u = stack.pop()
+                        for v, e in adj[u]:
+                            if mask[v] is None:
+                                mask[v] = mask[u] | (1 << e)
+                                stack.append(v)
+            paths = [(j, mask[edges[j][0]] ^ mask[edges[j][1]]) for j in out]
+            return [(j, [i for i in b if path >> i & 1]) for j, path in paths]
+        # Vector: column j, reduced against b's columns tagged with unit
+        # vectors, carries the combination of them that cancels it; the
+        # basis elements with a nonzero tag are those on C(b, j).
+        m, cols = self.data
+        r = len(b)
+        echelon: list = []
+        for t, e in enumerate(b):
+            _extend(echelon, [*cols[e], *_unit(t, r)], m)
+        tags = [(j, _reduce(echelon, [*cols[j], *[0] * r])[m:]) for j in out]
+        return [(j, [e for e, x in zip(b, tag) if x]) for j, tag in tags]
 
 
 def uniform_matroid(n: int, r: int) -> Matroid:

@@ -495,6 +495,18 @@ class TestExitCodes:
                       "--seed", "1", "--start", "1,2,4", "--target", "9,9")
         self._one_error_line(res, 3)
 
+    def test_repeated_basis_element_in_adjacency_is_three(self, files):
+        # 1,2,3 is a basis of K4; naming 2 twice must not pass as one.
+        res = run_cli("adjacency", "--matroid", files["k4.graph"], "--basis", "1,2,2,3")
+        self._one_error_line(res, 3)
+        assert res.stdout == ""
+
+    def test_repeated_start_element_is_three(self, files):
+        res = run_cli("ls", "--matroid", files["k4.graph"], "--weights", files["k4.weights"],
+                      "--seed", "1", "--start", "1,2,2,3", "--target", "0,0")
+        self._one_error_line(res, 3)
+        assert res.stdout == ""
+
     def test_missing_matroid_file_is_two(self, files, tmp_path):
         res = run_cli("ls", "--matroid", str(tmp_path / "absent.graph"),
                       "--weights", files["k4.weights"], "--seed", "1")

@@ -567,34 +567,59 @@ class TestSparsePaving:
             checked += 1
         assert checked == len(catalog_small()) - 1  # all but the 8-edge wheel
 
-    def test_seeded_planar_point_sets(self):
-        # Rank-3 vector matroids of rational points (x, y, 1) in the plane,
-        # each with one or two 3-point lines drawn on purpose; a set with
-        # a 4-point line or a repeated point is not sparse paving and is
-        # drawn again.  The circuit-hyperplanes are the 3-point lines
-        # (about 0.3 s).
-        rng = random.Random(14)
+    @staticmethod
+    def planar(rng, n, lines):
+        """Rank-3 vector matroid of n rational points (x, y, 1) in the
+        plane, `lines` 3-point lines among them drawn on purpose, and the
+        points.  Further collinear triples may fall out of the draw."""
 
         def point():
             return tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(2))
 
+        pts = []
+        for _ in range(lines):
+            a, b = point(), point()
+            share = Fraction(rng.randint(1, 4), 5)
+            pts += [a, b, tuple(x + share * (y - x) for x, y in zip(a, b))]
+        while len(pts) < n:
+            pts.append(point())
+        return vector_matroid([[p[0] for p in pts], [p[1] for p in pts], [1] * n]), pts
+
+    def test_seeded_planar_point_sets(self):
+        # Rank-3 vector matroids of planar points, each with one or two
+        # 3-point lines drawn on purpose; a set with a 4-point line or a
+        # repeated point is not sparse paving and is drawn again.  The
+        # circuit-hyperplanes are the 3-point lines (about 0.3 s).
+        rng = random.Random(14)
         lines_seen = []
         while len(lines_seen) < 12:
             n = 6 + len(lines_seen) % 3
-            pts = []
-            for _ in range(rng.randint(1, 2)):
-                a, b = point(), point()
-                share = Fraction(rng.randint(1, 4), 5)
-                pts += [a, b, tuple(x + share * (y - x) for x, y in zip(a, b))]
-            while len(pts) < n:
-                pts.append(point())
-            M = vector_matroid([[p[0] for p in pts], [p[1] for p in pts], [1] * n])
+            M, pts = self.planar(rng, n, rng.randint(1, 2))
             non_bases = sparse_paving_non_bases(M)
             if M.rank != 3 or not non_bases:
                 continue
             assert self.agree(M, lambda t: sparse_paving_count(M, t)), pts
             lines_seen.append(len(non_bases))
         assert min(lines_seen) >= 1 and max(lines_seen) >= 2
+
+    def pin_planar(self, n, seed):
+        # The first sparse paving draw with three lines drawn on purpose;
+        # every cone of a vector matroid is walked, about C(n, 3) of them.
+        rng = random.Random(seed)
+        while True:
+            M, pts = self.planar(rng, n, 3)
+            non_bases = sparse_paving_non_bases(M)
+            if M.rank == 3 and non_bases:
+                break
+        assert len(non_bases) >= 3
+        assert self.agree(M, lambda t: sparse_paving_count(M, t)), pts
+
+    def test_planar_point_set_on_14_elements(self):
+        self.pin_planar(14, 1914)  # about 1.5 s
+
+    @pytest.mark.slow
+    def test_planar_point_set_on_16_elements(self):
+        self.pin_planar(16, 1916)  # about 4 s
 
 
 class TestHalfOpenPlacing:

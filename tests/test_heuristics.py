@@ -152,6 +152,21 @@ class TestTabuSearch:
         )
         assert len(trail) == len(set(trail))
 
+    def test_scores_each_point_once(self):
+        # Neighbourhoods overlap and fibers hold many bases: a counting
+        # objective still sees each projected point once per search.
+        for k, (M, W) in enumerate(criterion9_instances(6)):
+            goal = SquaredDistance(project(W, random_basis(M, seed=k)))
+            for seed in range(3):
+                scored = []
+
+                def counting(point):
+                    scored.append(point)
+                    return goal(point)
+
+                tabu_search(M, random_basis(M, seed=seed), W, counting, 20)
+                assert len(scored) == len(set(scored)), (k, seed)
+
     def test_at_least_as_good_as_local_search(self, k4):
         # Paired seeded restarts: tabu never loses to plain descent.
         obj = SquaredDistance((11, 14))
@@ -354,6 +369,23 @@ class TestProjectedBoundary:
             start = boundary_start(M, W, random.Random(seed))
             pts = {project(W, b) for b in projected_boundary(M, W, start)}
             assert hull <= pts <= exact
+
+    def test_tests_each_basis_once(self, monkeypatch):
+        # A basis that fails the closed half-plane test fails it from every
+        # neighbour: it is tested once per walk.
+        tested = []
+        test = heuristics._in_halfplane
+
+        def counting(M, W, basis, strict):
+            tested.append(basis)
+            return test(M, W, basis, strict)
+
+        monkeypatch.setattr(heuristics, "_in_halfplane", counting)
+        for k, (M, W) in enumerate(criterion9_instances(6)):
+            start = boundary_start(M, W, random.Random(k))
+            tested.clear()
+            projected_boundary(M, W, start)
+            assert len(tested) == len(set(tested)), k
 
 
 class TestExtremenessOracle:

@@ -82,6 +82,13 @@ class TestBases:
     def test_wrong_cardinality(self, u24):
         assert not u24.is_basis({0})
 
+    def test_repeated_element_is_not_a_basis(self, k4):
+        # {0, 1, 2} is a basis; listing 1 twice must not make a fourth element.
+        assert not k4.is_basis((0, 1, 1, 2))
+        assert not k4.is_basis([0, 0, 1])
+        with pytest.raises(DimensionError):
+            k4.adjacent_bases((0, 1, 1, 2))
+
     def test_k4_all_sixteen(self, k4):
         from conftest import K4_BASES_1BASED
 
@@ -131,11 +138,27 @@ class TestAdjacency:
                     assert b in adj[nb]
 
     def test_matches_brute_force_everywhere(self, catalog):
-        for M in catalog:
-            if M.n > 6:
-                continue
+        # Loops, parallel elements, coloops and rank 0 or n included: the
+        # fundamental circuits of each backend against every swap.
+        k33 = graphic_matroid([[int((i < 3) != (j < 3)) for j in range(6)] for i in range(6)])
+        extra = [
+            k33,
+            *disconnected_matroids(),
+            vector_matroid([[1, 0, 2, 0], [0, 1, 3, 0]]),  # a zero column
+            vector_matroid([[1, 2, 0, 1, 3], [1, 2, 1, 0, 3]]),  # 0, 1 and 4 parallel
+            uniform_matroid(4, 0),
+            uniform_matroid(4, 4),
+        ]
+        for M in catalog + extra:
             for b in enumerate_bases(M):
-                assert set(M.adjacent_bases(b)) == brute_adjacent(M, b)
+                assert M.adjacent_bases(b) == tuple(sorted(brute_adjacent(M, b))), (M, b)
+
+    def test_any_order_or_container_gives_the_same_tuple(self, k4):
+        for b in enumerate_bases(k4):
+            nbs = k4.adjacent_bases(b)
+            assert k4.adjacent_bases(b[::-1]) == nbs
+            assert k4.adjacent_bases(list(b)) == nbs
+            assert k4.adjacent_bases(set(b)) == nbs
 
     def test_rejects_non_basis(self, u24):
         with pytest.raises(DimensionError):
