@@ -24,37 +24,63 @@ earlier one by swapping one generator, and records the swap, so a cell
 takes its power sums and its share from that cell's with one generator
 out and one in; only a cone's first cell sums over all its indices.  The
 cones are summed, one after the other, over one common denominator.
+
+The fixed work per call is small too.  The dimension and each orbit
+representative's exchange pairs are read off the fundamental circuits of
+a basis (`oracles.polytope_dimension`, `triangulate.tangent_cone`), a
+carried cone travels as its basis and its pairs, and the coefficients of
+the Todd logarithm are integers from the tangent numbers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import compress
 from math import comb, factorial, gcd, lcm, perm, prod
 from operator import add, sub
 
 from .errors import DimensionError, InternalInconsistencyError
-from .matroid import Matroid, automorphism_generators, incidence_vector
+from .matroid import Matroid, automorphism_generators
 from .oracles import enumerate_bases, polytope_dimension
-from .triangulate import Cone, tangent_cone, tree_cells
+from .triangulate import tangent_cone, tree_cells
 
 
 # Todd polynomials ---------------------------------------------------------
 
 
+def _tangent_numbers(m: int):
+    """T_1..T_m, tan x = sum_k T_k x^(2k-1) / (2k-1)!, by the integer
+    recurrence of Brent and Harvey (Fast computation of Bernoulli, tangent
+    and secant numbers, 2013, algorithm TangentNumbers)."""
+    t = [0, 1] + [0] * (m - 1)
+    for k in range(2, m + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:m + 1]
+
+
 @cache
 def _todd_log(m: int):
     """(A, (alpha_0..alpha_m)) with log(x / (1 - exp(-x))) equal to
-    sum_n alpha_n / A * x^n up to x^m: minus the log series l of
-    (1 - exp(-x)) / x = sum_n c_n x^n, c_n = (-1)^n / (n+1)!, from
-    n l_n = n c_n - sum_{0<k<n} k l_k c_(n-k), over a common A."""
-    c = [Fraction((-1) ** n, factorial(n + 1)) for n in range(m + 1)]
-    log = [Fraction(0)] * (m + 1)
-    for n in range(1, m + 1):
-        log[n] = c[n] - sum([k * log[k] * c[n - k] for k in range(1, n)], Fraction(0)) / n
-    big = lcm(*[x.denominator for x in log])
-    return big, tuple(-int(x * big) for x in log)
+    sum_n alpha_n / A * x^n up to x^m, A the least common denominator.
+
+    The series is x/2 - sum_k B_2k / (2k (2k)!) x^(2k), and with
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), T_k the tangent numbers,
+    alpha_2k / A = (-1)^k T_k / (4^k (4^k - 1) (2k)!), all in integers."""
+    if not m:
+        return 1, (0,)
+    even = []  # (numerator, denominator) of alpha_2k / A in lowest terms
+    for k, t in enumerate(_tangent_numbers(m // 2), 1):
+        den = 4**k * (4**k - 1) * factorial(2 * k)
+        g = gcd(t, den)
+        even.append(((-1) ** k * (t // g), den // g))
+    big = lcm(2, *[den for _, den in even])
+    alpha = [0, big // 2] + [0] * (m - 1)
+    for k, (num, den) in enumerate(even, 1):
+        alpha[2 * k] = num * (big // den)
+    return big, tuple(alpha)
 
 
 @cache
@@ -102,19 +128,20 @@ def _powers(values, order: int):
     return {d: [d] + [d ** (2 * k) for k in range(1, order // 2 + 1)] for d in values}
 
 
-def _cone_value(cone, cells, lam, powers):
-    """The value at z = 1 of the terms of a vertex cone's half-open cells
-    (triples (bits, strict, origin) of generator indices and the swap that
-    found the cell, as `tree_cells` gives them: the whole list, or one
-    cell alone), summed, in the k-th dilation: (nums, den) with the
-    coefficient of k^m equal to nums[m] / den, den > 0.  `powers` holds,
-    per value d = lam_j - lam_i of an exchange pair (i, j) of the cone, d
-    and its even powers up to the order of the cells (`_powers`).
+def _cone_value(basis, pairs, cells, lam, powers):
+    """The value at z = 1 of the terms of the half-open cells of the vertex
+    cone at e_B, B the basis, with the given exchange pairs (triples
+    (bits, strict, origin) of generator indices and the swap that found
+    the cell, as `tree_cells` gives them: the whole list, or one cell
+    alone), summed, in the k-th dilation: (nums, den) with the coefficient
+    of k^m equal to nums[m] / den, den > 0.  `powers` holds, per value
+    d = lam_j - lam_i of an exchange pair (i, j), d and its even powers up
+    to the order of the cells (`_powers`).
 
     A cell's term is z^a / prod_j (1 - z^(g_j)) over its generators, a
     being the apex v plus its strict generators, in the k-th dilation
     z^(a + (k-1)v).  With d_j = <lam, g_j> = lam_head - lam_tail and
-    X = <lam, a + (k-1)v> = S + kV its value is
+    X = <lam, a + (k-1)v> = S + kV, V the sum of lam_e over B, its value is
     (-1)^s / prod_j d_j * [x^s] exp(xX + sum_k alpha_k / A P_k(-d) x^k).
     Splitting off exp(xkV) leaves one integer exponential (`_exp_gamma`)
     with beta_1 = A S - alpha_1 P_1(d), S the sum of d_j over the strict
@@ -128,9 +155,9 @@ def _cone_value(cone, cells, lam, powers):
     plus row f, and its share times d_e, exactly divided by d_f.  The
     cone's first cell, or a cell given alone, sums its generators afresh.
     """
-    if not cone.pairs:
+    if not pairs:
         return [1], 1  # a point vertex: one lattice point in every dilation
-    table = [powers[lam[j] - lam[i]] for i, j in cone.pairs]
+    table = [powers[lam[j] - lam[i]] for i, j in pairs]
     d = [row[0] for row in table]
     total = prod(d)
     if not total:
@@ -151,7 +178,7 @@ def _cone_value(cone, cells, lam, powers):
         found.append((sums, share))
         gammas.append(_exp_gamma(rows, share, big * sum(map(d_at, strict)) - half * sums[0], sums))
     acc = list(map(sum, zip(*gammas)))
-    step = big * sum(compress(lam, cone.apex))
+    step = big * sum(map(lam.__getitem__, basis))
     sign = -1 if (s % 2) != (total < 0) else 1
     nums = [sign * c * step**m * a for m, (c, a) in enumerate(zip(binomials, reversed(acc)))]
     return nums, den * abs(total)
@@ -192,8 +219,9 @@ def dilation_polynomial(values, dim: int):
 
 
 def _orbit_cones(M: Matroid, bases):
-    """Every vertex cone of P_M, once each, with half-open cells: pairs
-    (cone, cells), `tree_cells` taken once per orbit of the bases under
+    """Every vertex cone of P_M, once each, with half-open cells: triples
+    (basis, pairs, cells), the cone at e_basis with those exchange pairs,
+    `tree_cells` taken once per orbit of the bases under
     `automorphism_generators`.
 
     An automorphism sigma carries the vertex cone at e_R onto the one at
@@ -204,6 +232,7 @@ def _orbit_cones(M: Matroid, bases):
     each representative R, the least basis not yet reached, is searched
     one generator at a time, each reached basis taking the pairs of the
     basis it was reached from, carried; the group itself is never listed.
+    Only a representative's cone is built as a `Cone`, for its walk.
     """
     gens = automorphism_generators(M)
     todo = set(bases)
@@ -216,7 +245,7 @@ def _orbit_cones(M: Matroid, bases):
         stack = [(rep, cone.pairs)]
         while stack:
             basis, pairs = stack.pop()
-            yield Cone(incidence_vector(basis, M.n), pairs), cells
+            yield basis, pairs, cells
             for g in gens:
                 image = tuple(sorted([g[e] for e in basis]))
                 if image in todo:
@@ -233,4 +262,4 @@ def ehrhart_polynomial(M: Matroid):
     lam = tuple(range(M.n))
     powers = _powers(range(1 - M.n, M.n), dim)
     return dilation_polynomial(
-        (_cone_value(cone, cells, lam, powers) for cone, cells in _orbit_cones(M, bases)), dim)
+        (_cone_value(*cone, lam, powers) for cone in _orbit_cones(M, bases)), dim)

@@ -8,8 +8,9 @@ exact Fractions only for truly rational coefficients or targets; ties
 always break toward the lexicographically smallest basis.  Projections go
 through `_point`, which memoizes them on the weight matrix.  Neighbourhoods
 come from `Matroid.adjacent_bases`, cached on the matroid.  Within one call,
-`tabu_search` scores each projected point once and `projected_boundary`
-tests each basis against the half-plane rule once.
+`local_search` and `tabu_search` score each projected point once (the
+restarts of one pivot-test target share their scores), and
+`projected_boundary` tests each basis against the half-plane rule once.
 
 The pivot test and the fiber-BFS driver first list the projected image with
 `_image`, a breadth-first search of the exchange graph that gives up once
@@ -105,45 +106,10 @@ def _image(M: Matroid, W: WeightMatrix, budget):
     return {_point(W, b) for b in reached}
 
 
-def local_search(M: Matroid, W: WeightMatrix, objective, start, transcript=None):
-    """Steepest-descent pivoting to the best neighbor while it strictly improves.
-
-    Returns a basis none of whose neighbors has a smaller objective value.
-    Always terminates: the value strictly decreases over a finite base set.
-    """
-    _check(M, W)
-    current = tuple(sorted(start))
-    if not M.is_basis(current):
-        raise DimensionError(f"{current} is not a basis")
-    value = objective(_point(W, current))
-    pivots = 0
-    while True:
-        if transcript is not None:
-            transcript(pivots, current, _point(W, current), value)
-        best = None
-        for nb in M.adjacent_bases(current):
-            nb_value = objective(_point(W, nb))
-            if nb_value < value and (best is None or (nb_value, nb) < best):
-                best = (nb_value, nb)
-        if best is None:
-            return current
-        value, current = best
-        pivots += 1
-
-
-def tabu_search(M: Matroid, start, W: WeightMatrix, objective, tabu_limit, transcript=None):
-    """Pivot to the best not-yet-visited neighbor, even uphill.
-
-    Tracks the best basis seen; stops after `tabu_limit` consecutive pivots
-    without improving it, or when every neighbor has been visited.
-    """
-    _check(M, W)
-    _check_knobs(tabu_limit=tabu_limit)
-    current = tuple(sorted(start))
-    if not M.is_basis(current):
-        raise DimensionError(f"{current} is not a basis")
-    visited = {current}
-    scores = {}  # objective value per projected point, each scored once
+def _scorer(W: WeightMatrix, objective, scores):
+    """basis -> the objective value of its projection, each projected point
+    scored once into the dict `scores` (a fresh one when None)."""
+    scores = {} if scores is None else scores
 
     def score(basis):
         p = _point(W, basis)
@@ -152,6 +118,54 @@ def tabu_search(M: Matroid, start, W: WeightMatrix, objective, tabu_limit, trans
             value = scores[p] = objective(p)
         return value
 
+    return score
+
+
+def local_search(M: Matroid, W: WeightMatrix, objective, start, transcript=None, scores=None):
+    """Steepest-descent pivoting to the best neighbor while it strictly improves.
+
+    Returns a basis none of whose neighbors has a smaller objective value.
+    Always terminates: the value strictly decreases over a finite base set.
+    Each projected point is scored once per call; a caller that searches
+    again with the same objective passes one dict `scores` to every call,
+    and then each point is scored once over all of them.
+    """
+    _check(M, W)
+    current = tuple(sorted(start))
+    if not M.is_basis(current):
+        raise DimensionError(f"{current} is not a basis")
+    score = _scorer(W, objective, scores)
+    value = score(current)
+    pivots = 0
+    while True:
+        if transcript is not None:
+            transcript(pivots, current, _point(W, current), value)
+        best = None
+        for nb in M.adjacent_bases(current):
+            nb_value = score(nb)
+            if nb_value < value and (best is None or (nb_value, nb) < best):
+                best = (nb_value, nb)
+        if best is None:
+            return current
+        value, current = best
+        pivots += 1
+
+
+def tabu_search(M: Matroid, start, W: WeightMatrix, objective, tabu_limit, transcript=None,
+                scores=None):
+    """Pivot to the best not-yet-visited neighbor, even uphill.
+
+    Tracks the best basis seen; stops after `tabu_limit` consecutive pivots
+    without improving it, or when every neighbor has been visited.  Each
+    projected point is scored once, as in `local_search`.
+    """
+    _check(M, W)
+    _check_knobs(tabu_limit=tabu_limit)
+    current = tuple(sorted(start))
+    if not M.is_basis(current):
+        raise DimensionError(f"{current} is not a basis")
+    visited = {current}
+    score = _scorer(W, objective, scores)
     best_basis = current
     best_value = score(current)
     stale = 0
@@ -177,14 +191,15 @@ def tabu_search(M: Matroid, start, W: WeightMatrix, objective, tabu_limit, trans
 
 def _pivot_test_point(M, W, target, tries, searcher, tabu_limit, seed):
     goal = SquaredDistance(tuple(target))
+    scores = {}  # one goal for every restart, so each point is scored once
     rng = random.Random(seed)
     for _ in range(tries):
         start = random_basis(M, rng=rng)
         if searcher == "ts":
-            found = tabu_search(M, start, W, goal, tabu_limit)
+            found = tabu_search(M, start, W, goal, tabu_limit, scores=scores)
         else:
-            found = local_search(M, W, goal, start)
-        if goal(_point(W, found)) == 0:
+            found = local_search(M, W, goal, start, scores=scores)
+        if scores[_point(W, found)] == 0:
             return found
     return None
 

@@ -3,7 +3,10 @@
 These routines favor obviousness over speed: complete subset sweeps,
 contraction/deletion tree enumeration, direct lattice scans.  They are the
 reference side of every dual-route check in the test suite, so nothing here
-may ever call into the pipeline it validates.
+may ever call into the pipeline it validates.  The one exception to the
+brute force is `polytope_dimension`, which counts the connected components
+of the matroid on the fundamental circuits of a single basis; the tests
+check it against the rank of the edge directions over every basis.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from itertools import combinations
 from math import comb
 
 from .errors import CapError, DimensionError, ParseError
-from .linalg import bareiss_det, rational_rank
-from .matroid import Matroid, incidence_vector
+from .linalg import bareiss_det
+from .matroid import Matroid, _forest_size, greedy_max_basis
 from .multicriteria import WeightMatrix, project
 
 BASES_CAP_DEFAULT = 10_000_000
@@ -214,11 +217,12 @@ def dilation_lattice_count(M: Matroid, k: int) -> int:
 
 
 def polytope_dimension(M: Matroid, bases=None) -> int:
-    """dim P_M: the rank of the edge directions from one vertex to the rest
-    (n minus the number of connected components of the matroid)."""
-    if bases is None:
-        bases = enumerate_bases(M)
-    base0 = incidence_vector(bases[0], M.n)
-    return rational_rank(
-        [tuple(a - c for a, c in zip(incidence_vector(b, M.n), base0)) for b in bases[1:]]
-    )
+    """dim P_M: n minus the number of connected components of M, which are
+    those of the fundamental-circuit graph of any one basis B, joining each
+    j outside B to every element of B on C(B, j) (Krogdahl, The dependence
+    graph for bases in matroids, Discrete Math. 1977).  So the dimension is
+    the size of a spanning forest of that graph, for B the first of `bases`
+    or, by default, the lexicographically first basis."""
+    b = bases[0] if bases else greedy_max_basis(M, [0] * M.n)[0]
+    edges = [(i, j) for j, circuit in M._fundamental_circuits(b) for i in circuit]
+    return _forest_size((M.n, edges), range(len(edges)))

@@ -66,16 +66,20 @@ class Cone:
 
 def tangent_cone(M, basis) -> Cone:
     """Vertex cone of the matroid polytope at e_B, one exchange pair per
-    adjacent basis B - i + j in the order of `M.adjacent_bases`."""
+    adjacent basis B - i + j in the order of `M.adjacent_bases`.
+
+    The pairs are read off the fundamental circuits: (i, j) for each j
+    outside B and each i of B on C(B, j).  Sorted sets of one size sort
+    lexicographically in the descending order of sum_e 2^(n-1-e), so the
+    neighbours' order is the ascending order of 2^(n-1-i) - 2^(n-1-j), and
+    no neighbour is built.
+    """
     b = tuple(sorted(basis))
-    inside = set(b)
-    total = sum(b)
-    pairs = []
-    for nb in M.adjacent_bases(b):
-        for j in nb:
-            if j not in inside:
-                break
-        pairs.append((total - sum(nb) + j, j))  # i = sum(B) - sum(B - i + j) + j
+    if not M.is_basis(b):
+        raise DimensionError(f"{b} is not a basis")
+    top = M.n - 1
+    pairs = sorted([(i, j) for j, circuit in M._fundamental_circuits(b) for i in circuit],
+                   key=lambda p: (1 << (top - p[0])) - (1 << (top - p[1])))
     return Cone(apex=incidence_vector(b, M.n), pairs=tuple(pairs))
 
 

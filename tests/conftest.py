@@ -33,7 +33,7 @@ from matropt import (
     uniform_matroid,
     vector_matroid,
 )
-from matropt.genfun import _cone_value, _exp_gamma, _exp_table, _powers, _todd_log
+from matropt.genfun import _cone_value, _exp_gamma, _exp_table, _powers
 from matropt.heuristics import _derived_seed, _point, boundary_start, fiber_bfs
 from matropt.linalg import _extend, _integral, _null_vector, _unit, bareiss_det, rational_rank
 
@@ -163,6 +163,22 @@ def disconnected_matroids():
     return [graphic_matroid(k4_and_triangle), direct_sum]
 
 
+def exchange_edge_cases():
+    """Matroids beyond the catalog for the fundamental-circuit routes: K3,3,
+    the disconnected matroids, a vector matroid with a zero column (a
+    loop), one with parallel columns, and the ranks 0 and n (U(0,4), all
+    loops, and U(4,4), all coloops)."""
+    k33 = graphic_matroid([[int((i < 3) != (j < 3)) for j in range(6)] for i in range(6)])
+    return [
+        k33,
+        *disconnected_matroids(),
+        vector_matroid([[1, 0, 2, 0], [0, 1, 3, 0]]),  # a zero column
+        vector_matroid([[1, 2, 0, 1, 3], [1, 2, 1, 0, 3]]),  # 0, 1 and 4 parallel
+        uniform_matroid(4, 0),
+        uniform_matroid(4, 4),
+    ]
+
+
 @pytest.fixture(scope="session")
 def k4():
     return k4_matroid()
@@ -270,8 +286,50 @@ def ehrhart_per_cone(M: Matroid):
     values = []
     for b in bases:
         cone = tangent_cone(M, b)
-        values.append(_cone_value(cone, tree_cells(cone), lam, powers))
+        values.append(_cone_value(b, cone.pairs, tree_cells(cone), lam, powers))
     return dilation_polynomial(values, dim)
+
+
+# Superseded routes of the pipeline's fixed work ----------------------------
+# `oracles.polytope_dimension` before it read the dimension off fundamental
+# circuits, and `genfun._todd_log` before it read the Todd logarithm off the
+# tangent numbers: the references the new routes are checked against.
+
+
+def rank_dimension(M: Matroid, bases=None) -> int:
+    """dim P_M as the rank of the edge directions from the first basis to
+    every other, by one elimination over all the bases."""
+    if bases is None:
+        bases = enumerate_bases(M)
+    base0 = incidence_vector(bases[0], M.n)
+    return rational_rank(
+        [tuple(a - c for a, c in zip(incidence_vector(b, M.n), base0)) for b in bases[1:]]
+    )
+
+
+def pairs_of_adjacent_bases(M: Matroid, basis):
+    """The exchange pair (i, j) of every adjacent basis B - i + j, in the
+    order of `M.adjacent_bases`, read off the neighbour tuples."""
+    inside = set(basis)
+    pairs = []
+    for nb in M.adjacent_bases(tuple(sorted(basis))):
+        (i,) = inside.difference(nb)
+        (j,) = set(nb).difference(inside)
+        pairs.append((i, j))
+    return tuple(pairs)
+
+
+def fraction_todd_log(m: int):
+    """(A, (alpha_0..alpha_m)) with log(x / (1 - exp(-x))) equal to
+    sum_n alpha_n / A * x^n up to x^m: minus the log series l of
+    (1 - exp(-x)) / x = sum_n c_n x^n, c_n = (-1)^n / (n+1)!, from
+    n l_n = n c_n - sum_{0<k<n} k l_k c_(n-k), over a common A."""
+    c = [Fraction((-1) ** n, factorial(n + 1)) for n in range(m + 1)]
+    log = [Fraction(0)] * (m + 1)
+    for n in range(1, m + 1):
+        log[n] = c[n] - sum([k * log[k] * c[n - k] for k in range(1, n)], Fraction(0)) / n
+    big = lcm(*[x.denominator for x in log])
+    return big, tuple(-int(x * big) for x in log)
 
 
 # Independent oracles -------------------------------------------------------
@@ -1085,7 +1143,7 @@ def _todd_product(m: int, xis):
     n g_n = sum_k k h_k g_(n-k) stays integral as g_n = gamma_n / (n! (Aq)^n),
     gamma_n = sum_k k (n-1)!/(n-k)! alpha_k A^(k-1) R_k gamma_(n-k).
     """
-    big, alpha = _todd_log(m)
+    big, alpha = fraction_todd_log(m)
     xis = [Fraction(x) for x in xis]
     q = lcm(*[x.denominator for x in xis])
     rs = [x.numerator * (q // x.denominator) for x in xis]

@@ -113,6 +113,22 @@ class TestLocalSearch:
         with pytest.raises(DimensionError):
             fiber_bfs(u24, W, bad, 1)
 
+    def test_scores_each_point_once(self):
+        # Consecutive neighbourhoods overlap and fibers hold many bases: a
+        # counting objective still sees each projected point once per
+        # descent, over six seeded descents on each criterion-9 instance.
+        for k, (M, W) in enumerate(criterion9_instances(14)):
+            goal = SquaredDistance(project(W, random_basis(M, seed=k)))
+            for seed in range(6):
+                scored = []
+
+                def counting(point):
+                    scored.append(point)
+                    return goal(point)
+
+                local_search(M, W, counting, random_basis(M, seed=seed))
+                assert len(scored) == len(set(scored)), (k, seed)
+
     def test_linear_objective_exact_on_catalog(self):
         from conftest import catalog_small, random_weight_matrix
 
@@ -220,6 +236,28 @@ class TestPivotTest:
             pivot_test(k4, W_K4, [(9, 12), (9.5, 12)], tries=3, seed=0)
         whole = pivot_test(k4, W_K4, [(Fraction(9, 1), 12)], tries=3, seed=0)
         assert whole == pivot_test(k4, W_K4, [(9, 12)], tries=3, seed=0)
+
+
+class TestPivotTestScores:
+    """The restarts of one target share one goal, so they share its scores."""
+
+    @pytest.mark.parametrize("searcher", ["ls", "ts"])
+    def test_each_point_scored_once_per_target(self, searcher, monkeypatch):
+        # The first ten bounding-box targets of each criterion-9 instance,
+        # six restarts each.
+        scored = []
+
+        class Counting(SquaredDistance):
+            def __call__(self, point):
+                scored.append(point)
+                return super().__call__(point)
+
+        monkeypatch.setattr(heuristics, "SquaredDistance", Counting)
+        for k, (M, W) in enumerate(criterion9_instances(14)):
+            for i, target in enumerate(list(bounding_box(M, W).lattice_points())[:10]):
+                scored.clear()
+                _pivot_test_point(M, W, target, 6, searcher, 20, _derived_seed(k, i))
+                assert scored and len(scored) == len(set(scored)), (k, target)
 
 
 class TestPivotTestPruning:

@@ -14,6 +14,7 @@ from conftest import (
     brute_rank,
     catalog_small,
     disconnected_matroids,
+    exchange_edge_cases,
     k4_matroid,
     polytope_constraints,
 )
@@ -140,16 +141,7 @@ class TestAdjacency:
     def test_matches_brute_force_everywhere(self, catalog):
         # Loops, parallel elements, coloops and rank 0 or n included: the
         # fundamental circuits of each backend against every swap.
-        k33 = graphic_matroid([[int((i < 3) != (j < 3)) for j in range(6)] for i in range(6)])
-        extra = [
-            k33,
-            *disconnected_matroids(),
-            vector_matroid([[1, 0, 2, 0], [0, 1, 3, 0]]),  # a zero column
-            vector_matroid([[1, 2, 0, 1, 3], [1, 2, 1, 0, 3]]),  # 0, 1 and 4 parallel
-            uniform_matroid(4, 0),
-            uniform_matroid(4, 4),
-        ]
-        for M in catalog + extra:
+        for M in catalog + exchange_edge_cases():
             for b in enumerate_bases(M):
                 assert M.adjacent_bases(b) == tuple(sorted(brute_adjacent(M, b))), (M, b)
 

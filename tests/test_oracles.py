@@ -7,11 +7,14 @@ from itertools import combinations
 import pytest
 
 from conftest import (
+    catalog_small,
     cycle_adjacency,
     evaluate_polynomial,
+    exchange_edge_cases,
     interpolate_ehrhart,
     polytope_constraints,
     random_connected_graph,
+    rank_dimension,
 )
 from matropt import (
     CapError,
@@ -285,3 +288,14 @@ class TestDimension:
         from conftest import square_matroid
 
         assert polytope_dimension(square_matroid()) == 2
+
+    def test_circuit_route_matches_rank_route(self):
+        # n minus the components of a basis's fundamental-circuit graph, for
+        # every basis and for the default one, against the rank of the edge
+        # directions over every basis; loops, coloops, parallel elements and
+        # several components among them.  By Krogdahl every basis's graph
+        # has the matroid's components.
+        for M in catalog_small() + exchange_edge_cases():
+            bases = enumerate_bases(M)
+            dims = {polytope_dimension(M, [b]) for b in bases} | {polytope_dimension(M)}
+            assert dims == {rank_dimension(M, bases)}, M

@@ -16,12 +16,14 @@ from conftest import (
     cone_generators,
     cone_triangulation,
     disconnected_matroids,
+    exchange_edge_cases,
     fraction_solve,
     generic_y_for_cells,
     half_open_cells,
     half_open_contains,
     half_open_decompose,
     join_to_apex,
+    pairs_of_adjacent_bases,
     placing_with_facet_normals,
     rational_kernel_basis,
     seeded_rational_point_sets,
@@ -207,6 +209,22 @@ class TestTangentCone:
             for nb in k4.adjacent_bases((0, 1, 2))
         ]
         assert cone_generators(cone) == tuple(diffs)  # in the order of adjacent_bases
+
+    def test_pairs_match_adjacent_bases(self, catalog):
+        # Read off the fundamental circuits, in the order of the neighbour
+        # tuples, which are never built: the adjacency cache stays empty.
+        for M in catalog + exchange_edge_cases():
+            for b in enumerate_bases(M):
+                M._adj_cache.clear()
+                pairs = tangent_cone(M, b).pairs
+                assert not M._adj_cache
+                assert pairs == pairs_of_adjacent_bases(M, b), (M, b)
+
+    def test_rejects_non_basis(self, k4):
+        with pytest.raises(DimensionError):
+            tangent_cone(k4, (0, 1, 3))  # a triangle
+        with pytest.raises(DimensionError):
+            tangent_cone(k4, (0, 1, 1))
 
     def test_segment_single_generator(self):
         M = uniform_matroid(2, 1)
@@ -448,10 +466,10 @@ class TestTreeCells:
         for M in disconnected_matroids():
             lists += [tree_cells(tangent_cone(M, b)) for b in enumerate_bases(M)]
         u36 = uniform_matroid(6, 3)
-        (rep, cells), *carried = _orbit_cones(u36, enumerate_bases(u36))
-        cone, carried_cells = carried[-1]
-        assert cone != rep and carried_cells is cells
-        assert tree_cells(cone) == cells
+        (rep, _, cells), *carried = _orbit_cones(u36, enumerate_bases(u36))
+        basis, pairs, carried_cells = carried[-1]
+        assert basis != rep and carried_cells is cells
+        assert tree_cells(Cone(incidence_vector(basis, u36.n), pairs)) == cells
         lists.append(cells)
         lists.append(tree_cells(Cone(apex=(1, 1, 0), pairs=())))
         for cells in lists:
@@ -512,8 +530,8 @@ class TestTreeCells:
             if M.n > 6:
                 continue
             cones = list(_orbit_cones(M, enumerate_bases(M)))
-            for cone, cells in cones if M.n <= 5 else cones[1:4]:
-                self.assert_partitions_box(cone, cells)
+            for b, pairs, cells in cones if M.n <= 5 else cones[1:4]:
+                self.assert_partitions_box(Cone(incidence_vector(b, M.n), pairs), cells)
 
     def test_cone_without_generators(self):
         assert tree_cells(Cone(apex=(1, 1, 0), pairs=())) == [((), (), None)]
