@@ -39,7 +39,7 @@ from functools import cache
 from math import comb, factorial, gcd, lcm, perm, prod
 from operator import add, sub
 
-from .errors import DimensionError, InternalInconsistencyError
+from .errors import InternalInconsistencyError
 from .matroid import Matroid, automorphism_generators
 from .oracles import enumerate_bases, polytope_dimension
 from .triangulate import tangent_cone, tree_cells
@@ -128,20 +128,20 @@ def _powers(values, order: int):
     return {d: [d] + [d ** (2 * k) for k in range(1, order // 2 + 1)] for d in values}
 
 
-def _cone_value(basis, pairs, cells, lam, powers):
+def _cone_value(basis, pairs, cells, powers):
     """The value at z = 1 of the terms of the half-open cells of the vertex
     cone at e_B, B the basis, with the given exchange pairs (triples
     (bits, strict, origin) of generator indices and the swap that found
-    the cell, as `tree_cells` gives them: the whole list, or one cell
-    alone), summed, in the k-th dilation: (nums, den) with the coefficient
-    of k^m equal to nums[m] / den, den > 0.  `powers` holds, per value
-    d = lam_j - lam_i of an exchange pair (i, j), d and its even powers up
-    to the order of the cells (`_powers`).
+    the cell, as `tree_cells` gives them), summed, in the k-th dilation:
+    (nums, den) with the coefficient of k^m equal to nums[m] / den,
+    den > 0.  `powers` holds, per value d = j - i of an exchange pair
+    (i, j), d and its even powers up to the order of the cells (`_powers`).
 
     A cell's term is z^a / prod_j (1 - z^(g_j)) over its generators, a
     being the apex v plus its strict generators, in the k-th dilation
-    z^(a + (k-1)v).  With d_j = <lam, g_j> = lam_head - lam_tail and
-    X = <lam, a + (k-1)v> = S + kV, V the sum of lam_e over B, its value is
+    z^(a + (k-1)v).  For lam = (0, 1, ..., n - 1), with
+    d_j = <lam, g_j> = head - tail and X = <lam, a + (k-1)v> = S + kV, V the
+    sum of the elements of B, its value is
     (-1)^s / prod_j d_j * [x^s] exp(xX + sum_k alpha_k / A P_k(-d) x^k).
     Splitting off exp(xkV) leaves one integer exponential (`_exp_gamma`)
     with beta_1 = A S - alpha_1 P_1(d), S the sum of d_j over the strict
@@ -152,22 +152,20 @@ def _cone_value(basis, pairs, cells, lam, powers):
     its cells, cell c entering with its share D / prod_(j in c) d_j, the
     seed of its exponential.  A cell found from cells[p] by the swap of
     generator e for f takes both from that cell's: its sums minus row e
-    plus row f, and its share times d_e, exactly divided by d_f.  The
-    cone's first cell, or a cell given alone, sums its generators afresh.
+    plus row f, and its share times d_e, exactly divided by d_f.  A cell
+    with no origin, the cone's first, sums its generators afresh.
     """
     if not pairs:
         return [1], 1  # a point vertex: one lattice point in every dilation
-    table = [powers[lam[j] - lam[i]] for i, j in pairs]
+    table = [powers[j - i] for i, j in pairs]
     d = [row[0] for row in table]
     total = prod(d)
-    if not total:
-        raise DimensionError("lambda is not generic for this cone")
     s = len(cells[0][0])
     big, half, rows, binomials, den = _exp_table(s)
     d_at, powers_at = d.__getitem__, table.__getitem__
     found, gammas = [], []
     for bits, strict, origin in cells:
-        if origin is None or not found:
+        if origin is None:
             sums = list(map(sum, zip(*map(powers_at, bits))))
             share = total // prod(map(d_at, bits))
         else:
@@ -178,7 +176,7 @@ def _cone_value(basis, pairs, cells, lam, powers):
         found.append((sums, share))
         gammas.append(_exp_gamma(rows, share, big * sum(map(d_at, strict)) - half * sums[0], sums))
     acc = list(map(sum, zip(*gammas)))
-    step = big * sum(map(lam.__getitem__, basis))
+    step = big * sum(basis)
     sign = -1 if (s % 2) != (total < 0) else 1
     nums = [sign * c * step**m * a for m, (c, a) in enumerate(zip(binomials, reversed(acc)))]
     return nums, den * abs(total)
@@ -259,7 +257,6 @@ def ehrhart_polynomial(M: Matroid):
     j - i is nonzero for every exchange pair (i, j)."""
     bases = enumerate_bases(M)
     dim = polytope_dimension(M, bases)
-    lam = tuple(range(M.n))
     powers = _powers(range(1 - M.n, M.n), dim)
     return dilation_polynomial(
-        (_cone_value(*cone, lam, powers) for cone in _orbit_cones(M, bases)), dim)
+        (_cone_value(*cone, powers) for cone in _orbit_cones(M, bases)), dim)

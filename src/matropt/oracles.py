@@ -1,12 +1,15 @@
 """Independent brute-force ground truth used to validate everything else.
 
 These routines favor obviousness over speed: complete subset sweeps,
-contraction/deletion tree enumeration, direct lattice scans.  They are the
-reference side of every dual-route check in the test suite, so nothing here
-may ever call into the pipeline it validates.  The one exception to the
-brute force is `polytope_dimension`, which counts the connected components
-of the matroid on the fundamental circuits of a single basis; the tests
-check it against the rank of the edge directions over every basis.
+contraction/deletion tree enumeration, lattice counts from sums of bases.
+They are the reference side of every dual-route check in the test suite,
+so nothing here may ever call into the pipeline it validates.  Two rest on
+a theorem rather than brute force, and the tests check each against a
+plain route: `dilation_lattice_count` counts sums of bases, by the integer
+decomposition property of P_M, against a box scan of the facet
+description; `polytope_dimension` counts the connected components of the
+matroid on the fundamental circuits of a single basis, against the rank
+of the edge directions over every basis.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ def spanning_trees(n_vertices: int, edges):
     disconnects).  Output-sensitive and duplicate-free by construction.
     """
     edges = [tuple(e) for e in edges]
-    if not _connected(n_vertices, edges):
+    if _forest_size((n_vertices, edges), range(len(edges))) != n_vertices - 1:
         raise DimensionError("spanning-tree enumeration requires a connected graph")
 
     def rec(nv, elist, chosen):
@@ -72,29 +75,11 @@ def spanning_trees(n_vertices: int, edges):
             contracted.append((a2, b2, lab))
         yield from rec(nv - 1, contracted, chosen + [label])
         rest = elist[1:]
-        if _connected(nv, [(a, b) for a, b, _ in rest]):
+        if _forest_size((nv, [(a, b) for a, b, _ in rest]), range(len(rest))) == nv - 1:
             yield from rec(nv, rest, chosen)
 
     labeled = [(u, v, i) for i, (u, v) in enumerate(edges)]
     yield from rec(n_vertices, labeled, [])
-
-
-def _connected(nv, edges) -> bool:
-    parent = list(range(nv))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = nv
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            comps -= 1
-    return comps == 1
 
 
 def laplacian_tree_count(n_vertices: int, edges) -> int:
@@ -151,69 +136,44 @@ def planar_convex_hull(points):
     return hull
 
 
-def flats(M: Matroid):
-    """All closed sets, from the full subset rank table (n <= 16)."""
-    if M.n > 16:
-        raise CapError("flat enumeration is capped at 16 elements")
-    out = []
-    for size in range(0, M.n + 1):
-        for subset in combinations(range(M.n), size):
-            r = M.rank_of(subset)
-            inside = set(subset)
-            if all(M.rank_of(inside | {j}) > r for j in range(M.n) if j not in inside):
-                out.append((subset, r))
-    return out
-
-
 def dilation_lattice_count(M: Matroid, k: int) -> int:
-    """#(k P_M intersect Z^n) by direct sweep of the facet description.
+    """#(k P_M intersect Z^n), the number of distinct sums B_1 + ... + B_k
+    of k bases.
 
-    Points satisfy x >= 0, sum = k*rank, and sum over F <= k*rank(F) for
-    every flat F (constraints for non-closed sets follow from their
-    closures).  Uniform matroids keep only the box constraints, so their
-    count is read off a bounded-composition table instead of a point sweep.
+    Matroid base polytopes have the integer decomposition property, since
+    the basis monomial ring is normal (White, The basis monomial ring of a
+    matroid, Adv. Math. 1977): every lattice point of k P_M is a sum of k
+    bases' incidence vectors.  Each basis is packed as one int with
+    k.bit_length() bits per element, so no coordinate of a sum, at most k,
+    carries into the next, and S_j = {s + b : s in S_(j-1), b a basis} is a
+    set of ints.  Uniform matroids keep only the box constraints
+    0 <= x_i <= k with total k*r, so their count is read off a
+    bounded-composition table instead.  MATROPT_BASES_CAP bounds the work,
+    checked before each step: the sums formed through that step, or the
+    table entries built.
     """
     if k < 0:
         raise DimensionError("dilation factor must be >= 0")
     if k == 0:
         return 1
-    if M.n > 16:
-        raise CapError("lattice sweep is capped at 16 elements")
-    r = M.rank
+    cap = env_cap("MATROPT_BASES_CAP", BASES_CAP_DEFAULT)
     if M.kind == "uniform":
-        # Constraints collapse to 0 <= x_i <= k with total k*r.
+        # The table for m parts has m*k + 1 entries, m = 1..n.
+        entries = k * M.n * (M.n + 1) // 2 + M.n
+        if entries > cap:
+            raise CapError(f"composition tables of {entries} entries exceed cap {cap}")
         from .uniform import bounded_composition_counts
 
-        table = bounded_composition_counts(M.n, k + 1)
-        total = k * r
-        return table[total] if total < len(table) else 0
-    constraint_list = [
-        (subset, cap) for subset, cap in flats(M) if 0 < len(subset) < M.n
-    ]
-    caps = [M.rank_of([i]) * k for i in range(M.n)]
-    count = 0
-    x = [0] * M.n
-
-    def sweep(i, remaining):
-        nonlocal count
-        if i == M.n:
-            if remaining == 0:
-                count += 1
-            return
-        tail_cap = sum(caps[i + 1 :])
-        lo = max(0, remaining - tail_cap)
-        hi = min(caps[i], remaining)
-        for v in range(lo, hi + 1):
-            x[i] = v
-            if all(
-                sum(x[j] for j in subset if j <= i) <= cap * k
-                for subset, cap in constraint_list
-            ):
-                sweep(i + 1, remaining - v)
-        x[i] = 0
-
-    sweep(0, k * r)
-    return count
+        return bounded_composition_counts(M.n, k + 1)[k * M.rank]
+    width = k.bit_length()
+    bases = [sum(1 << width * e for e in b) for b in enumerate_bases(M, cap)]
+    sums, formed = {0}, 0
+    for _ in range(k):
+        formed += len(sums) * len(bases)
+        if formed > cap:
+            raise CapError(f"{formed} sums of bases for k={k} exceed cap {cap}")
+        sums = {s + b for s in sums for b in bases}
+    return len(sums)
 
 
 def polytope_dimension(M: Matroid, bases=None) -> int:

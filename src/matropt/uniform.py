@@ -8,7 +8,7 @@ expanded in k.  x -> 1 - x maps P(U^{r,n}) onto P(U^{n-r,n}) and Z^n onto
 itself, so both closed forms take the rank min(r, n - r) and sum the
 fewer terms.  Everything is plain `int` until the last division by
 (n-1)!.  The coefficient tables of (1 + T + ... + T^(r-1))^n, the counts of
-n-part compositions with parts below r, serve the uniform lattice sweep in
+n-part compositions with parts below r, serve the uniform lattice count in
 `oracles.dilation_lattice_count`, independent of the closed forms.
 """
 

@@ -281,12 +281,11 @@ def ehrhart_per_cone(M: Matroid):
     `ehrhart_polynomial`."""
     bases = enumerate_bases(M)
     dim = polytope_dimension(M, bases)
-    lam = tuple(range(M.n))
     powers = _powers(range(1 - M.n, M.n), dim)
     values = []
     for b in bases:
         cone = tangent_cone(M, b)
-        values.append(_cone_value(b, cone.pairs, tree_cells(cone), lam, powers))
+        values.append(_cone_value(b, cone.pairs, tree_cells(cone), powers))
     return dilation_polynomial(values, dim)
 
 

@@ -139,6 +139,20 @@ def test_criterion_03_k4_ehrhart_pipeline(k4):
         assert hstar_from_counts(counts, 5) == K4_HSTAR
 
 
+def test_k5_k33_ehrhart_by_lattice_points():
+    # The pipeline's polynomial against lattice counts, each the number of
+    # distinct sums of k bases: K5 at k <= 4 and K3,3 at k <= 5.
+    with budget("K5 and K3,3 Ehrhart vs sums of bases", 60):
+        for adj, kmax in (
+            ([[int(i != j) for j in range(5)] for i in range(5)], 4),
+            ([[int((i < 3) != (j < 3)) for j in range(6)] for i in range(6)], 5),
+        ):
+            M = graphic_matroid(adj)
+            coeffs = ehrhart_polynomial(M)
+            for k in range(kmax + 1):
+                assert dilation_lattice_count(M, k) == evaluate_polynomial(coeffs, k), (M, k)
+
+
 def test_criterion_04_uniform_machinery():
     with budget("criterion 4: uniform closed forms vs dilation counts", 60):
         u24 = uniform_matroid(4, 2)

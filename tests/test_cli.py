@@ -14,7 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import evaluate_polynomial, random_connected_graph, random_weight_matrix
+from conftest import (
+    cycle_adjacency,
+    evaluate_polynomial,
+    random_connected_graph,
+    random_weight_matrix,
+)
 from matropt import cli
 
 K4_GRAPH = "graph 4\n0 1 1 1\n1 0 1 1\n1 1 0 1\n1 1 1 0\n"
@@ -549,6 +554,29 @@ class TestExitCodes:
         assert lines[0] == "k,count"
         assert lines[1] == "0,1"
         assert lines[2] == "1,6"
+
+    def test_lattice_count_cap_boundary(self, files):
+        # K4 at k = 2 forms 16 + 16 * 16 = 272 sums of bases; U(2,4) at
+        # k = 3 builds composition tables of 4 + 7 + 10 + 13 = 34 entries.
+        for name, k, work, count in (("k4.graph", 2, 272, 101), ("u24.matroid", 3, 34, 44)):
+            argv = ("lattice-count", "--matroid", files[name], "--k", str(k))
+            res = run_cli(*argv, env={"MATROPT_BASES_CAP": str(work)})
+            assert res.returncode == 0
+            assert json.loads(res.stdout) == {"k": k, "count": count}
+            res = run_cli(*argv, env={"MATROPT_BASES_CAP": str(work - 1)})
+            self._one_error_line(res, 4)
+            assert res.stdout == ""
+        res = run_cli("lattice-count", "--matroid", files["u24.matroid"], "--k", "100000000")
+        self._one_error_line(res, 4)
+
+    def test_lattice_count_beyond_sixteen_elements(self, tmp_path):
+        # The 17-cycle: a simplex, L(k) = C(k + 16, 16).
+        path = tmp_path / "c17.graph"
+        path.write_text("graph 17\n" + "".join(
+            " ".join(map(str, row)) + "\n" for row in cycle_adjacency(17)))
+        res = run_cli("lattice-count", "--matroid", str(path), "--kmax", "3", "--format", "csv")
+        assert res.returncode == 0
+        assert res.stdout.split() == ["k,count", "0,1", "1,17", "2,153", "3,969"]
 
     def test_unsupported_format_is_two_before_any_work(self, files, monkeypatch, capsys):
         def refuse(*args, **kwargs):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -206,21 +207,61 @@ class TestDilationCounts:
             assert counts == sorted(counts)
 
     def test_sweep_matches_constraint_filter(self):
-        # Cross-check the sweep against a plain box scan with the full
-        # subset-constraint membership test.
-        M = graphic_matroid(cycle_adjacency(4))
-        pc = polytope_constraints(M)
-        for k in range(4):
-            direct = 0
-            for point in _box_points(M.n, k, k * M.rank):
-                if pc.contains(point, k=k):
-                    direct += 1
-            if k == 0:
-                direct = 1
-            assert dilation_lattice_count(M, k) == direct
+        # Cross-check the sums of bases against a plain box scan with the
+        # full subset-constraint membership test: the 4-cycle, and the
+        # vector matroids with three components, with a loop and with
+        # parallel columns.
+        cases = [(graphic_matroid(cycle_adjacency(4)), 3)] + [
+            (M, 2 if M.n > 5 else 3) for M in exchange_edge_cases() if M.kind == "vector"]
+        for M, kmax in cases:
+            pc = polytope_constraints(M)
+            for k in range(kmax + 1):
+                direct = sum(pc.contains(p, k=k) for p in _box_points(M.n, k, k * M.rank))
+                assert dilation_lattice_count(M, k) == direct, (M, k)
+
+    def test_cycle_beyond_sixteen_elements(self):
+        # The 17-cycle's polytope is a simplex, so L(k) = C(k + 16, 16).
+        M = graphic_matroid(cycle_adjacency(17))
+        assert [dilation_lattice_count(M, k) for k in range(5)] == [
+            comb(k + 16, 16) for k in range(5)]
+
+    def test_sums_cap_boundary(self, k4, monkeypatch):
+        # Step j forms |S_(j-1)| * #bases sums: the cap on their total
+        # through step k passes at exactly that total and stops one below.
+        # Enumerating K4's bases checks C(6,3) = 20 against the same cap.
+        counts = [dilation_lattice_count(k4, k) for k in range(4)]
+        for k in (2, 3):
+            work = len(enumerate_bases(k4)) * sum(counts[:k])
+            monkeypatch.setenv("MATROPT_BASES_CAP", str(work))
+            assert dilation_lattice_count(k4, k) == counts[k]
+            monkeypatch.setenv("MATROPT_BASES_CAP", str(work - 1))
+            with pytest.raises(CapError):
+                dilation_lattice_count(k4, k)
+
+    def test_uniform_table_cap_boundary(self, u24, monkeypatch):
+        # U(2,4) at k = 3 builds tables of 3m + 1 entries for m = 1..4.
+        count, entries = dilation_lattice_count(u24, 3), 4 + 7 + 10 + 13
+        monkeypatch.setenv("MATROPT_BASES_CAP", str(entries))
+        assert dilation_lattice_count(u24, 3) == count
+        monkeypatch.setenv("MATROPT_BASES_CAP", str(entries - 1))
+        with pytest.raises(CapError):
+            dilation_lattice_count(u24, 3)
+        monkeypatch.delenv("MATROPT_BASES_CAP")
+        with pytest.raises(CapError):  # the last table alone: 4 * 10^8 + 1 entries
+            dilation_lattice_count(u24, 10**8)
+
+    @pytest.mark.slow
+    def test_k5_at_five(self, monkeypatch):
+        # |S_0| + ... + |S_4| = 1 + 125 + 3,425 + 40,275 + 282,675 = 326,501
+        # sums, each added to all 125 bases: over the default cap, so the
+        # cap is raised to that.  The count is K5's pinned Ehrhart
+        # polynomial at k = 5.
+        monkeypatch.setenv("MATROPT_BASES_CAP", str(326_501 * 125))
+        M = graphic_matroid([[int(i != j) for j in range(5)] for i in range(5)])
+        assert dilation_lattice_count(M, 5) == 1_409_975
 
     def test_uniform_fast_path_matches_general_sweep(self):
-        # Same matroid through the vector backend exercises the generic sweep.
+        # Same matroid through the vector backend exercises the sums of bases.
         from matropt import vector_matroid
 
         M_uniform = uniform_matroid(4, 2)
