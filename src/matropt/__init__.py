@@ -58,7 +58,7 @@ from .multicriteria import (
     project,
 )
 from .oracles import (
-    dilation_lattice_count,
+    dilation_lattice_counts,
     enumerate_bases,
     exact_projected_set,
     laplacian_tree_count,

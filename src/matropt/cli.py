@@ -48,7 +48,7 @@ from .multicriteria import (
     project,
 )
 from .oracles import (
-    dilation_lattice_count,
+    dilation_lattice_counts,
     enumerate_bases,
     exact_projected_set,
     laplacian_tree_count,
@@ -364,11 +364,10 @@ def cmd_lattice_count(args):
     if args.kmax is not None:
         if args.kmax < 0:
             raise DimensionError(f"--kmax must be >= 0, got {args.kmax}")
-        table = [(k, dilation_lattice_count(M, k)) for k in range(args.kmax + 1)]
-        _emit(args, {"counts": [[k, c] for k, c in table]},
-              csv_rows=[["k", "count"]] + [[k, c] for k, c in table])
+        table = [[k, c] for k, c in enumerate(dilation_lattice_counts(M, range(args.kmax + 1)))]
+        _emit(args, {"counts": table}, csv_rows=[["k", "count"]] + table)
     else:
-        _emit(args, {"k": args.k, "count": dilation_lattice_count(M, args.k)})
+        _emit(args, {"k": args.k, "count": dilation_lattice_counts(M, (args.k,))[0]})
 
 
 def cmd_check_unimodular(args):
@@ -490,8 +489,11 @@ def build_parser():
     p.add_argument("--r", type=int, required=True)
 
     p = add("lattice-count", cmd_lattice_count, formats=("json", "csv"))
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--kmax", type=int)
+    group = p.add_mutually_exclusive_group()
+    # A str default is parsed like "--k 1" but is not that value, so argparse
+    # still sees an explicit "--k 1" and rejects it next to --kmax.
+    group.add_argument("--k", type=int, default="1")
+    group.add_argument("--kmax", type=int)
 
     add("check-unimodular", cmd_check_unimodular)
 

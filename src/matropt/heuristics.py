@@ -35,6 +35,7 @@ from .multicriteria import (
     pareto_filter,
     project,
 )
+from .oracles import planar_convex_hull
 
 RANDOM_DIRECTION_RANGE = 1000  # integer entries drawn uniformly in [-R, R]
 
@@ -348,8 +349,6 @@ def _pareto_chain(points):
     some nonnegative linear functional; each is a genuine Pareto optimum of
     the full projected set, unlike arbitrary boundary lattice points.
     """
-    from .oracles import planar_convex_hull
-
     hull = planar_convex_hull(points)
     if len(hull) == 1:
         return hull

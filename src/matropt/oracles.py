@@ -5,8 +5,8 @@ contraction/deletion tree enumeration, lattice counts from sums of bases.
 They are the reference side of every dual-route check in the test suite,
 so nothing here may ever call into the pipeline it validates.  Two rest on
 a theorem rather than brute force, and the tests check each against a
-plain route: `dilation_lattice_count` counts sums of bases, by the integer
-decomposition property of P_M, against a box scan of the facet
+plain route: `dilation_lattice_counts` counts sums of bases, by the
+integer decomposition property of P_M, against a box scan of the facet
 description; `polytope_dimension` counts the connected components of the
 matroid on the fundamental circuits of a single basis, against the rank
 of the edge directions over every basis.
@@ -22,6 +22,7 @@ from .errors import CapError, DimensionError, ParseError
 from .linalg import bareiss_det
 from .matroid import Matroid, _forest_size, greedy_max_basis
 from .multicriteria import WeightMatrix, project
+from .uniform import bounded_composition_counts
 
 BASES_CAP_DEFAULT = 10_000_000
 
@@ -136,44 +137,44 @@ def planar_convex_hull(points):
     return hull
 
 
-def dilation_lattice_count(M: Matroid, k: int) -> int:
-    """#(k P_M intersect Z^n), the number of distinct sums B_1 + ... + B_k
-    of k bases.
+def dilation_lattice_counts(M: Matroid, ks) -> tuple:
+    """#(k P_M intersect Z^n) for each k of the sequence `ks`, in order:
+    the number of distinct sums B_1 + ... + B_k of k bases.
 
     Matroid base polytopes have the integer decomposition property, since
     the basis monomial ring is normal (White, The basis monomial ring of a
-    matroid, Adv. Math. 1977): every lattice point of k P_M is a sum of k
-    bases' incidence vectors.  Each basis is packed as one int with
-    k.bit_length() bits per element, so no coordinate of a sum, at most k,
-    carries into the next, and S_j = {s + b : s in S_(j-1), b a basis} is a
-    set of ints.  Uniform matroids keep only the box constraints
-    0 <= x_i <= k with total k*r, so their count is read off a
-    bounded-composition table instead.  MATROPT_BASES_CAP bounds the work,
-    checked before each step: the sums formed through that step, or the
-    table entries built.
+    matroid, Adv. Math. 1977).  The bases are enumerated once, each packed
+    as one int with max(ks).bit_length() bits per element so that no
+    coordinate of a sum carries, and S_j = {s + b : s in S_(j-1), b a basis}
+    is swept once up to max(ks).  Uniform matroids keep only the box
+    constraints 0 <= x_i <= k with total k*r, so each count is read off its
+    own bounded-composition table.  MATROPT_BASES_CAP bounds the work of
+    the largest k: the sums formed, checked before each step, or the
+    entries of its tables, checked before any is built.
     """
-    if k < 0:
+    if any(k < 0 for k in ks):
         raise DimensionError("dilation factor must be >= 0")
-    if k == 0:
-        return 1
+    kmax = max(ks, default=0)
+    if kmax == 0:
+        return (1,) * len(ks)
     cap = env_cap("MATROPT_BASES_CAP", BASES_CAP_DEFAULT)
     if M.kind == "uniform":
-        # The table for m parts has m*k + 1 entries, m = 1..n.
-        entries = k * M.n * (M.n + 1) // 2 + M.n
+        # The table for m parts has m*k + 1 entries, m = 1..n; the largest
+        # k's tables pass the cap only if every smaller k's do.
+        entries = kmax * M.n * (M.n + 1) // 2 + M.n
         if entries > cap:
             raise CapError(f"composition tables of {entries} entries exceed cap {cap}")
-        from .uniform import bounded_composition_counts
-
-        return bounded_composition_counts(M.n, k + 1)[k * M.rank]
-    width = k.bit_length()
+        return tuple(bounded_composition_counts(M.n, k + 1)[k * M.rank] for k in ks)
+    width = kmax.bit_length()
     bases = [sum(1 << width * e for e in b) for b in enumerate_bases(M, cap)]
-    sums, formed = {0}, 0
-    for _ in range(k):
+    sums, sizes, formed = {0}, [1], 0
+    for _ in range(kmax):
         formed += len(sums) * len(bases)
         if formed > cap:
-            raise CapError(f"{formed} sums of bases for k={k} exceed cap {cap}")
+            raise CapError(f"{formed} sums of bases for k={kmax} exceed cap {cap}")
         sums = {s + b for s in sums for b in bases}
-    return len(sums)
+        sizes.append(len(sums))
+    return tuple(sizes[k] for k in ks)
 
 
 def polytope_dimension(M: Matroid, bases=None) -> int:

@@ -9,42 +9,34 @@ itself, so both closed forms take the rank min(r, n - r) and sum the
 fewer terms.  Everything is plain `int` until the last division by
 (n-1)!.  The coefficient tables of (1 + T + ... + T^(r-1))^n, the counts of
 n-part compositions with parts below r, serve the uniform lattice count in
-`oracles.dilation_lattice_count`, independent of the closed forms.
+`oracles.dilation_lattice_counts`, independent of the closed forms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from itertools import accumulate
 from math import comb, factorial
+from operator import sub
 
 from .errors import DimensionError, InternalInconsistencyError
 
 
-@cache
 def bounded_composition_counts(n: int, r: int):
     """Coefficients of (1 + T + ... + T^(r-1))^n as a tuple of ints.
 
     Entry i counts compositions of i into n parts from {0, ..., r-1}.
     Computed by the sliding-window recurrence over n; symmetric and unimodal
-    in i.  Memoized on (n, r).
+    in i.
     """
     if n < 1 or r < 1:
         raise DimensionError("need n >= 1 and r >= 1")
     table = (1,) * r
-    for m in range(2, n + 1):
-        prev = table
-        length = m * (r - 1) + 1
-        # prefix[i] = sum of prev[0..i-1]
-        prefix = [0] * (len(prev) + 1)
-        for i, v in enumerate(prev):
-            prefix[i + 1] = prefix[i] + v
-        out = []
-        for i in range(length):
-            hi = min(i, len(prev) - 1)
-            lo = max(0, i - r + 1)
-            out.append(prefix[hi + 1] - prefix[lo])
-        table = tuple(out)
+    for _ in range(n - 1):
+        # Entry i of the next table sums table[i - r + 1 .. i]: a difference
+        # of prefix sums, padded with r zeros in front and r - 1 behind.
+        prefix = (0,) * r + tuple(accumulate(table + (0,) * (r - 1), initial=0))
+        table = tuple(map(sub, prefix[r + 1:], prefix[1:-r]))
     return table
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb, factorial, gcd, lcm, perm
 
@@ -696,7 +697,7 @@ def hstar_uniform_triple_sum(n: int, r: int):
             cns = comb(n, s)
             for j in range(s + 1):
                 csj = comb(s, j)
-                table = bounded_composition_counts(n - j, rs)
+                table = composition_table(n - j, rs)
                 limit = (n - j) * (rs - 1)
                 sign_sj = -1 if (s + j) % 2 else 1
                 for k in range(j + 1):
@@ -1611,12 +1612,17 @@ def polytope_constraints(M: Matroid) -> PolytopeConstraints:
 # Sequence helpers ----------------------------------------------------------
 
 
+# The oracles below read the same few tables many times; the library keeps
+# none, so the test process memoizes them here.
+composition_table = cache(bounded_composition_counts)
+
+
 def composition_count(n: int, r: int, i: int) -> int:
     """Single entry of `bounded_composition_counts`, with out-of-range
     indices reading as 0."""
     if i < 0 or i > n * (r - 1):
         return 0
-    return bounded_composition_counts(n, r)[i]
+    return composition_table(n, r)[i]
 
 
 def is_unimodal(vec) -> bool:

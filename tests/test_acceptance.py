@@ -35,7 +35,7 @@ from matropt import (
     boundary_pareto_search,
     boundary_start,
     bounded_composition_counts,
-    dilation_lattice_count,
+    dilation_lattice_counts,
     ehrhart_polynomial,
     ehrhart_uniform,
     enumerate_bases,
@@ -134,7 +134,7 @@ def test_criterion_03_k4_ehrhart_pipeline(k4):
     with budget("criterion 3: K4 Ehrhart via the full pipeline", 120):
         coeffs = ehrhart_polynomial(k4)
         assert coeffs == K4_EHRHART
-        counts = [dilation_lattice_count(k4, k) for k in range(6)]
+        counts = dilation_lattice_counts(k4, range(6))
         assert interpolate_ehrhart(counts, 5) == K4_EHRHART
         assert hstar_from_counts(counts, 5) == K4_HSTAR
 
@@ -149,21 +149,23 @@ def test_k5_k33_ehrhart_by_lattice_points():
         ):
             M = graphic_matroid(adj)
             coeffs = ehrhart_polynomial(M)
+            counts = dilation_lattice_counts(M, range(kmax + 1))
             for k in range(kmax + 1):
-                assert dilation_lattice_count(M, k) == evaluate_polynomial(coeffs, k), (M, k)
+                assert counts[k] == evaluate_polynomial(coeffs, k), (M, k)
 
 
 def test_criterion_04_uniform_machinery():
     with budget("criterion 4: uniform closed forms vs dilation counts", 60):
         u24 = uniform_matroid(4, 2)
-        counts = [dilation_lattice_count(u24, k) for k in range(4)]
+        counts = dilation_lattice_counts(u24, range(4))
         assert hstar_uniform(4, 2) == (1, 2, 1) == hstar_from_counts(counts, 3)
         for n in range(2, 9):
             for r in range(1, n):
                 M = uniform_matroid(n, r)
                 coeffs = ehrhart_uniform(n, r)
-                for k in range(n + 2):  # k = 0 .. dim + 2
-                    assert evaluate_polynomial(coeffs, k) == dilation_lattice_count(M, k)
+                counts = dilation_lattice_counts(M, range(n + 2))  # k = 0 .. dim + 2
+                for k in range(n + 2):
+                    assert evaluate_polynomial(coeffs, k) == counts[k]
 
 
 def test_criterion_05_composition_table_properties():

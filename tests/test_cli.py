@@ -582,7 +582,7 @@ class TestExitCodes:
         def refuse(*args, **kwargs):
             raise AssertionError("a rejected --format must stop before the work")
 
-        for name in ("placing_triangulation", "enumerate_bases", "dilation_lattice_count"):
+        for name in ("placing_triangulation", "enumerate_bases", "dilation_lattice_counts"):
             monkeypatch.setattr(cli, name, refuse)
         for argv in (["check-unimodular", "--format", "csv"], ["bases", "--format", "points"],
                      ["ehrhart", "--format", "points"]):
@@ -597,6 +597,68 @@ class TestExitCodes:
         res = run_cli("lattice-count", "--matroid", files["u24.matroid"], "--kmax", "-1")
         self._one_error_line(res, 3)
         assert res.stdout == ""
+
+    def test_negative_k_is_three(self, files):
+        for name in ("k4.graph", "u24.matroid"):
+            res = run_cli("lattice-count", "--matroid", files[name], "--k", "-1")
+            self._one_error_line(res, 3)
+            assert res.stdout == ""
+
+    def test_k_and_kmax_are_exclusive(self, files):
+        # Both flags exit 2 with nothing on stdout, also with "--k 1", the
+        # value --k takes when omitted.
+        for flags in (("--k", "2", "--kmax", "3"), ("--kmax", "3", "--k", "1"),
+                      ("--k", "1", "--kmax", "3", "--format", "csv")):
+            res = run_cli("lattice-count", "--matroid", files["k4.graph"], *flags)
+            assert res.returncode == 2
+            assert res.stdout == ""
+            assert "not allowed with argument" in res.stderr
+        res = run_cli("lattice-count", "--matroid", files["k4.graph"])
+        assert res.returncode == 0
+        assert json.loads(res.stdout) == {"k": 1, "count": 16}
+
+    def test_lattice_count_kmax_cap_boundary(self, files):
+        # The --kmax 2 table sweeps the same steps as --k 2: 16 + 16 * 16 =
+        # 272 sums of bases on K4.
+        argv = ("lattice-count", "--matroid", files["k4.graph"], "--kmax", "2")
+        res = run_cli(*argv, env={"MATROPT_BASES_CAP": "272"})
+        assert res.returncode == 0
+        assert json.loads(res.stdout) == {"counts": [[0, 1], [1, 16], [2, 101]]}
+        res = run_cli(*argv, env={"MATROPT_BASES_CAP": "271"})
+        self._one_error_line(res, 4)
+        assert res.stdout == ""
+
+    def test_lattice_count_table_enumerates_once(self, tmp_path, monkeypatch, capsys):
+        # K3,3 at k <= 5: the whole table, in JSON and in CSV, enumerates
+        # the bases once, and each row equals the --k count for its k.
+        from matropt import oracles
+
+        path = tmp_path / "k33.graph"
+        path.write_text("graph 6\n" + "".join(
+            " ".join(str(int((i < 3) != (j < 3))) for j in range(6)) + "\n" for i in range(6)))
+        calls, enumerate_bases = [], oracles.enumerate_bases
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return enumerate_bases(*args, **kwargs)
+
+        monkeypatch.setattr(oracles, "enumerate_bases", counted)
+        argv = ["lattice-count", "--matroid", str(path)]
+        singles = []
+        for k in range(6):
+            assert cli.main([*argv, "--k", str(k)]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            singles.append([payload["k"], payload["count"]])
+        assert singles == [[0, 1], [1, 81], [2, 1620], [3, 14985], [4, 86715], [5, 368091]]
+        for fmt in ("json", "csv"):
+            calls.clear()
+            assert cli.main([*argv, "--kmax", "5", "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            assert len(calls) == 1, fmt
+            if fmt == "json":
+                assert json.loads(out) == {"counts": singles}
+            else:
+                assert out.splitlines() == ["k,count"] + [f"{k},{c}" for k, c in singles]
 
     def test_unwritable_output_is_two(self, files, tmp_path):
         res = run_cli("bases", "--matroid", files["k4.graph"],

@@ -38,7 +38,7 @@ from matropt import (
     Cone,
     DimensionError,
     InternalInconsistencyError,
-    dilation_lattice_count,
+    dilation_lattice_counts,
     dilation_polynomial,
     ehrhart_polynomial,
     ehrhart_uniform,
@@ -296,7 +296,7 @@ class TestEhrhartPipeline:
         )
 
     def test_u24_matches_interpolation(self, u24):
-        counts = [dilation_lattice_count(u24, k) for k in range(5)]
+        counts = dilation_lattice_counts(u24, range(5))
         assert ehrhart_polynomial(u24) == interpolate_ehrhart(counts, 3)
 
     def test_catalog_pipeline_matches_sweeps(self):
@@ -304,8 +304,9 @@ class TestEhrhartPipeline:
             dim = polytope_dimension(M)
             coeffs = ehrhart_polynomial(M)
             assert len(coeffs) == dim + 1
+            counts = dilation_lattice_counts(M, range(dim + 3))
             for k in range(dim + 3):
-                assert evaluate_polynomial(coeffs, k) == dilation_lattice_count(M, k)
+                assert evaluate_polynomial(coeffs, k) == counts[k]
 
     def test_disconnected_matroid_lower_degree(self):
         from conftest import square_matroid

@@ -1,6 +1,7 @@
 """Brute-force ground-truth routines: enumeration, trees, hulls, lattice counts."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -22,7 +23,8 @@ from matropt import (
     DimensionError,
     InternalInconsistencyError,
     WeightMatrix,
-    dilation_lattice_count,
+    dilation_lattice_counts,
+    ehrhart_uniform,
     enumerate_bases,
     exact_projected_set,
     graphic_matroid,
@@ -193,18 +195,33 @@ def _orient(a, b, c):
 class TestDilationCounts:
     def test_k0_is_one(self, catalog):
         for M in catalog:
-            assert dilation_lattice_count(M, 0) == 1
+            assert dilation_lattice_counts(M, (0,)) == (1,)
 
     def test_k4_k1_is_vertex_count(self, k4):
-        assert dilation_lattice_count(k4, 1) == 16
+        assert dilation_lattice_counts(k4, (1,)) == (16,)
 
     def test_u24_k1_is_vertex_count(self, u24):
-        assert dilation_lattice_count(u24, 1) == 6
+        assert dilation_lattice_counts(u24, (1,)) == (6,)
 
     def test_counts_nondecreasing(self, k4, u24):
         for M in (k4, u24):
-            counts = [dilation_lattice_count(M, k) for k in range(5)]
-            assert counts == sorted(counts)
+            counts = dilation_lattice_counts(M, range(5))
+            assert list(counts) == sorted(counts)
+
+    def test_negative_factor_raises(self, k4, u24):
+        for M in (k4, u24):
+            for ks in ((-1,), (0, 1, -1)):
+                with pytest.raises(DimensionError):
+                    dilation_lattice_counts(M, ks)
+
+    def test_table_equals_single_factors(self, k4, u24):
+        # One sweep for the table, one per factor alone: the same counts,
+        # in the order asked, empty for no factors.
+        for M in (k4, u24):
+            table = dilation_lattice_counts(M, range(5))
+            assert table == tuple(dilation_lattice_counts(M, (k,))[0] for k in range(5))
+            assert dilation_lattice_counts(M, (4, 0, 2)) == (table[4], table[0], table[2])
+            assert dilation_lattice_counts(M, ()) == ()
 
     def test_sweep_matches_constraint_filter(self):
         # Cross-check the sums of bases against a plain box scan with the
@@ -215,40 +232,65 @@ class TestDilationCounts:
             (M, 2 if M.n > 5 else 3) for M in exchange_edge_cases() if M.kind == "vector"]
         for M, kmax in cases:
             pc = polytope_constraints(M)
+            counts = dilation_lattice_counts(M, range(kmax + 1))
             for k in range(kmax + 1):
                 direct = sum(pc.contains(p, k=k) for p in _box_points(M.n, k, k * M.rank))
-                assert dilation_lattice_count(M, k) == direct, (M, k)
+                assert counts[k] == direct, (M, k)
 
     def test_cycle_beyond_sixteen_elements(self):
         # The 17-cycle's polytope is a simplex, so L(k) = C(k + 16, 16).
         M = graphic_matroid(cycle_adjacency(17))
-        assert [dilation_lattice_count(M, k) for k in range(5)] == [
-            comb(k + 16, 16) for k in range(5)]
+        assert dilation_lattice_counts(M, range(5)) == tuple(
+            comb(k + 16, 16) for k in range(5))
 
     def test_sums_cap_boundary(self, k4, monkeypatch):
         # Step j forms |S_(j-1)| * #bases sums: the cap on their total
         # through step k passes at exactly that total and stops one below.
         # Enumerating K4's bases checks C(6,3) = 20 against the same cap.
-        counts = [dilation_lattice_count(k4, k) for k in range(4)]
+        # The table for k' <= k sweeps the same steps, so it has the same
+        # boundary as k alone.
+        counts = dilation_lattice_counts(k4, range(4))
         for k in (2, 3):
             work = len(enumerate_bases(k4)) * sum(counts[:k])
             monkeypatch.setenv("MATROPT_BASES_CAP", str(work))
-            assert dilation_lattice_count(k4, k) == counts[k]
+            assert dilation_lattice_counts(k4, (k,)) == (counts[k],)
+            assert dilation_lattice_counts(k4, range(k + 1)) == counts[:k + 1]
             monkeypatch.setenv("MATROPT_BASES_CAP", str(work - 1))
-            with pytest.raises(CapError):
-                dilation_lattice_count(k4, k)
+            for ks in ((k,), range(k + 1)):
+                with pytest.raises(CapError):
+                    dilation_lattice_counts(k4, ks)
 
     def test_uniform_table_cap_boundary(self, u24, monkeypatch):
         # U(2,4) at k = 3 builds tables of 3m + 1 entries for m = 1..4.
-        count, entries = dilation_lattice_count(u24, 3), 4 + 7 + 10 + 13
+        # The table for k <= 3 is held to k = 3's boundary.
+        counts, entries = dilation_lattice_counts(u24, range(4)), 4 + 7 + 10 + 13
         monkeypatch.setenv("MATROPT_BASES_CAP", str(entries))
-        assert dilation_lattice_count(u24, 3) == count
+        assert dilation_lattice_counts(u24, (3,)) == counts[3:]
+        assert dilation_lattice_counts(u24, range(4)) == counts
         monkeypatch.setenv("MATROPT_BASES_CAP", str(entries - 1))
-        with pytest.raises(CapError):
-            dilation_lattice_count(u24, 3)
+        for ks in ((3,), range(4)):
+            with pytest.raises(CapError):
+                dilation_lattice_counts(u24, ks)
         monkeypatch.delenv("MATROPT_BASES_CAP")
         with pytest.raises(CapError):  # the last table alone: 4 * 10^8 + 1 entries
-            dilation_lattice_count(u24, 10**8)
+            dilation_lattice_counts(u24, (10**8,))
+
+    def test_no_tables_outlive_the_call(self):
+        # Each composition table is dropped once its count is read: a table
+        # for k <= 200 on U(4,8) builds 200 tables of up to 1,601 entries
+        # each, and leaves less than 1 MB behind.
+        M = uniform_matroid(8, 4)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            counts = dilation_lattice_counts(M, range(201))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        coeffs = ehrhart_uniform(8, 4)
+        assert [counts[k] for k in (0, 1, 200)] == [
+            evaluate_polynomial(coeffs, k) for k in (0, 1, 200)]
+        assert held < 2**20, f"{held} bytes held after the call"
 
     @pytest.mark.slow
     def test_k5_at_five(self, monkeypatch):
@@ -258,7 +300,7 @@ class TestDilationCounts:
         # polynomial at k = 5.
         monkeypatch.setenv("MATROPT_BASES_CAP", str(326_501 * 125))
         M = graphic_matroid([[int(i != j) for j in range(5)] for i in range(5)])
-        assert dilation_lattice_count(M, 5) == 1_409_975
+        assert dilation_lattice_counts(M, (5,)) == (1_409_975,)
 
     def test_uniform_fast_path_matches_general_sweep(self):
         # Same matroid through the vector backend exercises the sums of bases.
@@ -267,8 +309,8 @@ class TestDilationCounts:
         M_uniform = uniform_matroid(4, 2)
         M_vector = vector_matroid([[1, 0, 1, 1], [0, 1, 1, 2]])  # also U(2,4)
         assert set(enumerate_bases(M_vector)) == set(enumerate_bases(M_uniform))
-        for k in range(5):
-            assert dilation_lattice_count(M_uniform, k) == dilation_lattice_count(M_vector, k)
+        assert dilation_lattice_counts(M_uniform, range(5)) == dilation_lattice_counts(
+            M_vector, range(5))
 
 
 def _box_points(n, cap, total):
@@ -290,7 +332,7 @@ class TestInterpolation:
         assert coeffs == (Fraction(1), Fraction(1))
 
     def test_k4_table(self, k4):
-        counts = [dilation_lattice_count(k4, k) for k in range(6)]
+        counts = dilation_lattice_counts(k4, range(6))
         coeffs = interpolate_ehrhart(counts, 5)
         assert coeffs == (
             Fraction(1),
@@ -302,13 +344,13 @@ class TestInterpolation:
         )
 
     def test_u24_volume_consistency(self, u24):
-        counts = [dilation_lattice_count(u24, k) for k in range(5)]
+        counts = dilation_lattice_counts(u24, range(5))
         coeffs = interpolate_ehrhart(counts, 3)
         # leading coefficient * dim! = normalized volume = sum of h*
         assert coeffs[-1] * 6 == 4
 
     def test_overdetermined_agreement(self, u24):
-        counts = [dilation_lattice_count(u24, k) for k in range(7)]
+        counts = dilation_lattice_counts(u24, range(7))
         assert interpolate_ehrhart(counts, 3) == interpolate_ehrhart(counts[:4], 3)
 
     def test_inconsistent_counts_raise(self):

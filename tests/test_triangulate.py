@@ -37,7 +37,7 @@ from matropt import (
     enumerate_bases,
     graphic_matroid,
     hstar_from_counts,
-    dilation_lattice_count,
+    dilation_lattice_counts,
     incidence_vector,
     placing_triangulation,
     polytope_dimension,
@@ -130,7 +130,7 @@ class TestPlacingTriangulation:
                 total += cell_lattice_determinant(
                     [tuple(a - b for a, b in zip(pts[idx], first)) for idx in cell[1:]]
                 )
-            counts = [dilation_lattice_count(M, k) for k in range(dim + 1)]
+            counts = dilation_lattice_counts(M, range(dim + 1))
             assert total == sum(hstar_from_counts(counts, dim))
 
     def test_volumes_are_lattice_determinants(self, catalog):

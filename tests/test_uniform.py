@@ -16,7 +16,7 @@ from matropt import (
     DimensionError,
     InternalInconsistencyError,
     bounded_composition_counts,
-    dilation_lattice_count,
+    dilation_lattice_counts,
     ehrhart_uniform,
     hstar_from_counts,
     hstar_uniform,
@@ -143,7 +143,7 @@ class TestHStarUniform:
             for r in range(1, n):
                 M = uniform_matroid(n, r)
                 dim = n - 1
-                counts = [dilation_lattice_count(M, k) for k in range(dim + 1)]
+                counts = dilation_lattice_counts(M, range(dim + 1))
                 assert hstar_uniform(n, r) == hstar_from_counts(counts, dim)
 
     def test_closed_forms_match_triple_sum(self):
@@ -185,15 +185,17 @@ class TestEhrhartUniform:
     def test_u24_counts(self):
         coeffs = ehrhart_uniform(4, 2)
         assert evaluate_polynomial(coeffs, 1) == 6
-        assert evaluate_polynomial(coeffs, 2) == dilation_lattice_count(uniform_matroid(4, 2), 2)
+        assert (evaluate_polynomial(coeffs, 2),) == dilation_lattice_counts(
+            uniform_matroid(4, 2), (2,))
 
     def test_matches_lattice_sweeps(self):
         for n in range(2, 8):
             for r in range(1, n):
                 M = uniform_matroid(n, r)
                 coeffs = ehrhart_uniform(n, r)
+                counts = dilation_lattice_counts(M, range(n + 2))
                 for k in range(n + 2):
-                    assert evaluate_polynomial(coeffs, k) == dilation_lattice_count(M, k)
+                    assert evaluate_polynomial(coeffs, k) == counts[k]
 
     def test_integer_values(self):
         coeffs = ehrhart_uniform(7, 3)
@@ -211,11 +213,11 @@ class TestHStarFromCounts:
         assert hstar_from_counts([1, 2, 3], 1) == (1,)
 
     def test_k4(self, k4):
-        counts = [dilation_lattice_count(k4, k) for k in range(6)]
+        counts = dilation_lattice_counts(k4, range(6))
         assert hstar_from_counts(counts, 5) == (1, 10, 20, 10, 1)
 
     def test_u24(self, u24):
-        counts = [dilation_lattice_count(u24, k) for k in range(4)]
+        counts = dilation_lattice_counts(u24, range(4))
         assert hstar_from_counts(counts, 3) == (1, 2, 1)
 
     def test_wrong_dimension_raises(self):
