@@ -19,7 +19,6 @@ from .genfun import (
     ehrhart_polynomial,
 )
 from .heuristics import (
-    SearchParams,
     boundary_pareto_search,
     boundary_start,
     fiber_bfs,
@@ -46,7 +45,6 @@ from .matroid import (
     vector_matroid,
 )
 from .multicriteria import (
-    BoundingBox,
     Custom,
     Linear,
     MinMax,

@@ -10,6 +10,7 @@ inconsistency.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -17,7 +18,6 @@ import sys
 from .errors import DimensionError, InternalInconsistencyError, MatroptError, ParseError
 from .genfun import ehrhart_polynomial
 from .heuristics import (
-    SearchParams,
     boundary_pareto_search,
     boundary_start,
     fiber_bfs_driver,
@@ -58,6 +58,11 @@ from .oracles import (
 from .linalg import bareiss_det
 from .triangulate import placing_triangulation
 from .uniform import ehrhart_uniform, hstar_uniform
+
+
+# json.dumps(obj, sort_keys=True, separators=(", ", ": ")): the format of
+# every JSON report a subcommand writes.
+_encode = json.JSONEncoder(sort_keys=True, separators=(", ", ": ")).encode
 
 
 def _one_based(basis):
@@ -112,11 +117,16 @@ def _emit(args, payload, point_rows=None, csv_rows=None):
     elif fmt == "csv":
         text = "\n".join(",".join(str(x) for x in row) for row in csv_rows) + "\n"
     else:
-        text = json.dumps(payload, sort_keys=True, separators=(", ", ": ")) + "\n"
+        text = _encode(payload) + "\n"
+    _write(args, (text,))
+
+
+def _write(args, chunks):
+    """Write the strings `chunks` in turn to --output, or else to stdout."""
     if args.output:
-        write_text(args.output, text)
+        write_text(args.output, chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _weights(args, M):
@@ -161,7 +171,7 @@ def _run_single_search(args, use_tabu):
         if not M.is_basis(start):
             raise DimensionError(f"{args.start} is not a basis")
     else:
-        start = random_basis(M, seed=args.seed)
+        start = random_basis(M, random.Random(args.seed))
     trail = []
 
     def sink(pivot, basis, point, value):
@@ -174,7 +184,7 @@ def _run_single_search(args, use_tabu):
         result = local_search(M, W, obj, start, transcript=sink)
         reason = "local minimum"
     if args.transcript:
-        write_text(args.transcript, "".join(
+        write_text(args.transcript, (
             json.dumps({
                 "pivot": pivot,
                 "basis": _one_based(basis),
@@ -215,7 +225,8 @@ def cmd_pt(args):
             if len(t) != W.d:
                 raise DimensionError(f"targets need {W.d} coordinates")
     else:
-        targets = list(bounding_box(M, W).lattice_points())
+        lo, hi = bounding_box(M, W)
+        targets = list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
     found = pivot_test(
         M, W, targets, args.tries, searcher=args.searcher, seed=args.seed,
         tabu_limit=args.tabu_limit, workers=args.workers,
@@ -274,22 +285,18 @@ def cmd_btrpt(args):
 def cmd_dfbfs(args):
     M = load_matroid(args.matroid)
     W = _weights(args, M)
-    params = SearchParams(
-        seed=args.seed,
-        bfs_depth=args.depth,
-        num_searches=args.searches,
-        boundary_retry_limit=args.boundary_retries,
-        random_retry_limit=args.random_retries,
+    seen, witnesses = fiber_bfs_driver(
+        M, W, seed=args.seed, bfs_depth=args.depth, num_searches=args.searches,
+        boundary_retry_limit=args.boundary_retries, random_retry_limit=args.random_retries,
     )
-    seen, witnesses = fiber_bfs_driver(M, W, params)
     points = sorted(seen)
     payload = {
         "seed": args.seed,
         "params": {
-            "num_searches": params.num_searches,
-            "bfs_depth": params.bfs_depth,
-            "boundary_retry_limit": params.boundary_retry_limit,
-            "random_retry_limit": params.random_retry_limit,
+            "num_searches": args.searches,
+            "bfs_depth": args.depth,
+            "boundary_retry_limit": args.boundary_retries,
+            "random_retry_limit": args.random_retries,
         },
         "points": [list(p) for p in points],
         "witnesses": [[list(p), _one_based(witnesses[p])] for p in points],
@@ -376,8 +383,6 @@ def cmd_check_unimodular(args):
     points = [incidence_vector(b, M.n) for b in bases]
     cells, order, volumes = placing_triangulation(points)
     dim = polytope_dimension(M, bases)
-    report = []
-    all_ok = True
     # Each volume is the cell's lattice determinant, its index in the affine
     # lattice of P.  lin(P - P) is cut out by "each connected component's
     # coordinates sum to zero", and placing's pivot columns project it
@@ -386,30 +391,34 @@ def cmd_check_unimodular(args):
     # component, so the projection maps Z^n meet lin(P - P) onto Z^dim and
     # keeps every determinant.  For a connected matroid (exactly when a cell
     # has n vertices) |det| of the n incidence vectors is the rank times the
-    # lattice determinant, a second route checked on every such cell, so
-    # unimodularity reads "lattice det == 1".
-    for cell, lattice_det in zip(cells, volumes):
-        ok = lattice_det == 1
-        entry = {
-            "cell": [_one_based(bases[i]) for i in cell],
-            "lattice_det": lattice_det,
-            "unimodular": ok,
-        }
-        if len(cell) == M.n:
-            entry["det"] = abs(bareiss_det([points[i] for i in cell]))
-            if entry["det"] != M.rank * lattice_det:
-                raise InternalInconsistencyError(
-                    f"cell {entry['cell']}: |det| {entry['det']} is not "
-                    f"rank {M.rank} times lattice det {lattice_det}"
-                )
-        all_ok = all_ok and ok
-        report.append(entry)
-    _emit(args, {
-        "dimension": dim,
-        "insertion_order": list(order),
-        "cells": report,
-        "all_unimodular": all_ok,
-    })
+    # lattice determinant, a second route checked on every such cell before
+    # any output, so unimodularity reads "lattice det == 1".
+    dets = [abs(bareiss_det([points[i] for i in cell])) if len(cell) == M.n else None
+            for cell in cells]
+    for cell, det, lattice_det in zip(cells, dets, volumes):
+        if det is not None and det != M.rank * lattice_det:
+            raise InternalInconsistencyError(
+                f"cell {[_one_based(bases[i]) for i in cell]}: |det| {det} is not "
+                f"rank {M.rank} times lattice det {lattice_det}"
+            )
+
+    def report():
+        # The bytes _emit would give the whole payload, written cell by cell
+        # so that no list of entries or single string of them is ever held.
+        all_ok = all(v == 1 for v in volumes)
+        yield f'{{"all_unimodular": {_encode(all_ok)}, "cells": ['
+        for k, (cell, det, lattice_det) in enumerate(zip(cells, dets, volumes)):
+            entry = {
+                "cell": [_one_based(bases[i]) for i in cell],
+                "lattice_det": lattice_det,
+                "unimodular": lattice_det == 1,
+            }
+            if det is not None:
+                entry["det"] = det
+            yield (", " if k else "") + _encode(entry)
+        yield f'], "dimension": {dim}, "insertion_order": {_encode(list(order))}}}\n'
+
+    _write(args, report())
 
 
 def cmd_classify_2face(args):
@@ -452,23 +461,22 @@ def build_parser():
         p.add_argument("--coeff", help="comma-separated rationals for linear")
         p.add_argument("--target", help="comma-separated integers for distance objectives")
         p.add_argument("--start", help="starting basis; random when omitted")
-        p.add_argument("--tabu-limit", dest="tabu_limit", type=int, default=10)
+        if name == "ts":
+            p.add_argument("--tabu-limit", dest="tabu_limit", type=int, default=10)
         p.add_argument("--transcript", help="stream pivot records here as JSON lines")
+
+    def pivot_test_options(p, searcher):
+        """The options of pt and btrpt, which differ in the --searcher default."""
+        p.add_argument("--tries", type=int, default=10)
+        p.add_argument("--searcher", choices=("ls", "ts"), default=searcher)
+        p.add_argument("--tabu-limit", dest="tabu_limit", type=int, default=10)
+        p.add_argument("--workers", type=int, default=1)
 
     p = add("pt", cmd_pt, weights=True, seeded=True, formats=points)
     p.add_argument("--targets", help="semicolon-separated points; bounding box when omitted")
-    p.add_argument("--tries", type=int, default=10)
-    p.add_argument("--searcher", choices=("ls", "ts"), default="ls")
-    p.add_argument("--tabu-limit", dest="tabu_limit", type=int, default=10)
-    p.add_argument("--workers", type=int, default=1)
-
+    pivot_test_options(p, "ls")
     add("pb", cmd_pb, weights=True, seeded=True, formats=points)
-
-    p = add("btrpt", cmd_btrpt, weights=True, seeded=True, formats=points)
-    p.add_argument("--tries", type=int, default=10)
-    p.add_argument("--searcher", choices=("ls", "ts"), default="ts")
-    p.add_argument("--tabu-limit", dest="tabu_limit", type=int, default=10)
-    p.add_argument("--workers", type=int, default=1)
+    pivot_test_options(add("btrpt", cmd_btrpt, weights=True, seeded=True, formats=points), "ts")
 
     p = add("dfbfs", cmd_dfbfs, weights=True, seeded=True, formats=points)
     p.add_argument("--searches", type=int, default=10)

@@ -3,6 +3,8 @@
 All procedures are deterministic functions of (inputs, seed): randomness
 flows only through integer-seeded generators, with per-attempt seeds derived
 arithmetically so that parallel and sequential runs agree bit for bit.
+Every knob is a plain argument, checked on entry: counts and limits must be
+at least 1 and a depth at least 0, or DimensionError.
 Objective values are plain ints on integer points with integer data and
 exact Fractions only for truly rational coefficients or targets; ties
 always break toward the lexicographically smallest basis.  Projections go
@@ -24,7 +26,6 @@ work spent on empty fibers.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import DimensionError
 from .matroid import Matroid, greedy_max_basis, random_basis
@@ -44,26 +45,6 @@ def _check_knobs(**knobs):
     for name, value in knobs.items():
         if value < 1:
             raise DimensionError(f"{name} must be >= 1")
-
-
-@dataclass(frozen=True)
-class SearchParams:
-    """Driver knobs shared by the seeded procedures."""
-
-    seed: int = 0
-    bfs_depth: int = 2
-    num_searches: int = 10
-    boundary_retry_limit: int = 100
-    random_retry_limit: int = 1000
-
-    def __post_init__(self):
-        _check_knobs(
-            num_searches=self.num_searches,
-            boundary_retry_limit=self.boundary_retry_limit,
-            random_retry_limit=self.random_retry_limit,
-        )
-        if self.bfs_depth < 0:
-            raise DimensionError("bfs_depth must be >= 0")
 
 
 def _check(M: Matroid, W: WeightMatrix):
@@ -195,7 +176,7 @@ def _pivot_test_point(M, W, target, tries, searcher, tabu_limit, seed):
     scores = {}  # one goal for every restart, so each point is scored once
     rng = random.Random(seed)
     for _ in range(tries):
-        start = random_basis(M, rng=rng)
+        start = random_basis(M, rng)
         if searcher == "ts":
             found = tabu_search(M, start, W, goal, tabu_limit, scores=scores)
         else:
@@ -337,7 +318,7 @@ def boundary_start(M: Matroid, W: WeightMatrix, rng):
     def key(point):
         return (sum(c * x for c, x in zip(direction, point)),) + tuple(point)
 
-    start = random_basis(M, rng=rng)
+    start = random_basis(M, rng)
     return local_search(M, W, Custom(key), start)
 
 
@@ -441,7 +422,8 @@ def fiber_bfs(M: Matroid, W: WeightMatrix, start, depth, seen=None, witnesses=No
     return seen, witnesses
 
 
-def fiber_bfs_driver(M: Matroid, W: WeightMatrix, params: SearchParams):
+def fiber_bfs_driver(M: Matroid, W: WeightMatrix, *, seed=0, bfs_depth=2, num_searches=10,
+                     boundary_retry_limit=100, random_retry_limit=1000):
     """Alternate boundary and random seeding, exploring each fresh projection.
 
     Phase 0 (boundary) attempts run a lexicographically refined linear
@@ -452,7 +434,9 @@ def fiber_bfs_driver(M: Matroid, W: WeightMatrix, params: SearchParams):
     spent sits out.  Stops after `num_searches` fresh seeds or when both
     budgets are spent.  Per-attempt seeds make the first N successes of a
     longer run identical to a shorter one, so output grows monotonically in
-    num_searches.
+    num_searches.  A fresh seed is explored by `fiber_bfs` to `bfs_depth`;
+    depth 0 keeps the seed's own projection alone.  The count and both
+    retry limits must be >= 1 and `bfs_depth` >= 0 (else DimensionError).
 
     It also stops once every projected point has a witness: from then on
     each attempt would fail and change nothing.  That needs the image from
@@ -464,33 +448,37 @@ def fiber_bfs_driver(M: Matroid, W: WeightMatrix, params: SearchParams):
     most one neighbourhood more than that.
     """
     _check(M, W)
-    limits = (params.boundary_retry_limit, params.random_retry_limit)
-    image = _image(M, W, min(params.num_searches, sum(limits)))
+    _check_knobs(num_searches=num_searches, boundary_retry_limit=boundary_retry_limit,
+                 random_retry_limit=random_retry_limit)
+    if bfs_depth < 0:
+        raise DimensionError("bfs_depth must be >= 0")
+    limits = (boundary_retry_limit, random_retry_limit)
+    image = _image(M, W, min(num_searches, sum(limits)))
     seen: set = set()
     witnesses: dict = {}
     successes = 0
     failures = [0, 0]  # consecutive failures per phase
     attempt = [0, 0]  # per-phase attempt counters for seed derivation
-    while successes < params.num_searches and any(f < n for f, n in zip(failures, limits)):
+    while successes < num_searches and any(f < n for f, n in zip(failures, limits)):
         for phase in (0, 1):
             if failures[phase] >= limits[phase]:
                 continue
             if image is not None and len(seen) == len(image):
                 return seen, witnesses
-            rng = random.Random(_derived_seed(params.seed, phase, attempt[phase]))
+            rng = random.Random(_derived_seed(seed, phase, attempt[phase]))
             attempt[phase] += 1
-            basis = boundary_start(M, W, rng) if phase == 0 else random_basis(M, rng=rng)
+            basis = boundary_start(M, W, rng) if phase == 0 else random_basis(M, rng)
             p = _point(W, basis)
             if p in seen:
                 failures[phase] += 1
                 continue
             failures[phase] = 0
             successes += 1
-            if params.bfs_depth == 0:
+            if bfs_depth == 0:
                 seen.add(p)
                 witnesses[p] = basis
             else:
-                fiber_bfs(M, W, basis, params.bfs_depth, seen=seen, witnesses=witnesses)
-            if successes >= params.num_searches:
+                fiber_bfs(M, W, basis, bfs_depth, seen=seen, witnesses=witnesses)
+            if successes >= num_searches:
                 break
     return seen, witnesses

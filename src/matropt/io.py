@@ -147,11 +147,12 @@ def read_text(path) -> str:
         raise ParseError(f"{path} is not UTF-8 text") from None
 
 
-def write_text(path, text) -> None:
-    """Write an output file; an unwritable path is a ParseError."""
+def write_text(path, chunks) -> None:
+    """Write the strings `chunks` in turn to an output file; an unwritable
+    path is a ParseError."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc.strerror or exc}") from None
 

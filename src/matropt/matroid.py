@@ -10,7 +10,6 @@ operation is a pure function of (matroid, arguments, seed).
 
 from __future__ import annotations
 
-import random
 from bisect import insort
 from fractions import Fraction
 
@@ -23,7 +22,8 @@ REJECTION_CAP = 10_000_000
 class Matroid:
     """Ground set [n] plus a rank oracle; uniform, graphic, or vector backed.
 
-    Do not mutate after construction.  Rank queries are memoized, and the
+    Do not mutate after construction.  Rank queries are memoized
+    (`rank_of`; `_rank` asks the backend without the memo), and the
     neighbor lists of bases are cached on first use because the search
     heuristics hammer them.  A neighbor list comes from fundamental circuits
     read off the backend's data, so it costs one rank query (the basis
@@ -53,20 +53,23 @@ class Matroid:
                 raise DimensionError(f"element {i} out of range for ground set of size {self.n}")
 
     def rank_of(self, subset) -> int:
-        """Rank of a subset of the ground set."""
+        """Rank of a subset of the ground set, memoized."""
         key = frozenset(subset)
-        cached = self._rank_cache.get(key)
-        if cached is not None:
-            return cached
-        self._check_subset(key)
-        if self.kind == "uniform":
-            r = min(len(key), self.data)
-        elif self.kind == "graphic":
-            r = _forest_size(self.data, key)
-        else:
-            r = rational_rank([self.data[1][j] for j in key])
-        self._rank_cache[key] = r
+        r = self._rank_cache.get(key)
+        if r is None:
+            r = self._rank_cache[key] = self._rank(key)
         return r
+
+    def _rank(self, elements) -> int:
+        """Rank of a collection of distinct elements, from the backend's data
+        with no memo: for a caller that asks each subset once, such as a
+        sweep over all of them, the memo would only hold memory."""
+        self._check_subset(elements)
+        if self.kind == "uniform":
+            return min(len(elements), self.data)
+        if self.kind == "graphic":
+            return _forest_size(self.data, elements)
+        return rational_rank([self.data[1][j] for j in elements])
 
     def is_basis(self, subset) -> bool:
         # The input's own length: a repeated element must not pass.
@@ -319,10 +322,9 @@ def greedy_max_basis(M: Matroid, weights):
     return basis, sum(weights[i] for i in basis)
 
 
-def random_basis(M: Matroid, seed=None, rng=None):
-    """Uniform random basis by rejection-sampling rank-sized subsets."""
-    if rng is None:
-        rng = random.Random(seed)
+def random_basis(M: Matroid, rng):
+    """Uniform random basis by rejection-sampling rank-sized subsets, drawn
+    from the generator `rng` (a `random.Random`)."""
     for _ in range(REJECTION_CAP):
         cand = rng.sample(range(M.n), M.rank)
         if M.rank_of(cand) == M.rank:

@@ -1,4 +1,5 @@
-"""Criteria matrices, projections of bases, objectives, and Pareto filtering.
+"""Criteria matrices, projections of bases and their bounding box,
+objectives, and Pareto filtering.
 
 Weights are restricted to integers so projected points compare exactly;
 minimization is the canonical direction (negate rows for maximization).
@@ -66,25 +67,9 @@ def pareto_filter(points):
     return {p for p in pts if not any(dominates(q, p) for q in pts if q != p)}
 
 
-@dataclass(frozen=True)
-class BoundingBox:
-    lo: tuple
-    hi: tuple
-
-    def lattice_points(self):
-        """All integer points of the box, in row-major order."""
-        def rec(i, prefix):
-            if i == len(self.lo):
-                yield tuple(prefix)
-                return
-            for v in range(self.lo[i], self.hi[i] + 1):
-                yield from rec(i + 1, prefix + [v])
-
-        yield from rec(0, [])
-
-
-def bounding_box(M: Matroid, W: WeightMatrix) -> BoundingBox:
-    """Tight axis-aligned box around the projected bases.
+def bounding_box(M: Matroid, W: WeightMatrix):
+    """Tight axis-aligned box around the projected bases, as the tuples
+    (lo, hi) of its least and greatest coordinates.
 
     Each face is found by one greedy run: linear objectives over bases are
     solved exactly by the greedy algorithm.
@@ -97,7 +82,7 @@ def bounding_box(M: Matroid, W: WeightMatrix) -> BoundingBox:
         _, neg = greedy_max_basis(M, [-x for x in row])
         lo.append(-neg)
         hi.append(mx)
-    return BoundingBox(tuple(lo), tuple(hi))
+    return tuple(lo), tuple(hi)
 
 
 # Objectives --------------------------------------------------------------

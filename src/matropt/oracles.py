@@ -39,12 +39,16 @@ def env_cap(name: str, default: int) -> int:
 
 
 def enumerate_bases(M: Matroid, cap=None):
-    """Every basis of M, as sorted tuples, in lexicographic order."""
+    """Every basis of M, as sorted tuples, in lexicographic order.
+
+    Each rank-sized subset is asked once, so the sweep skips the matroid's
+    rank memo: filling it would hold every subset until the matroid goes.
+    """
     if cap is None:
         cap = env_cap("MATROPT_BASES_CAP", BASES_CAP_DEFAULT)
     if comb(M.n, M.rank) > cap:
         raise CapError(f"C({M.n},{M.rank}) exceeds enumeration cap {cap}")
-    return [b for b in combinations(range(M.n), M.rank) if M.is_basis(b)]
+    return [b for b in combinations(range(M.n), M.rank) if M._rank(b) == M.rank]
 
 
 def spanning_trees(n_vertices: int, edges):

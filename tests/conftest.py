@@ -1199,7 +1199,8 @@ def term_polynomial_taylor_shift(term: GenFunTerm, lam):
 # Fiber-BFS driver without the image stop -----------------------------------
 
 
-def fiber_bfs_driver_loop(M: Matroid, W, params):
+def fiber_bfs_driver_loop(M: Matroid, W, *, seed=0, bfs_depth=2, num_searches=10,
+                          boundary_retry_limit=100, random_retry_limit=1000):
     """`fiber_bfs_driver` as it ran before it listed the image: it stops
     only on num_searches successes or on both exhausted retry budgets
     (oracle for the early stop once every image point has a witness)."""
@@ -1209,23 +1210,23 @@ def fiber_bfs_driver_loop(M: Matroid, W, params):
     boundary_failures = 0
     random_failures = 0
     attempt = [0, 0]  # per-phase attempt counters for seed derivation
-    while successes < params.num_searches:
+    while successes < num_searches:
         if (
-            boundary_failures >= params.boundary_retry_limit
-            and random_failures >= params.random_retry_limit
+            boundary_failures >= boundary_retry_limit
+            and random_failures >= random_retry_limit
         ):
             break
         for phase in (0, 1):
-            if phase == 0 and boundary_failures >= params.boundary_retry_limit:
+            if phase == 0 and boundary_failures >= boundary_retry_limit:
                 continue
-            if phase == 1 and random_failures >= params.random_retry_limit:
+            if phase == 1 and random_failures >= random_retry_limit:
                 continue
-            rng = random.Random(_derived_seed(params.seed, phase, attempt[phase]))
+            rng = random.Random(_derived_seed(seed, phase, attempt[phase]))
             attempt[phase] += 1
             if phase == 0:
                 basis = boundary_start(M, W, rng)
             else:
-                basis = random_basis(M, rng=rng)
+                basis = random_basis(M, rng)
             p = _point(W, basis)
             if p in seen:
                 if phase == 0:
@@ -1238,12 +1239,12 @@ def fiber_bfs_driver_loop(M: Matroid, W, params):
             else:
                 random_failures = 0
             successes += 1
-            if params.bfs_depth == 0:
+            if bfs_depth == 0:
                 seen.add(p)
                 witnesses[p] = basis
             else:
-                fiber_bfs(M, W, basis, params.bfs_depth, seen=seen, witnesses=witnesses)
-            if successes >= params.num_searches:
+                fiber_bfs(M, W, basis, bfs_depth, seen=seen, witnesses=witnesses)
+            if successes >= num_searches:
                 break
     return seen, witnesses
 

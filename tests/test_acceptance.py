@@ -30,7 +30,6 @@ from conftest import (
 )
 from matropt import (
     Linear,
-    SearchParams,
     WeightMatrix,
     boundary_pareto_search,
     boundary_start,
@@ -257,7 +256,7 @@ def test_criterion_09_heuristic_oracle_properties():
             # (d) local search with a linear objective hits the brute optimum
             obj = Linear((3, 2))
             best = min(obj(p) for p in exact_pts)
-            found = local_search(M, W, obj, random_basis(M, seed=trial))
+            found = local_search(M, W, obj, random_basis(M, random.Random(trial)))
             assert obj(project(W, found)) == best
 
             # (b) boundary walk covers the hull vertices, (a) stays exact
@@ -277,11 +276,10 @@ def test_criterion_09_heuristic_oracle_properties():
             # (e) exhaustive driver equals the projected set when enumerable
             if len(bases) <= 200:
                 driver_checked += 1
-                params = SearchParams(
-                    seed=trial, bfs_depth=M.n, num_searches=100_000,
+                seen, witnesses = fiber_bfs_driver(
+                    M, W, seed=trial, bfs_depth=M.n, num_searches=100_000,
                     boundary_retry_limit=60, random_retry_limit=3000,
                 )
-                seen, witnesses = fiber_bfs_driver(M, W, params)
                 assert seen == exact_pts
                 assert all(M.is_basis(b) for b in witnesses.values())
         assert driver_checked >= 25

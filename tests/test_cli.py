@@ -23,6 +23,8 @@ from conftest import (
 from matropt import cli
 
 K4_GRAPH = "graph 4\n0 1 1 1\n1 0 1 1\n1 1 0 1\n1 1 1 0\n"
+K33_GRAPH = "graph 6\n" + "".join(
+    " ".join(str(int((i < 3) != (j < 3))) for j in range(6)) + "\n" for i in range(6))
 U24 = "uniform 4 2\n"
 WEIGHTS = "weights 2 6\n3 1 4 1 5 9\n2 7 1 8 2 8\n"
 WEIGHTS_U24 = "weights 2 4\n1 2 3 4\n4 3 2 1\n"
@@ -332,8 +334,8 @@ class TestStochasticGolden:
             weights = tmp_path / f"g{trial}.weights"
             weights.write_text(f"weights 2 {M.n}\n" + "".join(
                 " ".join(map(str, row)) + "\n" for row in rows))
-            box = mp.bounding_box(M, W)
-            targets = sorted(mp.exact_projected_set(M, W))[:6] + [tuple(x - 1 for x in box.lo)]
+            lo, _ = mp.bounding_box(M, W)
+            targets = sorted(mp.exact_projected_set(M, W))[:6] + [tuple(x - 1 for x in lo)]
             argv = (
                 "pt", "--matroid", str(graph), "--weights", str(weights), "--seed", str(trial),
                 "--targets", ";".join(f"{x},{y}" for x, y in targets), "--tries", "3",
@@ -368,6 +370,34 @@ class TestCheckUnimodularGolden:
         res = run_cli("check-unimodular", "--matroid", str(f))
         assert res.returncode == 0, res.stderr
         assert res.stdout == (self.GOLDEN / f"check_unimodular_{name}.json").read_text()
+
+    @pytest.mark.parametrize("name", sorted(INPUTS) + ["k33", "square-doubled"])
+    def test_streams_the_bytes_of_json_dumps(self, tmp_path, capsys, monkeypatch, name):
+        # The report is written cell by cell, yet its bytes are those of
+        # json.dumps over the whole payload, on stdout and under --output.
+        # Doubled volumes on a direct sum (no n x n determinant to check
+        # them against) reach the entries without "det" and a false verdict.
+        inputs = {**self.INPUTS, "k33": K33_GRAPH,
+                  "square-doubled": "vector 2 4\n1 1 0 0\n0 0 1 1\n"}
+        if name == "square-doubled":
+            placing = cli.placing_triangulation
+
+            def doubled(points):
+                cells, order, volumes = placing(points)
+                return cells, order, [2 * v for v in volumes]
+
+            monkeypatch.setattr(cli, "placing_triangulation", doubled)
+        f = tmp_path / "in.matroid"
+        f.write_text(inputs[name])
+        assert cli.main(["check-unimodular", "--matroid", str(f)]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert out == json.dumps(payload, sort_keys=True, separators=(", ", ": ")) + "\n"
+        assert payload["all_unimodular"] is (name != "square-doubled")
+        report = tmp_path / "report.json"
+        assert cli.main(["check-unimodular", "--matroid", str(f), "--output", str(report)]) == 0
+        assert capsys.readouterr().out == ""
+        assert report.read_text() == out
 
     @pytest.mark.slow
     def test_k5_all_unimodular(self, tmp_path, capsys):
@@ -494,6 +524,49 @@ class TestExitCodes:
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        # Every cell is checked before the report is opened for writing.
+        report = Path(files["u24.matroid"]).parent / "report.json"
+        argv = ["check-unimodular", "--matroid", files["u24.matroid"], "--output", str(report)]
+        assert cli.main(argv) == 5
+        assert not report.exists()
+
+    def test_ls_has_no_tabu_limit(self, files):
+        # ls never read --tabu-limit, so it is not offered: a usage error.
+        res = run_cli("ls", "--matroid", files["k4.graph"], "--weights", files["k4.weights"],
+                      "--seed", "1", "--target", "9,12", "--tabu-limit", "5")
+        assert res.returncode == 2
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--searches", "0"), ("--boundary-retries", "0"), ("--random-retries", "0"),
+        ("--depth", "-1"),
+    ])
+    def test_dfbfs_knob_below_range_is_three(self, files, capsys, flag, value):
+        argv = ["dfbfs", "--matroid", files["k4.graph"], "--weights", files["k4.weights"],
+                "--seed", "1", flag, value]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_dfbfs_knobs_at_their_least(self, files, capsys):
+        base = ["dfbfs", "--matroid", files["k4.graph"], "--weights", files["k4.weights"],
+                "--seed", "1"]
+        echoed = {"--depth": "bfs_depth", "--searches": "num_searches",
+                  "--boundary-retries": "boundary_retry_limit",
+                  "--random-retries": "random_retry_limit"}
+        least = ["--depth", "1", "--searches", "1", "--boundary-retries", "1",
+                 "--random-retries", "1"]
+        for knobs in (["--depth", "0"], ["--searches", "1"], ["--boundary-retries", "1"],
+                      ["--random-retries", "1"], least):
+            assert cli.main(base + knobs) == 0, knobs
+            out, err = capsys.readouterr()
+            assert err == ""
+            payload = json.loads(out)
+            assert payload["points"] and len(payload["witnesses"]) == len(payload["points"])
+            for flag, value in zip(knobs[::2], knobs[1::2]):
+                assert payload["params"][echoed[flag]] == int(value)
 
     def test_non_basis_start_is_three(self, files):
         res = run_cli("ls", "--matroid", files["k4.graph"], "--weights", files["k4.weights"],

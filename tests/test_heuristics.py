@@ -1,5 +1,7 @@
 """Local/tabu search, pivot test, boundary walk, Pareto sweep, fiber BFS."""
 
+import inspect
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,7 +17,6 @@ from matropt import (
     DimensionError,
     Linear,
     Matroid,
-    SearchParams,
     SquaredDistance,
     WeightMatrix,
     boundary_pareto_search,
@@ -52,6 +53,13 @@ def brute_min(M, W, objective):
     return min(objective(project(W, b)) for b in enumerate_bases(M))
 
 
+def box_points(M, W):
+    """The lattice points of the bounding box of the projected bases, in
+    row-major order."""
+    lo, hi = bounding_box(M, W)
+    return list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+
+
 def criterion9_instances(count):
     """The first `count` (matroid, weights) pairs of acceptance criterion 9."""
     rng = random.Random(20260810)
@@ -80,7 +88,7 @@ class TestLocalSearch:
         obj = Linear((1, 1))
         best = brute_min(k4, W_K4, obj)
         for seed in range(10):
-            found = local_search(k4, W_K4, obj, random_basis(k4, seed=seed))
+            found = local_search(k4, W_K4, obj, random_basis(k4, random.Random(seed)))
             assert obj(project(W_K4, found)) == best
 
     def test_already_at_target(self, k4):
@@ -96,7 +104,7 @@ class TestLocalSearch:
     def test_output_is_local_minimum(self, k4):
         obj = SquaredDistance((11, 14))
         for seed in range(5):
-            found = local_search(k4, W_K4, obj, random_basis(k4, seed=seed))
+            found = local_search(k4, W_K4, obj, random_basis(k4, random.Random(seed)))
             value = obj(project(W_K4, found))
             for nb in k4.adjacent_bases(found):
                 assert obj(project(W_K4, nb)) >= value
@@ -118,7 +126,7 @@ class TestLocalSearch:
         # counting objective still sees each projected point once per
         # descent, over six seeded descents on each criterion-9 instance.
         for k, (M, W) in enumerate(criterion9_instances(14)):
-            goal = SquaredDistance(project(W, random_basis(M, seed=k)))
+            goal = SquaredDistance(project(W, random_basis(M, random.Random(k))))
             for seed in range(6):
                 scored = []
 
@@ -126,7 +134,7 @@ class TestLocalSearch:
                     scored.append(point)
                     return goal(point)
 
-                local_search(M, W, counting, random_basis(M, seed=seed))
+                local_search(M, W, counting, random_basis(M, random.Random(seed)))
                 assert len(scored) == len(set(scored)), (k, seed)
 
     def test_linear_objective_exact_on_catalog(self):
@@ -140,7 +148,7 @@ class TestLocalSearch:
             W = WeightMatrix(random_weight_matrix(rng, 2, M.n, -5, 5))
             obj = Linear((2, -3))
             best = min(obj(project(W, b)) for b in bases)
-            found = local_search(M, W, obj, random_basis(M, seed=1))
+            found = local_search(M, W, obj, random_basis(M, random.Random(1)))
             assert obj(project(W, found)) == best
 
 
@@ -172,7 +180,7 @@ class TestTabuSearch:
         # Neighbourhoods overlap and fibers hold many bases: a counting
         # objective still sees each projected point once per search.
         for k, (M, W) in enumerate(criterion9_instances(6)):
-            goal = SquaredDistance(project(W, random_basis(M, seed=k)))
+            goal = SquaredDistance(project(W, random_basis(M, random.Random(k))))
             for seed in range(3):
                 scored = []
 
@@ -180,7 +188,7 @@ class TestTabuSearch:
                     scored.append(point)
                     return goal(point)
 
-                tabu_search(M, random_basis(M, seed=seed), W, counting, 20)
+                tabu_search(M, random_basis(M, random.Random(seed)), W, counting, 20)
                 assert len(scored) == len(set(scored)), (k, seed)
 
     def test_at_least_as_good_as_local_search(self, k4):
@@ -188,7 +196,7 @@ class TestTabuSearch:
         obj = SquaredDistance((11, 14))
         ls_wins = ts_wins = 0
         for seed in range(1000):
-            start = random_basis(k4, seed=seed)
+            start = random_basis(k4, random.Random(seed))
             ls_val = obj(project(W_K4, local_search(k4, W_K4, obj, start)))
             ts_val = obj(project(W_K4, tabu_search(k4, start, W_K4, obj, 100)))
             assert ts_val <= ls_val
@@ -204,8 +212,7 @@ class TestPivotTest:
 
     def test_full_box_covers_projected_set(self, u24):
         W = WeightMatrix(((1, 2, 3, 4),))
-        box = bounding_box(u24, W)
-        found = pivot_test(u24, W, list(box.lattice_points()), tries=10, seed=1)
+        found = pivot_test(u24, W, box_points(u24, W), tries=10, seed=1)
         assert {project(W, b) for b in found} == set(exact_projected_set(u24, W))
 
     def test_membership_of_known_point(self, k4):
@@ -254,7 +261,7 @@ class TestPivotTestScores:
 
         monkeypatch.setattr(heuristics, "SquaredDistance", Counting)
         for k, (M, W) in enumerate(criterion9_instances(14)):
-            for i, target in enumerate(list(bounding_box(M, W).lattice_points())[:10]):
+            for i, target in enumerate(box_points(M, W)[:10]):
                 scored.clear()
                 _pivot_test_point(M, W, target, 6, searcher, 20, _derived_seed(k, i))
                 assert scored and len(scored) == len(set(scored)), (k, target)
@@ -275,7 +282,7 @@ class TestPivotTestPruning:
     @pytest.mark.parametrize("searcher", ["ls", "ts"])
     def test_equals_search_of_every_target(self, searcher):
         for k, (M, W) in enumerate(criterion9_instances(5)):
-            targets = list(bounding_box(M, W).lattice_points())
+            targets = box_points(M, W)
             assert _image(M, W, len(targets)) is not None
             expected = self.per_target(M, W, targets, 2, searcher, 3, k)
             got = pivot_test(M, W, targets, 2, searcher=searcher, seed=k, tabu_limit=3)
@@ -284,7 +291,7 @@ class TestPivotTestPruning:
     @pytest.mark.parametrize("searcher", ["ls", "ts"])
     def test_workers_agree_with_search_of_every_target(self, searcher):
         M, W = criterion9_instances(3)[2]
-        targets = list(bounding_box(M, W).lattice_points())
+        targets = box_points(M, W)
         expected = self.per_target(M, W, targets, 2, searcher, 3, 11)
         try:
             got = pivot_test(M, W, targets, 2, searcher=searcher, seed=11, tabu_limit=3, workers=2)
@@ -542,13 +549,18 @@ class TestFiberBFS:
         assert seen == exact
 
 
+# The driver's knobs and their defaults, read off its signature.
+DRIVER_DEFAULTS = {name: p.default
+                   for name, p in inspect.signature(fiber_bfs_driver).parameters.items()
+                   if p.kind is p.KEYWORD_ONLY}
+
+
 class TestFiberBFSDriver:
     def test_minimal_limits_nonempty(self, k4):
-        params = SearchParams(
-            seed=0, bfs_depth=1, num_searches=1,
+        seen, _ = fiber_bfs_driver(
+            k4, W_K4, seed=0, bfs_depth=1, num_searches=1,
             boundary_retry_limit=1, random_retry_limit=1,
         )
-        seen, _ = fiber_bfs_driver(k4, W_K4, params)
         assert seen
         assert seen <= set(exact_projected_set(k4, W_K4))
 
@@ -559,11 +571,10 @@ class TestFiberBFSDriver:
             if len(enumerate_bases(M)) > 50:
                 continue
             W = WeightMatrix(random_weight_matrix(rng, 2, M.n))
-            params = SearchParams(
-                seed=trial, bfs_depth=M.n, num_searches=10_000,
+            seen, _ = fiber_bfs_driver(
+                M, W, seed=trial, bfs_depth=M.n, num_searches=10_000,
                 boundary_retry_limit=100, random_retry_limit=2000,
             )
-            seen, _ = fiber_bfs_driver(M, W, params)
             assert seen == set(exact_projected_set(M, W))
 
     @pytest.mark.parametrize("knobs", [
@@ -579,13 +590,14 @@ class TestFiberBFSDriver:
             "searches-budget", "few-searches"])
     def test_equals_loop_without_image_stop(self, knobs):
         for trial, (M, W) in enumerate(criterion9_instances(6)):
-            params = SearchParams(seed=trial, **knobs(M))
+            params = dict(DRIVER_DEFAULTS, seed=trial, **knobs(M))
             budget = min(
-                params.num_searches, params.boundary_retry_limit + params.random_retry_limit
+                params["num_searches"],
+                params["boundary_retry_limit"] + params["random_retry_limit"],
             )
             over = len(enumerate_bases(M)) > budget
             assert (_image(M, W, budget) is None) == over
-            assert fiber_bfs_driver(M, W, params) == fiber_bfs_driver_loop(M, W, params)
+            assert fiber_bfs_driver(M, W, **params) == fiber_bfs_driver_loop(M, W, **params)
 
     def test_listing_scans_at_most_budget_plus_one_more(self, monkeypatch):
         k6 = graphic_matroid([[int(i != j) for j in range(6)] for i in range(6)])
@@ -595,29 +607,29 @@ class TestFiberBFSDriver:
         ]
         calls = count_scans(monkeypatch)
         for M, W, knobs in cases:
-            params = SearchParams(seed=3, **knobs)
+            params = dict(DRIVER_DEFAULTS, seed=3, **knobs)
             calls[0] = 0
-            expected = fiber_bfs_driver_loop(M, W, params)
+            expected = fiber_bfs_driver_loop(M, W, **params)
             searched = calls[0]
             calls[0] = 0
-            assert fiber_bfs_driver(M, W, params) == expected
-            assert calls[0] <= searched + params.num_searches + 1
+            assert fiber_bfs_driver(M, W, **params) == expected
+            assert calls[0] <= searched + params["num_searches"] + 1
 
     def test_monotone_in_num_searches(self, k4):
         base = dict(seed=9, bfs_depth=2, boundary_retry_limit=5, random_retry_limit=20)
-        small, _ = fiber_bfs_driver(k4, W_K4, SearchParams(num_searches=3, **base))
-        large, _ = fiber_bfs_driver(k4, W_K4, SearchParams(num_searches=6, **base))
+        small, _ = fiber_bfs_driver(k4, W_K4, num_searches=3, **base)
+        large, _ = fiber_bfs_driver(k4, W_K4, num_searches=6, **base)
         assert small <= large
 
     def test_deterministic(self, k4):
-        params = SearchParams(seed=4, bfs_depth=2, num_searches=5)
-        a, _ = fiber_bfs_driver(k4, W_K4, params)
-        b, _ = fiber_bfs_driver(k4, W_K4, params)
+        params = dict(seed=4, bfs_depth=2, num_searches=5)
+        a, _ = fiber_bfs_driver(k4, W_K4, **params)
+        b, _ = fiber_bfs_driver(k4, W_K4, **params)
         assert a == b
 
 
 class TestKnobValidation:
-    """tries, tabu_limit and workers must be >= 1, as in SearchParams."""
+    """Counts and limits must be >= 1 and a depth >= 0."""
 
     @pytest.mark.parametrize("knob", ["tries", "tabu_limit", "workers"])
     def test_pivot_test(self, k4, knob):
@@ -632,6 +644,14 @@ class TestKnobValidation:
         with pytest.raises(DimensionError):
             boundary_pareto_search(k4, W_K4, **{**kwargs, knob: 0})
         assert boundary_pareto_search(k4, W_K4, **{**kwargs, knob: 1})
+
+    def test_fiber_bfs_driver(self, k4):
+        low = dict(num_searches=0, boundary_retry_limit=0, random_retry_limit=0, bfs_depth=-1)
+        for knob, value in low.items():
+            with pytest.raises(DimensionError, match=f"{knob} must be >= {value + 1}"):
+                fiber_bfs_driver(k4, W_K4, **{knob: value})
+            seen, _ = fiber_bfs_driver(k4, W_K4, seed=1, **{knob: value + 1})
+            assert seen and seen <= set(exact_projected_set(k4, W_K4))
 
     def test_tabu_search(self, k4):
         obj = SquaredDistance((9, 12))
@@ -681,7 +701,7 @@ class TestPickling:
         M = graphic_matroid([[int(i != j) for j in range(5)] for i in range(5)])
         W = WeightMatrix(random_weight_matrix(rng, 2, M.n, 0, 9))
         sizes = len(pickle.dumps(M)), len(pickle.dumps(W))
-        pivot_test(M, W, list(bounding_box(M, W).lattice_points()), tries=1, seed=2)
+        pivot_test(M, W, box_points(M, W), tries=1, seed=2)
         assert M._rank_cache and M._adj_cache and W._points
         assert (len(pickle.dumps(M)), len(pickle.dumps(W))) == sizes
         M2, W2 = pickle.loads(pickle.dumps((M, W)))
@@ -689,15 +709,6 @@ class TestPickling:
         assert W2 == W
         assert M2._rank_cache == {} and M2._adj_cache == {} and W2._points == {}
         assert sorted(enumerate_bases(M2)) == sorted(enumerate_bases(M))
-
-
-class TestSearchParams:
-    def test_validation(self):
-        with pytest.raises(DimensionError):
-            SearchParams(num_searches=0)
-        with pytest.raises(DimensionError):
-            SearchParams(bfs_depth=-1)
-        assert SearchParams(bfs_depth=0).bfs_depth == 0
 
 
 class TestDeterminism:

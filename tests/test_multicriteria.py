@@ -97,23 +97,23 @@ class TestMinMax:
 class TestBoundingBox:
     def test_u24_single_row(self, u24):
         W = WeightMatrix(((1, 2, 3, 4),))
-        box = bounding_box(u24, W)
+        lo, hi = bounding_box(u24, W)
         values = {project(W, b)[0] for b in enumerate_bases(u24)}
-        assert box.lo == (min(values),) == (3,)
-        assert box.hi == (max(values),) == (7,)
+        assert lo == (min(values),) == (3,)
+        assert hi == (max(values),) == (7,)
 
     def test_all_ones_degenerate(self, k4):
         W = WeightMatrix(((1,) * 6,))
-        box = bounding_box(k4, W)
-        assert box.lo == box.hi == (3,)
+        lo, hi = bounding_box(k4, W)
+        assert lo == hi == (3,)
 
     def test_contains_all_projections(self, k4):
         rng = random.Random(9)
         W = WeightMatrix(random_weight_matrix(rng, 2, 6))
-        box = bounding_box(k4, W)
+        lo, hi = bounding_box(k4, W)
         for b in enumerate_bases(k4):
             p = project(W, b)
-            assert all(a <= x <= c for a, x, c in zip(box.lo, p, box.hi))
+            assert all(a <= x <= c for a, x, c in zip(lo, p, hi))
 
     def test_matches_brute_force_on_catalog(self, catalog):
         rng = random.Random(2)
@@ -122,11 +122,11 @@ class TestBoundingBox:
             if len(bases) > 200:
                 continue
             W = WeightMatrix(random_weight_matrix(rng, 2, M.n, lo=-10, hi=10))
-            box = bounding_box(M, W)
+            lo, hi = bounding_box(M, W)
             pts = [project(W, b) for b in bases]
             for i in range(2):
-                assert box.lo[i] == min(p[i] for p in pts)
-                assert box.hi[i] == max(p[i] for p in pts)
+                assert lo[i] == min(p[i] for p in pts)
+                assert hi[i] == max(p[i] for p in pts)
 
     def test_distinct_point_count_bound(self, catalog):
         rng = random.Random(3)
@@ -135,11 +135,11 @@ class TestBoundingBox:
             if len(bases) > 200:
                 continue
             W = WeightMatrix(random_weight_matrix(rng, 2, M.n, lo=0, hi=5))
-            box = bounding_box(M, W)
+            lo, hi = bounding_box(M, W)
             pts = {project(W, b) for b in bases}
             volume = 1
-            for lo, hi in zip(box.lo, box.hi):
-                volume *= hi - lo + 1
+            for a, b in zip(lo, hi):
+                volume *= b - a + 1
             assert len(pts) <= volume
 
 
