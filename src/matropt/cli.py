@@ -381,8 +381,8 @@ def cmd_check_unimodular(args):
     M = load_matroid(args.matroid)
     bases = enumerate_bases(M)
     points = [incidence_vector(b, M.n) for b in bases]
-    cells, order, volumes = placing_triangulation(points)
-    dim = polytope_dimension(M, bases)
+    cells, volumes = placing_triangulation(points)
+    dim = polytope_dimension(M, bases[0])
     # Each volume is the cell's lattice determinant, its index in the affine
     # lattice of P.  lin(P - P) is cut out by "each connected component's
     # coordinates sum to zero", and placing's pivot columns project it
@@ -416,7 +416,9 @@ def cmd_check_unimodular(args):
             if det is not None:
                 entry["det"] = det
             yield (", " if k else "") + _encode(entry)
-        yield f'], "dimension": {dim}, "insertion_order": {_encode(list(order))}}}\n'
+        # Placing takes the bases in their lexicographic order.
+        order = _encode(list(range(len(points))))
+        yield f'], "dimension": {dim}, "insertion_order": {order}}}\n'
 
     _write(args, report())
 

@@ -256,7 +256,7 @@ def ehrhart_polynomial(M: Matroid):
     streamed cone by cone, for lam = (0, 1, ..., n - 1): lam_j - lam_i =
     j - i is nonzero for every exchange pair (i, j)."""
     bases = enumerate_bases(M)
-    dim = polytope_dimension(M, bases)
+    dim = polytope_dimension(M, bases[0])
     powers = _powers(range(1 - M.n, M.n), dim)
     return dilation_polynomial(
         (_cone_value(*cone, powers) for cone in _orbit_cones(M, bases)), dim)

@@ -385,21 +385,19 @@ def boundary_pareto_search(M: Matroid, W: WeightMatrix, tries, seed=0, searcher=
 # Fiber-skipping breadth-first search ---------------------------------------
 
 
-def fiber_bfs(M: Matroid, W: WeightMatrix, start, depth, seen=None, witnesses=None):
+def fiber_bfs(M: Matroid, W: WeightMatrix, start, depth, seen, witnesses):
     """Bounded BFS that only pivots onto fresh projections.
 
-    Explores from `start`, recording a neighbor only when its projection has
-    not been seen (pivots inside a fiber are forbidden), and recursing while
-    the level stays below `depth`.  Depth 0 returns nothing, by the guard.
-    Returns (projections, witness map); `seen` is shared and mutated when a
-    driver passes its accumulated set.
+    Explores from `start`, recording a neighbor only when its projection is
+    not in `seen` (pivots inside a fiber are forbidden), and recursing while
+    the level stays below `depth`.  Depth 0 adds nothing, by the guard.  New
+    projections go into the caller's set `seen` and their bases into its
+    dict `witnesses`; returns (seen, witnesses).
     """
     _check(M, W)
     start = tuple(sorted(start))
     if not M.is_basis(start):
         raise DimensionError(f"{start} is not a basis")
-    seen = set() if seen is None else seen
-    witnesses = {} if witnesses is None else witnesses
 
     def rec(basis, level):
         if level >= depth:
@@ -478,7 +476,7 @@ def fiber_bfs_driver(M: Matroid, W: WeightMatrix, *, seed=0, bfs_depth=2, num_se
                 seen.add(p)
                 witnesses[p] = basis
             else:
-                fiber_bfs(M, W, basis, bfs_depth, seen=seen, witnesses=witnesses)
+                fiber_bfs(M, W, basis, bfs_depth, seen, witnesses)
             if successes >= num_searches:
                 break
     return seen, witnesses

@@ -29,15 +29,16 @@ class Matroid:
     read off the backend's data, so it costs one rank query (the basis
     check) and does not fill the rank cache.  Both caches stay behind when
     the matroid is pickled (to worker processes, say): it travels as its
-    constructor arguments.
+    constructor arguments.  `label` names it in messages and `repr`; each
+    constructor function gives one.
     """
 
-    def __init__(self, kind, n, rank, data, label=None):
+    def __init__(self, kind, n, rank, data, label):
         self.kind = kind
         self.n = n
         self.rank = rank
         self.data = data
-        self.label = label or f"{kind}({n})"
+        self.label = label
         self._rank_cache = {}
         self._adj_cache = {}
 

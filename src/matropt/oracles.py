@@ -20,7 +20,7 @@ from math import comb
 
 from .errors import CapError, DimensionError, ParseError
 from .linalg import bareiss_det
-from .matroid import Matroid, _forest_size, greedy_max_basis
+from .matroid import Matroid, _forest_size
 from .multicriteria import WeightMatrix, project
 from .uniform import bounded_composition_counts
 
@@ -38,14 +38,14 @@ def env_cap(name: str, default: int) -> int:
         raise ParseError(f"{name} must be an integer, got {raw!r}") from None
 
 
-def enumerate_bases(M: Matroid, cap=None):
-    """Every basis of M, as sorted tuples, in lexicographic order.
+def enumerate_bases(M: Matroid):
+    """Every basis of M, as sorted tuples, in lexicographic order, refused
+    (CapError) when C(n, r) exceeds MATROPT_BASES_CAP.
 
     Each rank-sized subset is asked once, so the sweep skips the matroid's
     rank memo: filling it would hold every subset until the matroid goes.
     """
-    if cap is None:
-        cap = env_cap("MATROPT_BASES_CAP", BASES_CAP_DEFAULT)
+    cap = env_cap("MATROPT_BASES_CAP", BASES_CAP_DEFAULT)
     if comb(M.n, M.rank) > cap:
         raise CapError(f"C({M.n},{M.rank}) exceeds enumeration cap {cap}")
     return [b for b in combinations(range(M.n), M.rank) if M._rank(b) == M.rank]
@@ -135,10 +135,7 @@ def planar_convex_hull(points):
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:  # all points collinear: keep the two endpoints
-        return [pts[0], pts[-1]]
-    return hull
+    return lower[:-1] + upper[:-1]
 
 
 def dilation_lattice_counts(M: Matroid, ks) -> tuple:
@@ -170,7 +167,7 @@ def dilation_lattice_counts(M: Matroid, ks) -> tuple:
             raise CapError(f"composition tables of {entries} entries exceed cap {cap}")
         return tuple(bounded_composition_counts(M.n, k + 1)[k * M.rank] for k in ks)
     width = kmax.bit_length()
-    bases = [sum(1 << width * e for e in b) for b in enumerate_bases(M, cap)]
+    bases = [sum(1 << width * e for e in b) for b in enumerate_bases(M)]
     sums, sizes, formed = {0}, [1], 0
     for _ in range(kmax):
         formed += len(sums) * len(bases)
@@ -181,13 +178,11 @@ def dilation_lattice_counts(M: Matroid, ks) -> tuple:
     return tuple(sizes[k] for k in ks)
 
 
-def polytope_dimension(M: Matroid, bases=None) -> int:
+def polytope_dimension(M: Matroid, basis) -> int:
     """dim P_M: n minus the number of connected components of M, which are
     those of the fundamental-circuit graph of any one basis B, joining each
     j outside B to every element of B on C(B, j) (Krogdahl, The dependence
     graph for bases in matroids, Discrete Math. 1977).  So the dimension is
-    the size of a spanning forest of that graph, for B the first of `bases`
-    or, by default, the lexicographically first basis."""
-    b = bases[0] if bases else greedy_max_basis(M, [0] * M.n)[0]
-    edges = [(i, j) for j, circuit in M._fundamental_circuits(b) for i in circuit]
+    the size of a spanning forest of that graph, for B the given `basis`."""
+    edges = [(i, j) for j, circuit in M._fundamental_circuits(basis) for i in circuit]
     return _forest_size((M.n, edges), range(len(edges)))

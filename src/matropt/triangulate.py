@@ -9,8 +9,9 @@ cell it is glued to, through the pencil of hyperplanes on each shared ridge
 2010, section 4.3); the only eliminations are one per growth of the affine
 hull.  The test suite checks visibility against an exact LP test, the
 cells against a loop that takes one kernel elimination per boundary facet,
-and each cell's volume against the gcd of its maximal minors.  Insertion
-order is recorded with every result so a run can be replayed.
+and each cell's volume against the gcd of its maximal minors.  Points are
+placed in the order given; a caller that wants another order permutes its
+list.
 
 A vertex cone of a matroid polytope is carried as exchange pairs: its
 generators are the differences e_j - e_i of the adjacent bases B - i + j.
@@ -34,7 +35,7 @@ cones take y = sum_k 2^k g_k, generic in every tree cell.
 
 from __future__ import annotations
 
-from bisect import bisect, insort
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -83,17 +84,20 @@ def tangent_cone(M, basis) -> Cone:
     return Cone(apex=incidence_vector(b, M.n), pairs=tuple(pairs))
 
 
-def placing_triangulation(points, order=None):
-    """Incremental triangulation of a point set in the given insertion order.
+def placing_triangulation(points):
+    """Incremental triangulation of a point set, placing the points in the
+    order given.
 
-    Returns (cells, order, volumes): cells are sorted tuples of point
-    indices, each affinely independent and of the common maximal dimension,
-    and volumes[i] > 0 is the |det| of the edge vectors of cells[i] in the
+    Returns (cells, volumes): cells are sorted tuples of point indices, each
+    affinely independent and of the common maximal dimension, and
+    volumes[i] > 0 is the |det| of the edge vectors of cells[i] in the
     hull's pivot coordinates.  A point that extends the affine hull cones
     over every existing cell; otherwise it is attached to every boundary
     facet visible from it (a point inside the current hull sees nothing and
     stays unused).  Duplicate points are skipped.  The result depends on the
-    order, which is therefore returned alongside the cells.
+    order of the list.  Each new point has the largest index placed so far,
+    so it goes last in every cell it joins, and its functional last in the
+    cell's table.
 
     All arithmetic is in integers.  Rational input is scaled by the lcm of
     its denominators, an affine map that keeps the combinatorics, and the
@@ -119,9 +123,6 @@ def placing_triangulation(points, order=None):
     pts = [tuple(map(Fraction, p)) for p in points]
     if not pts:
         raise DimensionError("need at least one point")
-    order = tuple(range(len(pts))) if order is None else tuple(order)
-    if sorted(order) != list(range(len(pts))):
-        raise DimensionError("order must be a permutation of the point indices")
     scale = lcm(*(x.denominator for p in pts for x in p))
     ipts = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in pts]
     full = rational_rank([[a - b for a, b in zip(p, ipts[0])] for p in ipts])
@@ -133,8 +134,7 @@ def placing_triangulation(points, order=None):
     # boundary facet -> (position of its opposite vertex, its cell's functionals),
     # in first-occurrence order
     boundary: dict = {}
-    for idx in order:
-        v = ipts[idx]
+    for idx, v in enumerate(ipts):
         if v in seen:
             continue  # duplicate of an already-placed point: unused
         seen.add(v)
@@ -153,9 +153,8 @@ def placing_triangulation(points, order=None):
                 for lp in table:
                     ext = (*lp[:-1], 0, lp[-1])  # no term in the new pivot column
                     grown.append(_pencil(ext, sum(map(mul, ext, qv)), h, hv))
-                j = bisect(cell, idx)
-                grown.insert(j, h)
-                grown_cells.append(cell[:j] + (idx,) + cell[j:])
+                grown.append(h)
+                grown_cells.append(cell + (idx,))
                 grown_tables.append(grown)
             cells, tables = grown_cells, grown_tables
             boundary = {}
@@ -171,9 +170,8 @@ def placing_triangulation(points, order=None):
             if s < 0:
                 grown = [_pencil(lo, s, lq, sum(map(mul, lq, qv)))
                          for lq in table[:k] + table[k + 1:]]
-                j = bisect(f, idx)
-                grown.insert(j, tuple([-a for a in lo]))
-                new.append(f[:j] + (idx,) + f[j:])
+                grown.append(tuple([-a for a in lo]))
+                new.append(f + (idx,))
                 grown_tables.append(grown)
         cells += new
         if tables is not None:
@@ -187,7 +185,7 @@ def placing_triangulation(points, order=None):
         if volume == 0:
             raise InternalInconsistencyError("placing produced a degenerate cell")
         volumes.append(volume)
-    return cells, order, volumes
+    return cells, volumes
 
 
 def _add_facets(boundary, cells, tables):

@@ -143,7 +143,8 @@ def catalog_small():
 
 
 def catalog_connected(max_n):
-    return [M for M in catalog_small() if M.n <= max_n and polytope_dimension(M) == M.n - 1]
+    return [M for M in catalog_small()
+            if M.n <= max_n and polytope_dimension(M, enumerate_bases(M)[0]) == M.n - 1]
 
 
 def disconnected_matroids():
@@ -281,7 +282,7 @@ def ehrhart_per_cone(M: Matroid):
     no cells shared across automorphism orbits: the second route for
     `ehrhart_polynomial`."""
     bases = enumerate_bases(M)
-    dim = polytope_dimension(M, bases)
+    dim = polytope_dimension(M, bases[0])
     powers = _powers(range(1 - M.n, M.n), dim)
     values = []
     for b in bases:
@@ -824,7 +825,8 @@ def seeded_rational_point_sets(trials):
     """(points, insertion order) pairs drawn as
     `test_surfaces.py::TestPlacingMatchesVisibilityLP::test_random_sets_agree_with_lp`
     draws its 40: rational points in dims 1-4, a point on a segment, the
-    centroid, a duplicate and a shuffled order.  The first 40 are its sets."""
+    centroid, a duplicate and a shuffled order.  The first 40, each list
+    permuted by its order, are its sets."""
     rng = random.Random(20261018)
     for trial in range(trials):
         dim = 1 + trial % 4
@@ -857,7 +859,7 @@ def hstar_by_half_open_placing(M: Matroid):
     positive combination of all vertices, so it lies in the relative
     interior; a zero coordinate means it is not generic and raises."""
     pts = [incidence_vector(b, M.n) for b in enumerate_bases(M)]
-    cells, _, _ = placing_triangulation(pts)
+    cells, _ = placing_triangulation(pts)
     rng = random.Random(1)
     weights = [rng.randint(1, 10**6) for _ in pts]
     # q in homogeneous coordinates, scaled by the total weight.
@@ -911,7 +913,7 @@ def join_to_apex(cells, apex_index):
     return [tuple(sorted(f + (apex_index,))) for f in boundary if apex_index not in f]
 
 
-def cone_triangulation(cone: Cone, order=None):
+def cone_triangulation(cone: Cone):
     """Triangulate a vertex cone into simplicial cones sharing its apex.
 
     Two placing passes: triangulate conv({0} u generators), then join the
@@ -923,7 +925,7 @@ def cone_triangulation(cone: Cone, order=None):
         return [()]
     dim = len(gens[0])
     pts = [tuple([0] * dim)] + gens
-    cells, _, _ = placing_triangulation(pts, order=order)
+    cells, _ = placing_triangulation(pts)
     star = join_to_apex(cells, 0)
     return [tuple(pts[i] for i in c if i != 0) for c in star]
 
@@ -1243,7 +1245,7 @@ def fiber_bfs_driver_loop(M: Matroid, W, *, seed=0, bfs_depth=2, num_searches=10
                 seen.add(p)
                 witnesses[p] = basis
             else:
-                fiber_bfs(M, W, basis, bfs_depth, seen=seen, witnesses=witnesses)
+                fiber_bfs(M, W, basis, bfs_depth, seen, witnesses)
             if successes >= num_searches:
                 break
     return seen, witnesses

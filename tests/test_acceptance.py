@@ -202,7 +202,7 @@ def test_criterion_07_unimodular_triangulations():
         for M in catalog_connected(6):
             bases = enumerate_bases(M)
             pts = [incidence_vector(b, M.n) for b in bases]
-            cells, _, _ = placing_triangulation(pts)
+            cells, _ = placing_triangulation(pts)
             for cell in cells:
                 assert len(cell) == M.n
                 rows = [pts[i] for i in cell]

@@ -383,8 +383,8 @@ class TestCheckUnimodularGolden:
             placing = cli.placing_triangulation
 
             def doubled(points):
-                cells, order, volumes = placing(points)
-                return cells, order, [2 * v for v in volumes]
+                cells, volumes = placing(points)
+                return cells, [2 * v for v in volumes]
 
             monkeypatch.setattr(cli, "placing_triangulation", doubled)
         f = tmp_path / "in.matroid"
@@ -515,8 +515,8 @@ class TestExitCodes:
         placing = cli.placing_triangulation
 
         def doubled(points):
-            cells, order, volumes = placing(points)
-            return cells, order, [2 * v for v in volumes]
+            cells, volumes = placing(points)
+            return cells, [2 * v for v in volumes]
 
         monkeypatch.setattr(cli, "placing_triangulation", doubled)
         assert cli.main(["check-unimodular", "--matroid", files["u24.matroid"]]) == 5

@@ -301,7 +301,7 @@ class TestEhrhartPipeline:
 
     def test_catalog_pipeline_matches_sweeps(self):
         for M in catalog_connected(7):
-            dim = polytope_dimension(M)
+            dim = polytope_dimension(M, enumerate_bases(M)[0])
             coeffs = ehrhart_polynomial(M)
             assert len(coeffs) == dim + 1
             counts = dilation_lattice_counts(M, range(dim + 3))
@@ -446,7 +446,7 @@ class TestEhrhartPipeline:
 
     def test_hstar_nonnegative_on_catalog(self):
         for M in catalog_connected(6):
-            dim = polytope_dimension(M)
+            dim = polytope_dimension(M, enumerate_bases(M)[0])
             coeffs = ehrhart_polynomial(M)
             counts = [int(evaluate_polynomial(coeffs, k)) for k in range(dim + 1)]
             hstar = hstar_from_counts(counts, dim)
@@ -515,8 +515,9 @@ class TestOrbitCones:
         # catalog, K3,3 and the disconnected matroids, carried cones among
         # them, and on every seventh cone of K5.
         for M in orbit_matroids():
-            powers = _powers(range(1 - M.n, M.n), polytope_dimension(M))
-            cones = list(_orbit_cones(M, enumerate_bases(M)))
+            bases = enumerate_bases(M)
+            powers = _powers(range(1 - M.n, M.n), polytope_dimension(M, bases[0]))
+            cones = list(_orbit_cones(M, bases))
             if M.n == 10:  # K5
                 cones = cones[::7]
             for b, pairs, cells in cones:
@@ -632,7 +633,7 @@ class TestHalfOpenPlacing:
 
     @staticmethod
     def pipeline_hstar(M):
-        dim = polytope_dimension(M)
+        dim = polytope_dimension(M, enumerate_bases(M)[0])
         coeffs = ehrhart_polynomial(M)
         return hstar_from_counts([int(evaluate_polynomial(coeffs, k)) for k in range(dim + 1)], dim)
 

@@ -119,7 +119,7 @@ class TestLocalSearch:
         with pytest.raises(DimensionError):
             projected_boundary(u24, W, bad)
         with pytest.raises(DimensionError):
-            fiber_bfs(u24, W, bad, 1)
+            fiber_bfs(u24, W, bad, 1, set(), {})
 
     def test_scores_each_point_once(self):
         # Consecutive neighbourhoods overlap and fibers hold many bases: a
@@ -526,17 +526,17 @@ class TestBoundaryParetoSearch:
 class TestFiberBFS:
     def test_depth_zero_is_empty(self, u24):
         W = WeightMatrix(((1, 2, 3, 4), (4, 3, 2, 1)))
-        seen, wit = fiber_bfs(u24, W, (0, 1), 0)
+        seen, wit = fiber_bfs(u24, W, (0, 1), 0, set(), {})
         assert seen == set() and wit == {}
 
     def test_depth_one_includes_start(self, u24):
         W = WeightMatrix(((1, 2, 3, 4), (4, 3, 2, 1)))
-        seen, _ = fiber_bfs(u24, W, (0, 1), 1)
+        seen, _ = fiber_bfs(u24, W, (0, 1), 1, set(), {})
         assert project(W, (0, 1)) in seen
 
     def test_output_inside_exact_set(self, k4):
         exact = set(exact_projected_set(k4, W_K4))
-        seen, wit = fiber_bfs(k4, W_K4, (0, 1, 2), 3)
+        seen, wit = fiber_bfs(k4, W_K4, (0, 1, 2), 3, set(), {})
         assert seen <= exact
         for p, b in wit.items():
             assert project(W_K4, b) == p
@@ -545,7 +545,7 @@ class TestFiberBFS:
     def test_deep_exhaustive_u24(self, u24):
         W = WeightMatrix(((1, 2, 3, 4), (4, 3, 2, 1)))
         exact = set(exact_projected_set(u24, W))
-        seen, _ = fiber_bfs(u24, W, (0, 1), 10)
+        seen, _ = fiber_bfs(u24, W, (0, 1), 10, set(), {})
         assert seen == exact
 
 

@@ -160,7 +160,7 @@ class TestUnimodularSimplex:
         for M in catalog_connected(5):
             bases = enumerate_bases(M)
             pts = [incidence_vector(b, M.n) for b in bases]
-            cells, _, _ = placing_triangulation(pts)
+            cells, _ = placing_triangulation(pts)
             for cell in cells:
                 if len(cell) == M.n:
                     assert is_unimodular_simplex([pts[i] for i in cell], M)

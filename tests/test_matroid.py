@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from conftest import (
     k4_matroid,
     polytope_constraints,
 )
+import matropt.matroid
 from matropt import (
     DimensionError,
     ParseError,
@@ -186,10 +188,92 @@ class TestAutomorphismGenerators:
         assert orbit == {0, 1, 2}
         assert automorphism_generators(loop) == []
 
+    def test_backtracking_search_finds_the_whole_group(self, monkeypatch):
+        # The 4-spoke wheel without the spoke to rim vertex 3 (hub 4): the
+        # search for an automorphism that fixes vertex 0 must back out of a
+        # dead end, which no catalog graph needs.  Its 24 bases fall into 7
+        # orbits.  Seeded 6-7 vertex graphs join it; without the step back,
+        # the search loses both generators of seed 12's.  The orbits of the
+        # bases under the generators must be those under every vertex
+        # permutation that keeps adjacency, found by brute force, and a
+        # counting list shows that the search did back out.
+        pops = []
+
+        class Images(list):
+            def pop(self, *args):
+                pops.append(1)
+                return super().pop(*args)
+
+        search = matropt.matroid._graph_automorphism
+
+        def counted(adj, order, up, images, w):
+            return search(adj, order, up, Images(images), w)
+
+        monkeypatch.setattr(matropt.matroid, "_graph_automorphism", counted)
+        wheel = [(0, 1), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3), (2, 4)]
+        graphs = [(5, wheel)]
+        for seed in range(13):
+            rng = random.Random(seed)
+            nv = rng.choice((6, 7))
+            graphs.append((nv, [(u, v) for u in range(nv) for v in range(u + 1, nv)
+                                if rng.random() < 0.5]))
+        backtracks, orbit_counts = [], []
+        for nv, edges in graphs:
+            adj = [[0] * nv for _ in range(nv)]
+            for u, v in edges:
+                adj[u][v] = adj[v][u] = 1
+            M = graphic_matroid(adj)
+            pops.clear()
+            gens = automorphism_generators(M)
+            backtracks.append(len(pops))
+            bases = enumerate_bases(M)
+            for g in gens:
+                assert {tuple(sorted(g[e] for e in b)) for b in bases} == set(bases), (edges, g)
+            orbits = _orbits(bases, gens)
+            assert orbits == _orbits(bases, _vertex_automorphisms(M)), edges
+            orbit_counts.append(len(orbits))
+        assert orbit_counts[0] == 7
+        assert backtracks[0] and any(backtracks[1:])
+
     def test_uniform_transpositions(self):
         assert automorphism_generators(uniform_matroid(4, 2)) == [
             (1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)]
         assert automorphism_generators(uniform_matroid(1, 1)) == []
+
+
+def _orbits(bases, perms):
+    """The orbits of the bases under the group the permutations generate."""
+    left, out = set(bases), set()
+    while left:
+        orbit = {min(left)}
+        stack = list(orbit)
+        while stack:
+            b = stack.pop()
+            for g in perms:
+                image = tuple(sorted(g[e] for e in b))
+                if image not in orbit:
+                    orbit.add(image)
+                    stack.append(image)
+        out.add(frozenset(orbit))
+        left -= orbit
+    return out
+
+
+def _vertex_automorphisms(M):
+    """Every permutation of a graphic matroid's edges that a vertex
+    permutation keeping the adjacency of its non-bridge edges induces, the
+    bridges fixed."""
+    nv, edges = M.data
+    ground = set(range(M.n))
+    bridges = {e for e in ground if M.rank_of(ground - {e}) < M.rank}
+    keep = {frozenset(edges[e]) for e in ground - bridges}
+    index = {frozenset(e): k for k, e in enumerate(edges)}
+    out = []
+    for p in permutations(range(nv)):
+        if {frozenset(p[u] for u in e) for e in keep} == keep:
+            out.append(tuple(e if e in bridges else index[frozenset((p[u], p[v]))]
+                             for e, (u, v) in enumerate(edges)))
+    return out
 
 
 class TestGreedy:

@@ -71,9 +71,10 @@ class TestEnumerateBases:
             assert len(set(bases)) == len(bases)
             assert all(M.is_basis(b) for b in bases)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setenv("MATROPT_BASES_CAP", "10")
         with pytest.raises(CapError):
-            enumerate_bases(uniform_matroid(40, 20), cap=10)
+            enumerate_bases(uniform_matroid(40, 20))
 
     def test_leaves_the_rank_memo_empty(self):
         # Each subset is asked once, so the sweep skips the memo, which on
@@ -376,21 +377,22 @@ class TestInterpolation:
 
 class TestDimension:
     def test_connected_catalog(self, k4, u24):
-        assert polytope_dimension(k4) == 5
-        assert polytope_dimension(u24) == 3
+        assert polytope_dimension(k4, (0, 1, 2)) == 5
+        assert polytope_dimension(u24, (0, 1)) == 3
 
     def test_direct_sum_loses_dimensions(self):
         from conftest import square_matroid
 
-        assert polytope_dimension(square_matroid()) == 2
+        M = square_matroid()
+        assert polytope_dimension(M, enumerate_bases(M)[0]) == 2
 
     def test_circuit_route_matches_rank_route(self):
         # n minus the components of a basis's fundamental-circuit graph, for
-        # every basis and for the default one, against the rank of the edge
-        # directions over every basis; loops, coloops, parallel elements and
-        # several components among them.  By Krogdahl every basis's graph
-        # has the matroid's components.
+        # every basis, against the rank of the edge directions over every
+        # basis; loops, coloops, parallel elements and several components
+        # among them.  By Krogdahl every basis's graph has the matroid's
+        # components.
         for M in catalog_small() + exchange_edge_cases():
             bases = enumerate_bases(M)
-            dims = {polytope_dimension(M, [b]) for b in bases} | {polytope_dimension(M)}
+            dims = {polytope_dimension(M, b) for b in bases}
             assert dims == {rank_dimension(M, bases)}, M

@@ -24,17 +24,6 @@ from matropt import (
 )
 
 
-def _placed_prefix(pts, order, cut):
-    """Cells of the first `cut` points of `order`, placed in that order, as
-    sorted tuples of indices into pts."""
-    keep = sorted(order[:cut])
-    local = {g: i for i, g in enumerate(keep)}
-    sub_order = tuple(local[g] for g in order[:cut])
-    cells, got, _ = placing_triangulation([pts[g] for g in keep], order=sub_order)
-    assert got == sub_order
-    return [tuple(keep[i] for i in c) for c in cells]
-
-
 def _affine_rank(points):
     return fraction_rank([tuple(a - b for a, b in zip(p, points[0])) for p in points[1:]])
 
@@ -79,11 +68,10 @@ class TestPlacingMatchesVisibilityLP:
         # boundary facet.
         rng = random.Random(12)
         pts = [(0, 0), (4, 0), (0, 4), (4, 4), (2, 5), (5, 2)]
-        cells, order, _ = placing_triangulation(pts)
         for cut in range(3, len(pts)):
-            placed = [pts[i] for i in order[:cut]]
-            v = pts[order[cut]]
-            sub_cells, _, _ = placing_triangulation(placed)
+            placed = pts[:cut]
+            v = pts[cut]
+            sub_cells, _ = placing_triangulation(placed)
             counts = Counter()
             for c in sub_cells:
                 for f in combinations(c, len(c) - 1):
@@ -95,17 +83,17 @@ class TestPlacingMatchesVisibilityLP:
                 # Recompute what placing would decide by re-running it with
                 # the point appended and checking whether the coned cell
                 # appears.
-                appended, _, _ = placing_triangulation(placed + [v])
+                appended, _ = placing_triangulation(placed + [v])
                 coned = tuple(sorted(f + (len(placed),)))
                 assert (coned in appended) == lp_says
 
     def test_random_sets_agree_with_lp(self):
         # Seeded sets in dims 1-4 with rational coordinates, a point on a
-        # segment, the centroid (relatively interior), a duplicate, and a
-        # shuffled insertion order.  Each step either skips a duplicate,
-        # cones every cell over a point off the affine hull, or appends,
-        # in first-occurrence order of the boundary facets, exactly the
-        # facets the LP calls visible from the new point.
+        # segment, the centroid (relatively interior) and a duplicate,
+        # shuffled and placed prefix by prefix.  Each step either skips a
+        # duplicate, cones every cell over a point off the affine hull, or
+        # appends, in first-occurrence order of the boundary facets, exactly
+        # the facets the LP calls visible from the new point.
         rng = random.Random(20261018)
         for trial in range(40):
             dim = 1 + trial % 4
@@ -117,13 +105,11 @@ class TestPlacingMatchesVisibilityLP:
             pts.append(tuple((x + y) / 2 for x, y in zip(a, b)))
             pts.append(tuple(sum(c) / len(pts) for c in zip(*pts)))
             pts.append(rng.choice(pts))
-            order = list(range(len(pts)))
-            rng.shuffle(order)
-            before = _placed_prefix(pts, order, 1)
-            for cut in range(1, len(pts)):
-                idx = order[cut]
-                placed = [pts[g] for g in order[:cut]]
-                after = _placed_prefix(pts, order, cut + 1)
+            rng.shuffle(pts)
+            before, _ = placing_triangulation(pts[:1])
+            for idx in range(1, len(pts)):
+                placed = pts[:idx]
+                after, _ = placing_triangulation(pts[:idx + 1])
                 if pts[idx] in placed:
                     assert after == before
                 elif _affine_rank(placed + [pts[idx]]) > _affine_rank(placed):
@@ -137,11 +123,9 @@ class TestPlacingMatchesVisibilityLP:
                     ]
                     assert after == before + coned
                 before = after
-            cells, _, _ = placing_triangulation(pts, order=order)
-            assert [tuple(c) for c in cells] == before
 
     def test_u24_polytope_replay(self, u24):
         bases = enumerate_bases(u24)
         pts = [incidence_vector(b, u24.n) for b in bases]
-        cells, _, _ = placing_triangulation(pts)
+        cells, _ = placing_triangulation(pts)
         assert len(cells) == 4  # normalized volume of the octahedron slice

@@ -85,13 +85,12 @@ class TestVisible:
 
 class TestPlacingTriangulation:
     def test_affinely_independent_single_cell(self):
-        cells, order, volumes = placing_triangulation([(0, 0), (1, 0), (0, 1)])
+        cells, volumes = placing_triangulation([(0, 0), (1, 0), (0, 1)])
         assert cells == [(0, 1, 2)]
-        assert order == (0, 1, 2)
         assert volumes == [1]
 
     def test_unit_square_two_triangles(self):
-        cells, _, volumes = placing_triangulation([(0, 0), (1, 0), (0, 1), (1, 1)])
+        cells, volumes = placing_triangulation([(0, 0), (1, 0), (0, 1), (1, 1)])
         assert len(cells) == 2
         assert volumes == [1, 1]
         assert all(len(c) == 3 for c in cells)
@@ -100,19 +99,24 @@ class TestPlacingTriangulation:
             covered |= set(c)
         assert covered == {0, 1, 2, 3}
 
-    def test_order_is_recorded_and_respected(self):
+    def test_a_permuted_list_is_placed_in_its_own_order(self):
+        # (1, 1) lies on the edge from (2, 0) to (0, 2): placed last it sees
+        # no facet and stays unused, placed first it joins both cells.
         pts = [(0, 0), (2, 0), (0, 2), (1, 1)]
-        _, order, _ = placing_triangulation(pts, order=(3, 0, 1, 2))
-        assert order == (3, 0, 1, 2)
+        assert placing_triangulation(pts)[0] == [(0, 1, 2)]
+        order = (3, 0, 1, 2)
+        cells, volumes = placing_triangulation([pts[g] for g in order])
+        assert cells == [(0, 1, 2), (0, 1, 3)] and volumes == [2, 2]
+        assert [tuple(sorted(order[i] for i in c)) for c in cells] == [(0, 1, 3), (0, 2, 3)]
 
     def test_interior_points_left_unused(self):
         # A point inside the current hull sees no facet, so it joins no cell;
         # configurations may legitimately triangulate on a subset.
-        cells, _, _ = placing_triangulation([(0, 0), (2, 0), (1, 0), (0, 1)])
+        cells, _ = placing_triangulation([(0, 0), (2, 0), (1, 0), (0, 1)])
         assert cells == [(0, 1, 3)]
 
     def test_duplicates_ignored(self):
-        cells, _, _ = placing_triangulation([(0, 0), (1, 0), (0, 0), (0, 1)])
+        cells, _ = placing_triangulation([(0, 0), (1, 0), (0, 0), (0, 1)])
         assert all(2 not in c for c in cells)
 
     def test_volume_coverage_on_polytopes(self):
@@ -121,8 +125,8 @@ class TestPlacingTriangulation:
         for M in catalog_connected(6):
             bases = enumerate_bases(M)
             pts = [incidence_vector(b, M.n) for b in bases]
-            cells, _, _ = placing_triangulation(pts)
-            dim = polytope_dimension(M, bases)
+            cells, _ = placing_triangulation(pts)
+            dim = polytope_dimension(M, bases[0])
             total = 0
             for cell in cells:
                 assert len(cell) == dim + 1
@@ -136,25 +140,22 @@ class TestPlacingTriangulation:
     def test_volumes_are_lattice_determinants(self, catalog):
         # Placing's volumes, determinants in the hull's pivot coordinates,
         # against the gcd of the maximal minors of each cell's edge vectors:
-        # the disconnected square and U(2,3) + U(1,2) among them, in the
-        # default order and three seeded shuffled ones, which place cells
-        # of volumes 1 to 5 (about 3 s).
+        # the disconnected square and U(2,3) + U(1,2) among them, the bases
+        # in lexicographic order and three seeded shuffles of them, which
+        # place cells of volumes 1 to 5 (about 3 s).
         two_components = vector_matroid([[1, 0, 1, 0, 0], [0, 1, 1, 0, 0], [0, 0, 0, 1, 2]])
-        assert polytope_dimension(two_components) == 3
+        assert polytope_dimension(two_components, enumerate_bases(two_components)[0]) == 3
         rng = random.Random(5)
         seen = set()
         for M in [*catalog, two_components]:
             pts = [incidence_vector(b, M.n) for b in enumerate_bases(M)]
-            orders = [None]
-            for _ in range(3):
-                orders.append(rng.sample(range(len(pts)), len(pts)))
-            for order in orders:
-                cells, _, volumes = placing_triangulation(pts, order)
+            for placed in [pts] + [rng.sample(pts, len(pts)) for _ in range(3)]:
+                cells, volumes = placing_triangulation(placed)
                 assert len(volumes) == len(cells)
                 for cell, volume in zip(cells, volumes):
-                    first = pts[cell[0]]
-                    edges = [tuple(a - b for a, b in zip(pts[i], first)) for i in cell[1:]]
-                    assert volume == cell_lattice_determinant(edges), (M.label, order, cell)
+                    first = placed[cell[0]]
+                    edges = [tuple(a - b for a, b in zip(placed[i], first)) for i in cell[1:]]
+                    assert volume == cell_lattice_determinant(edges), (M.label, placed, cell)
                     seen.add(volume)
         assert seen == {1, 2, 3, 4, 5}
 
@@ -163,7 +164,7 @@ class TestPlacingTriangulation:
 
         bases = enumerate_bases(u24)
         pts = [incidence_vector(b, u24.n) for b in bases]
-        cells, _, _ = placing_triangulation(pts)
+        cells, _ = placing_triangulation(pts)
         pc = polytope_constraints(u24)
         rng = random.Random(3)
         for cell in cells:
@@ -185,19 +186,25 @@ class TestPlacingMatchesFacetNormals:
     def test_catalog_polytopes(self, catalog):
         for M in catalog:  # U(3,7) among them
             pts = [incidence_vector(b, M.n) for b in enumerate_bases(M)]
-            assert placing_triangulation(pts)[:2] == placing_with_facet_normals(pts), M.label
+            assert placing_triangulation(pts)[0] == placing_with_facet_normals(pts)[0], M.label
 
     def test_k33(self):
         # 8,923 cells: about 1.5 s for the library, 4.5 s for the oracle.
         M = graphic_matroid([[int((i < 3) != (j < 3)) for j in range(6)] for i in range(6)])
         pts = [incidence_vector(b, M.n) for b in enumerate_bases(M)]
-        assert placing_triangulation(pts)[:2] == placing_with_facet_normals(pts)
+        assert placing_triangulation(pts)[0] == placing_with_facet_normals(pts)[0]
 
     def test_seeded_rational_sets(self):
         # Duplicates, points inside the hull and shuffled orders, dims 1-4.
+        # Placing a permuted list permutes the cells of the reference run in
+        # that insertion order.
         for pts, order in seeded_rational_point_sets(300):
-            assert placing_triangulation(pts, order)[:2] == placing_with_facet_normals(pts, order)
-            assert placing_triangulation(pts)[:2] == placing_with_facet_normals(pts)
+            assert placing_triangulation(pts)[0] == placing_with_facet_normals(pts)[0]
+            shuffled = [pts[g] for g in order]
+            cells = placing_triangulation(shuffled)[0]
+            assert cells == placing_with_facet_normals(shuffled)[0]
+            back = sorted(tuple(sorted(order[i] for i in c)) for c in cells)
+            assert back == sorted(placing_with_facet_normals(pts, order)[0])
 
 
 class TestTangentCone:
@@ -483,8 +490,9 @@ class TestTreeCells:
 
     def test_disconnected_cones_match_the_rebuilt_walk(self):
         for M in disconnected_matroids():
-            assert polytope_dimension(M) < M.n - 1
-            for b in enumerate_bases(M):
+            bases = enumerate_bases(M)
+            assert polytope_dimension(M, bases[0]) < M.n - 1
+            for b in bases:
                 cone = tangent_cone(M, b)
                 assert tree_cells(cone) == tree_cells_both_supplies(cone), (M, b)
 
