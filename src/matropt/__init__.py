@@ -64,12 +64,7 @@ from .oracles import (
     polytope_dimension,
     spanning_trees,
 )
-from .triangulate import (
-    Cone,
-    placing_triangulation,
-    tangent_cone,
-    tree_cells,
-)
+from .triangulate import placing_triangulation, tangent_cone, tree_cells
 from .uniform import (
     bounded_composition_counts,
     ehrhart_uniform,

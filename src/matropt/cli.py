@@ -178,7 +178,7 @@ def _run_single_search(args, use_tabu):
         trail.append((pivot, basis, point, value))
 
     if use_tabu:
-        result = tabu_search(M, start, W, obj, args.tabu_limit, transcript=sink)
+        result = tabu_search(M, W, obj, start, args.tabu_limit, transcript=sink)
         reason = "tabu stop"
     else:
         result = local_search(M, W, obj, start, transcript=sink)

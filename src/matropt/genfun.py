@@ -230,7 +230,8 @@ def _orbit_cones(M: Matroid, bases):
     each representative R, the least basis not yet reached, is searched
     one generator at a time, each reached basis taking the pairs of the
     basis it was reached from, carried; the group itself is never listed.
-    Only a representative's cone is built as a `Cone`, for its walk.
+    Only a representative's pairs are read off its fundamental circuits,
+    for its walk.
     """
     gens = automorphism_generators(M)
     todo = set(bases)
@@ -238,9 +239,9 @@ def _orbit_cones(M: Matroid, bases):
         if rep not in todo:
             continue
         todo.remove(rep)
-        cone = tangent_cone(M, rep)
-        cells = tree_cells(cone)
-        stack = [(rep, cone.pairs)]
+        pairs = tangent_cone(M, rep)
+        cells = tree_cells(pairs)
+        stack = [(rep, pairs)]
         while stack:
             basis, pairs = stack.pop()
             yield basis, pairs, cells

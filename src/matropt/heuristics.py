@@ -133,7 +133,7 @@ def local_search(M: Matroid, W: WeightMatrix, objective, start, transcript=None,
         pivots += 1
 
 
-def tabu_search(M: Matroid, start, W: WeightMatrix, objective, tabu_limit, transcript=None,
+def tabu_search(M: Matroid, W: WeightMatrix, objective, start, tabu_limit, transcript=None,
                 scores=None):
     """Pivot to the best not-yet-visited neighbor, even uphill.
 
@@ -178,7 +178,7 @@ def _pivot_test_point(M, W, target, tries, searcher, tabu_limit, seed):
     for _ in range(tries):
         start = random_basis(M, rng)
         if searcher == "ts":
-            found = tabu_search(M, start, W, goal, tabu_limit, scores=scores)
+            found = tabu_search(M, W, goal, start, tabu_limit, scores=scores)
         else:
             found = local_search(M, W, goal, start, scores=scores)
         if scores[_point(W, found)] == 0:
@@ -388,24 +388,25 @@ def boundary_pareto_search(M: Matroid, W: WeightMatrix, tries, seed=0, searcher=
 def fiber_bfs(M: Matroid, W: WeightMatrix, start, depth, seen, witnesses):
     """Bounded BFS that only pivots onto fresh projections.
 
-    Explores from `start`, recording a neighbor only when its projection is
-    not in `seen` (pivots inside a fiber are forbidden), and recursing while
-    the level stays below `depth`.  Depth 0 adds nothing, by the guard.  New
-    projections go into the caller's set `seen` and their bases into its
-    dict `witnesses`; returns (seen, witnesses).
+    Records the projection of `start`, then explores from it, recording a
+    neighbor only when its projection is not in `seen` (pivots inside a
+    fiber are forbidden), and recursing while the level stays below
+    `depth`; depth 0 records the start alone.  New projections go into the
+    caller's set `seen` and their bases into its dict `witnesses`; returns
+    (seen, witnesses).
     """
     _check(M, W)
     start = tuple(sorted(start))
     if not M.is_basis(start):
         raise DimensionError(f"{start} is not a basis")
+    p = _point(W, start)
+    if p not in seen:
+        seen.add(p)
+        witnesses[p] = start
 
-    def rec(basis, level):
+    def rec(basis, level):  # every basis here was recorded when it was reached
         if level >= depth:
             return
-        p = _point(W, basis)
-        if p not in seen:
-            seen.add(p)
-            witnesses[p] = basis
         frontier = []
         for nb in M.adjacent_bases(basis):
             q = _point(W, nb)
@@ -472,11 +473,7 @@ def fiber_bfs_driver(M: Matroid, W: WeightMatrix, *, seed=0, bfs_depth=2, num_se
                 continue
             failures[phase] = 0
             successes += 1
-            if bfs_depth == 0:
-                seen.add(p)
-                witnesses[p] = basis
-            else:
-                fiber_bfs(M, W, basis, bfs_depth, seen, witnesses)
+            fiber_bfs(M, W, basis, bfs_depth, seen, witnesses)
             if successes >= num_searches:
                 break
     return seen, witnesses

@@ -36,7 +36,6 @@ cones take y = sum_k 2^k g_k, generic in every tree cell.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -44,30 +43,12 @@ from operator import mul
 
 from .errors import DimensionError, InternalInconsistencyError
 from .linalg import _extend, _null_vector, bareiss_det, rational_rank
-from .matroid import incidence_vector
 
 
-@dataclass(frozen=True)
-class Cone:
-    """Vertex cone of a matroid polytope at a vertex e_B.
-
-    `apex` is e_B, and generator k is e_j - e_i for the k-th exchange pair
-    (i, j) of `pairs`: i leaves B and j enters it.
-    """
-
-    apex: tuple
-    pairs: tuple
-
-    def __post_init__(self):
-        n = len(self.apex)
-        for i, j in self.pairs:
-            if not (0 <= i < n and 0 <= j < n and self.apex[i] == 1 and self.apex[j] == 0):
-                raise DimensionError(f"({i}, {j}) is not an exchange pair at the apex {self.apex}")
-
-
-def tangent_cone(M, basis) -> Cone:
-    """Vertex cone of the matroid polytope at e_B, one exchange pair per
-    adjacent basis B - i + j in the order of `M.adjacent_bases`.
+def tangent_cone(M, basis):
+    """Vertex cone of the matroid polytope at e_B as its exchange pairs, one
+    per adjacent basis B - i + j in the order of `M.adjacent_bases`: i
+    leaves B, j enters it, and the pair's generator is e_j - e_i.
 
     The pairs are read off the fundamental circuits: (i, j) for each j
     outside B and each i of B on C(B, j).  Sorted sets of one size sort
@@ -79,9 +60,8 @@ def tangent_cone(M, basis) -> Cone:
     if not M.is_basis(b):
         raise DimensionError(f"{b} is not a basis")
     top = M.n - 1
-    pairs = sorted([(i, j) for j, circuit in M._fundamental_circuits(b) for i in circuit],
-                   key=lambda p: (1 << (top - p[0])) - (1 << (top - p[1])))
-    return Cone(apex=incidence_vector(b, M.n), pairs=tuple(pairs))
+    return tuple(sorted([(i, j) for j, circuit in M._fundamental_circuits(b) for i in circuit],
+                        key=lambda p: (1 << (top - p[0])) - (1 << (top - p[1]))))
 
 
 def placing_triangulation(points):
@@ -230,42 +210,41 @@ def _primitive(row):
     return tuple([a // g for a in row])
 
 
-def tree_cells(cone: Cone):
-    """Half-open unimodular cells partitioning a vertex cone of a matroid
-    polytope, one per spanning forest of its exchange graph, as triples
-    (bits, strict, origin): the cell's generator indices in cone order,
-    those of its facets that are strict, and the swap the walk found it
-    by.  origin is (p, e, f) when the cell is cells[p] with generator e
+def tree_cells(pairs):
+    """Half-open unimodular cells partitioning the vertex cone with these
+    exchange pairs, one per spanning forest of its exchange graph, as
+    triples (bits, strict, origin): the cell's generator indices in cone
+    order, those of its facets that are strict, and the swap the walk found
+    it by.  origin is (p, e, f) when the cell is cells[p] with generator e
     swapped out and f swapped in, p always an earlier position, and None
     for the first cell.
 
     Generator k, e_j - e_i for the exchange pair (i, j), is an edge i -> j
-    of height 2^k of the bipartite exchange graph G.  The cells of the
-    regular triangulation for these heights (the placing triangulation in
-    generator order) are spanning forests of G, unimodular as network
-    matrices are totally unimodular.  Kruskal by generator index gives the
-    first cell, and the walk visits the others breadth-first.  The cell
-    across the facet of tree edge e swaps e for the non-tree edge f
-    crossing its cut against e with the least reduced cost
-    2^f - (pi_head - pi_tail), pi the tree's potentials (pi_head - pi_tail
-    = 2^k on tree edge k); with no such edge the facet is on the boundary.
-    A cell lists its neighbours in the order in which walks along the tree
-    paths of the non-tree edges, by index, each from both ends with the
-    deeper end first, meet their e.
+    of height 2^k of the bipartite exchange graph G on the elements of the
+    pairs.  The cells of the regular triangulation for these heights (the
+    placing triangulation in generator order) are spanning forests of G,
+    unimodular as network matrices are totally unimodular.  Kruskal by
+    generator index gives the first cell, and the walk visits the others
+    breadth-first.  The cell across the facet of tree edge e swaps e for
+    the non-tree edge f crossing its cut against e with the least reduced
+    cost 2^f - (pi_head - pi_tail), pi the tree's potentials
+    (pi_head - pi_tail = 2^k on tree edge k); with no such edge the facet
+    is on the boundary.  A cell lists its neighbours by the index of the
+    tree edge they swap out.
 
-    A forest is rooted, each component at the tail of its lowest edge, and
-    kept as masks: anc[v] holds the edges from v up to its root, so the
-    tree path of f = a -> b is anc[a] ^ anc[b], and `heads` the tree edges
-    whose lower end is their head.  A new cell takes the masks of the cell
-    it was found from and changes only the subtree that moves across the
-    swap, and the root when its component's lowest edge changed (the
-    network simplex update of Ahuja, Magnanti and Orlin, Network Flows,
-    1993, ch. 11).  The path masks give the rest: with `back` the edges
-    that the path of f runs from head to tail, pi_b - pi_a is
-    (path ^ back) - back, both masks read as sums of powers of two.  The
-    new cell keeps the swap as its origin, so that a consumer can update
-    what it sums over a cell's generators from the cell's origin, with one
-    generator out and one in, instead of summing it afresh.
+    A forest is rooted, each component at its least vertex for the whole
+    walk, and kept as masks: anc[v] holds the edges from v up to its root,
+    so the tree path of f = a -> b is anc[a] ^ anc[b], and `heads` the tree
+    edges whose lower end is their head.  A new cell takes the masks of
+    the cell it was found from and changes only the subtree that moves
+    across the swap (the network simplex update of Ahuja, Magnanti and
+    Orlin, Network Flows, 1993, ch. 11).  The path masks give the rest:
+    with `back` the edges that the path of f runs from head to tail,
+    pi_b - pi_a is (path ^ back) - back, both masks read as sums of powers
+    of two; neither mask depends on the roots.  The new cell keeps the swap
+    as its origin, so that a consumer can update what it sums over a cell's
+    generators from the cell's origin, with one generator out and one in,
+    instead of summing it afresh.
 
     Facet j of a cell is strict exactly when coordinate j of
     y = sum_k 2^k g_k is negative.  In a tree cell g_f is the signed sum of
@@ -275,10 +254,9 @@ def tree_cells(cone: Cone):
     the sign of its highest term.  So e is strict exactly when the highest
     such f exceeds e and runs e from head to tail.
     """
-    pairs = cone.pairs
     if not pairs:
         return [((), (), None)]
-    n, m = len(cone.apex), len(pairs)
+    n, m = 1 + max(map(max, pairs)), len(pairs)
     label, first, adj = list(range(n)), 0, [[] for _ in range(n)]
     for k, (i, j) in enumerate(pairs):  # Kruskal by index: the minimum spanning forest
         if label[i] != label[j]:
@@ -287,16 +265,12 @@ def tree_cells(cone: Cone):
             label = [new if c == old else c for c in label]
             adj[i].append((j, k, 1))
             adj[j].append((i, k, -1))
-    component = {}  # label -> mask of the component's edges
-    for k, (i, _) in enumerate(pairs):
-        component[label[i]] = component.get(label[i], 0) | 1 << k
-    members = {c: [v for v in range(n) if label[v] == c] for c in component}
-    cells = [_first_cell(first, adj, pairs, component.values())]
+    cells = [_first_cell(first, adj)]
     seen = {first}
     out = []
     for index, cell in enumerate(cells):  # grows while it is read: breadth-first
         tree, bits, anc, heads, origin = cell
-        crossing, order, covered = [], [], 0
+        crossing, inner = [], 0
         for f in range(m):
             if tree >> f & 1:
                 continue
@@ -309,69 +283,58 @@ def tree_cells(cone: Cone):
                 raise InternalInconsistencyError(
                     "a tree with a non-positive reduced cost is not a cell")
             crossing.append((cost, f, path, back))
-            new = back & ~covered
-            if new & (new - 1):  # deeper lower end first, a's side first at equal depth
-                order += sorted(_bits(new), key=lambda e: (
-                    -anc[pairs[e][1] if heads >> e & 1 else pairs[e][0]].bit_count(),
-                    not up_a >> e & 1))
-            elif new:
-                order.append(new.bit_length() - 1)
-            covered |= new
+            inner |= back
         strict = decided = 0
         for _, f, path, back in reversed(crossing):  # the highest f decides its path's signs
             strict |= back & ~decided & ((1 << f) - 1)
             decided |= path
         out.append((bits, tuple(_bits(strict)), origin))
-        best = {}
+        best, left = {}, inner
         crossing.sort()  # least reduced cost, then least index
         for cost, f, path, back in crossing:
-            new = back & covered
+            new = back & left
             if new:
-                covered ^= new
+                left ^= new
                 for e in _bits(new):
                     best[e] = f
-                if not covered:
+                if not left:
                     break
-        for e in order:
+        for e in _bits(inner):
             f = best[e]
             child = tree ^ (1 << e) ^ (1 << f)
             if child not in seen:
                 seen.add(child)
-                c = label[pairs[f][0]]
-                cells.append(_swap(cell, index, child, e, f, pairs, component[c], members[c]))
+                cells.append(_swap(cell, index, child, e, f, pairs))
         cell[2] = None  # no later cell is found from this one
     if [strict for _, strict, _ in out].count(()) != 1:
         raise InternalInconsistencyError("y is interior to the cone, so one cell must be closed")
     return out
 
 
-def _first_cell(tree, adj, pairs, components):
+def _first_cell(tree, adj):
     """[tree, bits, anc, heads, None] of the Kruskal forest, given as
     (neighbour, edge, +1 if the neighbour is the edge's head else -1) per
-    vertex, every component rooted at the tail of its lowest edge.
+    vertex, every component rooted at its least vertex.
 
     bits lists the tree edges, lowest first; anc[v] masks the edges from v
     up to its root; heads masks the tree edges whose lower end is their
     head.
     """
-    n = len(adj)
-    up = [None] * n
-    order = []
-    for mask in components:
-        stack = [pairs[(mask & -mask).bit_length() - 1][0]]
+    anc, heads, reached = [0] * len(adj), 0, [False] * len(adj)
+    for root in range(len(adj)):
+        if reached[root]:
+            continue
+        reached[root] = True
+        stack = [root]
         while stack:
             v = stack.pop()
             for w, k, sign in adj[v]:
-                if up[v] is None or up[v][1] != k:
-                    up[w] = (v, k, sign)
-                    order.append(w)
+                if not reached[w]:
+                    reached[w] = True
+                    anc[w] = anc[v] | 1 << k
+                    if sign > 0:
+                        heads |= 1 << k
                     stack.append(w)
-    anc, heads = [0] * n, 0
-    for v in order:  # parents first
-        p, k, sign = up[v]
-        anc[v] = anc[p] | 1 << k
-        if sign > 0:
-            heads |= 1 << k
     return [tree, tuple(_bits(tree)), anc, heads, None]
 
 
@@ -383,16 +346,14 @@ def _bits(mask):
         mask ^= low
 
 
-def _swap(cell, index, child, e, f, pairs, component, members):
+def _swap(cell, index, child, e, f, pairs):
     """[child, bits, anc, heads, (index, e, f)] of the cell that swaps tree
     edge e of cells[index] for f = a -> b, e on the tree path of f.
 
     The subtree below e, the vertices whose root path holds e, hangs from
     f by its end x of f: the path from v to x, f and the path above f's
     other end y make its new root path.  The edges from x up to e turn
-    around.  When the component's lowest edge changed, it is re-rooted at
-    that edge's tail: every root path there gains or loses the new root's
-    path.
+    around.  The swap keeps every component's vertices, so its root stays.
     """
     tree, bits, anc, heads, _ = cell
     bits = list(bits)
@@ -405,15 +366,5 @@ def _swap(cell, index, child, e, f, pairs, component, members):
     if x == b:
         heads |= 1 << f
     ax, above = anc[x], anc[y] | 1 << f
-    anc = list(anc)
-    for v in members:
-        if anc[v] >> e & 1:
-            anc[v] = anc[v] ^ ax | above
-    old, new = tree & component, child & component
-    root = pairs[(new & -new).bit_length() - 1][0]
-    if root != pairs[(old & -old).bit_length() - 1][0]:
-        flip = anc[root]
-        heads ^= flip
-        for v in members:
-            anc[v] ^= flip
+    anc = [u ^ ax | above if u >> e & 1 else u for u in anc]
     return [child, tuple(bits), anc, heads, (index, e, f)]

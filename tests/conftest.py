@@ -16,7 +16,6 @@ from math import comb, factorial, gcd, lcm, perm
 import pytest
 
 from matropt import (
-    Cone,
     DimensionError,
     InternalInconsistencyError,
     Matroid,
@@ -203,6 +202,23 @@ def catalog():
 
 
 @dataclass(frozen=True)
+class VertexCone:
+    """Vertex cone of a matroid polytope at a vertex e_B, for the oracles.
+
+    `apex` is e_B, and generator k is e_j - e_i for the k-th exchange pair
+    (i, j) of `pairs`: i leaves B and j enters it.
+    """
+
+    apex: tuple
+    pairs: tuple
+
+
+def vertex_cone(M: Matroid, basis) -> VertexCone:
+    """The vertex cone at e_basis, with the exchange pairs of `tangent_cone`."""
+    return VertexCone(incidence_vector(basis, M.n), tangent_cone(M, basis))
+
+
+@dataclass(frozen=True)
 class HalfOpenSimplicialCone:
     """Simplicial cone with a subset of facets made strict.
 
@@ -232,7 +248,7 @@ class GenFunTerm:
                 raise DimensionError("denominator exponents must be nonzero")
 
 
-def cone_generators(cone: Cone):
+def cone_generators(cone: VertexCone):
     """The generators e_j - e_i of a vertex cone, in cone order."""
     out = []
     for i, j in cone.pairs:
@@ -242,7 +258,7 @@ def cone_generators(cone: Cone):
     return tuple(out)
 
 
-def half_open_cells(cone: Cone, cells=None):
+def half_open_cells(cone: VertexCone, cells=None):
     """The cone's cells (by default its `tree_cells`) as half-open
     simplicial cones, strict facets given by their positions among the
     cell's generators."""
@@ -250,11 +266,11 @@ def half_open_cells(cone: Cone, cells=None):
     return [
         HalfOpenSimplicialCone(cone.apex, tuple(gens[k] for k in bits),
                                frozenset(bits.index(k) for k in strict))
-        for bits, strict, _ in (tree_cells(cone) if cells is None else cells)
+        for bits, strict, _ in (tree_cells(cone.pairs) if cells is None else cells)
     ]
 
 
-def cell_term(cone: Cone, bits, strict) -> GenFunTerm:
+def cell_term(cone: VertexCone, bits, strict) -> GenFunTerm:
     """Term of one tree cell: the numerator sits at the unique lattice
     point of its fundamental parallelepiped, the apex plus the strict
     generators (the cells are unimodular by construction)."""
@@ -272,8 +288,8 @@ def matroid_genfun(M: Matroid, bases=None):
         bases = enumerate_bases(M)
     terms = []
     for b in bases:
-        cone = tangent_cone(M, b)
-        terms += [cell_term(cone, bits, strict) for bits, strict, _ in tree_cells(cone)]
+        cone = vertex_cone(M, b)
+        terms += [cell_term(cone, bits, strict) for bits, strict, _ in tree_cells(cone.pairs)]
     return terms
 
 
@@ -286,8 +302,8 @@ def ehrhart_per_cone(M: Matroid):
     powers = _powers(range(1 - M.n, M.n), dim)
     values = []
     for b in bases:
-        cone = tangent_cone(M, b)
-        values.append(_cone_value(b, cone.pairs, tree_cells(cone), powers))
+        pairs = tangent_cone(M, b)
+        values.append(_cone_value(b, pairs, tree_cells(pairs), powers))
     return dilation_polynomial(values, dim)
 
 
@@ -913,7 +929,7 @@ def join_to_apex(cells, apex_index):
     return [tuple(sorted(f + (apex_index,))) for f in boundary if apex_index not in f]
 
 
-def cone_triangulation(cone: Cone):
+def cone_triangulation(cone: VertexCone):
     """Triangulate a vertex cone into simplicial cones sharing its apex.
 
     Two placing passes: triangulate conv({0} u generators), then join the
@@ -1024,7 +1040,7 @@ def genfun_of_halfopen(half) -> GenFunTerm:
 # generator and coordinate.
 
 
-def tree_cells_both_supplies(cone: Cone):
+def tree_cells_both_supplies(cone: VertexCone):
     """The tree cells of a vertex cone as (bits, strict, origin), in the
     same order and with the same strict flags and swap records as
     `triangulate.tree_cells`, every forest rebuilt from its edges, every
@@ -1091,7 +1107,7 @@ def _mask_rooted_forest(tree, ends):
 
 def _mask_neighbours(tree, rows, ends, n):
     """Cells across the facets of a tree cell, by one network-simplex ratio
-    test per tree edge."""
+    test per tree edge, in the order of the edges they swap out."""
     pi = [0] * n
     depth = [0] * n
     up = [None] * n  # (parent, edge, sign) per vertex
@@ -1116,7 +1132,7 @@ def _mask_neighbours(tree, rows, ends, n):
                 backward = sign < 0
             if backward and (e not in best or cost < best[e][0]):
                 best[e] = (cost, f)
-    return [tree ^ (1 << e) ^ (1 << f) for e, (_, f) in best.items()]
+    return [tree ^ (1 << e) ^ (1 << f) for e, (_, f) in sorted(best.items())]
 
 
 def _mask_tree_coordinates(rows, y, tree):

@@ -27,6 +27,7 @@ from conftest import (
     reduced_determinant,
     specialize_count,
     todd_eval,
+    vertex_cone,
 )
 from matropt import (
     Linear,
@@ -53,7 +54,6 @@ from matropt import (
     projected_boundary,
     random_basis,
     spanning_trees,
-    tangent_cone,
     uniform_matroid,
 )
 from matropt.linalg import bareiss_det
@@ -210,7 +210,7 @@ def test_criterion_07_unimodular_triangulations():
                 assert abs(bareiss_det(rows)) == M.rank
         for M in (m for m in catalog_connected(7) if m.n <= 7):
             for b in enumerate_bases(M):
-                for cell in cone_triangulation(tangent_cone(M, b)):
+                for cell in cone_triangulation(vertex_cone(M, b)):
                     if cell:
                         assert cell_lattice_determinant(cell) == 1
 

@@ -115,7 +115,7 @@ class TestLocalSearch:
         with pytest.raises(DimensionError):
             local_search(u24, W, Linear((1, 0)), bad)
         with pytest.raises(DimensionError):
-            tabu_search(u24, bad, W, Linear((1, 0)), 2)
+            tabu_search(u24, W, Linear((1, 0)), bad, 2)
         with pytest.raises(DimensionError):
             projected_boundary(u24, W, bad)
         with pytest.raises(DimensionError):
@@ -159,19 +159,19 @@ class TestTabuSearch:
             enumerate_bases(k4), key=lambda b: (obj(project(W_K4, b)), b)
         )
         for limit in (1, 5, 50):
-            assert tabu_search(k4, best_basis, W_K4, obj, limit) == best_basis
+            assert tabu_search(k4, W_K4, obj, best_basis, limit) == best_basis
 
     def test_large_limit_finds_optimum_u24(self, u24):
         W = WeightMatrix(((1, 2, 3, 4), (4, 3, 2, 1)))
         for target in {project(W, b) for b in enumerate_bases(u24)}:
             obj = SquaredDistance(target)
-            found = tabu_search(u24, (0, 1), W, obj, 10)
+            found = tabu_search(u24, W, obj, (0, 1), 10)
             assert obj(project(W, found)) == 0
 
     def test_never_revisits(self, k4):
         trail = []
         tabu_search(
-            k4, (0, 1, 2), W_K4, SquaredDistance((11, 14)), 100,
+            k4, W_K4, SquaredDistance((11, 14)), (0, 1, 2), 100,
             transcript=lambda piv, b, p, v: trail.append(b),
         )
         assert len(trail) == len(set(trail))
@@ -188,7 +188,7 @@ class TestTabuSearch:
                     scored.append(point)
                     return goal(point)
 
-                tabu_search(M, random_basis(M, random.Random(seed)), W, counting, 20)
+                tabu_search(M, W, counting, random_basis(M, random.Random(seed)), 20)
                 assert len(scored) == len(set(scored)), (k, seed)
 
     def test_at_least_as_good_as_local_search(self, k4):
@@ -198,7 +198,7 @@ class TestTabuSearch:
         for seed in range(1000):
             start = random_basis(k4, random.Random(seed))
             ls_val = obj(project(W_K4, local_search(k4, W_K4, obj, start)))
-            ts_val = obj(project(W_K4, tabu_search(k4, start, W_K4, obj, 100)))
+            ts_val = obj(project(W_K4, tabu_search(k4, W_K4, obj, start, 100)))
             assert ts_val <= ls_val
             ls_wins += ls_val == 0
             ts_wins += ts_val == 0
@@ -524,10 +524,13 @@ class TestBoundaryParetoSearch:
 
 
 class TestFiberBFS:
-    def test_depth_zero_is_empty(self, u24):
+    def test_depth_zero_keeps_the_start(self, u24):
         W = WeightMatrix(((1, 2, 3, 4), (4, 3, 2, 1)))
-        seen, wit = fiber_bfs(u24, W, (0, 1), 0, set(), {})
-        assert seen == set() and wit == {}
+        seen, wit = fiber_bfs(u24, W, (1, 0), 0, set(), {})
+        assert seen == {project(W, (0, 1))} and wit == {project(W, (0, 1)): (0, 1)}
+        # A start whose projection is already known records nothing.
+        known = {project(W, (0, 1))}
+        assert fiber_bfs(u24, W, (0, 1), 0, known, {}) == ({project(W, (0, 1))}, {})
 
     def test_depth_one_includes_start(self, u24):
         W = WeightMatrix(((1, 2, 3, 4), (4, 3, 2, 1)))
@@ -656,8 +659,8 @@ class TestKnobValidation:
     def test_tabu_search(self, k4):
         obj = SquaredDistance((9, 12))
         with pytest.raises(DimensionError):
-            tabu_search(k4, (0, 1, 2), W_K4, obj, 0)
-        assert k4.is_basis(tabu_search(k4, (0, 1, 2), W_K4, obj, 1))
+            tabu_search(k4, W_K4, obj, (0, 1, 2), 0)
+        assert k4.is_basis(tabu_search(k4, W_K4, obj, (0, 1, 2), 1))
 
 
 class TestProjectionMemo:
