@@ -3,8 +3,8 @@
 Pipeline: every vertex cone of P_M is cut into unimodular half-open cells
 that partition it, the spanning-forest cells of its exchange graph
 (`triangulate.tree_cells`), walked once per orbit of the bases under the
-matroid's automorphisms and carried to the other cones of the orbit; each
-cell contributes one term
+matroid's automorphisms, found from the bases alone, and carried to the
+other cones of the orbit; each cell contributes one term
 z^a / prod(1 - z^b_j), and the vertex sum equals the full lattice-point
 generating function.  Evaluating at z = 1 (a removable singularity)
 through Todd-polynomial weights yields exact counts and, with the dilation
@@ -219,8 +219,8 @@ def dilation_polynomial(values, dim: int):
 def _orbit_cones(M: Matroid, bases):
     """Every vertex cone of P_M, once each, with half-open cells: triples
     (basis, pairs, cells), the cone at e_basis with those exchange pairs,
-    `tree_cells` taken once per orbit of the bases under
-    `automorphism_generators`.
+    `tree_cells` taken once per orbit of the bases under the group that
+    `automorphism_generators` reads off them, on every backend.
 
     An automorphism sigma carries the vertex cone at e_R onto the one at
     e_sigma(R), and exchange pair (i, j) of R onto (sigma(i), sigma(j)).
@@ -233,7 +233,7 @@ def _orbit_cones(M: Matroid, bases):
     Only a representative's pairs are read off its fundamental circuits,
     for its walk.
     """
-    gens = automorphism_generators(M)
+    gens = automorphism_generators(M.n, bases)
     todo = set(bases)
     for rep in bases:
         if rep not in todo:

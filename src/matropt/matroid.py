@@ -2,7 +2,8 @@
 
 A `Matroid` (uniform, graphic or vector) answers rank, basis and
 basis-exchange queries; around it sit incidence vectors, the greedy
-maximum-weight basis and seeded random bases.  Elements are 0-based
+maximum-weight basis, seeded random bases and the automorphism group,
+read off the list of bases whatever the backend.  Elements are 0-based
 internally and rendered 1-based at the file/CLI surface.  A `Matroid` is
 immutable after construction and safe to share across workers; every
 operation is a pure function of (matroid, arguments, seed).
@@ -215,82 +216,67 @@ def _forest_size(data, edge_subset) -> int:
     return size
 
 
-def automorphism_generators(M: Matroid):
-    """Automorphisms of M, each a permutation sigma of the ground set (a
-    tuple, sigma[e] the image of e) that maps bases onto bases.
+def automorphism_generators(n: int, bases):
+    """Generators of the automorphisms of the matroid on [n] with the given
+    bases (sorted tuples): permutations sigma (tuples, sigma[e] the image
+    of e) that map the bases onto themselves, read off the bases alone.
 
-    Uniform matroids take the n - 1 adjacent transpositions, which generate
-    every permutation.  Graphic matroids take vertex permutations that keep
-    adjacency, acting on edge labels, of the graph without its bridges:
-    a bridge is a coloop, in every basis, so it is fixed and no orbit of
-    bases is lost.  For each vertex v_i in turn (those that meet no edge
-    are left out), one automorphism per image w that fixes v_0..v_(i-1)
-    and sends v_i to w: at most v(v - 1)/2 of them however large the group.
-    Vector matroids take none.
+    A stabilizer chain (Sims, Computational methods in the study of
+    permutation groups, 1970): level i keeps 0..i-1 fixed and, for each
+    w > i not yet in the orbit of i under the level's generators, largest
+    first, looks depth-first for a map that sends i to w; the first one
+    found joins the generators.  Each level's orbit of i is then the
+    whole orbit under its stabilizer, so the generators of all levels
+    generate the group.  Position p may take x only when p and x lie in
+    equally many bases, p and a in as many as x and the image of a, for
+    every a < p, and the image of every basis whose largest element is p
+    is a basis.  Every basis is checked when its largest element is
+    placed, so a complete map sends the bases into, hence onto, the bases.
     """
-    if M.kind == "uniform":
-        return [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, M.n)) for i in range(M.n - 1)]
-    if M.kind != "graphic":
-        return []
-    nv, edges = M.data
-    ground = set(range(M.n))
-    bridges = {e for e in ground if M.rank_of(ground - {e}) < M.rank}
-    adj = [set() for _ in range(nv)]
-    for e, (u, v) in enumerate(edges):
-        if e not in bridges:
-            adj[u].add(v)
-            adj[v].add(u)
-    # Breadth-first, component by component: up[p] is the position of the
-    # parent of order[p], None at a component's first vertex.  An image of
-    # order[p] must be a neighbour of its parent's image.
-    order, up = [], []
-    for root in range(nv):
-        if adj[root] and root not in order:
-            k = len(order)
-            order.append(root)
-            up.append(None)
-            while k < len(order):
-                below = sorted(adj[order[k]].difference(order))
-                order += below
-                up += [k] * len(below)
-                k += 1
-    index = {e: k for k, e in enumerate(edges)}
-    out = []
-    for i in range(len(order)):
-        for w in order[i + 1:]:
-            if up[i] is not None and w not in adj[order[up[i]]]:
+    masks = {sum(1 << e for e in b) for b in bases}
+    both = [[0] * n for _ in range(n)]  # both[e][f]: bases holding e and f
+    ending = [[] for _ in range(n)]  # ending[p]: bases with largest element p, less p
+    for b in bases:
+        for e in b:
+            for f in b:
+                both[e][f] += 1
+        if b:
+            ending[b[-1]].append(b[:-1])
+
+    def fits(img, x):
+        p = len(img)
+        return (x not in img and both[p][p] == both[x][x]
+                and all(both[p][a] == both[x][y] for a, y in enumerate(img))
+                and all((sum(1 << img[a] for a in rest) | 1 << x) in masks for rest in ending[p]))
+
+    gens = []
+    for i in range(n - 1):
+        level, orbit = [], {i}
+        for w in range(n - 1, i, -1):
+            if w in orbit:
                 continue
-            images = _graph_automorphism(adj, order, up, order[:i], w)
-            if images is not None:
-                to = dict(zip(order, images))
-                out.append(tuple(e if e in bridges else index[min(to[u], to[v]), max(to[u], to[v])]
-                                 for e, (u, v) in enumerate(edges)))
-    return out
-
-
-def _graph_automorphism(adj, order, up, images, w):
-    """Images of the vertices of `order` under an automorphism of the graph
-    that sends order[:len(images)] to `images` and the next vertex to w,
-    by backtracking with degree and adjacency pruning; None if there is
-    none."""
-    pools = [iter([w])]  # pools[-1]: the candidates left for the next position
-    while pools:
-        v = order[len(images)]
-        for x in pools[-1]:
-            if x not in images and len(adj[x]) == len(adj[v]) and all(
-                    (a in adj[v]) == (b in adj[x]) for a, b in zip(order, images)):
-                images.append(x)
-                break
-        else:
-            pools.pop()
+            img = list(range(i))
+            pools = [iter([w])]  # pools[-1]: the candidates left for the next position
+            while pools and len(img) < n:
+                x = next((x for x in pools[-1] if fits(img, x)), None)
+                if x is None:
+                    pools.pop()
+                    if pools:
+                        img.pop()
+                else:
+                    img.append(x)
+                    pools.append(iter(range(n)))
             if pools:
-                images.pop()
-            continue
-        p = len(images)
-        if p == len(order):
-            return images
-        pools.append(iter(order if up[p] is None else adj[images[up[p]]]))
-    return None
+                level.append(tuple(img))
+                stack = list(orbit)
+                while stack:
+                    e = stack.pop()
+                    for g in level:
+                        if g[e] not in orbit:
+                            orbit.add(g[e])
+                            stack.append(g[e])
+        gens += level
+    return gens
 
 
 def incidence_vector(basis, n):

@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, factorial, gcd, lcm, perm
 
 import pytest
@@ -86,12 +86,11 @@ def k23_adjacency():
     return adj
 
 
-def wheel4_adjacency():
-    # Hub 0 joined to a 4-cycle on 1..4: five vertices, eight edges.
-    adj = [[0] * 5 for _ in range(5)]
-    cycle = [1, 2, 3, 4]
-    for i, u in enumerate(cycle):
-        v = cycle[(i + 1) % 4]
+def wheel_adjacency(k):
+    # Hub 0 joined to a k-cycle on 1..k: k + 1 vertices, 2k edges.
+    adj = [[0] * (k + 1) for _ in range(k + 1)]
+    for u in range(1, k + 1):
+        v = u % k + 1
         adj[u][v] = adj[v][u] = 1
         adj[0][u] = adj[u][0] = 1
     return adj
@@ -128,7 +127,7 @@ def catalog_small():
         uniform_matroid(6, 3),
         uniform_matroid(7, 3),
         uniform_matroid(8, 4),
-        graphic_matroid(wheel4_adjacency()),
+        graphic_matroid(wheel_adjacency(4)),
         graphic_matroid(cycle_adjacency(3)),
         graphic_matroid(cycle_adjacency(4)),
         graphic_matroid(cycle_adjacency(5)),
@@ -377,6 +376,43 @@ def brute_adjacent(M: Matroid, basis):
                 if M.is_basis(cand):
                     out.add(cand)
     return out
+
+
+def brute_orbits(n, bases):
+    """The orbits of the bases under every permutation of the ground set
+    [n] that maps the bases onto themselves, found by trying all n! of
+    them (oracle for n <= 9).  A permutation p is tried as the tuple of
+    bits 1 << p[e], so the image of b is the basis with mask
+    sum(p[e] for e in b)."""
+    basis = {sum(1 << e for e in b): b for b in bases}
+    reach = {b: set() for b in bases}
+    for p in permutations([1 << e for e in range(n)]):
+        images = []
+        for b in bases:
+            image = basis.get(sum(map(p.__getitem__, b)))
+            if image is None:
+                break
+            images.append(image)
+        else:
+            for b, image in zip(bases, images):
+                reach[b].add(image)
+    return {frozenset(orbit) for orbit in reach.values()}
+
+
+def shuffled_columns(M: Matroid, rng: random.Random) -> Matroid:
+    """A graphic or vector matroid relabelled: the vector matroid of its
+    columns, for a graph the signed incidence columns e_u - e_v of its
+    edges (u, v), in an order shuffled by `rng`.  Anything that does not
+    depend on the labels, such as the Ehrhart polynomial, must come out
+    the same through other bases, other orbits and the vector rank
+    oracle."""
+    if M.kind == "graphic":
+        nv, edges = M.data
+        cols = [[(w == u) - (w == v) for w in range(nv)] for u, v in edges]
+    else:
+        cols = list(M.data[1])
+    rng.shuffle(cols)
+    return vector_matroid([list(row) for row in zip(*cols)])
 
 
 def brute_max_weight(M: Matroid, weights):

@@ -63,14 +63,15 @@ class TestCoreCommands:
 
     def test_ehrhart_star_is_quick(self, tmp_path):
         # The 9-leaf star has 9! automorphisms and one basis, so listing
-        # the group would cost seconds for nothing.  Its generators stay at
-        # most v(v - 1)/2 (none: every edge is a bridge), and its polytope
+        # the group would cost seconds for nothing.  The search finds 8
+        # generators, one per level, within v(v - 1)/2, and its polytope
         # is a point.
-        from matropt import automorphism_generators, graphic_matroid
+        from matropt import automorphism_generators, enumerate_bases, graphic_matroid
 
         v = 10
         adj = [[int((i == 0) != (j == 0)) for j in range(v)] for i in range(v)]
-        assert len(automorphism_generators(graphic_matroid(adj))) <= v * (v - 1) // 2
+        M = graphic_matroid(adj)
+        assert len(automorphism_generators(M.n, enumerate_bases(M))) <= v * (v - 1) // 2
         path = tmp_path / "star.graph"
         path.write_text(f"graph {v}\n" + "".join(" ".join(map(str, row)) + "\n" for row in adj))
         start = time.perf_counter()

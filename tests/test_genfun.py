@@ -16,6 +16,7 @@ from conftest import (
     catalog_small,
     cell_term,
     count_lattice_points,
+    diamond_adjacency,
     disconnected_matroids,
     ehrhart_per_cone,
     evaluate_polynomial,
@@ -24,16 +25,20 @@ from conftest import (
     genfun_of_halfopen,
     hstar_by_half_open_placing,
     interpolate_ehrhart,
+    k23_adjacency,
     matroid_genfun,
     minimal_matroid,
     minimal_matroid_count,
+    shuffled_columns,
     sparse_paving_count,
     sparse_paving_non_bases,
     specialize_count,
+    square_matroid,
     term_polynomial,
     term_polynomial_taylor_shift,
     todd_eval,
     vertex_cone,
+    wheel_adjacency,
 )
 from matropt import (
     DimensionError,
@@ -320,10 +325,9 @@ class TestEhrhartPipeline:
     def test_wheel_graph_rank_four(self):
         # 8-edge wheel: value at k = 1 is its spanning-tree count, and the
         # series numerator of the resulting counts is non-negative.
-        from conftest import wheel4_adjacency
         from matropt import graphic_matroid, hstar_from_counts, laplacian_tree_count
 
-        M = graphic_matroid(wheel4_adjacency())
+        M = graphic_matroid(wheel_adjacency(4))
         nv, edges = M.data
         coeffs = ehrhart_polynomial(M)
         assert coeffs == (
@@ -389,6 +393,14 @@ class TestEhrhartPipeline:
         )
         assert evaluate_polynomial(coeffs, 1) == 432
 
+    K6 = tuple(map(Fraction, (
+        "1", "1563391/180180", "2710218517/75675600", "37289185/399168",
+        "187782661/1088640", "57856559/241920", "5603803493/21772800",
+        "2267927/10368", "2247716213/15240960", "56758883/725760",
+        "346782833/10886400", "1271213/133056", "47174219/23950080",
+        "12821917/51891840", "5591699/396264960",
+    )))
+
     @pytest.mark.slow
     def test_k6_pinned(self):
         # K6 (15 edges, 1,296 bases in 6 orbits, dim 14, 350,370 cells):
@@ -398,14 +410,18 @@ class TestEhrhartPipeline:
 
         M = graphic_matroid([[int(i != j) for j in range(6)] for i in range(6)])
         coeffs = ehrhart_polynomial(M)
-        assert coeffs == tuple(map(Fraction, (
-            "1", "1563391/180180", "2710218517/75675600", "37289185/399168",
-            "187782661/1088640", "57856559/241920", "5603803493/21772800",
-            "2267927/10368", "2247716213/15240960", "56758883/725760",
-            "346782833/10886400", "1271213/133056", "47174219/23950080",
-            "12821917/51891840", "5591699/396264960",
-        )))
+        assert coeffs == self.K6
         assert evaluate_polynomial(coeffs, 1) == 1296
+
+    @pytest.mark.slow
+    def test_k6_shuffled_vector_pinned(self):
+        # K6 as the vector matroid of its signed incidence columns, in a
+        # seeded order: other labels, other orbit representatives and the
+        # vector rank oracle, the same polynomial.  About 7 s.
+        M = shuffled_columns(graphic_matroid([[int(i != j) for j in range(6)] for i in range(6)]),
+                             random.Random(6))
+        assert M.kind == "vector"
+        assert ehrhart_polynomial(M) == self.K6
 
     @pytest.mark.slow
     def test_k35_pinned(self):
@@ -442,6 +458,19 @@ class TestEhrhartPipeline:
         from conftest import vector_k4
 
         assert ehrhart_polynomial(vector_k4()) == ehrhart_polynomial(k4)
+
+    def test_relabelled_matroids_agree(self):
+        # Every catalog matroid but the uniform ones, which relabelling
+        # leaves alone, and the wheels with 3 to 6 spokes, as vector
+        # matroids of their columns (a graph's signed incidence columns)
+        # in two seeded orders: the polynomial must not depend on the
+        # labels, the orbits or the rank oracle.
+        mats = [M for M in catalog_small() if M.kind != "uniform"]
+        mats += [graphic_matroid(wheel_adjacency(k)) for k in range(3, 7)]
+        for M in mats:
+            coeffs = ehrhart_polynomial(M)
+            for seed in (1, 2):
+                assert ehrhart_polynomial(shuffled_columns(M, random.Random(seed))) == coeffs, M
 
     def test_hstar_nonnegative_on_catalog(self):
         for M in catalog_connected(6):
@@ -498,7 +527,11 @@ class TestOrbitCones:
 
         monkeypatch.setattr(matropt.genfun, "tree_cells", counted)
         k5 = graphic_matroid([[int(i != j) for j in range(5)] for i in range(5)])
-        for M, orbits in ((k5, 3), (uniform_matroid(6, 3), 1), (vector_matroid(VECTOR_2x5), 9)):
+        # The 2x5 vector matroid swaps its parallel columns 1 and 5 and the
+        # diamond its series pairs; the square is U(1,2) + U(1,2).
+        for M, orbits in ((k5, 3), (uniform_matroid(6, 3), 1), (vector_matroid(VECTOR_2x5), 2),
+                          (square_matroid(), 1), (graphic_matroid(diamond_adjacency()), 2),
+                          (graphic_matroid(k23_adjacency()), 1)):
             walks.clear()
             assert len(list(_orbit_cones(M, enumerate_bases(M)))) == len(enumerate_bases(M))
             assert len(walks) == orbits, M
@@ -551,13 +584,12 @@ class TestSparsePaving:
         assert self.agree(k4, lambda t: sparse_paving_count(k4, t))
 
     def test_detector(self):
-        from conftest import wheel4_adjacency
         from matropt import graphic_matroid
 
         assert sparse_paving_non_bases(uniform_matroid(5, 2)) == []
         # A triangle of the wheel plus any fourth edge is a non-basis, and
         # two of those share the triangle's three edges.
-        assert sparse_paving_non_bases(graphic_matroid(wheel4_adjacency())) is None
+        assert sparse_paving_non_bases(graphic_matroid(wheel_adjacency(4))) is None
         # {0, 3, 4} and {0, 3, 5} share two elements.
         assert sparse_paving_non_bases(minimal_matroid(3, 6)) is None
 
@@ -638,9 +670,7 @@ class TestHalfOpenPlacing:
 
     def test_small_polytopes(self, k4):
         # U(2,5), U(3,6), K4 and the 8-edge wheel (1,068 cells): about 0.5 s.
-        from conftest import wheel4_adjacency
-
-        wheel = graphic_matroid(wheel4_adjacency())
+        wheel = graphic_matroid(wheel_adjacency(4))
         for M in (uniform_matroid(5, 2), uniform_matroid(6, 3), k4, wheel):
             assert hstar_by_half_open_placing(M) == self.pipeline_hstar(M), M.label
         assert hstar_by_half_open_placing(wheel) == (1, 37, 254, 475, 262, 38, 1)

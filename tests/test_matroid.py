@@ -1,8 +1,9 @@
 """Rank oracle, bases, adjacency, greedy, and polytope constraints."""
 
 import random
+import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from conftest import (
     all_subsets,
     brute_adjacent,
     brute_max_weight,
+    brute_orbits,
     brute_rank,
     catalog_small,
     disconnected_matroids,
@@ -20,7 +22,6 @@ from conftest import (
     k4_matroid,
     polytope_constraints,
 )
-import matropt.matroid
 from matropt import (
     DimensionError,
     ParseError,
@@ -174,71 +175,147 @@ class TestAutomorphismGenerators:
             uniform_matroid(4, 0), uniform_matroid(4, 4),
         ]
         for M in mats:
-            bases = set(enumerate_bases(M))
-            for g in automorphism_generators(M):
+            bases = enumerate_bases(M)
+            for g in automorphism_generators(M.n, bases):
                 assert sorted(g) == list(range(M.n)), (M, g)
-                assert {tuple(sorted(g[e] for e in b)) for b in bases} == bases, (M, g)
-        # The pendant edge 4-5 is a bridge, so it stays; the triangle's
-        # edges 1-3, 1-4 and 3-4 trade places.
-        gens = automorphism_generators(graphic_matroid(isolated))
-        assert len(gens) == 3 and all(g[3] == 3 for g in gens)
+                assert {tuple(sorted(g[e] for e in b)) for b in bases} == set(bases), (M, g)
+        # The pendant edge 4-5 is the one coloop, in every basis, so it
+        # stays; the triangle's edges 1-3, 1-4 and 3-4 form one orbit.
+        M = graphic_matroid(isolated)
+        gens = automorphism_generators(M.n, enumerate_bases(M))
+        assert all(g[3] == 3 for g in gens)
         orbit = {0}
         for _ in range(2):
             orbit |= {g[e] for g in gens for e in orbit}
         assert orbit == {0, 1, 2}
-        assert automorphism_generators(loop) == []
+        # The loop stays, and the two coloops, columns 0 and 2, trade places.
+        assert automorphism_generators(loop.n, enumerate_bases(loop)) == [(2, 1, 0)]
 
-    def test_backtracking_search_finds_the_whole_group(self, monkeypatch):
-        # The 4-spoke wheel without the spoke to rim vertex 3 (hub 4): the
-        # search for an automorphism that fixes vertex 0 must back out of a
-        # dead end, which no catalog graph needs.  Its 24 bases fall into 7
-        # orbits.  Seeded 6-7 vertex graphs join it; without the step back,
-        # the search loses both generators of seed 12's.  The orbits of the
-        # bases under the generators must be those under every vertex
-        # permutation that keeps adjacency, found by brute force, and a
-        # counting list shows that the search did back out.
-        pops = []
-
-        class Images(list):
-            def pop(self, *args):
-                pops.append(1)
-                return super().pop(*args)
-
-        search = matropt.matroid._graph_automorphism
-
-        def counted(adj, order, up, images, w):
-            return search(adj, order, up, Images(images), w)
-
-        monkeypatch.setattr(matropt.matroid, "_graph_automorphism", counted)
-        wheel = [(0, 1), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3), (2, 4)]
-        graphs = [(5, wheel)]
-        for seed in range(13):
-            rng = random.Random(seed)
-            nv = rng.choice((6, 7))
-            graphs.append((nv, [(u, v) for u in range(nv) for v in range(u + 1, nv)
-                                if rng.random() < 0.5]))
-        backtracks, orbit_counts = [], []
-        for nv, edges in graphs:
-            adj = [[0] * nv for _ in range(nv)]
-            for u, v in edges:
-                adj[u][v] = adj[v][u] = 1
-            M = graphic_matroid(adj)
-            pops.clear()
-            gens = automorphism_generators(M)
-            backtracks.append(len(pops))
+    def test_orbits_match_brute_force(self):
+        # The orbits of the bases under the generators against those under
+        # all n! permutations that map the bases onto themselves, on all
+        # three backends: the catalog, the edge cases (the disconnected
+        # matroids among them) and the seeded graphs with n <= 9.  Seed 4's
+        # graph (6 vertices, 8 edges) and K4 beside a triangle are inputs
+        # whose first depth-first completion is a dead end: without the
+        # step back, the search finds 4 orbits on each, not 2.
+        mats = catalog_small() + exchange_edge_cases()
+        mats += [M for M in map(_graphic, _seeded_graphs()) if M.n <= 9]
+        for M in mats:
             bases = enumerate_bases(M)
-            for g in gens:
-                assert {tuple(sorted(g[e] for e in b)) for b in bases} == set(bases), (edges, g)
-            orbits = _orbits(bases, gens)
-            assert orbits == _orbits(bases, _vertex_automorphisms(M)), edges
-            orbit_counts.append(len(orbits))
-        assert orbit_counts[0] == 7
-        assert backtracks[0] and any(backtracks[1:])
+            gens = automorphism_generators(M.n, bases)
+            assert _orbits(bases, gens) == brute_orbits(M.n, bases), M
 
-    def test_uniform_transpositions(self):
-        assert automorphism_generators(uniform_matroid(4, 2)) == [
-            (1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)]
-        assert automorphism_generators(uniform_matroid(1, 1)) == []
+    def test_backtracking_search_finds_the_whole_group(self):
+        # On every seeded graph, each orbit under the vertex permutations
+        # that keep adjacency (the bridges fixed) lies inside one orbit
+        # under the generators, so no input walks more orbits than that
+        # route gives; series and parallel swaps make some walk fewer.
+        # This covers seeds 7, 8, 9 and 12 (n = 11), out of brute force's
+        # reach.
+        counts = []
+        for M in map(_graphic, _seeded_graphs()):
+            bases = enumerate_bases(M)
+            found = _orbits(bases, automorphism_generators(M.n, bases))
+            vertex = _orbits(bases, _vertex_automorphisms(M))
+            assert all(any(o <= f for f in found) for o in vertex), M.data
+            counts.append((len(vertex), len(found)))
+        assert counts == [(7, 6), (3, 2), (10, 3), (3, 2), (1, 1), (2, 2), (15, 5), (12, 5),
+                          (53, 38), (107, 107), (9, 9), (1, 1), (3, 2), (37, 13)]
+
+    def test_sts13_sparse_paving_group(self):
+        # The rank-3 sparse paving matroid whose non-bases are the 26 lines
+        # of the cyclic Steiner triple system STS(13), blocks {0, 1, 4} and
+        # {0, 2, 7} mod 13.  Every pair of elements lies in equally many
+        # bases, so the pair counts prune nothing and only the check of
+        # each basis as its largest element is placed keeps the search
+        # short.  The group the generators give must have the order that
+        # a second route finds: an automorphism of the triple system is
+        # fixed by the images of 0, 1 and 2, which lie on no line, since
+        # every point is reached from them by taking the third point of
+        # the line through two reached ones.
+        n = 13
+        lines = {frozenset((x + a) % n for x in block) for block in ((0, 1, 4), (0, 2, 7))
+                 for a in range(n)}
+        assert len(lines) == 26
+        bases = [b for b in combinations(range(n), 3) if frozenset(b) not in lines]
+        start = time.perf_counter()
+        gens = automorphism_generators(n, bases)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2, f"STS(13) took {elapsed:.2f}s"
+        assert _group_order(gens) == _triple_system_group_order(n, lines) == 39
+
+    def test_uniform_matroids_have_one_orbit(self):
+        for n, r in ((4, 2), (6, 3), (7, 1), (5, 5), (4, 0)):
+            bases = enumerate_bases(uniform_matroid(n, r))
+            gens = automorphism_generators(n, bases)
+            assert len(gens) <= n - 1
+            assert len(_orbits(bases, gens)) == 1
+        assert automorphism_generators(1, enumerate_bases(uniform_matroid(1, 1))) == []
+
+
+def _graphic(graph):
+    nv, edges = graph
+    adj = [[0] * nv for _ in range(nv)]
+    for u, v in edges:
+        adj[u][v] = adj[v][u] = 1
+    return graphic_matroid(adj)
+
+
+def _seeded_graphs():
+    """The 4-spoke wheel without the spoke to rim vertex 3 (hub 4), then
+    13 seeded graphs on 6 or 7 vertices, as (vertices, edges)."""
+    wheel = [(0, 1), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3), (2, 4)]
+    graphs = [(5, wheel)]
+    for seed in range(13):
+        rng = random.Random(seed)
+        nv = rng.choice((6, 7))
+        graphs.append((nv, [(u, v) for u in range(nv) for v in range(u + 1, nv)
+                            if rng.random() < 0.5]))
+    return graphs
+
+
+def _group_order(gens):
+    """The order of the group the permutations generate, by listing it."""
+    n = len(gens[0])
+    group = {tuple(range(n))}
+    stack = list(group)
+    while stack:
+        h = stack.pop()
+        for g in gens:
+            gh = tuple(g[e] for e in h)
+            if gh not in group:
+                group.add(gh)
+                stack.append(gh)
+    return len(group)
+
+
+def _triple_system_group_order(n, lines):
+    """The automorphisms of a Steiner triple system on [n], counted by
+    sending 0, 1, 2 to every triple of points on no line and closing under
+    "the third point of the line through two points"."""
+    third = {}
+    for line in lines:
+        for a, b in permutations(line, 2):
+            third[a, b] = next(iter(line - {a, b}))
+    assert third.get((0, 1)) != 2
+    count = 0
+    for x, y, z in permutations(range(n), 3):
+        if third[x, y] == z:
+            continue
+        image = {0: x, 1: y, 2: z}
+        grown = True
+        while grown:
+            grown = False
+            for a, b in permutations(list(image), 2):
+                if third[a, b] not in image:
+                    image[third[a, b]] = third[image[a], image[b]]
+                    grown = True
+        # Any clash of the closure leaves a line whose image is no line.
+        if len(set(image.values())) == n and all(
+                frozenset(map(image.get, line)) in lines for line in lines):
+            count += 1
+    return count
 
 
 def _orbits(bases, perms):
