@@ -52,7 +52,6 @@ from .oracles import (
     enumerate_bases,
     exact_projected_set,
     laplacian_tree_count,
-    polytope_dimension,
     spanning_trees,
 )
 from .linalg import bareiss_det
@@ -382,7 +381,7 @@ def cmd_check_unimodular(args):
     bases = enumerate_bases(M)
     points = [incidence_vector(b, M.n) for b in bases]
     cells, volumes = placing_triangulation(points)
-    dim = polytope_dimension(M, bases[0])
+    dim = len(cells[0]) - 1  # every cell spans the affine hull of P
     # Each volume is the cell's lattice determinant, its index in the affine
     # lattice of P.  lin(P - P) is cut out by "each connected component's
     # coordinates sum to zero", and placing's pivot columns project it

@@ -1,11 +1,13 @@
-"""Exact linear algebra over integers and rationals.
+"""Exact linear algebra over the integers.
 
-Determinants are integer-only (fraction-free Bareiss).  Rank,
-span membership and kernel vectors all come from one fraction-free row
-reduction with gcd normalisation (`_extend`); rational rows are first
-scaled to integers.  No floating point anywhere.  Matrices are plain lists
-of tuples/lists, small enough (n <= ~20) that asymptotics are irrelevant
-next to exactness.
+Determinants come from fraction-free Bareiss elimination.  Rank, span
+membership and kernel vectors all come from one fraction-free row
+reduction with gcd normalisation (`_extend`).  Every routine takes integer
+entries: a true rational arrives only through the parser or
+`vector_matroid`, which scales each column to integers (`_integral`)
+before anything here sees it.  No floating point anywhere.  Matrices are
+plain lists of tuples/lists, small enough (n <= ~20) that asymptotics are
+irrelevant next to exactness.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ def bareiss_det(rows) -> int:
     n = len(rows)
     if n == 0:
         return 1
-    m = [list(map(int, r)) for r in rows]
+    m = [list(r) for r in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -78,23 +80,22 @@ def _extend(echelon, row, width=None):
     return row
 
 
-def rational_rank(rows) -> int:
-    """Rank over Q of a matrix with int/Fraction entries."""
+def integer_rank(rows) -> int:
+    """Rank of an integer matrix."""
     echelon: list = []
     for row in rows:
-        _extend(echelon, _integral(row))
+        _extend(echelon, row)
     return len(echelon)
 
 
 def _null_vector(rows, d):
-    """Nonzero integer x with rows * x = 0 for a (d-1) x d matrix of rank
-    d - 1, else None.
+    """Nonzero integer x with rows * x = 0 for a (d-1) x d integer matrix
+    of rank d - 1, else None.
 
     Column j enters tagged with the unit vector e_j; the first column that
     falls in the span of the earlier ones carries the combination of columns
     that vanishes, which is the kernel vector.
     """
-    rows = [_integral(r) for r in rows]  # scaling a row keeps the kernel
     echelon: list = []
     normal = None
     for j in range(d):

@@ -15,7 +15,7 @@ from bisect import insort
 from fractions import Fraction
 
 from .errors import CapError, DimensionError
-from .linalg import _extend, _integral, _reduce, _unit, rational_rank
+from .linalg import _extend, _integral, _reduce, _unit, integer_rank
 
 REJECTION_CAP = 10_000_000
 
@@ -71,7 +71,7 @@ class Matroid:
             return min(len(elements), self.data)
         if self.kind == "graphic":
             return _forest_size(self.data, elements)
-        return rational_rank([self.data[1][j] for j in elements])
+        return integer_rank([self.data[1][j] for j in elements])
 
     def is_basis(self, subset) -> bool:
         # The input's own length: a repeated element must not pass.
@@ -192,7 +192,7 @@ def vector_matroid(rows) -> Matroid:
     # Column scaling does not change independence: clear denominators per column.
     cols = tuple(tuple(_integral([Fraction(r[j]) for r in rows])) for j in range(n))
     data = (m, cols)
-    rank = rational_rank(cols)
+    rank = integer_rank(cols)
     return Matroid("vector", n, rank, data, label=f"vector({m}x{n})")
 
 

@@ -32,6 +32,8 @@ class WeightMatrix:
         return (WeightMatrix, (self.rows,))
 
     def __post_init__(self):
+        if any(x != int(x) for row in self.rows for x in row):
+            raise DimensionError("weights must be integers")
         rows = tuple(tuple(int(x) for x in row) for row in self.rows)
         if not rows or not rows[0]:
             raise DimensionError("weight matrix must be nonempty")

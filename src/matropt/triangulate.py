@@ -1,17 +1,18 @@
 """Placing triangulations of point sets, and half-open unimodular cells of
 the vertex cones of matroid polytopes.
 
-The placing loop works in integers and only ever queries hull-boundary
-facets, where visibility drops out of a strict sign test of one facet
-functional of the facet's cell.  A new cell takes its functionals from the
-cell it is glued to, through the pencil of hyperplanes on each shared ridge
-(the beneath-beyond step of De Loera, Rambau and Santos, Triangulations,
-2010, section 4.3); the only eliminations are one per growth of the affine
-hull.  The test suite checks visibility against an exact LP test, the
-cells against a loop that takes one kernel elimination per boundary facet,
-and each cell's volume against the gcd of its maximal minors.  Points are
-placed in the order given; a caller that wants another order permutes its
-list.
+The placing loop takes integer points, as the bases' incidence vectors
+are; a rational point set is the caller's to scale.  It only ever queries
+hull-boundary facets, where visibility drops out of a strict sign test of
+one facet functional of the facet's cell.  A new cell takes its
+functionals from the cell it is glued to, through the pencil of
+hyperplanes on each shared ridge (the beneath-beyond step of De Loera,
+Rambau and Santos, Triangulations, 2010, section 4.3); the only
+eliminations are one per growth of the affine hull.  The test suite
+checks visibility against an exact LP test, the cells against a loop that
+takes one kernel elimination per boundary facet, and each cell's volume
+against the gcd of its maximal minors.  Points are placed in the order
+given; a caller that wants another order permutes its list.
 
 A vertex cone of a matroid polytope is carried as exchange pairs: its
 generators are the differences e_j - e_i of the adjacent bases B - i + j.
@@ -36,13 +37,12 @@ cones take y = sum_k 2^k g_k, generic in every tree cell.
 from __future__ import annotations
 
 from bisect import insort
-from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .errors import DimensionError, InternalInconsistencyError
-from .linalg import _extend, _null_vector, bareiss_det, rational_rank
+from .linalg import _extend, _null_vector, bareiss_det, integer_rank
 
 
 def tangent_cone(M, basis):
@@ -65,24 +65,24 @@ def tangent_cone(M, basis):
 
 
 def placing_triangulation(points):
-    """Incremental triangulation of a point set, placing the points in the
-    order given.
+    """Incremental triangulation of a list of integer points, placing them
+    in the order given.
 
     Returns (cells, volumes): cells are sorted tuples of point indices, each
     affinely independent and of the common maximal dimension, and
     volumes[i] > 0 is the |det| of the edge vectors of cells[i] in the
     hull's pivot coordinates.  A point that extends the affine hull cones
     over every existing cell; otherwise it is attached to every boundary
-    facet visible from it (a point inside the current hull sees nothing and
-    stays unused).  Duplicate points are skipped.  The result depends on the
+    facet visible from it.  A point in the current hull, a repeated point
+    among them, sees nothing and stays unused.  The result depends on the
     order of the list.  Each new point has the largest index placed so far,
     so it goes last in every cell it joins, and its functional last in the
     cell's table.
 
-    All arithmetic is in integers.  Rational input is scaled by the lcm of
-    its denominators, an affine map that keeps the combinatorics, and the
-    volumes are those of the scaled points.  An integer echelon of
-    difference rows tracks the affine hull; its pivot columns give a
+    Coordinates must be ints, else DimensionError: a caller with rational
+    points scales them by the lcm of their denominators first, an affine
+    map that keeps the cells and scales the volumes.  An integer echelon
+    of difference rows tracks the affine hull; its pivot columns give a
     projection that is injective on the hull.  A cell carries its d + 1
     facet functionals in those coordinates: l_p, one per vertex p, is the
     primitive integer affine functional that vanishes on the facet opposite
@@ -100,32 +100,25 @@ def placing_triangulation(points):
     A facet seen twice leaves the boundary for good: every other facet of a
     later cell contains that cell's new point.
     """
-    pts = [tuple(map(Fraction, p)) for p in points]
-    if not pts:
+    if not points:
         raise DimensionError("need at least one point")
-    scale = lcm(*(x.denominator for p in pts for x in p))
-    ipts = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in pts]
-    full = rational_rank([[a - b for a, b in zip(p, ipts[0])] for p in ipts])
-    cells: list = []
-    tables: list = []  # every cell's functionals, while the hull can still grow
-    seen: set = set()
-    origin = None
+    for p in points:
+        if not all(isinstance(x, int) for x in p):
+            raise DimensionError(f"placing takes int coordinates, got the point {p}")
+    origin = points[0]
+    full = integer_rank([[a - b for a, b in zip(p, origin)] for p in points])
+    # Every cell's functionals, while the hull can still grow; a point's one
+    # functional is the constant 1.
+    cells, tables = [(0,)], [[(1,)]]
     echelon: list = []  # (pivot column, row): reduced difference rows of the hull
     # boundary facet -> (position of its opposite vertex, its cell's functionals),
     # in first-occurrence order
     boundary: dict = {}
-    for idx, v in enumerate(ipts):
-        if v in seen:
-            continue  # duplicate of an already-placed point: unused
-        seen.add(v)
-        if origin is None:
-            origin = v
-            cells, tables = [(idx,)], [[(1,)]]  # a point's one functional: the constant 1
-            continue
+    for idx, v in enumerate(points[1:], 1):
         qv = [v[c] for c, _ in echelon]
         if _extend(echelon, [a - b for a, b in zip(v, origin)]) is None:
             qv += [v[echelon[-1][0]], 1]  # the new pivot column comes last
-            h = _facet_normal([ipts[i] for i in cells[0]], v, [c for c, _ in echelon])
+            h = _facet_normal([points[i] for i in cells[0]], v, [c for c, _ in echelon])
             hv = sum(map(mul, h, qv))
             grown_cells, grown_tables = [], []
             for cell, table in zip(cells, tables):
@@ -160,8 +153,8 @@ def placing_triangulation(points):
     cols = [c for c, _ in echelon]
     volumes = []
     for cell in cells:
-        base = ipts[cell[0]]
-        volume = abs(bareiss_det([[ipts[i][c] - base[c] for c in cols] for i in cell[1:]]))
+        base = points[cell[0]]
+        volume = abs(bareiss_det([[points[i][c] - base[c] for c in cols] for i in cell[1:]]))
         if volume == 0:
             raise InternalInconsistencyError("placing produced a degenerate cell")
         volumes.append(volume)

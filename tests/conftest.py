@@ -35,7 +35,7 @@ from matropt import (
 )
 from matropt.genfun import _cone_value, _exp_gamma, _exp_table, _powers
 from matropt.heuristics import _derived_seed, _point, boundary_start, fiber_bfs
-from matropt.linalg import _extend, _integral, _null_vector, _unit, bareiss_det, rational_rank
+from matropt.linalg import _extend, _integral, _null_vector, _unit, bareiss_det, integer_rank
 
 K4_ADJACENCY = [
     [0, 1, 1, 1],
@@ -179,6 +179,36 @@ def exchange_edge_cases():
     ]
 
 
+def connected_graphs(nv):
+    """One adjacency matrix per isomorphism class of connected graphs on nv
+    vertices, classes in the order of their least edge mask.
+
+    Edge sets over the vertex pairs go by ascending mask, bit k for the
+    k-th pair in lexicographic order.  The first connected mask of a class
+    is its least, so it stands for the class, and every relabelling of it
+    is marked as seen.  nv = 6, 32,768 masks and 720 relabellings per
+    class, takes about 0.2 s.
+    """
+    pairs = list(combinations(range(nv), 2))
+    index = {p: k for k, p in enumerate(pairs)}
+    relabel = [[index[tuple(sorted((s[u], s[v])))] for u, v in pairs]
+               for s in permutations(range(nv))]
+    seen, out = set(), []
+    for mask in range(1 << len(pairs)):
+        if mask in seen:
+            continue
+        bits = [k for k in range(len(pairs)) if mask >> k & 1]
+        if len(_components(nv, [pairs[k] for k in bits])) > 1:
+            continue
+        seen.update(sum(1 << r[k] for k in bits) for r in relabel)
+        adj = [[0] * nv for _ in range(nv)]
+        for k in bits:
+            u, v = pairs[k]
+            adj[u][v] = adj[v][u] = 1
+        out.append(adj)
+    return out
+
+
 @pytest.fixture(scope="session")
 def k4():
     return k4_matroid()
@@ -318,7 +348,7 @@ def rank_dimension(M: Matroid, bases=None) -> int:
     if bases is None:
         bases = enumerate_bases(M)
     base0 = incidence_vector(bases[0], M.n)
-    return rational_rank(
+    return integer_rank(
         [tuple(a - c for a, c in zip(incidence_vector(b, M.n), base0)) for b in bases[1:]]
     )
 
@@ -797,8 +827,7 @@ def placing_with_facet_normals(points, order=None):
     order = tuple(range(len(pts))) if order is None else tuple(order)
     if sorted(order) != list(range(len(pts))):
         raise DimensionError("order must be a permutation of the point indices")
-    scale = lcm(*(x.denominator for p in pts for x in p))
-    ipts = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in pts]
+    ipts = scaled_to_integers(pts)
     cells: list = []
     seen: set = set()
     origin = None
@@ -893,6 +922,14 @@ def seeded_rational_point_sets(trials):
         order = list(range(len(pts)))
         rng.shuffle(order)
         yield pts, order
+
+
+def scaled_to_integers(points):
+    """Rational points times the lcm of all their denominators: an affine
+    map to integer points that keeps every placing cell, the scaling
+    `placing_triangulation` leaves to its caller."""
+    scale = lcm(*[x.denominator for p in points for x in p])
+    return [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
 
 
 # Half-open placing of the whole polytope -----------------------------------
@@ -1473,7 +1510,7 @@ def rank_component_relation(rows):
     graphs = exchange_graphs(rows)
     if len(graphs.row_components()) != 1:
         raise DimensionError("relation requires a connected row graph")
-    return rational_rank(rows), len(graphs.column_components())
+    return integer_rank(rows), len(graphs.column_components())
 
 
 # Lattice-point counts and Todd values from the pipeline's kernels ---------

@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -15,6 +16,7 @@ from conftest import (
     catalog_connected,
     catalog_small,
     cell_term,
+    connected_graphs,
     count_lattice_points,
     diamond_adjacency,
     disconnected_matroids,
@@ -25,6 +27,7 @@ from conftest import (
     genfun_of_halfopen,
     hstar_by_half_open_placing,
     interpolate_ehrhart,
+    is_unimodal,
     k23_adjacency,
     matroid_genfun,
     minimal_matroid,
@@ -50,6 +53,7 @@ from matropt import (
     enumerate_bases,
     graphic_matroid,
     hstar_from_counts,
+    laplacian_tree_count,
     polytope_dimension,
     tangent_cone,
     tree_cells,
@@ -325,8 +329,6 @@ class TestEhrhartPipeline:
     def test_wheel_graph_rank_four(self):
         # 8-edge wheel: value at k = 1 is its spanning-tree count, and the
         # series numerator of the resulting counts is non-negative.
-        from matropt import graphic_matroid, hstar_from_counts, laplacian_tree_count
-
         M = graphic_matroid(wheel_adjacency(4))
         nv, edges = M.data
         coeffs = ehrhart_polynomial(M)
@@ -423,24 +425,36 @@ class TestEhrhartPipeline:
         assert M.kind == "vector"
         assert ehrhart_polynomial(M) == self.K6
 
+    K35 = tuple(map(Fraction, (
+        "1", "3354997/360360", "6247448869/151351200", "21003413/181440",
+        "550734467/2395008", "15567137/45360", "2166158863/5443200",
+        "151431887/414720", "3253395653/12192768", "89739101/580608",
+        "3036661051/43545600", "756067313/31933440", "108977651/19160064",
+        "32459047/37739520", "2676698273/43589145600",
+    )))
+
     @pytest.mark.slow
     def test_k35_pinned(self):
         # K3,5 (15 edges, 2,025 bases in 10 orbits, dim 14, 753,060 cells):
-        # about 27 s.
+        # 15-22 s.
         # Pinned from the pipeline's own output; the value at k = 1 is the
         # spanning-tree count 3^4 * 5^2.
-        from matropt import graphic_matroid
-
         M = graphic_matroid([[int((i < 3) != (j < 3)) for j in range(8)] for i in range(8)])
         coeffs = ehrhart_polynomial(M)
-        assert coeffs == tuple(map(Fraction, (
-            "1", "3354997/360360", "6247448869/151351200", "21003413/181440",
-            "550734467/2395008", "15567137/45360", "2166158863/5443200",
-            "151431887/414720", "3253395653/12192768", "89739101/580608",
-            "3036661051/43545600", "756067313/31933440", "108977651/19160064",
-            "32459047/37739520", "2676698273/43589145600",
-        )))
+        assert coeffs == self.K35
         assert evaluate_polynomial(coeffs, 1) == 2025
+
+    @pytest.mark.slow
+    def test_k35_shuffled_vector_pinned(self):
+        # K3,5 as the vector matroid of its signed incidence columns, in a
+        # seeded order: a second route to the pin at every degree, through
+        # other labels, orbit representatives, cells and half-open flags.
+        # 14-19 s.
+        M = shuffled_columns(
+            graphic_matroid([[int((i < 3) != (j < 3)) for j in range(8)] for i in range(8)]),
+            random.Random(35))
+        assert M.kind == "vector"
+        assert ehrhart_polynomial(M) == self.K35
 
     @pytest.mark.slow
     @pytest.mark.parametrize("n, r", [(30, 2), (16, 3)])
@@ -493,6 +507,44 @@ class TestEhrhartPipeline:
             dilation_polynomial([([1, 0, 1], 1)], 1)
         with pytest.raises(InternalInconsistencyError):  # constant term 2
             dilation_polynomial([([1, 1], 1), ([1, 0], 1)], 1)
+
+
+class TestConnectedGraphs:
+    """Every connected graph on at most 5 vertices.  The dissertation gives
+    computational evidence that Ehrhart coefficients of matroid polytopes
+    are positive and h* is unimodal (De Loera, Haws and Koeppe, Ehrhart
+    polynomials of matroid polytopes and polymatroids, Discrete Comput.
+    Geom. 2009).  Positivity fails in general (Ferroni, Matroids are not
+    Ehrhart positive, Adv. Math. 2022), so both are pinned for this finite
+    set only."""
+
+    @staticmethod
+    def polynomials():
+        """(graph matroid, Ehrhart coefficients, h*) per graph with an edge."""
+        for nv in range(2, 6):
+            for adj in connected_graphs(nv):
+                M = graphic_matroid(adj)
+                coeffs = ehrhart_polynomial(M)
+                dim = len(coeffs) - 1
+                counts = [evaluate_polynomial(coeffs, k) for k in range(dim + 1)]
+                yield M, coeffs, hstar_from_counts(counts, dim)
+
+    def test_counts_match_oeis(self):
+        # OEIS A001349: connected graphs on n unlabeled nodes, n = 1..6.
+        assert [len(connected_graphs(nv)) for nv in range(1, 7)] == [1, 1, 2, 6, 21, 112]
+
+    def test_polynomials_against_counts(self):
+        for M, coeffs, hstar in self.polynomials():
+            nv, edges = M.data
+            assert evaluate_polynomial(coeffs, 1) == laplacian_tree_count(nv, edges), M
+            assert evaluate_polynomial(coeffs, 2) == dilation_lattice_counts(M, (2,))[0], M
+            assert all(h >= 0 and h == int(h) for h in hstar) and hstar[0] == 1, M
+            assert sum(hstar) == factorial(len(coeffs) - 1) * coeffs[-1], M
+
+    def test_positive_and_unimodal_on_this_set(self):
+        for M, coeffs, hstar in self.polynomials():
+            assert all(c > 0 for c in coeffs), M
+            assert is_unimodal(hstar), M
 
 
 def orbit_matroids():

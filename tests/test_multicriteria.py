@@ -43,6 +43,19 @@ class TestProject:
             project(W, (0, u24.n - 1))
 
 
+class TestWeightMatrix:
+    def test_non_integral_weights_raise(self):
+        # Truncating them would project the bases for other weights.
+        for rows in (((Fraction(5, 2), 1, 1), (0, 1, 1)), ((1, 1, 1), (0, 0.9, 1))):
+            with pytest.raises(DimensionError):
+                WeightMatrix(rows)
+
+    def test_whole_weights_become_ints(self):
+        W = WeightMatrix(((Fraction(4, 2), 1.0, True),))
+        assert W.rows == ((2, 1, 1),)
+        assert all(type(x) is int for x in W.rows[0])
+
+
 class TestPareto:
     def test_simple_domination(self):
         assert pareto_filter({(1, 2), (2, 1), (2, 2)}) == {(1, 2), (2, 1)}

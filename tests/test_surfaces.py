@@ -11,7 +11,7 @@ from itertools import combinations
 from pathlib import Path
 
 import matropt
-from conftest import fraction_rank, visible
+from conftest import fraction_rank, scaled_to_integers, visible
 from matropt import (
     CapError,
     DimensionError,
@@ -90,10 +90,11 @@ class TestPlacingMatchesVisibilityLP:
     def test_random_sets_agree_with_lp(self):
         # Seeded sets in dims 1-4 with rational coordinates, a point on a
         # segment, the centroid (relatively interior) and a duplicate,
-        # shuffled and placed prefix by prefix.  Each step either skips a
-        # duplicate, cones every cell over a point off the affine hull, or
-        # appends, in first-occurrence order of the boundary facets, exactly
-        # the facets the LP calls visible from the new point.
+        # shuffled, scaled to integer points and placed prefix by prefix.
+        # Each step either leaves a duplicate unused, cones every cell over
+        # a point off the affine hull, or appends, in first-occurrence order
+        # of the boundary facets, exactly the facets the LP calls visible
+        # from the new point.
         rng = random.Random(20261018)
         for trial in range(40):
             dim = 1 + trial % 4
@@ -106,6 +107,7 @@ class TestPlacingMatchesVisibilityLP:
             pts.append(tuple(sum(c) / len(pts) for c in zip(*pts)))
             pts.append(rng.choice(pts))
             rng.shuffle(pts)
+            pts = scaled_to_integers(pts)
             before, _ = placing_triangulation(pts[:1])
             for idx in range(1, len(pts)):
                 placed = pts[:idx]

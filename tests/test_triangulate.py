@@ -27,6 +27,7 @@ from conftest import (
     pairs_of_adjacent_bases,
     placing_with_facet_normals,
     rational_kernel_basis,
+    scaled_to_integers,
     seeded_rational_point_sets,
     tree_cells_both_supplies,
     vertex_cone,
@@ -117,8 +118,19 @@ class TestPlacingTriangulation:
         assert cells == [(0, 1, 3)]
 
     def test_duplicates_ignored(self):
+        # A repeated point lies in the current hull, so it sees no facet.
         cells, _ = placing_triangulation([(0, 0), (1, 0), (0, 0), (0, 1)])
         assert all(2 not in c for c in cells)
+        cells, _ = placing_triangulation([(0, 0), (0, 0), (1, 0), (0, 1)])
+        assert cells == [(0, 2, 3)]
+
+    def test_non_int_coordinates_raise(self):
+        # Placing takes integer points; a rational set is scaled by its
+        # caller, and a Fraction or float is refused even when it is whole.
+        for bad in (Fraction(1, 2), Fraction(1), 1.0):
+            with pytest.raises(DimensionError):
+                placing_triangulation([(0, 0), (1, 0), (0, bad)])
+        assert placing_triangulation([(0, 0), (1, 0), (0, True)])[0] == [(0, 1, 2)]
 
     def test_volume_coverage_on_polytopes(self):
         # Sum of simplex volumes (over the affine lattice of the polytope)
@@ -196,10 +208,12 @@ class TestPlacingMatchesFacetNormals:
         assert placing_triangulation(pts)[0] == placing_with_facet_normals(pts)[0]
 
     def test_seeded_rational_sets(self):
-        # Duplicates, points inside the hull and shuffled orders, dims 1-4.
-        # Placing a permuted list permutes the cells of the reference run in
-        # that insertion order.
-        for pts, order in seeded_rational_point_sets(300):
+        # Duplicates, points inside the hull and shuffled orders, dims 1-4,
+        # each set scaled to integer points for the library.  Placing a
+        # permuted list permutes the cells of the reference run in that
+        # insertion order.
+        for rational, order in seeded_rational_point_sets(300):
+            pts = scaled_to_integers(rational)
             assert placing_triangulation(pts)[0] == placing_with_facet_normals(pts)[0]
             shuffled = [pts[g] for g in order]
             cells = placing_triangulation(shuffled)[0]
