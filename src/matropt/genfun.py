@@ -26,10 +26,10 @@ out and one in; only a cone's first cell sums over all its indices.  The
 cones are summed, one after the other, over one common denominator.
 
 The fixed work per call is small too.  The dimension and each orbit
-representative's exchange pairs are read off the fundamental circuits of
-a basis (`oracles.polytope_dimension`, `triangulate.tangent_cone`), a
-carried cone travels as its basis and its pairs, and the coefficients of
-the Todd logarithm are integers from the tangent numbers.
+representative's cone are a basis's exchange pairs, read once off its
+fundamental circuits (`polytope_dimension`, `tangent_cone`), a carried
+cone travels as its basis and its pairs, and the coefficients of the Todd
+logarithm are integers from the tangent numbers.
 """
 
 from __future__ import annotations

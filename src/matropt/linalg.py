@@ -13,14 +13,21 @@ irrelevant next to exactness.
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import index
+
+from .errors import DimensionError
 
 
 def bareiss_det(rows) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination."""
+    """Determinant of a square int matrix by fraction-free elimination; any
+    other entry raises DimensionError, as `//` would floor its quotients."""
     n = len(rows)
     if n == 0:
         return 1
-    m = [list(r) for r in rows]
+    try:
+        m = [list(map(index, r)) for r in rows]
+    except TypeError:
+        raise DimensionError("Bareiss elimination takes int entries") from None
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -23,15 +23,15 @@ REJECTION_CAP = 10_000_000
 class Matroid:
     """Ground set [n] plus a rank oracle; uniform, graphic, or vector backed.
 
-    Do not mutate after construction.  Rank queries are memoized
-    (`rank_of`; `_rank` asks the backend without the memo), and the
-    neighbor lists of bases are cached on first use because the search
-    heuristics hammer them.  A neighbor list comes from fundamental circuits
-    read off the backend's data, so it costs one rank query (the basis
-    check) and does not fill the rank cache.  Both caches stay behind when
-    the matroid is pickled (to worker processes, say): it travels as its
-    constructor arguments.  `label` names it in messages and `repr`; each
-    constructor function gives one.
+    Do not mutate after construction.  Each rank query asks the backend
+    (`rank_of`); nothing memoizes it.  The neighbor lists of bases are
+    cached on first use because the search heuristics hammer them.  A
+    neighbor list comes from the exchange pairs, read off the fundamental
+    circuits in the backend's data (`_exchange_pairs`), so it costs one
+    rank query, the basis check.  The cache stays behind when the matroid
+    is pickled (to worker processes, say): it travels as its constructor
+    arguments.  `label` names it in messages and `repr`; each constructor
+    function gives one.
     """
 
     def __init__(self, kind, n, rank, data, label):
@@ -40,7 +40,6 @@ class Matroid:
         self.rank = rank
         self.data = data
         self.label = label
-        self._rank_cache = {}
         self._adj_cache = {}
 
     def __repr__(self):
@@ -55,17 +54,8 @@ class Matroid:
                 raise DimensionError(f"element {i} out of range for ground set of size {self.n}")
 
     def rank_of(self, subset) -> int:
-        """Rank of a subset of the ground set, memoized."""
-        key = frozenset(subset)
-        r = self._rank_cache.get(key)
-        if r is None:
-            r = self._rank_cache[key] = self._rank(key)
-        return r
-
-    def _rank(self, elements) -> int:
-        """Rank of a collection of distinct elements, from the backend's data
-        with no memo: for a caller that asks each subset once, such as a
-        sweep over all of them, the memo would only hold memory."""
+        """Rank of a subset of the ground set; a repeated element counts once."""
+        elements = set(subset)
         self._check_subset(elements)
         if self.kind == "uniform":
             return min(len(elements), self.data)
@@ -81,9 +71,8 @@ class Matroid:
     def adjacent_bases(self, basis):
         """All bases reachable by one exchange, sorted; excludes the input.
 
-        B - i + j is a basis exactly when i lies on the fundamental circuit
-        C(B, j), so each element j outside B contributes one neighbor per
-        element of B on its circuit; only the basis check asks the rank
+        One neighbor per exchange pair, built in the pairs' order, which is
+        the neighbors' sorted order; only the basis check asks the rank
         oracle.
         """
         if type(basis) is tuple:
@@ -97,24 +86,25 @@ class Matroid:
         if not self.is_basis(b):
             raise DimensionError(f"{b} is not a basis")
         neighbors = []
-        for j, circuit in self._fundamental_circuits(b):
-            for i in circuit:
-                nb = list(b)
-                nb.remove(i)
-                insort(nb, j)
-                neighbors.append(tuple(nb))
-        neighbors.sort()
-        neighbors = tuple(neighbors)
-        self._adj_cache[b] = neighbors
+        for i, j in self._exchange_pairs(b):
+            nb = list(b)
+            nb.remove(i)
+            insort(nb, j)
+            neighbors.append(tuple(nb))
+        self._adj_cache[b] = neighbors = tuple(neighbors)
         return neighbors
 
-    def _fundamental_circuits(self, b):
-        """(j, the elements of the basis b on C(b, j)) for each j outside b."""
+    def _exchange_pairs(self, b):
+        """The pair (i, j) of every adjacent basis b - i + j, in the neighbors'
+        sorted order: i lies on the fundamental circuit C(b, j).  Sorted sets
+        of one size sort lexicographically in the descending order of
+        sum_e 2^(n-1-e), so the neighbors sort in the ascending order of
+        2^(n-1-i) - 2^(n-1-j), and no neighbor is built."""
         inside = set(b)
         out = [j for j in range(self.n) if j not in inside]
         if self.kind == "uniform":
-            return [(j, b) for j in out]
-        if self.kind == "graphic":
+            pairs = [(i, j) for j in out for i in b]
+        elif self.kind == "graphic":
             # C(b, j) is j and the tree path between j's endpoints in the
             # forest b: the symmetric difference of their root-path masks.
             nv, edges = self.data
@@ -135,17 +125,21 @@ class Matroid:
                                 mask[v] = mask[u] | (1 << e)
                                 stack.append(v)
             paths = [(j, mask[edges[j][0]] ^ mask[edges[j][1]]) for j in out]
-            return [(j, [i for i in b if path >> i & 1]) for j, path in paths]
-        # Vector: column j, reduced against b's columns tagged with unit
-        # vectors, carries the combination of them that cancels it; the
-        # basis elements with a nonzero tag are those on C(b, j).
-        m, cols = self.data
-        r = len(b)
-        echelon: list = []
-        for t, e in enumerate(b):
-            _extend(echelon, [*cols[e], *_unit(t, r)], m)
-        tags = [(j, _reduce(echelon, [*cols[j], *[0] * r])[m:]) for j in out]
-        return [(j, [e for e, x in zip(b, tag) if x]) for j, tag in tags]
+            pairs = [(i, j) for j, path in paths for i in b if path >> i & 1]
+        else:
+            # Vector: column j, reduced against b's columns tagged with unit
+            # vectors, carries the combination of them that cancels it; the
+            # basis elements with a nonzero tag are those on C(b, j).
+            m, cols = self.data
+            r = len(b)
+            echelon: list = []
+            for t, e in enumerate(b):
+                _extend(echelon, [*cols[e], *_unit(t, r)], m)
+            tags = [(j, _reduce(echelon, [*cols[j], *[0] * r])[m:]) for j in out]
+            pairs = [(i, j) for j, tag in tags for i, x in zip(b, tag) if x]
+        top = self.n - 1
+        pairs.sort(key=lambda p: (1 << (top - p[0])) - (1 << (top - p[1])))
+        return pairs
 
 
 def uniform_matroid(n: int, r: int) -> Matroid:

@@ -40,15 +40,12 @@ def env_cap(name: str, default: int) -> int:
 
 def enumerate_bases(M: Matroid):
     """Every basis of M, as sorted tuples, in lexicographic order, refused
-    (CapError) when C(n, r) exceeds MATROPT_BASES_CAP.
-
-    Each rank-sized subset is asked once, so the sweep skips the matroid's
-    rank memo: filling it would hold every subset until the matroid goes.
-    """
+    (CapError) when C(n, r) exceeds MATROPT_BASES_CAP: one rank query per
+    rank-sized subset."""
     cap = env_cap("MATROPT_BASES_CAP", BASES_CAP_DEFAULT)
     if comb(M.n, M.rank) > cap:
         raise CapError(f"C({M.n},{M.rank}) exceeds enumeration cap {cap}")
-    return [b for b in combinations(range(M.n), M.rank) if M._rank(b) == M.rank]
+    return [b for b in combinations(range(M.n), M.rank) if M.rank_of(b) == M.rank]
 
 
 def spanning_trees(n_vertices: int, edges):
@@ -180,9 +177,9 @@ def dilation_lattice_counts(M: Matroid, ks) -> tuple:
 
 def polytope_dimension(M: Matroid, basis) -> int:
     """dim P_M: n minus the number of connected components of M, which are
-    those of the fundamental-circuit graph of any one basis B, joining each
-    j outside B to every element of B on C(B, j) (Krogdahl, The dependence
-    graph for bases in matroids, Discrete Math. 1977).  So the dimension is
-    the size of a spanning forest of that graph, for B the given `basis`."""
-    edges = [(i, j) for j, circuit in M._fundamental_circuits(basis) for i in circuit]
+    those of the graph whose edges are the exchange pairs (i, j) of any one
+    basis B, i on C(B, j) (Krogdahl, The dependence graph for bases in
+    matroids, Discrete Math. 1977).  So the dimension is the size of a
+    spanning forest of that graph, for B the given `basis`."""
+    edges = M._exchange_pairs(basis)
     return _forest_size((M.n, edges), range(len(edges)))

@@ -48,20 +48,14 @@ from .linalg import _extend, _null_vector, bareiss_det, integer_rank
 def tangent_cone(M, basis):
     """Vertex cone of the matroid polytope at e_B as its exchange pairs, one
     per adjacent basis B - i + j in the order of `M.adjacent_bases`: i
-    leaves B, j enters it, and the pair's generator is e_j - e_i.
-
-    The pairs are read off the fundamental circuits: (i, j) for each j
-    outside B and each i of B on C(B, j).  Sorted sets of one size sort
-    lexicographically in the descending order of sum_e 2^(n-1-e), so the
-    neighbours' order is the ascending order of 2^(n-1-i) - 2^(n-1-j), and
-    no neighbour is built.
+    leaves B, j enters it, and the pair's generator is e_j - e_i.  The
+    pairs are the matroid's own (`Matroid._exchange_pairs`); no neighbour
+    is built.
     """
     b = tuple(sorted(basis))
     if not M.is_basis(b):
         raise DimensionError(f"{b} is not a basis")
-    top = M.n - 1
-    return tuple(sorted([(i, j) for j, circuit in M._fundamental_circuits(b) for i in circuit],
-                        key=lambda p: (1 << (top - p[0])) - (1 << (top - p[1]))))
+    return tuple(M._exchange_pairs(b))
 
 
 def placing_triangulation(points):

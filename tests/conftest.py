@@ -355,10 +355,10 @@ def rank_dimension(M: Matroid, bases=None) -> int:
 
 def pairs_of_adjacent_bases(M: Matroid, basis):
     """The exchange pair (i, j) of every adjacent basis B - i + j, in the
-    order of `M.adjacent_bases`, read off the neighbour tuples."""
+    sorted order of the neighbours, read off `brute_adjacent`."""
     inside = set(basis)
     pairs = []
-    for nb in M.adjacent_bases(tuple(sorted(basis))):
+    for nb in sorted(brute_adjacent(M, basis)):
         (i,) = inside.difference(nb)
         (j,) = set(nb).difference(inside)
         pairs.append((i, j))

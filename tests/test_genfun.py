@@ -510,41 +510,62 @@ class TestEhrhartPipeline:
 
 
 class TestConnectedGraphs:
-    """Every connected graph on at most 5 vertices.  The dissertation gives
-    computational evidence that Ehrhart coefficients of matroid polytopes
-    are positive and h* is unimodal (De Loera, Haws and Koeppe, Ehrhart
-    polynomials of matroid polytopes and polymatroids, Discrete Comput.
-    Geom. 2009).  Positivity fails in general (Ferroni, Matroids are not
-    Ehrhart positive, Adv. Math. 2022), so both are pinned for this finite
-    set only."""
+    """Every connected graph on at most 5 vertices and, in a slow test, on 6
+    vertices but K6 and K6 - e, the two densest, which take longer than the
+    other 110 together (K6 has its own slow pin).  The
+    dissertation gives computational evidence that Ehrhart coefficients of
+    matroid polytopes are positive and h* is unimodal (De Loera, Haws and
+    Koeppe, Ehrhart polynomials of matroid polytopes and polymatroids,
+    Discrete Comput. Geom. 2009).  Positivity fails in general (Ferroni,
+    Matroids are not Ehrhart positive, Adv. Math. 2022), so both are pinned
+    for these finite sets only."""
 
     @staticmethod
-    def polynomials():
-        """(graph matroid, Ehrhart coefficients, h*) per graph with an edge."""
-        for nv in range(2, 6):
+    def polynomials(nvs):
+        """(graph matroid, Ehrhart coefficients, h*) per graph with an edge
+        and at most 13 of them, on nv vertices for each nv of `nvs`."""
+        for nv in nvs:
             for adj in connected_graphs(nv):
+                if sum(map(sum, adj)) > 2 * 13:
+                    continue
                 M = graphic_matroid(adj)
                 coeffs = ehrhart_polynomial(M)
                 dim = len(coeffs) - 1
                 counts = [evaluate_polynomial(coeffs, k) for k in range(dim + 1)]
                 yield M, coeffs, hstar_from_counts(counts, dim)
 
+    @staticmethod
+    def check_against_counts(M, coeffs, hstar):
+        nv, edges = M.data
+        assert evaluate_polynomial(coeffs, 1) == laplacian_tree_count(nv, edges), M
+        assert evaluate_polynomial(coeffs, 2) == dilation_lattice_counts(M, (2,))[0], M
+        assert all(h >= 0 and h == int(h) for h in hstar) and hstar[0] == 1, M
+        assert sum(hstar) == factorial(len(coeffs) - 1) * coeffs[-1], M
+
+    @staticmethod
+    def check_positive_and_unimodal(M, coeffs, hstar):
+        assert all(c > 0 for c in coeffs), M
+        assert is_unimodal(hstar), M
+
     def test_counts_match_oeis(self):
         # OEIS A001349: connected graphs on n unlabeled nodes, n = 1..6.
         assert [len(connected_graphs(nv)) for nv in range(1, 7)] == [1, 1, 2, 6, 21, 112]
 
     def test_polynomials_against_counts(self):
-        for M, coeffs, hstar in self.polynomials():
-            nv, edges = M.data
-            assert evaluate_polynomial(coeffs, 1) == laplacian_tree_count(nv, edges), M
-            assert evaluate_polynomial(coeffs, 2) == dilation_lattice_counts(M, (2,))[0], M
-            assert all(h >= 0 and h == int(h) for h in hstar) and hstar[0] == 1, M
-            assert sum(hstar) == factorial(len(coeffs) - 1) * coeffs[-1], M
+        for case in self.polynomials(range(2, 6)):
+            self.check_against_counts(*case)
 
     def test_positive_and_unimodal_on_this_set(self):
-        for M, coeffs, hstar in self.polynomials():
-            assert all(c > 0 for c in coeffs), M
-            assert is_unimodal(hstar), M
+        for case in self.polynomials(range(2, 6)):
+            self.check_positive_and_unimodal(*case)
+
+    @pytest.mark.slow
+    def test_six_vertices_but_the_two_densest(self):
+        cases = list(self.polynomials([6]))
+        assert len(cases) == 110
+        for case in cases:
+            self.check_against_counts(*case)
+            self.check_positive_and_unimodal(*case)
 
 
 def orbit_matroids():

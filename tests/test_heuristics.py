@@ -697,7 +697,7 @@ class TestProjectionMemo:
 class TestPickling:
     def test_caches_stay_behind(self):
         # Workers get M and W as their constructor arguments: a search that
-        # fills the rank, neighbour and projection caches pickles no more.
+        # fills the neighbour and projection caches pickles no more.
         import pickle
 
         rng = random.Random(41)
@@ -705,12 +705,12 @@ class TestPickling:
         W = WeightMatrix(random_weight_matrix(rng, 2, M.n, 0, 9))
         sizes = len(pickle.dumps(M)), len(pickle.dumps(W))
         pivot_test(M, W, box_points(M, W), tries=1, seed=2)
-        assert M._rank_cache and M._adj_cache and W._points
+        assert M._adj_cache and W._points
         assert (len(pickle.dumps(M)), len(pickle.dumps(W))) == sizes
         M2, W2 = pickle.loads(pickle.dumps((M, W)))
         assert (M2.kind, M2.n, M2.rank, M2.data, M2.label) == (M.kind, M.n, M.rank, M.data, M.label)
         assert W2 == W
-        assert M2._rank_cache == {} and M2._adj_cache == {} and W2._points == {}
+        assert M2._adj_cache == {} and W2._points == {}
         assert sorted(enumerate_bases(M2)) == sorted(enumerate_bases(M))
 
 

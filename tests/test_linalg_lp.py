@@ -6,6 +6,7 @@ oracles `fraction_rank` and `fraction_solve`."""
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from conftest import (
     simplex_maximize,
     solve_in_row_space,
 )
+from matropt import DimensionError
 from matropt.linalg import (
     _integral,
     _null_vector,
@@ -59,6 +61,14 @@ class TestDeterminants:
 
     def test_empty_matrix(self):
         assert bareiss_det([]) == 1
+
+    def test_rejects_entries_that_are_not_ints(self):
+        # Its exact division floors a rational quotient: this determinant,
+        # -5/6, would come out as -1.
+        with pytest.raises(DimensionError):
+            bareiss_det([[Fraction(1, 2), 1], [1, Fraction(1, 3)]])
+        with pytest.raises(DimensionError):
+            bareiss_det([[1, 2], [3, 4.0]])
 
 
 class TestKernelsAndLattices:

@@ -51,6 +51,11 @@ class TestRank:
         assert k4.rank_of(range(6)) == 3
         assert k4.rank == 3
 
+    def test_repeated_element_counts_once(self, k4):
+        # On U(3,4) a repeated element counted twice would read rank 3.
+        for M in (uniform_matroid(4, 3), k4, vector_matroid(VECTOR_2x5)):
+            assert M.rank_of([0, 0, 1]) == M.rank_of([0, 1]) == 2, M
+
     def test_out_of_range(self, u24):
         with pytest.raises(DimensionError):
             u24.rank_of([7])

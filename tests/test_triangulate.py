@@ -233,8 +233,9 @@ class TestTangentCone:
         assert cone_generators(cone) == tuple(diffs)  # in the order of adjacent_bases
 
     def test_pairs_match_adjacent_bases(self, catalog):
-        # Read off the fundamental circuits, in the order of the neighbour
-        # tuples, which are never built: the adjacency cache stays empty.
+        # Read off the fundamental circuits, in the sorted order of the
+        # neighbours, which are never built: the adjacency cache stays empty.
+        # The reference pairs come from single exchanges tried one by one.
         for M in catalog + exchange_edge_cases():
             for b in enumerate_bases(M):
                 M._adj_cache.clear()
