@@ -72,5 +72,10 @@ from .uniform import (
     hstar_uniform,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+# The names imported above; the submodules they come from stay out, so that
+# `from matropt import *` rebinds no module name such as `io`.
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

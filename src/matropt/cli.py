@@ -1,7 +1,10 @@
 """Command-line surface.
 
-Every stochastic subcommand requires --seed and echoes {seed, params} into
-its output header; identical inputs and flags give byte-identical output.
+Each subcommand declares once, in `build_parser`, which input files it
+reads; `main` loads them, the --matroid first and then the --weights checked
+against it, and hands them to the command.  Every stochastic subcommand
+requires --seed and echoes {seed, params} into its output header; identical
+inputs and flags give byte-identical output.
 Rationals print as "p/q", elements as 1-based labels.  Exit codes: 0 ok,
 2 parse/usage, 3 dimension mismatch, 4 cap exceeded, 5 internal
 inconsistency.
@@ -15,7 +18,7 @@ import json
 import random
 import sys
 
-from .errors import DimensionError, InternalInconsistencyError, MatroptError, ParseError
+from .errors import CapError, DimensionError, InternalInconsistencyError, MatroptError, ParseError
 from .genfun import ehrhart_polynomial
 from .heuristics import (
     boundary_pareto_search,
@@ -48,8 +51,10 @@ from .multicriteria import (
     project,
 )
 from .oracles import (
+    BASES_CAP_DEFAULT,
     dilation_lattice_counts,
     enumerate_bases,
+    env_cap,
     exact_projected_set,
     laplacian_tree_count,
     spanning_trees,
@@ -129,7 +134,7 @@ def _write(args, chunks):
 
 
 def _weights(args, M):
-    if not getattr(args, "weights", None):
+    if not args.weights:
         raise ParseError("this subcommand needs --weights")
     W = WeightMatrix(tuple(load_weights(args.weights)))
     if W.n != M.n:
@@ -137,14 +142,12 @@ def _weights(args, M):
     return W
 
 
-def cmd_bases(args):
-    M = load_matroid(args.matroid)
+def cmd_bases(args, M):
     bases = enumerate_bases(M)
     _emit(args, {"count": len(bases), "bases": [_one_based(b) for b in bases]})
 
 
-def cmd_adjacency(args):
-    M = load_matroid(args.matroid)
+def cmd_adjacency(args, M):
     basis = _parse_basis(args.basis, M.n)
     if not M.is_basis(basis):
         raise DimensionError(f"{args.basis} is not a basis")
@@ -152,18 +155,15 @@ def cmd_adjacency(args):
     _emit(args, {"basis": _one_based(basis), "neighbors": neighbors})
 
 
-def cmd_greedy(args):
-    M = load_matroid(args.matroid)
-    W = _weights(args, M)
+def cmd_greedy(args, M, W):
     if not 1 <= args.row <= W.d:
         raise DimensionError(f"--row must be in 1..{W.d}")
     basis, value = greedy_max_basis(M, W.rows[args.row - 1])
     _emit(args, {"basis": _one_based(basis), "weight": format_rational(value)})
 
 
-def _run_single_search(args, use_tabu):
-    M = load_matroid(args.matroid)
-    W = _weights(args, M)
+def cmd_search(args, M, W):
+    """ls and ts: one descent from --start, or from a seeded random basis."""
     obj = _objective(args, W.d)
     if args.start:
         start = _parse_basis(args.start, M.n)
@@ -176,9 +176,11 @@ def _run_single_search(args, use_tabu):
     def sink(pivot, basis, point, value):
         trail.append((pivot, basis, point, value))
 
-    if use_tabu:
+    params = {"objective": args.objective, "start": _one_based(start)}
+    if args.command == "ts":
         result = tabu_search(M, W, obj, start, args.tabu_limit, transcript=sink)
         reason = "tabu stop"
+        params["tabu_limit"] = args.tabu_limit
     else:
         result = local_search(M, W, obj, start, transcript=sink)
         reason = "local minimum"
@@ -195,29 +197,30 @@ def _run_single_search(args, use_tabu):
     point = project(W, result)
     payload = {
         "seed": args.seed,
-        "params": {"objective": args.objective, "start": _one_based(start)},
+        "params": params,
         "basis": _one_based(result),
         "point": list(point),
         "value": format_rational(obj(point)),
         "pivots": trail[-1][0] if trail else 0,
         "reason": reason,
     }
-    if use_tabu:
-        payload["params"]["tabu_limit"] = args.tabu_limit
     _emit(args, payload, point_rows=[point])
 
 
-def cmd_ls(args):
-    _run_single_search(args, use_tabu=False)
+def _emit_found(args, W, found, params):
+    """The report of pt, pb and btrpt: the bases they found, sorted, and
+    their distinct projections."""
+    points = sorted({project(W, b) for b in found})
+    payload = {
+        "seed": args.seed,
+        "params": params,
+        "bases": sorted(_one_based(b) for b in found),
+        "points": [list(p) for p in points],
+    }
+    _emit(args, payload, point_rows=points)
 
 
-def cmd_ts(args):
-    _run_single_search(args, use_tabu=True)
-
-
-def cmd_pt(args):
-    M = load_matroid(args.matroid)
-    W = _weights(args, M)
+def cmd_pt(args, M, W):
     if args.targets is not None:
         targets = [(_parse_point(tok)) for tok in args.targets.split(";") if tok.strip()]
         for t in targets:
@@ -230,60 +233,33 @@ def cmd_pt(args):
         M, W, targets, args.tries, searcher=args.searcher, seed=args.seed,
         tabu_limit=args.tabu_limit, workers=args.workers,
     )
-    points = sorted(project(W, b) for b in found)
-    payload = {
-        "seed": args.seed,
-        "params": {
-            "tries": args.tries,
-            "searcher": args.searcher,
-            "tabu_limit": args.tabu_limit,
-            "workers": args.workers,
-            "targets": len(targets),
-        },
-        "bases": sorted(_one_based(b) for b in found),
-        "points": [list(p) for p in points],
-    }
-    _emit(args, payload, point_rows=points)
+    _emit_found(args, W, found, {
+        "tries": args.tries,
+        "searcher": args.searcher,
+        "tabu_limit": args.tabu_limit,
+        "workers": args.workers,
+        "targets": len(targets),
+    })
 
 
-def cmd_pb(args):
-    M = load_matroid(args.matroid)
-    W = _weights(args, M)
+def cmd_pb(args, M, W):
     if W.d != 2:
         raise DimensionError("pb requires exactly 2 criteria")
     rng = random.Random(args.seed)
     start = boundary_start(M, W, rng)
-    found = projected_boundary(M, W, start)
-    points = sorted({project(W, b) for b in found})
-    payload = {
-        "seed": args.seed,
-        "params": {"start": _one_based(start)},
-        "bases": sorted(_one_based(b) for b in found),
-        "points": [list(p) for p in points],
-    }
-    _emit(args, payload, point_rows=points)
+    _emit_found(args, W, projected_boundary(M, W, start), {"start": _one_based(start)})
 
 
-def cmd_btrpt(args):
-    M = load_matroid(args.matroid)
-    W = _weights(args, M)
+def cmd_btrpt(args, M, W):
     found = boundary_pareto_search(
         M, W, args.tries, seed=args.seed, searcher=args.searcher,
         tabu_limit=args.tabu_limit, workers=args.workers,
     )
-    points = sorted({project(W, b) for b in found})
-    payload = {
-        "seed": args.seed,
-        "params": {"tries": args.tries, "searcher": args.searcher, "tabu_limit": args.tabu_limit},
-        "bases": sorted(_one_based(b) for b in found),
-        "points": [list(p) for p in points],
-    }
-    _emit(args, payload, point_rows=points)
+    _emit_found(args, W, found,
+                {"tries": args.tries, "searcher": args.searcher, "tabu_limit": args.tabu_limit})
 
 
-def cmd_dfbfs(args):
-    M = load_matroid(args.matroid)
-    W = _weights(args, M)
+def cmd_dfbfs(args, M, W):
     seen, witnesses = fiber_bfs_driver(
         M, W, seed=args.seed, bfs_depth=args.depth, num_searches=args.searches,
         boundary_retry_limit=args.boundary_retries, random_retry_limit=args.random_retries,
@@ -303,14 +279,17 @@ def cmd_dfbfs(args):
     _emit(args, payload, point_rows=points)
 
 
-def cmd_enumerate_trees(args):
-    M = load_matroid(args.matroid)
+def cmd_enumerate_trees(args, M):
     if M.kind != "graphic":
         raise DimensionError("enumerate-trees needs a graph-format matroid")
     nv, edges = M.data
-    trees = [sorted(t) for t in spanning_trees(nv, edges)]
-    trees.sort()
+    # The matrix-tree count bounds the listing first; the listing then
+    # checks it.
     lap = laplacian_tree_count(nv, edges)
+    cap = env_cap("MATROPT_BASES_CAP", BASES_CAP_DEFAULT)
+    if lap > cap:
+        raise CapError(f"{lap} spanning trees exceed enumeration cap {cap}")
+    trees = sorted(sorted(t) for t in spanning_trees(nv, edges))
     if lap != len(trees):
         raise InternalInconsistencyError(
             f"enumerated {len(trees)} trees but the Laplacian cofactor gives {lap}"
@@ -322,9 +301,7 @@ def cmd_enumerate_trees(args):
     })
 
 
-def cmd_projected_set(args):
-    M = load_matroid(args.matroid)
-    W = _weights(args, M)
+def cmd_projected_set(args, M, W):
     fibers = exact_projected_set(M, W)
     points = sorted(fibers)
     payload = {
@@ -334,39 +311,35 @@ def cmd_projected_set(args):
     _emit(args, payload, point_rows=points, csv_rows=[list(p) + [fibers[p]] for p in points])
 
 
-def cmd_pareto(args):
-    M = load_matroid(args.matroid)
-    W = _weights(args, M)
-    fibers = exact_projected_set(M, W)
-    points = sorted(pareto_filter(fibers))
+def cmd_pareto(args, M, W):
+    points = sorted(pareto_filter(exact_projected_set(M, W)))
     _emit(args, {"points": [list(p) for p in points]}, point_rows=points)
 
 
-def cmd_ehrhart(args):
-    M = load_matroid(args.matroid)
-    coeffs = ehrhart_polynomial(M)
+def _emit_coefficients(args, coeffs):
+    """The report of ehrhart and ehrhart-uniform: the Ehrhart polynomial's
+    coefficients from the constant term up, and its degree."""
     _emit(args, {
         "coefficients": [format_rational(c) for c in coeffs],
         "dimension": len(coeffs) - 1,
     })
+
+
+def cmd_ehrhart(args, M):
+    _emit_coefficients(args, ehrhart_polynomial(M))
 
 
 def cmd_ehrhart_uniform(args):
-    coeffs = ehrhart_uniform(args.n, args.r)
-    _emit(args, {
-        "coefficients": [format_rational(c) for c in coeffs],
-        "dimension": len(coeffs) - 1,
-    })
+    _emit_coefficients(args, ehrhart_uniform(args.n, args.r))
 
 
 def cmd_hstar_uniform(args):
     _emit(args, {"hstar": list(hstar_uniform(args.n, args.r))})
 
 
-def cmd_lattice_count(args):
+def cmd_lattice_count(args, M):
     if args.format == "csv" and args.kmax is None:
         raise ParseError("csv format needs --kmax")
-    M = load_matroid(args.matroid)
     if args.kmax is not None:
         if args.kmax < 0:
             raise DimensionError(f"--kmax must be >= 0, got {args.kmax}")
@@ -376,8 +349,7 @@ def cmd_lattice_count(args):
         _emit(args, {"k": args.k, "count": dilation_lattice_counts(M, (args.k,))[0]})
 
 
-def cmd_check_unimodular(args):
-    M = load_matroid(args.matroid)
+def cmd_check_unimodular(args, M):
     bases = enumerate_bases(M)
     points = [incidence_vector(b, M.n) for b in bases]
     cells, volumes = placing_triangulation(points)
@@ -422,8 +394,7 @@ def cmd_check_unimodular(args):
     _write(args, report())
 
 
-def cmd_classify_2face(args):
-    M = load_matroid(args.matroid)
+def cmd_classify_2face(args, M):
     rows = parse_point_rows(read_text(args.points))
     if len(rows) != 4 or any(len(r) != M.n for r in rows):
         raise DimensionError("expected a 'vector 4 n' file of the four corners")
@@ -455,8 +426,8 @@ def build_parser():
     p = add("greedy", cmd_greedy, weights=True)
     p.add_argument("--row", type=int, default=1)
 
-    for name, fn in (("ls", cmd_ls), ("ts", cmd_ts)):
-        p = add(name, fn, weights=True, seeded=True, formats=points)
+    for name in ("ls", "ts"):
+        p = add(name, cmd_search, weights=True, seeded=True, formats=points)
         p.add_argument("--objective", choices=("linear", "sqdist", "quartic", "minmax"),
                        default="sqdist")
         p.add_argument("--coeff", help="comma-separated rationals for linear")
@@ -513,10 +484,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        inputs = []
+        if hasattr(args, "matroid"):
+            inputs.append(load_matroid(args.matroid))
+        if hasattr(args, "weights"):
+            inputs.append(_weights(args, inputs[0]))
+        args.func(args, *inputs)
     except MatroptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

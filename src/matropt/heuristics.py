@@ -390,10 +390,10 @@ def fiber_bfs(M: Matroid, W: WeightMatrix, start, depth, seen, witnesses):
 
     Records the projection of `start`, then explores from it, recording a
     neighbor only when its projection is not in `seen` (pivots inside a
-    fiber are forbidden), and recursing while the level stays below
-    `depth`; depth 0 records the start alone.  New projections go into the
-    caller's set `seen` and their bases into its dict `witnesses`; returns
-    (seen, witnesses).
+    fiber are forbidden), and exploring from each recorded neighbor in turn,
+    depth first, while its level stays below `depth`; depth 0 records the
+    start alone.  New projections go into the caller's set `seen` and their
+    bases into its dict `witnesses`; returns (seen, witnesses).
     """
     _check(M, W)
     start = tuple(sorted(start))
@@ -404,20 +404,22 @@ def fiber_bfs(M: Matroid, W: WeightMatrix, start, depth, seen, witnesses):
         seen.add(p)
         witnesses[p] = start
 
-    def rec(basis, level):  # every basis here was recorded when it was reached
+    # An explicit stack, so that no depth meets Python's recursion limit;
+    # each frontier goes on reversed, so that its first basis is explored
+    # next.  Every basis on the stack was recorded when it was reached.
+    stack = [(start, 0)]
+    while stack:
+        basis, level = stack.pop()
         if level >= depth:
-            return
+            continue
         frontier = []
         for nb in M.adjacent_bases(basis):
             q = _point(W, nb)
             if q not in seen:
                 seen.add(q)
                 witnesses[q] = nb
-                frontier.append(nb)
-        for nb in frontier:
-            rec(nb, level + 1)
-
-    rec(start, 0)
+                frontier.append((nb, level + 1))
+        stack.extend(reversed(frontier))
     return seen, witnesses
 
 

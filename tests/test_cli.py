@@ -462,6 +462,31 @@ class TestEhrhartGolden:
         assert res.stdout == (self.GOLDEN / f"ehrhart_{name}.json").read_text()
 
 
+class TestWeightsGolden:
+    """greedy, projected-set and pareto stdout in each format they offer,
+    recorded before `main` took over loading each subcommand's inputs."""
+
+    GOLDEN = Path(__file__).parent / "golden"
+    CASES = {
+        "greedy_k4.json": ("greedy", "k4"),
+        "greedy_k4_row2.json": ("greedy", "k4", "--row", "2"),
+        "projected_set_u24.json": ("projected-set", "u24"),
+        "projected_set_u24.csv": ("projected-set", "u24", "--format", "csv"),
+        "projected_set_u24.points": ("projected-set", "u24", "--format", "points"),
+        "pareto_k4.json": ("pareto", "k4"),
+        "pareto_k4.points": ("pareto", "k4", "--format", "points"),
+    }
+    MATROIDS = {"k4": "k4.graph", "u24": "u24.matroid"}
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bytes(self, files, name):
+        cmd, fixture, *flags = self.CASES[name]
+        res = run_cli(cmd, "--matroid", files[self.MATROIDS[fixture]],
+                      "--weights", files[f"{fixture}.weights"], *flags)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == (self.GOLDEN / name).read_text()
+
+
 class TestInProcessCalls:
     def test_in_process_calls_match_fresh_processes(self, files):
         # Repeated main() calls in one process, as the benchmark makes
@@ -614,6 +639,24 @@ class TestExitCodes:
         assert json.loads(res.stdout)["count"] == 6
         res = run_cli("bases", "--matroid", files["u24.matroid"], env={"MATROPT_BASES_CAP": "5"})
         self._one_error_line(res, 4)
+
+    def test_enumerate_trees_cap_boundary(self, files, monkeypatch, capsys):
+        # K4 has 16 spanning trees, counted before any is listed.
+        argv = ("enumerate-trees", "--matroid", files["k4.graph"])
+        res = run_cli(*argv, env={"MATROPT_BASES_CAP": "16"})
+        assert res.returncode == 0
+        assert res.stdout == (Path(__file__).parent / "golden/enumerate_trees_k4.json").read_text()
+        res = run_cli(*argv, env={"MATROPT_BASES_CAP": "15"})
+        self._one_error_line(res, 4)
+        assert res.stdout == ""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tree was listed above the cap")
+
+        monkeypatch.setattr(cli, "spanning_trees", refuse)
+        monkeypatch.setenv("MATROPT_BASES_CAP", "15")
+        assert cli.main(list(argv)) == 4
+        assert capsys.readouterr().out == ""
 
     def test_non_integer_cap_is_two(self, files):
         res = run_cli("bases", "--matroid", files["u24.matroid"],

@@ -27,6 +27,7 @@ from matropt import (
     fiber_bfs,
     fiber_bfs_driver,
     graphic_matroid,
+    greedy_max_basis,
     local_search,
     pareto_filter,
     pivot_test,
@@ -550,6 +551,55 @@ class TestFiberBFS:
         exact = set(exact_projected_set(u24, W))
         seen, _ = fiber_bfs(u24, W, (0, 1), 10, set(), {})
         assert seen == exact
+
+    @staticmethod
+    def recursive_fiber_bfs(M, W, start, depth):
+        """The rule fiber_bfs walks, one recursive call per level: explore
+        a basis's fresh neighbours depth first, in the order they are met."""
+        seen, witnesses = {project(W, start)}, {project(W, start): start}
+
+        def rec(basis, level):
+            if level >= depth:
+                return
+            frontier = []
+            for nb in M.adjacent_bases(basis):
+                q = project(W, nb)
+                if q not in seen:
+                    seen.add(q)
+                    witnesses[q] = nb
+                    frontier.append(nb)
+            for nb in frontier:
+                rec(nb, level + 1)
+
+        rec(start, 0)
+        return seen, witnesses
+
+    @staticmethod
+    def k7_instance():
+        M = graphic_matroid([[int(i != j) for j in range(7)] for i in range(7)])
+        rng = random.Random(5)
+        W = WeightMatrix(tuple(tuple(rng.randint(0, 10**6) for _ in range(M.n))
+                               for _ in range(2)))
+        return M, W, greedy_max_basis(M, [0] * M.n)[0]
+
+    def test_matches_the_recursive_rule(self):
+        cases = [(M, W, greedy_max_basis(M, [0] * M.n)[0], range(M.n + 1))
+                 for M, W in criterion9_instances(6)]
+        M, W, start = self.k7_instance()
+        cases.append((M, W, start, (900,)))
+        for M, W, start, depths in cases:
+            for depth in depths:
+                seen, wit = fiber_bfs(M, W, start, depth, set(), {})
+                want_seen, want_wit = self.recursive_fiber_bfs(M, W, start, depth)
+                assert seen == want_seen
+                assert list(wit.items()) == list(want_wit.items())
+
+    def test_depth_beyond_the_recursion_limit(self):
+        # Fresh projections chain the walk thousands of levels deep on K7,
+        # whose 7^5 spanning trees (Cayley) project to distinct points here.
+        M, W, start = self.k7_instance()
+        seen, wit = fiber_bfs(M, W, start, 1000, set(), {})
+        assert len(seen) == len(wit) == 7 ** 5
 
 
 # The driver's knobs and their defaults, read off its signature.

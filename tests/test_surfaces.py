@@ -3,6 +3,7 @@ itself uses, and the equivalence of the placing fast path with the
 visibility LP."""
 
 import ast
+import io
 import random
 import types
 from collections import Counter
@@ -54,11 +55,16 @@ class TestPublicNamesAreUsed:
                     used.add(node.attr)
                 elif isinstance(node, ast.ImportFrom):
                     used.update(alias.name for alias in node.names)
-        exported = {
-            name for name in matropt.__all__
-            if not isinstance(getattr(matropt, name), types.ModuleType)
-        }
-        assert sorted(exported - used) == []
+        assert sorted(set(matropt.__all__) - used) == []
+
+    def test_star_import_brings_no_submodule(self):
+        # A submodule in __all__ would rebind a name such as `io` in the
+        # importing namespace.
+        namespace = {"io": io}
+        exec("from matropt import *", namespace)
+        assert namespace["io"] is io
+        assert not [name for name in matropt.__all__
+                    if isinstance(getattr(matropt, name), types.ModuleType)]
 
 
 class TestPlacingMatchesVisibilityLP:
