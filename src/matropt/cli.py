@@ -39,7 +39,7 @@ from .io import (
     read_text,
     write_text,
 )
-from .matroid import greedy_max_basis, incidence_vector, random_basis
+from .matroid import GraphicMatroid, greedy_max_basis, incidence_vector, random_basis
 from .multicriteria import (
     Linear,
     MinMax,
@@ -134,8 +134,6 @@ def _write(args, chunks):
 
 
 def _weights(args, M):
-    if not args.weights:
-        raise ParseError("this subcommand needs --weights")
     W = WeightMatrix(tuple(load_weights(args.weights)))
     if W.n != M.n:
         raise DimensionError(f"weights have {W.n} columns, matroid has {M.n}")
@@ -280,16 +278,15 @@ def cmd_dfbfs(args, M, W):
 
 
 def cmd_enumerate_trees(args, M):
-    if M.kind != "graphic":
+    if not isinstance(M, GraphicMatroid):
         raise DimensionError("enumerate-trees needs a graph-format matroid")
-    nv, edges = M.data
     # The matrix-tree count bounds the listing first; the listing then
     # checks it.
-    lap = laplacian_tree_count(nv, edges)
+    lap = laplacian_tree_count(M.nv, M.edges)
     cap = env_cap("MATROPT_BASES_CAP", BASES_CAP_DEFAULT)
     if lap > cap:
         raise CapError(f"{lap} spanning trees exceed enumeration cap {cap}")
-    trees = sorted(sorted(t) for t in spanning_trees(nv, edges))
+    trees = sorted(sorted(t) for t in spanning_trees(M.nv, M.edges))
     if lap != len(trees):
         raise InternalInconsistencyError(
             f"enumerated {len(trees)} trees but the Laplacian cofactor gives {lap}"
@@ -411,7 +408,7 @@ def build_parser():
         if matroid:
             p.add_argument("--matroid", required=True, help="matroid file")
         if weights:
-            p.add_argument("--weights", help="weights file")
+            p.add_argument("--weights", required=True, help="weights file")
         if seeded:
             p.add_argument("--seed", type=int, required=True)
         p.add_argument("--output", help="write here instead of stdout")

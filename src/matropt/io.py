@@ -7,6 +7,9 @@ Matroid files:
 Weight files:
     weights d n + d rows of integers
 
+A file holds exactly the rows its header declares, and a size is never
+negative; anything else is a ParseError naming the line.
+
 Rationals are always rendered as "p/q" (or a bare integer) so output is
 byte-stable; no decimal notation is ever produced or accepted.
 """
@@ -57,6 +60,8 @@ def parse_matroid(text: str) -> Matroid:
         if len(fields) != 3:
             raise ParseError("expected 'uniform n r'", line=lineno)
         n, r = _ints(fields[1:], lineno)
+        if len(lines) > 1:
+            raise ParseError("unexpected line after 'uniform n r'", line=lines[1][0])
         return uniform_matroid(n, r)
     if kind == "graph":
         if len(fields) != 2:
@@ -100,12 +105,17 @@ def _ints(tokens, lineno):
 
 
 def _matrix(lines, nrows, ncols, header_line, integer):
+    """Exactly the nrows x ncols matrix of the lines after the header."""
+    if nrows < 0 or ncols < 0:
+        raise ParseError(f"matrix size {nrows} x {ncols} is negative", line=header_line)
     if len(lines) < nrows:
         raise ParseError(
             f"expected {nrows} matrix rows, found {len(lines)}", line=header_line
         )
+    if len(lines) > nrows:
+        raise ParseError(f"unexpected line past the {nrows} matrix rows", line=lines[nrows][0])
     rows = []
-    for lineno, text in lines[:nrows]:
+    for lineno, text in lines:
         tokens = text.split()
         if len(tokens) != ncols:
             raise ParseError(

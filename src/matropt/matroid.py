@@ -1,4 +1,4 @@
-"""Matroids behind a rank oracle, with three exact backends.
+"""Matroids behind a rank oracle, one `Matroid` subclass per exact backend.
 
 A `Matroid` (uniform, graphic or vector) answers rank, basis and
 basis-exchange queries; around it sit incidence vectors, the greedy
@@ -21,47 +21,36 @@ REJECTION_CAP = 10_000_000
 
 
 class Matroid:
-    """Ground set [n] plus a rank oracle; uniform, graphic, or vector backed.
+    """Ground set [n] plus a rank oracle.
 
-    Do not mutate after construction.  Each rank query asks the backend
-    (`rank_of`); nothing memoizes it.  The neighbor lists of bases are
-    cached on first use because the search heuristics hammer them.  A
-    neighbor list comes from the exchange pairs, read off the fundamental
-    circuits in the backend's data (`_exchange_pairs`), so it costs one
-    rank query, the basis check.  The cache stays behind when the matroid
-    is pickled (to worker processes, say): it travels as its constructor
-    arguments.  `label` names it in messages and `repr`; each constructor
-    function gives one.
+    A backend is a subclass that supplies `_rank(elements)`, the rank of a
+    set of in-range elements, and `_circuit_pairs(b, out)`, the pair (i, j)
+    for each j of `out` (the elements outside the basis b) and each i on
+    the fundamental circuit C(b, j), in any order.  Do not mutate after
+    construction.  Nothing memoizes a rank query; the neighbor lists of
+    bases are cached on first use because the search heuristics hammer
+    them, and each costs one rank query, the basis check.  The cache stays
+    behind when the matroid is pickled (to worker processes, say).
     """
 
-    def __init__(self, kind, n, rank, data, label):
-        self.kind = kind
+    def __init__(self, n, rank):
         self.n = n
         self.rank = rank
-        self.data = data
-        self.label = label
         self._adj_cache = {}
 
     def __repr__(self):
-        return f"Matroid({self.label}, n={self.n}, rank={self.rank})"
+        return f"{type(self).__name__}(n={self.n}, rank={self.rank})"
 
-    def __reduce__(self):
-        return (Matroid, (self.kind, self.n, self.rank, self.data, self.label))
-
-    def _check_subset(self, subset):
-        for i in subset:
-            if not 0 <= i < self.n:
-                raise DimensionError(f"element {i} out of range for ground set of size {self.n}")
+    def __getstate__(self):
+        return {**vars(self), "_adj_cache": {}}
 
     def rank_of(self, subset) -> int:
         """Rank of a subset of the ground set; a repeated element counts once."""
         elements = set(subset)
-        self._check_subset(elements)
-        if self.kind == "uniform":
-            return min(len(elements), self.data)
-        if self.kind == "graphic":
-            return _forest_size(self.data, elements)
-        return integer_rank([self.data[1][j] for j in elements])
+        for i in elements:
+            if not 0 <= i < self.n:
+                raise DimensionError(f"element {i} out of range for ground set of size {self.n}")
+        return self._rank(elements)
 
     def is_basis(self, subset) -> bool:
         # The input's own length: a repeated element must not pass.
@@ -101,45 +90,63 @@ class Matroid:
         sum_e 2^(n-1-e), so the neighbors sort in the ascending order of
         2^(n-1-i) - 2^(n-1-j), and no neighbor is built."""
         inside = set(b)
-        out = [j for j in range(self.n) if j not in inside]
-        if self.kind == "uniform":
-            pairs = [(i, j) for j in out for i in b]
-        elif self.kind == "graphic":
-            # C(b, j) is j and the tree path between j's endpoints in the
-            # forest b: the symmetric difference of their root-path masks.
-            nv, edges = self.data
-            adj = [[] for _ in range(nv)]
-            for e in b:
-                u, v = edges[e]
-                adj[u].append((v, e))
-                adj[v].append((u, e))
-            mask = [None] * nv
-            for root in range(nv):
-                if mask[root] is None:
-                    mask[root] = 0
-                    stack = [root]
-                    while stack:
-                        u = stack.pop()
-                        for v, e in adj[u]:
-                            if mask[v] is None:
-                                mask[v] = mask[u] | (1 << e)
-                                stack.append(v)
-            paths = [(j, mask[edges[j][0]] ^ mask[edges[j][1]]) for j in out]
-            pairs = [(i, j) for j, path in paths for i in b if path >> i & 1]
-        else:
-            # Vector: column j, reduced against b's columns tagged with unit
-            # vectors, carries the combination of them that cancels it; the
-            # basis elements with a nonzero tag are those on C(b, j).
-            m, cols = self.data
-            r = len(b)
-            echelon: list = []
-            for t, e in enumerate(b):
-                _extend(echelon, [*cols[e], *_unit(t, r)], m)
-            tags = [(j, _reduce(echelon, [*cols[j], *[0] * r])[m:]) for j in out]
-            pairs = [(i, j) for j, tag in tags for i, x in zip(b, tag) if x]
+        pairs = self._circuit_pairs(b, [j for j in range(self.n) if j not in inside])
         top = self.n - 1
         pairs.sort(key=lambda p: (1 << (top - p[0])) - (1 << (top - p[1])))
         return pairs
+
+
+class UniformMatroid(Matroid):
+    """U(rank, n): every set of `rank` elements is a basis."""
+
+    def _rank(self, elements):
+        return min(len(elements), self.rank)
+
+    def _circuit_pairs(self, b, out):
+        return [(i, j) for j in out for i in b]
+
+
+class GraphicMatroid(Matroid):
+    """The edges of a graph on `nv` vertices; `edges[e]` is (u, v), u < v."""
+
+    def __init__(self, nv, edges):
+        self.nv = nv
+        self.edges = edges
+        super().__init__(len(edges), self._rank(range(len(edges))))
+
+    def _rank(self, elements):
+        return len(_spanning_forest(self.nv, self.edges, elements))
+
+    def _circuit_pairs(self, b, out):
+        # C(b, j) is j and the tree path between j's endpoints in the
+        # forest b: the symmetric difference of their root-path masks.
+        edges = self.edges
+        anc, _ = _root_paths(self.nv, edges, b)
+        paths = [(j, anc[edges[j][0]] ^ anc[edges[j][1]]) for j in out]
+        return [(i, j) for j, path in paths for i in b if path >> i & 1]
+
+
+class VectorMatroid(Matroid):
+    """The columns `cols` of an m x n integer matrix, each a tuple of m ints."""
+
+    def __init__(self, m, cols):
+        self.m = m
+        self.cols = cols
+        super().__init__(len(cols), integer_rank(cols))
+
+    def _rank(self, elements):
+        return integer_rank([self.cols[j] for j in elements])
+
+    def _circuit_pairs(self, b, out):
+        # Column j, reduced against b's columns tagged with unit vectors,
+        # carries the combination of them that cancels it; the basis
+        # elements with a nonzero tag are those on C(b, j).
+        m, cols, r = self.m, self.cols, len(b)
+        echelon: list = []
+        for t, e in enumerate(b):
+            _extend(echelon, [*cols[e], *_unit(t, r)], m)
+        tags = [(j, _reduce(echelon, [*cols[j], *[0] * r])[m:]) for j in out]
+        return [(i, j) for j, tag in tags for i, x in zip(b, tag) if x]
 
 
 def uniform_matroid(n: int, r: int) -> Matroid:
@@ -147,7 +154,7 @@ def uniform_matroid(n: int, r: int) -> Matroid:
         raise DimensionError("ground set must have at least one element")
     if not 0 <= r <= n:
         raise DimensionError(f"uniform rank {r} must lie in [0, {n}]")
-    return Matroid("uniform", n, r, r, label=f"U({r},{n})")
+    return UniformMatroid(n, r)
 
 
 def graphic_matroid(adjacency) -> Matroid:
@@ -170,9 +177,7 @@ def graphic_matroid(adjacency) -> Matroid:
                 edges.append((u, v))
     if not edges:
         raise DimensionError("graph has no edges")
-    data = (nv, tuple(edges))
-    rank = _forest_size(data, range(len(edges)))
-    return Matroid("graphic", len(edges), rank, data, label=f"graph({nv}v,{len(edges)}e)")
+    return GraphicMatroid(nv, tuple(edges))
 
 
 def vector_matroid(rows) -> Matroid:
@@ -185,13 +190,13 @@ def vector_matroid(rows) -> Matroid:
         raise DimensionError("ragged matrix")
     # Column scaling does not change independence: clear denominators per column.
     cols = tuple(tuple(_integral([Fraction(r[j]) for r in rows])) for j in range(n))
-    data = (m, cols)
-    rank = integer_rank(cols)
-    return Matroid("vector", n, rank, data, label=f"vector({m}x{n})")
+    return VectorMatroid(m, cols)
 
 
-def _forest_size(data, edge_subset) -> int:
-    nv, edges = data
+def _spanning_forest(nv, edges, subset):
+    """The edges of `subset`, indices into `edges` (pairs of vertices
+    0..nv-1), that a greedy pass keeps, in their order: each joins two
+    components of those kept before it.  A union-find with path halving."""
     parent = list(range(nv))
 
     def find(x):
@@ -200,14 +205,42 @@ def _forest_size(data, edge_subset) -> int:
             x = parent[x]
         return x
 
-    size = 0
-    for idx in edge_subset:
+    kept = []
+    for idx in subset:
         u, v = edges[idx]
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
-            size += 1
-    return size
+            kept.append(idx)
+    return kept
+
+
+def _root_paths(nv, edges, forest):
+    """(anc, heads) of the forest of the edge indices `forest`, each
+    component rooted at its least vertex: anc[v] masks the edges from v up
+    to its root, and heads the edges (u, v) whose lower end, the one
+    farther from the root, is v."""
+    adj = [[] for _ in range(nv)]
+    for e in forest:
+        u, v = edges[e]
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    anc, heads, reached = [0] * nv, 0, [False] * nv
+    for root in range(nv):
+        if reached[root]:
+            continue
+        reached[root] = True
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v, e in adj[u]:
+                if not reached[v]:
+                    reached[v] = True
+                    anc[v] = anc[u] | 1 << e
+                    if v == edges[e][1]:
+                        heads |= 1 << e
+                    stack.append(v)
+    return anc, heads
 
 
 def automorphism_generators(n: int, bases):

@@ -20,7 +20,7 @@ from math import comb
 
 from .errors import CapError, DimensionError, ParseError
 from .linalg import bareiss_det
-from .matroid import Matroid, _forest_size
+from .matroid import Matroid, UniformMatroid, _spanning_forest
 from .multicriteria import WeightMatrix, project
 from .uniform import bounded_composition_counts
 
@@ -56,7 +56,7 @@ def spanning_trees(n_vertices: int, edges):
     disconnects).  Output-sensitive and duplicate-free by construction.
     """
     edges = [tuple(e) for e in edges]
-    if _forest_size((n_vertices, edges), range(len(edges))) != n_vertices - 1:
+    if len(_spanning_forest(n_vertices, edges, range(len(edges)))) != n_vertices - 1:
         raise DimensionError("spanning-tree enumeration requires a connected graph")
 
     def rec(nv, elist, chosen):
@@ -77,7 +77,7 @@ def spanning_trees(n_vertices: int, edges):
             contracted.append((a2, b2, lab))
         yield from rec(nv - 1, contracted, chosen + [label])
         rest = elist[1:]
-        if _forest_size((nv, [(a, b) for a, b, _ in rest]), range(len(rest))) == nv - 1:
+        if len(_spanning_forest(nv, [(a, b) for a, b, _ in rest], range(len(rest)))) == nv - 1:
             yield from rec(nv, rest, chosen)
 
     labeled = [(u, v, i) for i, (u, v) in enumerate(edges)]
@@ -156,7 +156,7 @@ def dilation_lattice_counts(M: Matroid, ks) -> tuple:
     if kmax == 0:
         return (1,) * len(ks)
     cap = env_cap("MATROPT_BASES_CAP", BASES_CAP_DEFAULT)
-    if M.kind == "uniform":
+    if isinstance(M, UniformMatroid):
         # The table for m parts has m*k + 1 entries, m = 1..n; the largest
         # k's tables pass the cap only if every smaller k's do.
         entries = kmax * M.n * (M.n + 1) // 2 + M.n
@@ -182,4 +182,4 @@ def polytope_dimension(M: Matroid, basis) -> int:
     matroids, Discrete Math. 1977).  So the dimension is the size of a
     spanning forest of that graph, for B the given `basis`."""
     edges = M._exchange_pairs(basis)
-    return _forest_size((M.n, edges), range(len(edges)))
+    return len(_spanning_forest(M.n, edges, range(len(edges))))

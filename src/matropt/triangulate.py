@@ -43,6 +43,7 @@ from operator import mul
 
 from .errors import DimensionError, InternalInconsistencyError
 from .linalg import _extend, _null_vector, bareiss_det, integer_rank
+from .matroid import _root_paths, _spanning_forest
 
 
 def tangent_cone(M, basis):
@@ -244,15 +245,9 @@ def tree_cells(pairs):
     if not pairs:
         return [((), (), None)]
     n, m = 1 + max(map(max, pairs)), len(pairs)
-    label, first, adj = list(range(n)), 0, [[] for _ in range(n)]
-    for k, (i, j) in enumerate(pairs):  # Kruskal by index: the minimum spanning forest
-        if label[i] != label[j]:
-            first |= 1 << k
-            old, new = label[j], label[i]
-            label = [new if c == old else c for c in label]
-            adj[i].append((j, k, 1))
-            adj[j].append((i, k, -1))
-    cells = [_first_cell(first, adj)]
+    forest = _spanning_forest(n, pairs, range(m))  # Kruskal by index: the minimum spanning forest
+    first = sum(1 << k for k in forest)
+    cells = [[first, tuple(forest), *_root_paths(n, pairs, forest), None]]
     seen = {first}
     out = []
     for index, cell in enumerate(cells):  # grows while it is read: breadth-first
@@ -296,33 +291,6 @@ def tree_cells(pairs):
     if [strict for _, strict, _ in out].count(()) != 1:
         raise InternalInconsistencyError("y is interior to the cone, so one cell must be closed")
     return out
-
-
-def _first_cell(tree, adj):
-    """[tree, bits, anc, heads, None] of the Kruskal forest, given as
-    (neighbour, edge, +1 if the neighbour is the edge's head else -1) per
-    vertex, every component rooted at its least vertex.
-
-    bits lists the tree edges, lowest first; anc[v] masks the edges from v
-    up to its root; heads masks the tree edges whose lower end is their
-    head.
-    """
-    anc, heads, reached = [0] * len(adj), 0, [False] * len(adj)
-    for root in range(len(adj)):
-        if reached[root]:
-            continue
-        reached[root] = True
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w, k, sign in adj[v]:
-                if not reached[w]:
-                    reached[w] = True
-                    anc[w] = anc[v] | 1 << k
-                    if sign > 0:
-                        heads |= 1 << k
-                    stack.append(w)
-    return [tree, tuple(_bits(tree)), anc, heads, None]
 
 
 def _bits(mask):

@@ -36,6 +36,7 @@ from matropt import (
 from matropt.genfun import _cone_value, _exp_gamma, _exp_table, _powers
 from matropt.heuristics import _derived_seed, _point, boundary_start, fiber_bfs
 from matropt.linalg import _extend, _integral, _null_vector, _unit, bareiss_det, integer_rank
+from matropt.matroid import GraphicMatroid
 
 K4_ADJACENCY = [
     [0, 1, 1, 1],
@@ -436,11 +437,10 @@ def shuffled_columns(M: Matroid, rng: random.Random) -> Matroid:
     depend on the labels, such as the Ehrhart polynomial, must come out
     the same through other bases, other orbits and the vector rank
     oracle."""
-    if M.kind == "graphic":
-        nv, edges = M.data
-        cols = [[(w == u) - (w == v) for w in range(nv)] for u, v in edges]
+    if isinstance(M, GraphicMatroid):
+        cols = [[(w == u) - (w == v) for w in range(M.nv)] for u, v in M.edges]
     else:
-        cols = list(M.data[1])
+        cols = list(M.cols)
     rng.shuffle(cols)
     return vector_matroid([list(row) for row in zip(*cols)])
 

@@ -118,11 +118,12 @@ def test_criterion_01_basis_counts(k4, u24):
 def test_criterion_02_spanning_tree_enumeration(k4):
     with budget("criterion 2: spanning-tree enumeration", 5):
         solids = [
-            (k4.data, 16),
-            (graphic_matroid(cube_adjacency()).data, 384),
-            (graphic_matroid(octahedron_adjacency()).data, 384),
+            (k4, 16),
+            (graphic_matroid(cube_adjacency()), 384),
+            (graphic_matroid(octahedron_adjacency()), 384),
         ]
-        for (nv, edges), expected in solids:
+        for M, expected in solids:
+            nv, edges = M.nv, M.edges
             trees = list(spanning_trees(nv, edges))
             assert len(trees) == expected
             assert len(set(trees)) == expected

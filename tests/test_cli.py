@@ -527,6 +527,45 @@ class TestExitCodes:
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    def test_undeclared_rows_are_two(self, tmp_path):
+        # A negative count, a row past the count and a line after
+        # 'uniform n r' each exit 2 naming the line, with nothing on stdout.
+        u3 = tmp_path / "u3.matroid"
+        u3.write_text("uniform 3 2\n")
+        bad = tmp_path / "bad"
+        for header, line, argv in (
+            ("vector -1 3", 1, ["bases", "--matroid", str(bad)]),
+            ("vector 1 3", 3, ["bases", "--matroid", str(bad)]),
+            ("uniform 3 2", 2, ["bases", "--matroid", str(bad)]),
+            ("weights -1 3", 1, ["greedy", "--matroid", str(u3), "--weights", str(bad)]),
+        ):
+            bad.write_text(f"{header}\n1 0 1\n0 1 1\n")
+            res = run_cli(*argv)
+            self._one_error_line(res, 2)
+            assert f"(line {line})" in res.stderr
+            assert res.stdout == ""
+
+    def test_weights_is_required(self, files, capsys):
+        # The usage line shows --weights without brackets, and a missing
+        # --weights is argparse's usage error, exit 2.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["greedy", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--weights WEIGHTS" in out and "[--weights" not in out
+        res = run_cli("greedy", "--matroid", files["k4.graph"])
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "the following arguments are required: --weights" in res.stderr
+
+    def test_enumerate_trees_needs_a_graph(self, files, tmp_path):
+        vector = tmp_path / "k3.vector"
+        vector.write_text("vector 2 3\n1 0 1\n0 1 1\n")
+        for path in (files["u24.matroid"], str(vector)):
+            res = run_cli("enumerate-trees", "--matroid", path)
+            self._one_error_line(res, 3)
+            assert res.stdout == ""
+
     def test_fractional_2face_corner_is_three(self, files, tmp_path):
         quad = tmp_path / "frac.points"
         quad.write_text("vector 4 4\n3/2 1 0 0\n0 1 1 0\n1 0 0 1\n0 0 1 1\n")

@@ -61,6 +61,7 @@ from matropt import (
     vector_matroid,
 )
 from matropt.genfun import _cone_value, _orbit_cones, _powers, _todd_log
+from matropt.matroid import UniformMatroid, VectorMatroid
 
 
 def cone_pairs(M):
@@ -330,7 +331,7 @@ class TestEhrhartPipeline:
         # 8-edge wheel: value at k = 1 is its spanning-tree count, and the
         # series numerator of the resulting counts is non-negative.
         M = graphic_matroid(wheel_adjacency(4))
-        nv, edges = M.data
+        nv, edges = M.nv, M.edges
         coeffs = ehrhart_polynomial(M)
         assert coeffs == (
             Fraction(1),
@@ -422,7 +423,7 @@ class TestEhrhartPipeline:
         # vector rank oracle, the same polynomial.  About 7 s.
         M = shuffled_columns(graphic_matroid([[int(i != j) for j in range(6)] for i in range(6)]),
                              random.Random(6))
-        assert M.kind == "vector"
+        assert isinstance(M, VectorMatroid)
         assert ehrhart_polynomial(M) == self.K6
 
     K35 = tuple(map(Fraction, (
@@ -453,7 +454,7 @@ class TestEhrhartPipeline:
         M = shuffled_columns(
             graphic_matroid([[int((i < 3) != (j < 3)) for j in range(8)] for i in range(8)]),
             random.Random(35))
-        assert M.kind == "vector"
+        assert isinstance(M, VectorMatroid)
         assert ehrhart_polynomial(M) == self.K35
 
     @pytest.mark.slow
@@ -479,7 +480,7 @@ class TestEhrhartPipeline:
         # matroids of their columns (a graph's signed incidence columns)
         # in two seeded orders: the polynomial must not depend on the
         # labels, the orbits or the rank oracle.
-        mats = [M for M in catalog_small() if M.kind != "uniform"]
+        mats = [M for M in catalog_small() if not isinstance(M, UniformMatroid)]
         mats += [graphic_matroid(wheel_adjacency(k)) for k in range(3, 7)]
         for M in mats:
             coeffs = ehrhart_polynomial(M)
@@ -536,7 +537,7 @@ class TestConnectedGraphs:
 
     @staticmethod
     def check_against_counts(M, coeffs, hstar):
-        nv, edges = M.data
+        nv, edges = M.nv, M.edges
         assert evaluate_polynomial(coeffs, 1) == laplacian_tree_count(nv, edges), M
         assert evaluate_polynomial(coeffs, 2) == dilation_lattice_counts(M, (2,))[0], M
         assert all(h >= 0 and h == int(h) for h in hstar) and hstar[0] == 1, M
@@ -745,7 +746,7 @@ class TestHalfOpenPlacing:
         # U(2,5), U(3,6), K4 and the 8-edge wheel (1,068 cells): about 0.5 s.
         wheel = graphic_matroid(wheel_adjacency(4))
         for M in (uniform_matroid(5, 2), uniform_matroid(6, 3), k4, wheel):
-            assert hstar_by_half_open_placing(M) == self.pipeline_hstar(M), M.label
+            assert hstar_by_half_open_placing(M) == self.pipeline_hstar(M), M
         assert hstar_by_half_open_placing(wheel) == (1, 37, 254, 475, 262, 38, 1)
 
     @pytest.mark.slow

@@ -37,6 +37,7 @@ from matropt import (
     random_basis,
     tabu_search,
     uniform_matroid,
+    vector_matroid,
 )
 from matropt import heuristics
 from matropt.heuristics import (
@@ -744,24 +745,50 @@ class TestProjectionMemo:
         assert pickle.loads(pickle.dumps(filled))._points == {}
 
 
+# The vector matroid of the columns of a 2 x 5 matrix, with parallel columns.
+VECTOR_2X5 = [[1, 0, 1, -1, 2], [1, 1, 0, 1, 2]]
+
+
+def every_backend():
+    """K5, U(2,5) and VECTOR_2X5, each freshly built with an empty cache."""
+    return [graphic_matroid([[int(i != j) for j in range(5)] for i in range(5)]),
+            uniform_matroid(5, 2), vector_matroid(VECTOR_2X5)]
+
+
 class TestPickling:
     def test_caches_stay_behind(self):
-        # Workers get M and W as their constructor arguments: a search that
-        # fills the neighbour and projection caches pickles no more.
+        # Workers get M and W without their caches: a search that fills
+        # the neighbour and projection caches pickles no more, and the
+        # round trip keeps the backend's class and fields.
         import pickle
 
         rng = random.Random(41)
-        M = graphic_matroid([[int(i != j) for j in range(5)] for i in range(5)])
-        W = WeightMatrix(random_weight_matrix(rng, 2, M.n, 0, 9))
-        sizes = len(pickle.dumps(M)), len(pickle.dumps(W))
-        pivot_test(M, W, box_points(M, W), tries=1, seed=2)
-        assert M._adj_cache and W._points
-        assert (len(pickle.dumps(M)), len(pickle.dumps(W))) == sizes
-        M2, W2 = pickle.loads(pickle.dumps((M, W)))
-        assert (M2.kind, M2.n, M2.rank, M2.data, M2.label) == (M.kind, M.n, M.rank, M.data, M.label)
-        assert W2 == W
-        assert M2._adj_cache == {} and W2._points == {}
-        assert sorted(enumerate_bases(M2)) == sorted(enumerate_bases(M))
+        for M in every_backend():
+            W = WeightMatrix(random_weight_matrix(rng, 2, M.n, 0, 9))
+            sizes = len(pickle.dumps(M)), len(pickle.dumps(W))
+            pivot_test(M, W, box_points(M, W), tries=1, seed=2)
+            assert M._adj_cache and W._points
+            assert (len(pickle.dumps(M)), len(pickle.dumps(W))) == sizes
+            M2, W2 = pickle.loads(pickle.dumps((M, W)))
+            assert type(M2) is type(M)
+            assert vars(M2) == {**vars(M), "_adj_cache": {}}
+            assert W2 == W
+            assert M2._adj_cache == {} and W2._points == {}
+            assert sorted(enumerate_bases(M2)) == sorted(enumerate_bases(M))
+
+    def test_workers_agree_on_every_backend(self):
+        # Each backend crosses the process pool: two workers find what one does.
+        rng = random.Random(43)
+        for M in every_backend():
+            W = WeightMatrix(random_weight_matrix(rng, 2, M.n, 0, 9))
+            targets = box_points(M, W)
+            assert len(exact_projected_set(M, W)) > 1  # more than one job
+            seq = pivot_test(M, W, targets, tries=2, seed=7, workers=1)
+            try:
+                par = pivot_test(M, W, targets, tries=2, seed=7, workers=2)
+            except OSError:
+                pytest.skip("process pools unavailable")
+            assert seq and par == seq, M
 
 
 class TestDeterminism:

@@ -6,6 +6,7 @@ import pytest
 
 from matropt import ParseError, parse_matroid, parse_weights
 from matropt.io import format_rational, parse_rational
+from matropt.matroid import GraphicMatroid, UniformMatroid, VectorMatroid
 
 
 class TestRationals:
@@ -33,7 +34,7 @@ class TestRationals:
         weights = parse_weights("weights 1 3\n1 -2 3\n")
         assert all(type(x) is int for row in weights for x in row)
         graph = parse_matroid("graph 3\n0 1 1\n1 0 1\n1 1 0\n")
-        assert graph.data == (3, ((0, 1), (0, 2), (1, 2)))
+        assert (graph.nv, graph.edges) == (3, ((0, 1), (0, 2), (1, 2)))
         args = argparse.Namespace(objective="linear", coeff="3,6/3,1/2")
         assert [type(x) for x in _objective(args, 3).c] == [int, int, Fraction]
 
@@ -56,15 +57,15 @@ class TestRationals:
 class TestMatroidFiles:
     def test_uniform(self):
         M = parse_matroid("uniform 5 2\n")
-        assert (M.kind, M.n, M.rank) == ("uniform", 5, 2)
+        assert (type(M), M.n, M.rank) == (UniformMatroid, 5, 2)
 
     def test_graph(self):
         M = parse_matroid("graph 3\n0 1 1\n1 0 1\n1 1 0\n")
-        assert (M.kind, M.n, M.rank) == ("graphic", 3, 2)
+        assert (type(M), M.n, M.rank) == (GraphicMatroid, 3, 2)
 
     def test_vector_with_rationals(self):
         M = parse_matroid("vector 2 3\n1/2 0 1\n0 1/3 1\n")
-        assert (M.kind, M.n, M.rank) == ("vector", 3, 2)
+        assert (type(M), M.n, M.rank) == (VectorMatroid, 3, 2)
 
     def test_comments_and_blank_lines(self):
         M = parse_matroid("# a matroid\n\nuniform 4 2  # rank two\n")
@@ -86,6 +87,30 @@ class TestMatroidFiles:
     def test_non_binary_adjacency(self):
         with pytest.raises(ParseError):
             parse_matroid("graph 2\n0 2\n2 0\n")
+
+
+class TestDeclaredRows:
+    """A file holds exactly the rows its header declares."""
+
+    def _rejects(self, parse, text, line):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert f"(line {line}" in str(err.value)
+
+    def test_negative_size(self):
+        self._rejects(parse_matroid, "vector -1 3\n1 0 1\n0 1 1\n", 1)
+        self._rejects(parse_matroid, "vector 2 -3\n1 0 1\n0 1 1\n", 1)
+        self._rejects(parse_matroid, "graph -1\n0 1\n1 0\n", 1)
+        self._rejects(parse_weights, "weights -1 3\n1 2 3\n4 5 6\n", 1)
+
+    def test_row_past_the_count(self):
+        self._rejects(parse_matroid, "vector 1 3\n1 0 1\n0 1 1\n", 3)
+        self._rejects(parse_matroid, "graph 2\n0 1\n1 0\n\n# a comment\n0 0\n", 6)
+        self._rejects(parse_weights, "weights 1 3\n1 2 3\n4 5 6\n", 3)
+
+    def test_line_after_uniform(self):
+        self._rejects(parse_matroid, "uniform 3 2\n1 1 0\n", 2)
+        self._rejects(parse_matroid, "# U(2,3)\nuniform 3 2\nuniform 3 1\n", 3)
 
 
 class TestWeightFiles:

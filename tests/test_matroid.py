@@ -223,7 +223,7 @@ class TestAutomorphismGenerators:
             bases = enumerate_bases(M)
             found = _orbits(bases, automorphism_generators(M.n, bases))
             vertex = _orbits(bases, _vertex_automorphisms(M))
-            assert all(any(o <= f for f in found) for o in vertex), M.data
+            assert all(any(o <= f for f in found) for o in vertex), M.edges
             counts.append((len(vertex), len(found)))
         assert counts == [(7, 6), (3, 2), (10, 3), (3, 2), (1, 1), (2, 2), (15, 5), (12, 5),
                           (53, 38), (107, 107), (9, 9), (1, 1), (3, 2), (37, 13)]
@@ -345,7 +345,7 @@ def _vertex_automorphisms(M):
     """Every permutation of a graphic matroid's edges that a vertex
     permutation keeping the adjacency of its non-bridge edges induces, the
     bridges fixed."""
-    nv, edges = M.data
+    nv, edges = M.nv, M.edges
     ground = set(range(M.n))
     bridges = {e for e in ground if M.rank_of(ground - {e}) < M.rank}
     keep = {frozenset(edges[e]) for e in ground - bridges}

@@ -35,6 +35,7 @@ from matropt import (
     spanning_trees,
     uniform_matroid,
 )
+from matropt.matroid import VectorMatroid
 
 
 def cube_adjacency():
@@ -88,17 +89,17 @@ class TestEnumerateBases:
 
 class TestSpanningTrees:
     def test_tetrahedron_16(self, k4):
-        nv, edges = k4.data
+        nv, edges = k4.nv, k4.edges
         assert sum(1 for _ in spanning_trees(nv, edges)) == 16
 
     def test_cube_384(self):
         M = graphic_matroid(cube_adjacency())
-        nv, edges = M.data
+        nv, edges = M.nv, M.edges
         assert sum(1 for _ in spanning_trees(nv, edges)) == 384
 
     def test_octahedron_384(self):
         M = graphic_matroid(octahedron_adjacency())
-        nv, edges = M.data
+        nv, edges = M.nv, M.edges
         assert sum(1 for _ in spanning_trees(nv, edges)) == 384
 
     def test_tree_input_single(self):
@@ -113,14 +114,14 @@ class TestSpanningTrees:
         for _ in range(10):
             adj = random_connected_graph(rng, max_nodes=7)
             M = graphic_matroid(adj)
-            nv, edges = M.data
+            nv, edges = M.nv, M.edges
             trees = list(spanning_trees(nv, edges))
             assert len(set(trees)) == len(trees)
             assert {tuple(sorted(t)) for t in trees} == set(enumerate_bases(M))
             assert len(trees) == laplacian_tree_count(nv, edges)
 
     def test_every_emission_is_a_tree(self, k4):
-        nv, edges = k4.data
+        nv, edges = k4.nv, k4.edges
         for t in spanning_trees(nv, edges):
             assert k4.is_basis(t)
 
@@ -239,7 +240,8 @@ class TestDilationCounts:
         # vector matroids with three components, with a loop and with
         # parallel columns.
         cases = [(graphic_matroid(cycle_adjacency(4)), 3)] + [
-            (M, 2 if M.n > 5 else 3) for M in exchange_edge_cases() if M.kind == "vector"]
+            (M, 2 if M.n > 5 else 3) for M in exchange_edge_cases()
+            if isinstance(M, VectorMatroid)]
         for M, kmax in cases:
             pc = polytope_constraints(M)
             counts = dilation_lattice_counts(M, range(kmax + 1))

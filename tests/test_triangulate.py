@@ -168,7 +168,7 @@ class TestPlacingTriangulation:
                 for cell, volume in zip(cells, volumes):
                     first = placed[cell[0]]
                     edges = [tuple(a - b for a, b in zip(placed[i], first)) for i in cell[1:]]
-                    assert volume == cell_lattice_determinant(edges), (M.label, placed, cell)
+                    assert volume == cell_lattice_determinant(edges), (M, placed, cell)
                     seen.add(volume)
         assert seen == {1, 2, 3, 4, 5}
 
@@ -199,7 +199,7 @@ class TestPlacingMatchesFacetNormals:
     def test_catalog_polytopes(self, catalog):
         for M in catalog:  # U(3,7) among them
             pts = [incidence_vector(b, M.n) for b in enumerate_bases(M)]
-            assert placing_triangulation(pts)[0] == placing_with_facet_normals(pts)[0], M.label
+            assert placing_triangulation(pts)[0] == placing_with_facet_normals(pts)[0], M
 
     def test_k33(self):
         # 8,923 cells: about 1.5 s for the library, 4.5 s for the oracle.
