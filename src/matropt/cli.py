@@ -1,10 +1,11 @@
 """Command-line surface.
 
 Each subcommand declares once, in `build_parser`, which input files it
-reads; `main` loads them, the --matroid first and then the --weights checked
-against it, and hands them to the command.  Every stochastic subcommand
-requires --seed and echoes {seed, params} into its output header; identical
-inputs and flags give byte-identical output.
+reads; `main` loads them, the --matroid first, then the --weights checked
+against it, then the --points, and hands them to the command, so no command
+reads a file.  Every stochastic subcommand requires --seed and echoes {seed,
+params} into its output header; identical inputs and flags give
+byte-identical output.
 Rationals print as "p/q", elements as 1-based labels.  Exit codes: 0 ok,
 2 parse/usage, 3 dimension mismatch, 4 cap exceeded, 5 internal
 inconsistency.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import random
 import sys
 
@@ -33,10 +35,9 @@ from .incidence import classify_square_2face
 from .io import (
     format_rational,
     load_matroid,
+    load_point_rows,
     load_weights,
-    parse_point_rows,
     parse_rational,
-    read_text,
     write_text,
 )
 from .matroid import GraphicMatroid, greedy_max_basis, incidence_vector, random_basis
@@ -184,12 +185,12 @@ def cmd_search(args, M, W):
         reason = "local minimum"
     if args.transcript:
         write_text(args.transcript, (
-            json.dumps({
+            _encode({
                 "pivot": pivot,
                 "basis": _one_based(basis),
                 "point": list(point),
                 "objective": format_rational(value),
-            }, sort_keys=True) + "\n"
+            }) + "\n"
             for pivot, basis, point, value in trail
         ))
     point = project(W, result)
@@ -226,6 +227,10 @@ def cmd_pt(args, M, W):
                 raise DimensionError(f"targets need {W.d} coordinates")
     else:
         lo, hi = bounding_box(M, W)
+        count = math.prod(b - a + 1 for a, b in zip(lo, hi))
+        cap = env_cap("MATROPT_BASES_CAP", BASES_CAP_DEFAULT)
+        if count > cap:
+            raise CapError(f"{count} bounding-box targets exceed cap {cap}")
         targets = list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
     found = pivot_test(
         M, W, targets, args.tries, searcher=args.searcher, seed=args.seed,
@@ -391,8 +396,7 @@ def cmd_check_unimodular(args, M):
     _write(args, report())
 
 
-def cmd_classify_2face(args, M):
-    rows = parse_point_rows(read_text(args.points))
+def cmd_classify_2face(args, M, rows):
     if len(rows) != 4 or any(len(r) != M.n for r in rows):
         raise DimensionError("expected a 'vector 4 n' file of the four corners")
     verdict = classify_square_2face(M, *rows)
@@ -403,12 +407,15 @@ def build_parser():
     top = argparse.ArgumentParser(prog="matropt", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, matroid=True, weights=False, seeded=False, formats=("json",)):
+    def add(name, fn, matroid=True, weights=False, points=False, seeded=False,
+            formats=("json",)):
         p = sub.add_parser(name)
         if matroid:
             p.add_argument("--matroid", required=True, help="matroid file")
         if weights:
             p.add_argument("--weights", required=True, help="weights file")
+        if points:
+            p.add_argument("--points", required=True, help="'vector 4 n' file of the corners")
         if seeded:
             p.add_argument("--seed", type=int, required=True)
         p.add_argument("--output", help="write here instead of stdout")
@@ -474,8 +481,7 @@ def build_parser():
 
     add("check-unimodular", cmd_check_unimodular)
 
-    p = add("classify-2face", cmd_classify_2face)
-    p.add_argument("--points", required=True, help="'vector 4 n' file of the corners")
+    add("classify-2face", cmd_classify_2face, points=True)
 
     return top
 
@@ -488,6 +494,8 @@ def main(argv=None):
             inputs.append(load_matroid(args.matroid))
         if hasattr(args, "weights"):
             inputs.append(_weights(args, inputs[0]))
+        if hasattr(args, "points"):
+            inputs.append(load_point_rows(args.points))
         args.func(args, *inputs)
     except MatroptError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import DimensionError
+from .errors import CapError, DimensionError
 from .matroid import Matroid, greedy_max_basis, random_basis
 from .multicriteria import (
     Custom,
@@ -36,7 +36,7 @@ from .multicriteria import (
     pareto_filter,
     project,
 )
-from .oracles import planar_convex_hull
+from .oracles import BASES_CAP_DEFAULT, env_cap, planar_convex_hull
 
 RANDOM_DIRECTION_RANGE = 1000  # integer entries drawn uniformly in [-R, R]
 
@@ -355,6 +355,9 @@ def boundary_pareto_search(M: Matroid, W: WeightMatrix, tries, seed=0, searcher=
     consecutive staircase points.  Every lattice point of those boxes is
     attacked with the pivot test, and a final pairwise filter keeps exactly
     the bases whose projections are Pareto-minimal among everything found.
+    The boxes meet only at their shared corners, so their points less the
+    corners are counted before any is listed, and refused (CapError) above
+    MATROPT_BASES_CAP.
     """
     _check(M, W)
     _check_knobs(tries=tries, tabu_limit=tabu_limit, workers=workers)
@@ -366,8 +369,13 @@ def boundary_pareto_search(M: Matroid, W: WeightMatrix, tries, seed=0, searcher=
     best = {b: _point(W, b) for b in boundary}
     staircase = _pareto_chain(set(best.values()))
     found = {b for b, p in best.items() if p in set(staircase)}
+    steps = list(zip(staircase, staircase[1:]))
+    count = sum((q1 - p1 + 1) * (p2 - q2 + 1) - 2 for (p1, p2), (q1, q2) in steps)
+    cap = env_cap("MATROPT_BASES_CAP", BASES_CAP_DEFAULT)
+    if count > cap:
+        raise CapError(f"{count} staircase targets exceed cap {cap}")
     targets = set()
-    for (p1, p2), (q1, q2) in zip(staircase, staircase[1:]):
+    for (p1, p2), (q1, q2) in steps:
         for x in range(p1, q1 + 1):
             for y in range(q2, p2 + 1):
                 if (x, y) != (p1, p2) and (x, y) != (q1, q2):

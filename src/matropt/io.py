@@ -6,9 +6,14 @@ Matroid files:
     vector m n + m rows of rationals  ("p/q" or integer entries)
 Weight files:
     weights d n + d rows of integers
+Corner files (classify-2face):
+    vector 4 n + the 4 corners of a candidate 2-face, as rows of rationals
 
-A file holds exactly the rows its header declares, and a size is never
-negative; anything else is a ParseError naming the line.
+One reader parses them all: a header naming the file's kind and its sizes,
+then exactly the rows those sizes declare, each of the declared width.  A
+declared size is never negative, and each entry is checked as it is parsed;
+anything else is a ParseError naming the line, and the column of a bad
+entry.
 
 Rationals are always rendered as "p/q" (or a bare integer) so output is
 byte-stable; no decimal notation is ever produced or accepted.
@@ -40,110 +45,81 @@ def format_rational(x) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def _lines(text):
-    out = []
+# Each kind of input file: its header, the rows and columns its sizes
+# declare, and the entries its rows allow.
+_KINDS = {
+    "uniform": ("uniform n r", lambda n, r: (0, 0), None),
+    "graph": ("graph n", lambda n: (n, n), "0/1"),
+    "vector": ("vector m n", lambda m, n: (m, n), "rational"),
+    "weights": ("weights d n", lambda d, n: (d, n), "integer"),
+}
+
+
+def _read(text, what, kinds):
+    """The kind, the sizes and the rows (tuples) of a `what` file whose
+    header is one of `kinds`."""
+    lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
-            out.append((lineno, stripped))
-    return out
-
-
-def parse_matroid(text: str) -> Matroid:
-    lines = _lines(text)
+            lines.append((lineno, stripped))
     if not lines:
-        raise ParseError("empty matroid file", line=1)
-    lineno, header = lines[0]
-    fields = header.split()
-    kind = fields[0].lower()
-    if kind == "uniform":
-        if len(fields) != 3:
-            raise ParseError("expected 'uniform n r'", line=lineno)
-        n, r = _ints(fields[1:], lineno)
-        if len(lines) > 1:
-            raise ParseError("unexpected line after 'uniform n r'", line=lines[1][0])
-        return uniform_matroid(n, r)
-    if kind == "graph":
-        if len(fields) != 2:
-            raise ParseError("expected 'graph n'", line=lineno)
-        (n,) = _ints(fields[1:], lineno)
-        rows = _matrix(lines[1:], n, n, lineno, integer=True)
-        for lno, row in zip((l for l, _ in lines[1:]), rows):
-            if any(x not in (0, 1) for x in row):
-                raise ParseError("adjacency entries must be 0 or 1", line=lno)
-        return graphic_matroid(rows)
-    if kind == "vector":
-        if len(fields) != 3:
-            raise ParseError("expected 'vector m n'", line=lineno)
-        m, n = _ints(fields[1:], lineno)
-        rows = _matrix(lines[1:], m, n, lineno, integer=False)
-        return vector_matroid(rows)
-    raise ParseError(f"unknown matroid kind {fields[0]!r}", line=lineno)
-
-
-def parse_weights(text: str):
-    """Weight file -> list of integer rows (d x n), as tuples of int."""
-    lines = _lines(text)
-    if not lines:
-        raise ParseError("empty weights file", line=1)
-    lineno, header = lines[0]
-    fields = header.split()
-    if len(fields) != 3 or fields[0].lower() != "weights":
-        raise ParseError("expected 'weights d n'", line=lineno)
-    d, n = _ints(fields[1:], lineno)
-    return _matrix(lines[1:], d, n, lineno, integer=True)
-
-
-def _ints(tokens, lineno):
-    out = []
-    for tok in tokens:
+        raise ParseError(f"empty {what} file", line=1)
+    (head, header), body = lines[0], lines[1:]
+    word, *fields = header.split()
+    kind = word.lower()
+    if kind not in kinds:
+        raise ParseError("expected " + " or ".join(f"'{_KINDS[k][0]}'" for k in kinds), line=head)
+    usage, shape, entries = _KINDS[kind]
+    if len(fields) != len(usage.split()) - 1:
+        raise ParseError(f"expected '{usage}'", line=head)
+    sizes = []
+    for tok in fields:
         try:
-            out.append(int(tok))
+            sizes.append(int(tok))
         except ValueError:
-            raise ParseError(f"expected integer, got {tok!r}", line=lineno) from None
-    return tuple(out)
-
-
-def _matrix(lines, nrows, ncols, header_line, integer):
-    """Exactly the nrows x ncols matrix of the lines after the header."""
+            raise ParseError(f"expected integer, got {tok!r}", line=head) from None
+    nrows, ncols = shape(*sizes)
     if nrows < 0 or ncols < 0:
-        raise ParseError(f"matrix size {nrows} x {ncols} is negative", line=header_line)
-    if len(lines) < nrows:
-        raise ParseError(
-            f"expected {nrows} matrix rows, found {len(lines)}", line=header_line
-        )
-    if len(lines) > nrows:
-        raise ParseError(f"unexpected line past the {nrows} matrix rows", line=lines[nrows][0])
+        raise ParseError(f"matrix size {nrows} x {ncols} is negative", line=head)
+    if len(body) < nrows:
+        raise ParseError(f"expected {nrows} matrix rows, found {len(body)}", line=head)
+    if len(body) > nrows:
+        raise ParseError(f"unexpected line past the {nrows} declared rows", line=body[nrows][0])
+    integer, binary = entries != "rational", entries == "0/1"
     rows = []
-    for lineno, text in lines:
-        tokens = text.split()
+    for lineno, line in body:
+        tokens = line.split()
         if len(tokens) != ncols:
-            raise ParseError(
-                f"expected {ncols} entries, found {len(tokens)}",
-                line=lineno,
-                column=len(tokens),
-            )
+            raise ParseError(f"expected {ncols} entries, found {len(tokens)}",
+                             line=lineno, column=len(tokens))
         row = []
         for col, tok in enumerate(tokens, start=1):
             val = parse_rational(tok, line=lineno, column=col)
             if integer and val.denominator != 1:
                 raise ParseError("expected integer entry", line=lineno, column=col)
+            if binary and val not in (0, 1):
+                raise ParseError("adjacency entries must be 0 or 1", line=lineno, column=col)
             row.append(val)
         rows.append(tuple(row))
-    return rows
+    return kind, sizes, rows
+
+
+def parse_matroid(text: str) -> Matroid:
+    kind, sizes, rows = _read(text, "matroid", ("uniform", "graph", "vector"))
+    if kind == "uniform":
+        return uniform_matroid(*sizes)
+    return graphic_matroid(rows) if kind == "graph" else vector_matroid(rows)
+
+
+def parse_weights(text: str):
+    """Weight file -> list of integer rows (d x n), as tuples of int."""
+    return _read(text, "weights", ("weights",))[2]
 
 
 def parse_point_rows(text: str):
     """'vector m n' header plus m rational rows, returned as plain rows."""
-    lines = _lines(text)
-    if not lines:
-        raise ParseError("empty points file", line=1)
-    lineno, header = lines[0]
-    fields = header.split()
-    if len(fields) != 3 or fields[0].lower() != "vector":
-        raise ParseError("expected 'vector m n'", line=lineno)
-    m, n = _ints(fields[1:], lineno)
-    return _matrix(lines[1:], m, n, lineno, integer=False)
+    return _read(text, "points", ("vector",))[2]
 
 
 def read_text(path) -> str:
@@ -173,3 +149,7 @@ def load_matroid(path) -> Matroid:
 
 def load_weights(path):
     return parse_weights(read_text(path))
+
+
+def load_point_rows(path):
+    return parse_point_rows(read_text(path))

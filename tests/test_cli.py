@@ -144,11 +144,15 @@ class TestCoreCommands:
         assert all("det" not in cell for cell in payload["cells"])
 
     def test_classify_2face(self, files, tmp_path):
+        # CI runs the same command through the installed entry point against
+        # the same golden.
         quad = tmp_path / "sq.points"
         quad.write_text("vector 4 4\n1 1 0 0\n1 0 1 0\n0 1 0 1\n0 0 1 1\n")
         res = run_cli("classify-2face", "--matroid", files["u24.matroid"],
                       "--points", str(quad))
         assert json.loads(res.stdout)["classification"] == "not-a-2-face"
+        golden = Path(__file__).parent / "golden" / "classify_2face_u24.json"
+        assert res.stdout == golden.read_text()
 
 
 class TestStochasticCommands:
@@ -251,7 +255,10 @@ class TestSingleSearch:
         assert res.stdout == golden
         payload = json.loads(res.stdout)
         assert payload["reason"] == reason
-        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        lines = trace.read_text().splitlines(keepends=True)
+        records = [json.loads(line) for line in lines]
+        # Each record is written in the one JSON format of every report.
+        assert lines == [cli._encode(record) + "\n" for record in records]
         assert payload["pivots"] == records[-1]["pivot"]
         M = mp.load_matroid(files["k4.graph"])
         W = mp.WeightMatrix(tuple(mp.load_weights(files["k4.weights"])))
@@ -710,6 +717,44 @@ class TestExitCodes:
         assert lines[0] == "k,count"
         assert lines[1] == "0,1"
         assert lines[2] == "1,6"
+
+    def test_corner_file_errors_are_two(self, files, tmp_path):
+        # `main` loads the corner file: a row past its count or a missing
+        # file exits 2 with one error line and nothing on stdout.
+        quad = tmp_path / "past.points"
+        quad.write_text("vector 4 4\n1 1 0 0\n1 0 1 0\n0 1 0 1\n0 0 1 1\n1 1 0 0\n")
+        for path, where in ((quad, "(line 6)"), (tmp_path / "absent.points", "cannot read")):
+            res = run_cli("classify-2face", "--matroid", files["u24.matroid"],
+                          "--points", str(path))
+            self._one_error_line(res, 2)
+            assert where in res.stderr
+            assert res.stdout == ""
+
+    def test_pt_bounding_box_cap_boundary(self, tmp_path):
+        # Without --targets, pt counts the bounding box before listing it:
+        # 7 x 7 = 49 points on U(2,5) with these weights.
+        matroid, weights = tmp_path / "u25.matroid", tmp_path / "u25.weights"
+        matroid.write_text("uniform 5 2\n")
+        weights.write_text("weights 2 5\n1 2 3 4 5\n5 1 4 2 3\n")
+        argv = ("pt", "--matroid", str(matroid), "--weights", str(weights), "--seed", "1")
+        res = run_cli(*argv, env={"MATROPT_BASES_CAP": "49"})
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["params"]["targets"] == 49
+        res = run_cli(*argv, env={"MATROPT_BASES_CAP": "48"})
+        self._one_error_line(res, 4)
+        assert res.stdout == ""
+
+    def test_btrpt_staircase_cap_boundary(self, files):
+        # btrpt counts its staircase boxes less their corners before listing
+        # them: 19 points on K4 with these weights and seed.
+        argv = ("btrpt", "--matroid", files["k4.graph"], "--weights", files["k4.weights"],
+                "--seed", "3", "--tries", "5")
+        res = run_cli(*argv, env={"MATROPT_BASES_CAP": "19"})
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["points"] == [[6, 16], [8, 10]]
+        res = run_cli(*argv, env={"MATROPT_BASES_CAP": "18"})
+        self._one_error_line(res, 4)
+        assert res.stdout == ""
 
     def test_lattice_count_cap_boundary(self, files):
         # K4 at k = 2 forms 16 + 16 * 16 = 272 sums of bases; U(2,4) at

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from matropt import ParseError, parse_matroid, parse_weights
-from matropt.io import format_rational, parse_rational
+from matropt.io import format_rational, parse_point_rows, parse_rational
 from matropt.matroid import GraphicMatroid, UniformMatroid, VectorMatroid
 
 
@@ -125,3 +125,84 @@ class TestWeightFiles:
     def test_rejects_wrong_width(self):
         with pytest.raises(ParseError):
             parse_weights("weights 1 3\n1 2\n")
+
+
+
+# A well-formed file of every kind, with the parser that reads it.
+READER_FILES = {
+    "uniform": (parse_matroid, "uniform 4 2\n"),
+    "graph": (parse_matroid, "graph 3\n0 1 1\n1 0 1\n1 1 0\n"),
+    "vector": (parse_matroid, "vector 2 3\n1/2 0 1\n0 1/3 1\n"),
+    "weights": (parse_weights, "weights 2 3\n1 2 3\n4 5 6\n"),
+    "corners": (parse_point_rows, "vector 4 4\n1 1 0 0\n1 0 1 0\n0 1 0 1\n0 0 1 1\n"),
+}
+
+
+def _entry(token):
+    """The case that makes the first row's second entry `token`."""
+    def edit(header, rows):
+        first = rows[0].split()
+        first[1] = token
+        return [header, " ".join(first), *rows[1:]], 2, 2
+    return edit
+
+
+# Each case turns a well-formed file's header and rows into a bad file's
+# lines, the line its error must name and the column (None: no column).
+READER_CASES = {
+    "empty file": lambda header, rows: ([], 1, None),
+    "unknown header word": lambda header, rows: (
+        ["transversal " + header.split(" ", 1)[1], *rows], 1, None),
+    "extra size field": lambda header, rows: ([header + " 7", *rows], 1, None),
+    "missing size field": lambda header, rows: ([header.rsplit(" ", 1)[0], *rows], 1, None),
+    "non-integer size": lambda header, rows: ([header.rsplit(" ", 1)[0] + " x", *rows], 1, None),
+    "negative size": lambda header, rows: (
+        [header.replace(" ", " -", 1), *rows], 1, None),
+    "missing row": lambda header, rows: ([header, *rows[:-1]], 1, None),
+    "row past the count": lambda header, rows: (
+        [header, *rows, "1 1 0"], len(rows) + 2, None),
+    "short row": lambda header, rows: (
+        [header, rows[0].rsplit(" ", 1)[0], *rows[1:]], 2, len(rows[0].split()) - 1),
+    "bad token": _entry("x"),
+    "non-integer entry": _entry("1/2"),
+    "2 in a graph": _entry("2"),
+}
+
+# The cases a kind's format cannot hit.  A uniform file has no rows, and
+# its sizes n and r declare none, so uniform_matroid checks their range
+# (exit 3); only graph and weight entries must be integers.
+READER_SKIPS = {
+    "uniform": {"negative size", "missing row", "short row", "bad token",
+                "non-integer entry", "2 in a graph"},
+    "graph": set(),
+    "vector": {"non-integer entry", "2 in a graph"},
+    "weights": {"2 in a graph"},
+    "corners": {"non-integer entry", "2 in a graph"},
+}
+
+
+class TestReader:
+    """One reader parses every input file: each way a header or a row can be
+    wrong is a ParseError naming its line, and its column for an entry."""
+
+    @pytest.mark.parametrize("kind, case", [
+        (kind, case) for kind in READER_FILES for case in READER_CASES
+        if case not in READER_SKIPS[kind]
+    ])
+    def test_names_line_and_column(self, kind, case):
+        parse, text = READER_FILES[kind]
+        parse(text)  # the file itself is well formed
+        header, *rows = text.splitlines()
+        lines, line, column = READER_CASES[case](header, rows)
+        with pytest.raises(ParseError) as err:
+            parse("".join(f"{l}\n" for l in lines))
+        assert (err.value.line, err.value.column) == (line, column)
+
+    def test_graph_entry_errors(self):
+        # A fraction in a graph is not an integer; a 2 is not 0 or 1.
+        header, *rows = READER_FILES["graph"][1].splitlines()
+        for token, message in (("1/2", "expected integer entry"),
+                               ("2", "adjacency entries must be 0 or 1")):
+            lines, _, _ = _entry(token)(header, rows)
+            with pytest.raises(ParseError, match=message):
+                parse_matroid("".join(f"{l}\n" for l in lines))
