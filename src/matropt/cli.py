@@ -20,7 +20,7 @@ import math
 import random
 import sys
 
-from .errors import CapError, DimensionError, InternalInconsistencyError, MatroptError, ParseError
+from .errors import DimensionError, InternalInconsistencyError, MatroptError, ParseError, check_cap
 from .genfun import ehrhart_polynomial
 from .heuristics import (
     boundary_pareto_search,
@@ -48,14 +48,13 @@ from .multicriteria import (
     SquaredDistance,
     WeightMatrix,
     bounding_box,
+    check_fit,
     pareto_filter,
     project,
 )
 from .oracles import (
-    BASES_CAP_DEFAULT,
     dilation_lattice_counts,
     enumerate_bases,
-    env_cap,
     exact_projected_set,
     laplacian_tree_count,
     spanning_trees,
@@ -74,15 +73,19 @@ def _one_based(basis):
     return [i + 1 for i in basis]
 
 
-def _parse_basis(text, n):
+def _parse_basis(text, M):
+    """The 0-based sorted basis of M that `text` lists as 1-based elements."""
     try:
         elems = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ParseError(f"bad basis {text!r}") from None
     for e in elems:
-        if not 1 <= e <= n:
-            raise DimensionError(f"element {e} outside 1..{n}")
-    return tuple(sorted(e - 1 for e in elems))
+        if not 1 <= e <= M.n:
+            raise DimensionError(f"element {e} outside 1..{M.n}")
+    basis = tuple(sorted(e - 1 for e in elems))
+    if not M.is_basis(basis):
+        raise DimensionError(f"{text} is not a basis")
+    return basis
 
 
 def _parse_point(text):
@@ -134,22 +137,13 @@ def _write(args, chunks):
         sys.stdout.writelines(chunks)
 
 
-def _weights(args, M):
-    W = WeightMatrix(tuple(load_weights(args.weights)))
-    if W.n != M.n:
-        raise DimensionError(f"weights have {W.n} columns, matroid has {M.n}")
-    return W
-
-
 def cmd_bases(args, M):
     bases = enumerate_bases(M)
     _emit(args, {"count": len(bases), "bases": [_one_based(b) for b in bases]})
 
 
 def cmd_adjacency(args, M):
-    basis = _parse_basis(args.basis, M.n)
-    if not M.is_basis(basis):
-        raise DimensionError(f"{args.basis} is not a basis")
+    basis = _parse_basis(args.basis, M)
     neighbors = [_one_based(b) for b in M.adjacent_bases(basis)]
     _emit(args, {"basis": _one_based(basis), "neighbors": neighbors})
 
@@ -165,9 +159,7 @@ def cmd_search(args, M, W):
     """ls and ts: one descent from --start, or from a seeded random basis."""
     obj = _objective(args, W.d)
     if args.start:
-        start = _parse_basis(args.start, M.n)
-        if not M.is_basis(start):
-            raise DimensionError(f"{args.start} is not a basis")
+        start = _parse_basis(args.start, M)
     else:
         start = random_basis(M, random.Random(args.seed))
     trail = []
@@ -221,16 +213,10 @@ def _emit_found(args, W, found, params):
 
 def cmd_pt(args, M, W):
     if args.targets is not None:
-        targets = [(_parse_point(tok)) for tok in args.targets.split(";") if tok.strip()]
-        for t in targets:
-            if len(t) != W.d:
-                raise DimensionError(f"targets need {W.d} coordinates")
+        targets = [_parse_point(tok) for tok in args.targets.split(";") if tok.strip()]
     else:
         lo, hi = bounding_box(M, W)
-        count = math.prod(b - a + 1 for a, b in zip(lo, hi))
-        cap = env_cap("MATROPT_BASES_CAP", BASES_CAP_DEFAULT)
-        if count > cap:
-            raise CapError(f"{count} bounding-box targets exceed cap {cap}")
+        check_cap(math.prod(b - a + 1 for a, b in zip(lo, hi)), "bounding-box targets")
         targets = list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
     found = pivot_test(
         M, W, targets, args.tries, searcher=args.searcher, seed=args.seed,
@@ -246,8 +232,6 @@ def cmd_pt(args, M, W):
 
 
 def cmd_pb(args, M, W):
-    if W.d != 2:
-        raise DimensionError("pb requires exactly 2 criteria")
     rng = random.Random(args.seed)
     start = boundary_start(M, W, rng)
     _emit_found(args, W, projected_boundary(M, W, start), {"start": _one_based(start)})
@@ -288,9 +272,7 @@ def cmd_enumerate_trees(args, M):
     # The matrix-tree count bounds the listing first; the listing then
     # checks it.
     lap = laplacian_tree_count(M.nv, M.edges)
-    cap = env_cap("MATROPT_BASES_CAP", BASES_CAP_DEFAULT)
-    if lap > cap:
-        raise CapError(f"{lap} spanning trees exceed enumeration cap {cap}")
+    check_cap(lap, "spanning trees")
     trees = sorted(sorted(t) for t in spanning_trees(M.nv, M.edges))
     if lap != len(trees):
         raise InternalInconsistencyError(
@@ -493,7 +475,8 @@ def main(argv=None):
         if hasattr(args, "matroid"):
             inputs.append(load_matroid(args.matroid))
         if hasattr(args, "weights"):
-            inputs.append(_weights(args, inputs[0]))
+            inputs.append(WeightMatrix(tuple(load_weights(args.weights))))
+            check_fit(*inputs)
         if hasattr(args, "points"):
             inputs.append(load_point_rows(args.points))
         args.func(args, *inputs)

@@ -9,7 +9,11 @@ Objective values are plain ints on integer points with integer data and
 exact Fractions only for truly rational coefficients or targets; ties
 always break toward the lexicographically smallest basis.  Projections go
 through `_point`, which memoizes them on the weight matrix.  Neighbourhoods
-come from `Matroid.adjacent_bases`, cached on the matroid.  Within one call,
+come from `Matroid.adjacent_bases`, cached on the matroid.  It also refuses
+(DimensionError) a start that is not a basis: `local_search`, `tabu_search`
+and `projected_boundary` list their start's neighbours before they report
+or leave it, and only `fiber_bfs`, which lists none at depth 0, checks its
+start itself.  Within one call,
 `local_search` and `tabu_search` score each projected point once (the
 restarts of one pivot-test target share their scores), and
 `projected_boundary` tests each basis against the half-plane rule once.
@@ -27,16 +31,17 @@ from __future__ import annotations
 
 import random
 
-from .errors import CapError, DimensionError
+from .errors import DimensionError, check_cap
 from .matroid import Matroid, greedy_max_basis, random_basis
 from .multicriteria import (
     Custom,
     SquaredDistance,
     WeightMatrix,
+    check_fit,
     pareto_filter,
     project,
 )
-from .oracles import BASES_CAP_DEFAULT, env_cap, planar_convex_hull
+from .oracles import planar_convex_hull
 
 RANDOM_DIRECTION_RANGE = 1000  # integer entries drawn uniformly in [-R, R]
 
@@ -45,11 +50,6 @@ def _check_knobs(**knobs):
     for name, value in knobs.items():
         if value < 1:
             raise DimensionError(f"{name} must be >= 1")
-
-
-def _check(M: Matroid, W: WeightMatrix):
-    if W.n != M.n:
-        raise DimensionError(f"weight matrix has {W.n} columns, matroid has {M.n}")
 
 
 def _point(W: WeightMatrix, basis):
@@ -112,18 +112,17 @@ def local_search(M: Matroid, W: WeightMatrix, objective, start, transcript=None,
     again with the same objective passes one dict `scores` to every call,
     and then each point is scored once over all of them.
     """
-    _check(M, W)
+    check_fit(M, W)
     current = tuple(sorted(start))
-    if not M.is_basis(current):
-        raise DimensionError(f"{current} is not a basis")
     score = _scorer(W, objective, scores)
     value = score(current)
     pivots = 0
     while True:
+        neighbors = M.adjacent_bases(current)
         if transcript is not None:
             transcript(pivots, current, _point(W, current), value)
         best = None
-        for nb in M.adjacent_bases(current):
+        for nb in neighbors:
             nb_value = score(nb)
             if nb_value < value and (best is None or (nb_value, nb) < best):
                 best = (nb_value, nb)
@@ -141,11 +140,9 @@ def tabu_search(M: Matroid, W: WeightMatrix, objective, start, tabu_limit, trans
     without improving it, or when every neighbor has been visited.  Each
     projected point is scored once, as in `local_search`.
     """
-    _check(M, W)
+    check_fit(M, W)
     _check_knobs(tabu_limit=tabu_limit)
     current = tuple(sorted(start))
-    if not M.is_basis(current):
-        raise DimensionError(f"{current} is not a basis")
     visited = {current}
     score = _scorer(W, objective, scores)
     best_basis = current
@@ -207,7 +204,7 @@ def pivot_test(M: Matroid, W: WeightMatrix, targets, tries, searcher="ls", seed=
     searches make.  Each kept target keeps the seed of its index among all
     sorted targets, so the result is the same as searching every target.
     """
-    _check(M, W)
+    check_fit(M, W)
     _check_knobs(tries=tries, tabu_limit=tabu_limit, workers=workers)
     if searcher not in ("ls", "ts"):
         raise DimensionError("searcher must be 'ls' or 'ts'")
@@ -279,12 +276,10 @@ def projected_boundary(M: Matroid, W: WeightMatrix, start):
     edges never block the path.  The output projections contain every hull
     vertex and stay on the boundary.
     """
-    _check(M, W)
+    check_fit(M, W)
     if W.d != 2:
         raise DimensionError("projected_boundary is implemented for d = 2 only")
     start = tuple(sorted(start))
-    if not M.is_basis(start):
-        raise DimensionError(f"{start} is not a basis")
     if not _in_halfplane(M, W, start, strict=True):
         raise DimensionError("start basis must project to an extreme point")
     seen_points = {_point(W, start)}
@@ -359,7 +354,7 @@ def boundary_pareto_search(M: Matroid, W: WeightMatrix, tries, seed=0, searcher=
     corners are counted before any is listed, and refused (CapError) above
     MATROPT_BASES_CAP.
     """
-    _check(M, W)
+    check_fit(M, W)
     _check_knobs(tries=tries, tabu_limit=tabu_limit, workers=workers)
     if W.d != 2:
         raise DimensionError("boundary_pareto_search requires d = 2")
@@ -370,10 +365,8 @@ def boundary_pareto_search(M: Matroid, W: WeightMatrix, tries, seed=0, searcher=
     staircase = _pareto_chain(set(best.values()))
     found = {b for b, p in best.items() if p in set(staircase)}
     steps = list(zip(staircase, staircase[1:]))
-    count = sum((q1 - p1 + 1) * (p2 - q2 + 1) - 2 for (p1, p2), (q1, q2) in steps)
-    cap = env_cap("MATROPT_BASES_CAP", BASES_CAP_DEFAULT)
-    if count > cap:
-        raise CapError(f"{count} staircase targets exceed cap {cap}")
+    check_cap(sum((q1 - p1 + 1) * (p2 - q2 + 1) - 2 for (p1, p2), (q1, q2) in steps),
+              "staircase targets")
     targets = set()
     for (p1, p2), (q1, q2) in steps:
         for x in range(p1, q1 + 1):
@@ -403,7 +396,7 @@ def fiber_bfs(M: Matroid, W: WeightMatrix, start, depth, seen, witnesses):
     start alone.  New projections go into the caller's set `seen` and their
     bases into its dict `witnesses`; returns (seen, witnesses).
     """
-    _check(M, W)
+    check_fit(M, W)
     start = tuple(sorted(start))
     if not M.is_basis(start):
         raise DimensionError(f"{start} is not a basis")
@@ -456,7 +449,7 @@ def fiber_bfs_driver(M: Matroid, W: WeightMatrix, *, seed=0, bfs_depth=2, num_se
     boundary_retry_limit + random_retry_limit failures; listing scans at
     most one neighbourhood more than that.
     """
-    _check(M, W)
+    check_fit(M, W)
     _check_knobs(num_searches=num_searches, boundary_retry_limit=boundary_retry_limit,
                  random_retry_limit=random_retry_limit)
     if bfs_depth < 0:

@@ -76,12 +76,13 @@ def _read(text, what, kinds):
     sizes = []
     for tok in fields:
         try:
-            sizes.append(int(tok))
+            size = int(tok)
         except ValueError:
             raise ParseError(f"expected integer, got {tok!r}", line=head) from None
+        if size < 0:
+            raise ParseError(f"size {size} is negative", line=head)
+        sizes.append(size)
     nrows, ncols = shape(*sizes)
-    if nrows < 0 or ncols < 0:
-        raise ParseError(f"matrix size {nrows} x {ncols} is negative", line=head)
     if len(body) < nrows:
         raise ParseError(f"expected {nrows} matrix rows, found {len(body)}", line=head)
     if len(body) > nrows:

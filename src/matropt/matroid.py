@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
+from itertools import count
 
-from .errors import CapError, DimensionError
+from .errors import DimensionError, check_cap
 from .linalg import _extend, _integral, _reduce, _unit, integer_rank
-
-REJECTION_CAP = 10_000_000
 
 
 class Matroid:
@@ -338,9 +337,10 @@ def greedy_max_basis(M: Matroid, weights):
 
 def random_basis(M: Matroid, rng):
     """Uniform random basis by rejection-sampling rank-sized subsets, drawn
-    from the generator `rng` (a `random.Random`)."""
-    for _ in range(REJECTION_CAP):
+    from the generator `rng` (a `random.Random`); each draw first passes
+    its number through the work cap (`check_cap`)."""
+    for draws in count(1):
+        check_cap(draws, "random draws")
         cand = rng.sample(range(M.n), M.rank)
         if M.rank_of(cand) == M.rank:
             return tuple(sorted(cand))
-    raise CapError(f"no basis found in {REJECTION_CAP} random draws")

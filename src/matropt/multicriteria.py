@@ -50,6 +50,13 @@ class WeightMatrix:
         return len(self.rows[0])
 
 
+def check_fit(M: Matroid, W: WeightMatrix):
+    """Refuse (DimensionError) a weight matrix without one column per
+    element of M."""
+    if W.n != M.n:
+        raise DimensionError(f"weight matrix has {W.n} columns, matroid has {M.n}")
+
+
 def project(W: WeightMatrix, basis):
     """W e_B: sum the selected columns of each criteria row."""
     for i in basis:
@@ -76,8 +83,7 @@ def bounding_box(M: Matroid, W: WeightMatrix):
     Each face is found by one greedy run: linear objectives over bases are
     solved exactly by the greedy algorithm.
     """
-    if W.n != M.n:
-        raise DimensionError(f"weight matrix has {W.n} columns, matroid has {M.n}")
+    check_fit(M, W)
     lo, hi = [], []
     for row in W.rows:
         _, mx = greedy_max_basis(M, row)

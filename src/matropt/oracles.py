@@ -14,37 +14,21 @@ of the edge directions over every basis.
 
 from __future__ import annotations
 
-import os
 from itertools import combinations
 from math import comb
 
-from .errors import CapError, DimensionError, ParseError
+from .errors import DimensionError, check_cap
 from .linalg import bareiss_det
 from .matroid import Matroid, UniformMatroid, _spanning_forest
-from .multicriteria import WeightMatrix, project
+from .multicriteria import WeightMatrix, check_fit, project
 from .uniform import bounded_composition_counts
-
-BASES_CAP_DEFAULT = 10_000_000
-
-
-def env_cap(name: str, default: int) -> int:
-    """Integer cap from the environment variable `name`, else `default`."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def enumerate_bases(M: Matroid):
     """Every basis of M, as sorted tuples, in lexicographic order, refused
     (CapError) when C(n, r) exceeds MATROPT_BASES_CAP: one rank query per
     rank-sized subset."""
-    cap = env_cap("MATROPT_BASES_CAP", BASES_CAP_DEFAULT)
-    if comb(M.n, M.rank) > cap:
-        raise CapError(f"C({M.n},{M.rank}) exceeds enumeration cap {cap}")
+    check_cap(comb(M.n, M.rank), "rank-sized subsets")
     return [b for b in combinations(range(M.n), M.rank) if M.rank_of(b) == M.rank]
 
 
@@ -98,8 +82,7 @@ def laplacian_tree_count(n_vertices: int, edges) -> int:
 
 def exact_projected_set(M: Matroid, W: WeightMatrix, bases=None):
     """Map projected point -> fiber size, by full basis enumeration."""
-    if W.n != M.n:
-        raise DimensionError(f"weight matrix has {W.n} columns, matroid has {M.n}")
+    check_fit(M, W)
     if bases is None:
         bases = enumerate_bases(M)
     fibers = {}
@@ -155,21 +138,17 @@ def dilation_lattice_counts(M: Matroid, ks) -> tuple:
     kmax = max(ks, default=0)
     if kmax == 0:
         return (1,) * len(ks)
-    cap = env_cap("MATROPT_BASES_CAP", BASES_CAP_DEFAULT)
     if isinstance(M, UniformMatroid):
         # The table for m parts has m*k + 1 entries, m = 1..n; the largest
         # k's tables pass the cap only if every smaller k's do.
-        entries = kmax * M.n * (M.n + 1) // 2 + M.n
-        if entries > cap:
-            raise CapError(f"composition tables of {entries} entries exceed cap {cap}")
+        check_cap(kmax * M.n * (M.n + 1) // 2 + M.n, "table entries")
         return tuple(bounded_composition_counts(M.n, k + 1)[k * M.rank] for k in ks)
     width = kmax.bit_length()
     bases = [sum(1 << width * e for e in b) for b in enumerate_bases(M)]
     sums, sizes, formed = {0}, [1], 0
     for _ in range(kmax):
         formed += len(sums) * len(bases)
-        if formed > cap:
-            raise CapError(f"{formed} sums of bases for k={kmax} exceed cap {cap}")
+        check_cap(formed, "sums of bases")
         sums = {s + b for s in sums for b in bases}
         sizes.append(len(sums))
     return tuple(sizes[k] for k in ks)

@@ -19,7 +19,7 @@ from itertools import accumulate
 from math import comb, factorial
 from operator import sub
 
-from .errors import DimensionError, InternalInconsistencyError
+from .errors import DimensionError, InternalInconsistencyError, check_cap
 
 
 def bounded_composition_counts(n: int, r: int):
@@ -43,8 +43,15 @@ def bounded_composition_counts(n: int, r: int):
 def _count_terms(n: int, r: int):
     """Triples (c, slope, offset) = ((-1)^s C(n,s), r - s, n - 1 - s) for
     s < r, so that i(k) is the sum of c * C(slope * k + offset, n - 1); r is
-    first replaced by min(r, n - r), which keeps every i(k)."""
+    first replaced by min(r, n - r), which keeps every i(k).
+
+    Both closed forms start here, so it checks 1 <= r <= n - 1 for them and
+    caps their work at (n + 1)^2 (min(r, n - r) + 1) steps: about n^2 for
+    each term, and n^2 more for the series numerator or the division."""
+    if not 1 <= r <= n - 1:
+        raise DimensionError(f"uniform closed forms need 1 <= r <= n-1, got r={r}, n={n}")
     r = min(r, n - r)
+    check_cap((n + 1) ** 2 * (r + 1), "closed-form steps")
     return [(-comb(n, s) if s % 2 else comb(n, s), r - s, n - 1 - s) for s in range(r)]
 
 
@@ -56,8 +63,6 @@ def hstar_uniform(n: int, r: int):
     coefficient above the dimension vanishes.  Trailing zeros are trimmed;
     h*_0 = 1 always.
     """
-    if not 1 <= r <= n - 1:
-        raise DimensionError(f"uniform h* needs 1 <= r <= n-1, got r={r}, n={n}")
     terms = _count_terms(n, r)
     counts = [
         sum(c * comb(slope * k + offset, n - 1) for c, slope, offset in terms)
@@ -73,11 +78,10 @@ def ehrhart_uniform(n: int, r: int):
     integer product prod_{t=0}^{n-2} (k(r-s) - s + n - 1 - t) over (n-1)!,
     sums the integer numerators, and divides once per coefficient.
     """
-    if not 1 <= r <= n - 1:
-        raise DimensionError(f"uniform Ehrhart needs 1 <= r <= n-1, got r={r}, n={n}")
+    terms = _count_terms(n, r)
     deg = n - 1
     numerators = [0] * (deg + 1)
-    for c, slope, offset in _count_terms(n, r):
+    for c, slope, offset in terms:
         poly = [c]
         for t in range(deg):
             const = offset - t

@@ -97,6 +97,15 @@ def wheel_adjacency(k):
     return adj
 
 
+def bridges_triangle_adjacency():
+    # The path 0-1-2-3 of three bridges, then the triangle 3, 4, 5: of its
+    # C(6, 5) = 6 five-edge subsets, the 3 that keep every bridge are bases.
+    adj = [[0] * 6 for _ in range(6)]
+    for u, v in ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5)):
+        adj[u][v] = adj[v][u] = 1
+    return adj
+
+
 def square_matroid():
     # Direct sum of two 2-element rank-1 uniform matroids: P is a square.
     return vector_matroid([[1, 1, 0, 0], [0, 0, 1, 1]])

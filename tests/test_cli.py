@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bridges_triangle_adjacency,
     cycle_adjacency,
     evaluate_polynomial,
     random_connected_graph,
@@ -535,13 +536,15 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_undeclared_rows_are_two(self, tmp_path):
-        # A negative count, a row past the count and a line after
-        # 'uniform n r' each exit 2 naming the line, with nothing on stdout.
+        # A negative count, in a uniform file as in any other, a row past
+        # the count and a line after 'uniform n r' each exit 2 naming the
+        # line, with nothing on stdout.
         u3 = tmp_path / "u3.matroid"
         u3.write_text("uniform 3 2\n")
         bad = tmp_path / "bad"
         for header, line, argv in (
             ("vector -1 3", 1, ["bases", "--matroid", str(bad)]),
+            ("uniform -1 2", 1, ["bases", "--matroid", str(bad)]),
             ("vector 1 3", 3, ["bases", "--matroid", str(bad)]),
             ("uniform 3 2", 2, ["bases", "--matroid", str(bad)]),
             ("weights -1 3", 1, ["greedy", "--matroid", str(u3), "--weights", str(bad)]),
@@ -550,6 +553,7 @@ class TestExitCodes:
             res = run_cli(*argv)
             self._one_error_line(res, 2)
             assert f"(line {line})" in res.stderr
+            assert ("size -1 is negative" in res.stderr) == ("-1" in header)
             assert res.stdout == ""
 
     def test_weights_is_required(self, files, capsys):
@@ -709,6 +713,37 @@ class TestExitCodes:
                       env={"MATROPT_BASES_CAP": "abc"})
         self._one_error_line(res, 2)
         assert "MATROPT_BASES_CAP" in res.stderr
+
+    @pytest.mark.parametrize("command", ["hstar-uniform", "ehrhart-uniform"])
+    def test_closed_form_cap_boundary(self, command):
+        # U(2,4) takes (4 + 1)^2 * (2 + 1) = 75 closed-form steps.
+        argv = (command, "--n", "4", "--r", "2")
+        res = run_cli(*argv, env={"MATROPT_BASES_CAP": "75"})
+        assert res.returncode == 0
+        assert res.stdout == run_cli(*argv).stdout != ""
+        res = run_cli(*argv, env={"MATROPT_BASES_CAP": "74"})
+        self._one_error_line(res, 4)
+        assert res.stdout == ""
+
+    def test_random_draws_cap_boundary(self, tmp_path):
+        # ls without --start draws its start: seed 1 needs 4 draws on the
+        # three bridges and a triangle, where half of the subsets are bases.
+        graph, weights = tmp_path / "bt.graph", tmp_path / "bt.weights"
+        graph.write_text("graph 6\n" + "".join(
+            " ".join(map(str, row)) + "\n" for row in bridges_triangle_adjacency()))
+        weights.write_text("weights 2 6\n1 2 3 4 5 6\n6 5 4 3 2 1\n")
+        argv = ("ls", "--matroid", str(graph), "--weights", str(weights), "--seed", "1",
+                "--target", "10,10")
+        res = run_cli(*argv, env={"MATROPT_BASES_CAP": "4"})
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["params"]["start"] == [1, 2, 3, 4, 5]
+        res = run_cli(*argv, env={"MATROPT_BASES_CAP": "3"})
+        self._one_error_line(res, 4)
+        assert res.stdout == ""
+        res = run_cli(*argv, env={"MATROPT_BASES_CAP": "abc"})
+        self._one_error_line(res, 2)
+        assert "MATROPT_BASES_CAP" in res.stderr
+        assert res.stdout == ""
 
     def test_lattice_count_csv(self, files):
         res = run_cli("lattice-count", "--matroid", files["u24.matroid"],

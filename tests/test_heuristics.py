@@ -112,16 +112,18 @@ class TestLocalSearch:
                 assert obj(project(W_K4, nb)) >= value
 
     def test_rejects_non_basis(self, u24):
+        # Refused before the start is reported to a transcript.
         W = WeightMatrix(((1, 1, 1, 1), (0, 1, 2, 3)))
-        bad = (0, 1, 2)
-        with pytest.raises(DimensionError):
-            local_search(u24, W, Linear((1, 0)), bad)
-        with pytest.raises(DimensionError):
+        bad, calls = (0, 1, 2), []
+        with pytest.raises(DimensionError, match=r"\(0, 1, 2\) is not a basis"):
+            local_search(u24, W, Linear((1, 0)), bad, transcript=lambda *rec: calls.append(rec))
+        with pytest.raises(DimensionError, match="is not a basis"):
             tabu_search(u24, W, Linear((1, 0)), bad, 2)
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="is not a basis"):
             projected_boundary(u24, W, bad)
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="is not a basis"):
             fiber_bfs(u24, W, bad, 1, set(), {})
+        assert calls == []
 
     def test_scores_each_point_once(self):
         # Consecutive neighbourhoods overlap and fibers hold many bases: a

@@ -169,10 +169,10 @@ READER_CASES = {
 }
 
 # The cases a kind's format cannot hit.  A uniform file has no rows, and
-# its sizes n and r declare none, so uniform_matroid checks their range
-# (exit 3); only graph and weight entries must be integers.
+# its sizes n and r declare none, so past their sign uniform_matroid checks
+# their range (exit 3); only graph and weight entries must be integers.
 READER_SKIPS = {
-    "uniform": {"negative size", "missing row", "short row", "bad token",
+    "uniform": {"missing row", "short row", "bad token",
                 "non-integer entry", "2 in a graph"},
     "graph": set(),
     "vector": {"non-integer entry", "2 in a graph"},

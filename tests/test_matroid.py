@@ -16,6 +16,7 @@ from conftest import (
     brute_max_weight,
     brute_orbits,
     brute_rank,
+    bridges_triangle_adjacency,
     catalog_small,
     disconnected_matroids,
     exchange_edge_cases,
@@ -23,6 +24,7 @@ from conftest import (
     polytope_constraints,
 )
 from matropt import (
+    CapError,
     DimensionError,
     ParseError,
     automorphism_generators,
@@ -412,6 +414,19 @@ class TestRandomBasis:
         bases = set(enumerate_bases(u24))
         for seed in range(50):
             assert random_basis(u24, random.Random(seed)) in bases
+
+    def test_draws_cap_boundary(self, monkeypatch):
+        # Half the rank-sized subsets are bases; seed 1 draws three
+        # non-bases before its basis, so the draws cap passes at 4.
+        M = graphic_matroid(bridges_triangle_adjacency())
+        monkeypatch.setenv("MATROPT_BASES_CAP", "4")
+        assert random_basis(M, random.Random(1)) == (0, 1, 2, 3, 4)
+        monkeypatch.setenv("MATROPT_BASES_CAP", "3")
+        with pytest.raises(CapError, match="4 random draws exceed cap 3"):
+            random_basis(M, random.Random(1))
+        monkeypatch.setenv("MATROPT_BASES_CAP", "abc")
+        with pytest.raises(ParseError, match="MATROPT_BASES_CAP"):
+            random_basis(M, random.Random(1))
 
 
 class TestPolytopeConstraints:

@@ -13,6 +13,7 @@ from conftest import (
     is_unimodal,
 )
 from matropt import (
+    CapError,
     DimensionError,
     InternalInconsistencyError,
     bounded_composition_counts,
@@ -206,6 +207,37 @@ class TestEhrhartUniform:
     def test_rank_two_positive_coefficients(self):
         for n in range(3, 41):
             assert all(c > 0 for c in ehrhart_uniform(n, 2))
+
+
+class TestClosedFormChecks:
+    """Both closed forms share one range check and one work cap, taken
+    before any term: (n + 1)^2 (min(r, n - r) + 1) closed-form steps."""
+
+    @pytest.mark.parametrize("closed_form", [hstar_uniform, ehrhart_uniform])
+    def test_range_is_checked_before_the_cap(self, closed_form, monkeypatch):
+        monkeypatch.setenv("MATROPT_BASES_CAP", "0")  # the range comes first
+        for n, r in ((4, 4), (4, 0), (1, 1), (-1, 2)):
+            with pytest.raises(DimensionError, match="need 1 <= r <= n-1"):
+                closed_form(n, r)
+
+    @pytest.mark.parametrize("closed_form", [hstar_uniform, ehrhart_uniform])
+    def test_cap_boundary(self, closed_form, monkeypatch):
+        # U(2,4): 5^2 * 3 = 75; U(1,4) and U(3,4): 5^2 * 2 = 50.
+        for (n, r), steps in (((4, 2), 75), ((4, 1), 50), ((4, 3), 50)):
+            expected = closed_form(n, r)
+            monkeypatch.setenv("MATROPT_BASES_CAP", str(steps))
+            assert closed_form(n, r) == expected
+            monkeypatch.setenv("MATROPT_BASES_CAP", str(steps - 1))
+            with pytest.raises(CapError, match=f"{steps} closed-form steps exceed cap"):
+                closed_form(n, r)
+            monkeypatch.delenv("MATROPT_BASES_CAP")
+
+    def test_default_cap_refuses_large_n(self, monkeypatch):
+        # 1001^2 * 11 = 11,022,011 steps, above the default 10^7.
+        monkeypatch.delenv("MATROPT_BASES_CAP", raising=False)
+        for closed_form in (hstar_uniform, ehrhart_uniform):
+            with pytest.raises(CapError, match="11022011 closed-form steps exceed cap 10000000"):
+                closed_form(1000, 10)
 
 
 class TestHStarFromCounts:
