@@ -4,7 +4,8 @@ All procedures are deterministic functions of (inputs, seed): randomness
 flows only through integer-seeded generators, with per-attempt seeds derived
 arithmetically so that parallel and sequential runs agree bit for bit.
 Every knob is a plain argument, checked on entry: counts and limits must be
-at least 1 and a depth at least 0, or DimensionError.
+at least 1 and a depth at least 0, or DimensionError; `pivot_test` and
+`boundary_pareto_search` check theirs through one helper.
 Objective values are plain ints on integer points with integer data and
 exact Fractions only for truly rational coefficients or targets; ties
 always break toward the lexicographically smallest basis.  Projections go
@@ -24,12 +25,14 @@ it reaches more bases than a budget: the least work the caller does anyway
 (one restart per target, or the fewest attempts before the driver stops on
 its own).  Under that budget they skip targets outside the image and stop
 once every image point has a witness; neither changes any result, only the
-work spent on empty fibers.
+work spent on empty fibers.  The pivot test holds its targets once, as one
+sorted list of the caller's tuples.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import groupby
 
 from .errors import DimensionError, check_cap
 from .matroid import Matroid, greedy_max_basis, random_basis
@@ -121,14 +124,10 @@ def local_search(M: Matroid, W: WeightMatrix, objective, start, transcript=None,
         neighbors = M.adjacent_bases(current)
         if transcript is not None:
             transcript(pivots, current, _point(W, current), value)
-        best = None
-        for nb in neighbors:
-            nb_value = score(nb)
-            if nb_value < value and (best is None or (nb_value, nb) < best):
-                best = (nb_value, nb)
-        if best is None:
+        best_value, best = min(((score(nb), nb) for nb in neighbors), default=(value, current))
+        if best_value >= value:
             return current
-        value, current = best
+        value, current = best_value, best
         pivots += 1
 
 
@@ -183,6 +182,14 @@ def _pivot_test_point(M, W, target, tries, searcher, tabu_limit, seed):
     return None
 
 
+def _check_pivot_test(M: Matroid, W: WeightMatrix, tries, searcher, tabu_limit, workers):
+    """`pivot_test`'s argument checks, which `boundary_pareto_search` makes first."""
+    check_fit(M, W)
+    _check_knobs(tries=tries, tabu_limit=tabu_limit, workers=workers)
+    if searcher not in ("ls", "ts"):
+        raise DimensionError("searcher must be 'ls' or 'ts'")
+
+
 def pivot_test(M: Matroid, W: WeightMatrix, targets, tries, searcher="ls", seed=0,
                tabu_limit=10, workers=1):
     """Hunt for bases projecting onto each target point.
@@ -191,9 +198,10 @@ def pivot_test(M: Matroid, W: WeightMatrix, targets, tries, searcher="ls", seed=
     minimize the squared distance to x'; a basis is kept only when the
     distance reaches zero, so every reported projection lies in the target
     set.  Targets must be integral (a non-integral coordinate raises
-    DimensionError).  Targets are processed independently (and in parallel
-    when workers > 1) with per-target seeds, so partitioning never changes
-    the result.
+    DimensionError).  They are held once, as one sorted list of the
+    caller's own tuples, and a repeated target is searched once.  Targets
+    are processed independently (and in parallel when workers > 1) with
+    per-target seeds, so partitioning never changes the result.
 
     When the matroid has at most as many bases as there are distinct
     targets, the projected image is listed first (`_image`) and targets
@@ -202,26 +210,28 @@ def pivot_test(M: Matroid, W: WeightMatrix, targets, tries, searcher="ls", seed=
     gets at least one restart, which scans at least one; so when no target
     lies outside the image, listing adds at most one scan more than the
     searches make.  Each kept target keeps the seed of its index among all
-    sorted targets, so the result is the same as searching every target.
+    sorted distinct targets, so the result is the same as searching every
+    target.
     """
-    check_fit(M, W)
-    _check_knobs(tries=tries, tabu_limit=tabu_limit, workers=workers)
-    if searcher not in ("ls", "ts"):
-        raise DimensionError("searcher must be 'ls' or 'ts'")
-    items = set()
+    _check_pivot_test(M, W, tries, searcher, tabu_limit, workers)
+    items = []
     for t in map(tuple, targets):
         if len(t) != W.d:
             raise DimensionError("target dimension mismatch")
-        if any(x != int(x) for x in t):
-            raise DimensionError(f"target {t} is not integral")
-        items.add(tuple(map(int, t)))
-    items = sorted(items)
-    image = _image(M, W, len(items))
-    jobs = [
+        if not all(isinstance(x, int) for x in t):
+            if any(x != int(x) for x in t):
+                raise DimensionError(f"target {t} is not integral")
+            t = tuple(map(int, t))
+        items.append(t)
+    items.sort()
+    image = _image(M, W, sum(1 for _ in groupby(items)))
+    jobs = (
         (M, W, target, tries, searcher, tabu_limit, _derived_seed(seed, i))
-        for i, target in enumerate(items)
+        for i, (target, _) in enumerate(groupby(items))
         if image is None or target in image
-    ]
+    )
+    if workers > 1:
+        jobs = list(jobs)
     if workers > 1 and len(jobs) > 1:
         # Imported here: multiprocessing would add about 2.5 MB of resident
         # memory to every command that never starts a worker.
@@ -231,7 +241,7 @@ def pivot_test(M: Matroid, W: WeightMatrix, targets, tries, searcher="ls", seed=
             found = list(pool.map(_pivot_test_point, *zip(*jobs),
                                   chunksize=max(1, len(jobs) // workers)))
     else:
-        found = [_pivot_test_point(*job) for job in jobs]
+        found = (_pivot_test_point(*job) for job in jobs)
     return {b for b in found if b is not None}
 
 
@@ -320,24 +330,14 @@ def boundary_start(M: Matroid, W: WeightMatrix, rng):
 def _pareto_chain(points):
     """Hull vertices on the lower-left chain, sorted by first coordinate.
 
-    Walking the CCW hull from the lexicographically smallest (x, y) vertex
-    to the smallest (y, x) vertex visits exactly the vertices minimizing
-    some nonnegative linear functional; each is a genuine Pareto optimum of
-    the full projected set, unlike arbitrary boundary lattice points.
+    The CCW hull starts at the lexicographically smallest (x, y) vertex, and
+    its lower chain up to the smallest (y, x) vertex is sorted; that chain
+    is exactly the vertices minimizing some nonnegative linear functional,
+    each a genuine Pareto optimum of the full projected set, unlike
+    arbitrary boundary lattice points.
     """
     hull = planar_convex_hull(points)
-    if len(hull) == 1:
-        return hull
-    i0 = min(range(len(hull)), key=lambda i: (hull[i][0], hull[i][1]))
-    i1 = min(range(len(hull)), key=lambda i: (hull[i][1], hull[i][0]))
-    chain = []
-    i = i0
-    while True:
-        chain.append(hull[i])
-        if i == i1:
-            break
-        i = (i + 1) % len(hull)
-    return sorted(chain)
+    return hull[:hull.index(min(hull, key=lambda p: (p[1], p[0]))) + 1]
 
 
 def boundary_pareto_search(M: Matroid, W: WeightMatrix, tries, seed=0, searcher="ts",
@@ -351,28 +351,25 @@ def boundary_pareto_search(M: Matroid, W: WeightMatrix, tries, seed=0, searcher=
     attacked with the pivot test, and a final pairwise filter keeps exactly
     the bases whose projections are Pareto-minimal among everything found.
     The boxes meet only at their shared corners, so their points less the
-    corners are counted before any is listed, and refused (CapError) above
-    MATROPT_BASES_CAP.
+    corners are distinct: they are counted before any is listed, refused
+    (CapError) above MATROPT_BASES_CAP, and listed once.  The pivot test's
+    arguments are checked before the walk, and `projected_boundary`
+    refuses d != 2.
     """
-    check_fit(M, W)
-    _check_knobs(tries=tries, tabu_limit=tabu_limit, workers=workers)
-    if W.d != 2:
-        raise DimensionError("boundary_pareto_search requires d = 2")
+    _check_pivot_test(M, W, tries, searcher, tabu_limit, workers)
     rng = random.Random(_derived_seed(seed, 0))
     start = boundary_start(M, W, rng)
     boundary = projected_boundary(M, W, start)
     best = {b: _point(W, b) for b in boundary}
     staircase = _pareto_chain(set(best.values()))
-    found = {b for b, p in best.items() if p in set(staircase)}
+    corners = set(staircase)
+    found = {b for b, p in best.items() if p in corners}
     steps = list(zip(staircase, staircase[1:]))
     check_cap(sum((q1 - p1 + 1) * (p2 - q2 + 1) - 2 for (p1, p2), (q1, q2) in steps),
               "staircase targets")
-    targets = set()
-    for (p1, p2), (q1, q2) in steps:
-        for x in range(p1, q1 + 1):
-            for y in range(q2, p2 + 1):
-                if (x, y) != (p1, p2) and (x, y) != (q1, q2):
-                    targets.add((x, y))
+    targets = [(x, y) for (p1, p2), (q1, q2) in steps
+               for x in range(p1, q1 + 1) for y in range(q2, p2 + 1)
+               if (x, y) != (p1, p2) and (x, y) != (q1, q2)]
     if targets:
         found |= pivot_test(
             M, W, targets, tries, searcher=searcher,

@@ -93,7 +93,8 @@ def exact_projected_set(M: Matroid, W: WeightMatrix, bases=None):
 
 
 def planar_convex_hull(points):
-    """Counter-clockwise hull vertices of integer points in the plane.
+    """Counter-clockwise hull vertices of integer points in the plane,
+    starting at the lexicographically smallest point.
 
     Monotone chain with exact cross products; collinear non-extreme points
     are dropped.  Degenerate inputs give the natural degenerate hull.

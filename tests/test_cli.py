@@ -556,6 +556,44 @@ class TestExitCodes:
             assert ("size -1 is negative" in res.stderr) == ("-1" in header)
             assert res.stdout == ""
 
+    @pytest.mark.parametrize("argv, extra, code, wording", [
+        (["pt", "--matroid", "k4.graph", "--weights", "k4.weights", "--seed", "1",
+          "--targets", "1,2,3"], {}, 3, "target dimension mismatch"),
+        (["pt", "--matroid", "k4.graph", "--weights", "k4.weights", "--seed", "1",
+          "--targets", "1,x"], {}, 2, "bad point '1,x'"),
+        (["btrpt", "--matroid", "k4.graph", "--weights", "w3.weights", "--seed", "1"],
+         {"w3.weights": b"weights 3 6\n3 1 4 1 5 9\n2 7 1 8 2 8\n1 1 1 1 1 1\n"}, 3,
+         "projected_boundary is implemented for d = 2 only"),
+        (["greedy", "--matroid", "k4.graph", "--weights", "w0.weights"],
+         {"w0.weights": b"weights 0 6\n"}, 3, "weight matrix must be nonempty"),
+        (["bases", "--matroid", "g0.graph"], {"g0.graph": b"graph 0\n"}, 3,
+         "graph has no edges"),
+        (["bases", "--matroid", "g1.graph"], {"g1.graph": b"graph 1\n0\n"}, 3,
+         "graph has no edges"),
+        (["bases", "--matroid", "v0.matroid"], {"v0.matroid": b"vector 0 3\n"}, 3,
+         "vector matroid needs a nonempty matrix"),
+        (["bases", "--matroid", "latin1.matroid"],
+         {"latin1.matroid": b"vector 2 3\n\xff 0 1\n0 1 1\n"}, 2, "is not UTF-8 text"),
+        (["classify-2face", "--matroid", "u24.matroid", "--points", "three.points"],
+         {"three.points": b"vector 3 4\n1 1 0 0\n1 0 1 0\n0 1 0 1\n"}, 3,
+         "the four corners"),
+        (["classify-2face", "--matroid", "u24.matroid", "--points", "far.points"],
+         {"far.points": b"vector 4 4\n1 1 0 0\n0 0 1 1\n1 1 0 0\n0 0 1 1\n"}, 3,
+         "single exchange"),
+    ], ids=["pt-width", "pt-bad-point", "btrpt-three-rows", "weights-no-rows", "graph-0",
+            "graph-1-no-edges", "vector-0-rows", "matroid-not-utf8", "corners-three-rows",
+            "corners-not-exchanges"])
+    def test_refusal(self, files, tmp_path, capsys, argv, extra, code, wording):
+        # Each input exits with its code, one error line and nothing on stdout.
+        for name, data in extra.items():
+            (tmp_path / name).write_bytes(data)
+            files = {**files, name: str(tmp_path / name)}
+        assert cli.main([files.get(arg, arg) for arg in argv]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and wording in lines[0]
+
     def test_weights_is_required(self, files, capsys):
         # The usage line shows --weights without brackets, and a missing
         # --weights is argparse's usage error, exit 2.

@@ -44,6 +44,7 @@ from matropt.heuristics import (
     _derived_seed,
     _image,
     _in_halfplane,
+    _pareto_chain,
     _pivot_test_point,
     _point,
 )
@@ -239,6 +240,34 @@ class TestPivotTest:
             pytest.skip("process pools unavailable")
         assert seq == par
 
+    @pytest.mark.parametrize("searcher", ["ls", "ts"])
+    def test_repeats_and_order_do_not_matter(self, searcher):
+        # Each distinct target is searched once, with the seed of its index
+        # among the sorted distinct targets, whatever the caller's order.
+        rng = random.Random(35)
+        for k, (M, W) in enumerate(criterion9_instances(4)):
+            distinct = box_points(M, W)[::3]
+            shuffled = distinct + rng.sample(distinct, len(distinct) // 2)
+            rng.shuffle(shuffled)
+            kwargs = dict(tries=2, searcher=searcher, seed=k, tabu_limit=3)
+            assert pivot_test(M, W, shuffled, **kwargs) == pivot_test(M, W, distinct, **kwargs)
+
+    def test_searches_the_callers_tuples(self, u24, monkeypatch):
+        # Integer tuples are held as they are, not copied; other coordinates
+        # are rebuilt as ints.
+        W = WeightMatrix(((1, 2, 3, 4),))
+        searched = []
+
+        def recording(*job):
+            searched.append(job[2])
+            return _pivot_test_point(*job)
+
+        monkeypatch.setattr(heuristics, "_pivot_test_point", recording)
+        targets = [(5,), (3,), [4], (Fraction(6),)]
+        assert pivot_test(u24, W, targets, tries=3, seed=0)
+        assert searched == [(3,), (4,), (5,), (6,)]
+        assert searched[0] is targets[1] and searched[2] is targets[0]
+        assert all(type(t[0]) is int for t in searched)
 
     def test_non_integral_target_raises(self, k4):
         with pytest.raises(DimensionError):
@@ -517,6 +546,39 @@ class TestBoundaryParetoSearch:
                 k4, W, tries=10, seed=trial, searcher="ts", tabu_limit=16
             )
             assert {project(W, b) for b in found} == truth
+
+    def test_searcher_checked_without_targets(self):
+        # All-zero weights leave a one-point staircase and no box to search;
+        # the searcher is refused all the same.
+        k3 = graphic_matroid([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        W = WeightMatrix(((0, 0, 0), (0, 0, 0)))
+        assert boundary_pareto_search(k3, W, tries=1) == {(0, 1)}
+        with pytest.raises(DimensionError, match="searcher must be 'ls' or 'ts'"):
+            boundary_pareto_search(k3, W, tries=1, searcher="bogus")
+
+    def test_pareto_chain_equals_the_index_walk(self):
+        # The reference walk: from the smallest (x, y) hull vertex
+        # counter-clockwise to the smallest (y, x) vertex, then sorted.
+        def index_walk(points):
+            hull = planar_convex_hull(points)
+            if len(hull) == 1:
+                return hull
+            i0 = min(range(len(hull)), key=lambda i: (hull[i][0], hull[i][1]))
+            i1 = min(range(len(hull)), key=lambda i: (hull[i][1], hull[i][0]))
+            chain = []
+            i = i0
+            while True:
+                chain.append(hull[i])
+                if i == i1:
+                    break
+                i = (i + 1) % len(hull)
+            return sorted(chain)
+
+        rng = random.Random(35)
+        for size in [1, 2, 3, 4, 6, 10, 30] * 20:
+            span = rng.choice([1, 2, 5, 30])
+            points = {(rng.randint(0, span), rng.randint(0, span)) for _ in range(size)}
+            assert _pareto_chain(points) == index_walk(points), points
 
     def test_outputs_are_mutually_nondominated(self, k4):
         from matropt.multicriteria import dominates

@@ -163,6 +163,15 @@ class TestPlanarHull:
             area2 += x1 * y2 - x2 * y1
         assert area2 > 0  # positive signed area = CCW
 
+    def test_starts_at_the_smallest_point(self):
+        # The lower-left Pareto chain of the heuristics reads the hull from
+        # its first vertex, so that vertex must be the lexicographic minimum.
+        rng = random.Random(35)
+        for size in [1, 2, 3, 5, 8, 13, 40] * 10:
+            span = rng.choice([1, 3, 20])
+            points = [(rng.randint(0, span), rng.randint(0, span)) for _ in range(size)]
+            assert planar_convex_hull(points)[0] == min(points)
+
     def test_k4_projection_extremeness_recount(self, k4):
         # Second oracle: a point is extreme iff it is not a convex combination
         # of the others, tested by exhaustive orientation checks.
