@@ -213,7 +213,7 @@ def _emit_found(args, W, found, params):
 
 def cmd_pt(args, M, W):
     if args.targets is not None:
-        targets = [_parse_point(tok) for tok in args.targets.split(";") if tok.strip()]
+        targets = {_parse_point(tok) for tok in args.targets.split(";") if tok.strip()}
     else:
         lo, hi = bounding_box(M, W)
         check_cap(math.prod(b - a + 1 for a, b in zip(lo, hi)), "bounding-box targets")

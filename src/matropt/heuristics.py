@@ -8,15 +8,15 @@ at least 1 and a depth at least 0, or DimensionError; `pivot_test` and
 `boundary_pareto_search` check theirs through one helper.
 Objective values are plain ints on integer points with integer data and
 exact Fractions only for truly rational coefficients or targets; ties
-always break toward the lexicographically smallest basis.  Projections go
-through `_point`, which memoizes them on the weight matrix.  Neighbourhoods
-come from `Matroid.adjacent_bases`, cached on the matroid.  It also refuses
-(DimensionError) a start that is not a basis: `local_search`, `tabu_search`
-and `projected_boundary` list their start's neighbours before they report
-or leave it, and only `fiber_bfs`, which lists none at depth 0, checks its
-start itself.  Within one call,
-`local_search` and `tabu_search` score each projected point once (the
-restarts of one pivot-test target share their scores), and
+always break toward the lexicographically smallest basis.  The outermost
+search call on (M, W) checks their fit and opens a run (`_search_run`):
+every call nested in it on this very M and W shares its memos of neighbour
+lists and projections.  A neighbour listing refuses a start that is not a
+basis (DimensionError): `local_search`, `tabu_search` and
+`projected_boundary` list their start's neighbours before they report or
+leave it; only `fiber_bfs`, which lists none at depth 0, checks its start.
+Within one call, `local_search` and `tabu_search` score each projected
+point once (the restarts of one pivot-test target share their scores), and
 `projected_boundary` tests each basis against the half-plane rule once.
 
 The pivot test and the fiber-BFS driver first list the projected image with
@@ -32,7 +32,9 @@ sorted list of the caller's tuples.
 from __future__ import annotations
 
 import random
-from itertools import groupby
+from contextvars import ContextVar, copy_context
+from functools import cache, partial, wraps
+from itertools import groupby, repeat
 
 from .errors import DimensionError, check_cap
 from .matroid import Matroid, greedy_max_basis, random_basis
@@ -55,12 +57,24 @@ def _check_knobs(**knobs):
             raise DimensionError(f"{name} must be >= 1")
 
 
-def _point(W: WeightMatrix, basis):
-    """project(W, basis), memoized in W._points for the search procedures."""
-    p = W._points.get(basis)
-    if p is None:
-        p = W._points[basis] = project(W, basis)
-    return p
+_RUN = ContextVar("search_run", default=(None,) * 4)  # (M, W, neighbours, point)
+
+
+def _search_run(fn):
+    """Run fn(M, W, ...) in the caller's run if that is on this very M and W;
+    else check W against M and run fn in a new run, in a context of its own."""
+
+    @wraps(fn)
+    def entry(M, W, *args, **kwargs):
+        run = _RUN.get()
+        if run[0] is M and run[1] is W:
+            return fn(M, W, *args, **kwargs)
+        check_fit(M, W)
+        context = copy_context()
+        context.run(_RUN.set, (M, W, cache(M.adjacent_bases), cache(partial(project, W))))
+        return context.run(fn, M, W, *args, **kwargs)
+
+    return entry
 
 
 def _derived_seed(seed: int, *indices) -> int:
@@ -70,34 +84,35 @@ def _derived_seed(seed: int, *indices) -> int:
     return out
 
 
-def _image(M: Matroid, W: WeightMatrix, budget):
-    """Every projection of a basis, or None once more than `budget` bases are
-    reached.
+def _image(M: Matroid, budget):
+    """Every projection of a basis of the run's M, or None once more than
+    `budget` bases are reached.
 
     Breadth-first search of the exchange graph, which is connected, from the
     lexicographically first basis; it draws no random numbers and scans at
     most budget + 1 neighbourhoods.
     """
+    _, _, neighbours, point = _RUN.get()
     start = greedy_max_basis(M, [0] * M.n)[0]
     reached = {start}
     queue = [start]
     for basis in queue:
-        for nb in M.adjacent_bases(basis):
+        for nb in neighbours(basis):
             if nb not in reached:
                 reached.add(nb)
                 queue.append(nb)
         if len(reached) > budget:
             return None
-    return {_point(W, b) for b in reached}
+    return set(map(point, reached))
 
 
-def _scorer(W: WeightMatrix, objective, scores):
-    """basis -> the objective value of its projection, each projected point
-    scored once into the dict `scores` (a fresh one when None)."""
+def _scorer(point, objective, scores):
+    """basis -> the objective value of its projection `point(basis)`, each
+    projected point scored once into the dict `scores` (a fresh one if None)."""
     scores = {} if scores is None else scores
 
     def score(basis):
-        p = _point(W, basis)
+        p = point(basis)
         value = scores.get(p)
         if value is None:
             value = scores[p] = objective(p)
@@ -106,6 +121,7 @@ def _scorer(W: WeightMatrix, objective, scores):
     return score
 
 
+@_search_run
 def local_search(M: Matroid, W: WeightMatrix, objective, start, transcript=None, scores=None):
     """Steepest-descent pivoting to the best neighbor while it strictly improves.
 
@@ -115,15 +131,15 @@ def local_search(M: Matroid, W: WeightMatrix, objective, start, transcript=None,
     again with the same objective passes one dict `scores` to every call,
     and then each point is scored once over all of them.
     """
-    check_fit(M, W)
+    _, _, neighbours, point = _RUN.get()
     current = tuple(sorted(start))
-    score = _scorer(W, objective, scores)
+    score = _scorer(point, objective, scores)
     value = score(current)
     pivots = 0
     while True:
-        neighbors = M.adjacent_bases(current)
+        neighbors = neighbours(current)
         if transcript is not None:
-            transcript(pivots, current, _point(W, current), value)
+            transcript(pivots, current, point(current), value)
         best_value, best = min(((score(nb), nb) for nb in neighbors), default=(value, current))
         if best_value >= value:
             return current
@@ -131,6 +147,7 @@ def local_search(M: Matroid, W: WeightMatrix, objective, start, transcript=None,
         pivots += 1
 
 
+@_search_run
 def tabu_search(M: Matroid, W: WeightMatrix, objective, start, tabu_limit, transcript=None,
                 scores=None):
     """Pivot to the best not-yet-visited neighbor, even uphill.
@@ -139,25 +156,25 @@ def tabu_search(M: Matroid, W: WeightMatrix, objective, start, tabu_limit, trans
     without improving it, or when every neighbor has been visited.  Each
     projected point is scored once, as in `local_search`.
     """
-    check_fit(M, W)
     _check_knobs(tabu_limit=tabu_limit)
+    _, _, neighbours, point = _RUN.get()
     current = tuple(sorted(start))
     visited = {current}
-    score = _scorer(W, objective, scores)
+    score = _scorer(point, objective, scores)
     best_basis = current
     best_value = score(current)
     stale = 0
     pivots = 0
     while stale < tabu_limit:
         # Neighbors are distinct, so the pair order is the (value, basis) order.
-        candidates = [(score(nb), nb) for nb in M.adjacent_bases(current) if nb not in visited]
+        candidates = [(score(nb), nb) for nb in neighbours(current) if nb not in visited]
         if not candidates:
             break
         value, current = min(candidates)
         visited.add(current)
         pivots += 1
         if transcript is not None:
-            transcript(pivots, current, _point(W, current), value)
+            transcript(pivots, current, point(current), value)
         if value < best_value:
             best_value = value
             best_basis = current
@@ -177,19 +194,19 @@ def _pivot_test_point(M, W, target, tries, searcher, tabu_limit, seed):
             found = tabu_search(M, W, goal, start, tabu_limit, scores=scores)
         else:
             found = local_search(M, W, goal, start, scores=scores)
-        if scores[_point(W, found)] == 0:
+        if scores[_RUN.get()[3](found)] == 0:
             return found
     return None
 
 
-def _check_pivot_test(M: Matroid, W: WeightMatrix, tries, searcher, tabu_limit, workers):
+def _check_pivot_test(tries, searcher, tabu_limit, workers):
     """`pivot_test`'s argument checks, which `boundary_pareto_search` makes first."""
-    check_fit(M, W)
     _check_knobs(tries=tries, tabu_limit=tabu_limit, workers=workers)
     if searcher not in ("ls", "ts"):
         raise DimensionError("searcher must be 'ls' or 'ts'")
 
 
+@_search_run
 def pivot_test(M: Matroid, W: WeightMatrix, targets, tries, searcher="ls", seed=0,
                tabu_limit=10, workers=1):
     """Hunt for bases projecting onto each target point.
@@ -213,7 +230,7 @@ def pivot_test(M: Matroid, W: WeightMatrix, targets, tries, searcher="ls", seed=
     sorted distinct targets, so the result is the same as searching every
     target.
     """
-    _check_pivot_test(M, W, tries, searcher, tabu_limit, workers)
+    _check_pivot_test(tries, searcher, tabu_limit, workers)
     items = []
     for t in map(tuple, targets):
         if len(t) != W.d:
@@ -224,9 +241,9 @@ def pivot_test(M: Matroid, W: WeightMatrix, targets, tries, searcher="ls", seed=
             t = tuple(map(int, t))
         items.append(t)
     items.sort()
-    image = _image(M, W, sum(1 for _ in groupby(items)))
+    image = _image(M, sum(1 for _ in groupby(items)))
     jobs = (
-        (M, W, target, tries, searcher, tabu_limit, _derived_seed(seed, i))
+        (target, tries, searcher, tabu_limit, _derived_seed(seed, i))
         for i, (target, _) in enumerate(groupby(items))
         if image is None or target in image
     )
@@ -237,18 +254,23 @@ def pivot_test(M: Matroid, W: WeightMatrix, targets, tries, searcher="ls", seed=
         # memory to every command that never starts a worker.
         from concurrent.futures import ProcessPoolExecutor
 
+        size = -(-len(jobs) // workers)
+        chunks = (jobs[i:i + size] for i in range(0, len(jobs), size))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            found = list(pool.map(_pivot_test_point, *zip(*jobs),
-                                  chunksize=max(1, len(jobs) // workers)))
-    else:
-        found = (_pivot_test_point(*job) for job in jobs)
-    return {b for b in found if b is not None}
+            return set().union(*pool.map(_pivot_test_chunk, repeat(M), repeat(W), chunks))
+    return _pivot_test_chunk(M, W, jobs)
+
+
+@_search_run
+def _pivot_test_chunk(M, W, jobs):
+    """The bases found for `jobs` (`_pivot_test_point`'s arguments after M, W) in one run."""
+    return {_pivot_test_point(M, W, *job) for job in jobs} - {None}
 
 
 # Planar boundary walk ------------------------------------------------------
 
 
-def _in_halfplane(M: Matroid, W: WeightMatrix, basis, strict) -> bool:
+def _in_halfplane(basis, strict) -> bool:
     """Do the directions from the basis's projection p to its neighbours'
     projections fit in a half-plane (d = 2)?
 
@@ -263,8 +285,9 @@ def _in_halfplane(M: Matroid, W: WeightMatrix, basis, strict) -> bool:
     than pi when strict) ends at u exactly when every direction lies within
     pi (strictly less than pi) counter-clockwise of u.
     """
-    x, y = _point(W, basis)
-    dirs = {(q[0] - x, q[1] - y) for q in (_point(W, nb) for nb in M.adjacent_bases(basis))}
+    _, _, neighbours, point = _RUN.get()
+    x, y = point(basis)
+    dirs = {(q[0] - x, q[1] - y) for q in map(point, neighbours(basis))}
     dirs.discard((0, 0))
     for ux, uy in dirs:
         for vx, vy in dirs:
@@ -276,6 +299,7 @@ def _in_halfplane(M: Matroid, W: WeightMatrix, basis, strict) -> bool:
     return not dirs
 
 
+@_search_run
 def projected_boundary(M: Matroid, W: WeightMatrix, start):
     """Walk the base-exchange graph along hull-boundary projections (d = 2).
 
@@ -286,21 +310,21 @@ def projected_boundary(M: Matroid, W: WeightMatrix, start):
     edges never block the path.  The output projections contain every hull
     vertex and stay on the boundary.
     """
-    check_fit(M, W)
     if W.d != 2:
         raise DimensionError("projected_boundary is implemented for d = 2 only")
+    _, _, neighbours, point = _RUN.get()
     start = tuple(sorted(start))
-    if not _in_halfplane(M, W, start, strict=True):
+    if not _in_halfplane(start, strict=True):
         raise DimensionError("start basis must project to an extreme point")
-    seen_points = {_point(W, start)}
+    seen_points = {point(start)}
     off_boundary = set()  # bases that failed the test, whose verdict is theirs alone
     queue = [start]
     for current in queue:
-        for nb in M.adjacent_bases(current):
-            p = _point(W, nb)
+        for nb in neighbours(current):
+            p = point(nb)
             if p in seen_points or nb in off_boundary:
                 continue
-            if _in_halfplane(M, W, nb, strict=False):
+            if _in_halfplane(nb, strict=False):
                 seen_points.add(p)
                 queue.append(nb)
             else:
@@ -340,6 +364,7 @@ def _pareto_chain(points):
     return hull[:hull.index(min(hull, key=lambda p: (p[1], p[0]))) + 1]
 
 
+@_search_run
 def boundary_pareto_search(M: Matroid, W: WeightMatrix, tries, seed=0, searcher="ts",
                            tabu_limit=10, workers=1):
     """Pareto set hunt for d = 2: boundary walk, staircase gap sweep, filter.
@@ -356,14 +381,14 @@ def boundary_pareto_search(M: Matroid, W: WeightMatrix, tries, seed=0, searcher=
     arguments are checked before the walk, and `projected_boundary`
     refuses d != 2.
     """
-    _check_pivot_test(M, W, tries, searcher, tabu_limit, workers)
+    _check_pivot_test(tries, searcher, tabu_limit, workers)
     rng = random.Random(_derived_seed(seed, 0))
     start = boundary_start(M, W, rng)
     boundary = projected_boundary(M, W, start)
-    best = {b: _point(W, b) for b in boundary}
-    staircase = _pareto_chain(set(best.values()))
+    point = _RUN.get()[3]
+    staircase = _pareto_chain(set(map(point, boundary)))
     corners = set(staircase)
-    found = {b for b, p in best.items() if p in corners}
+    found = {b for b in boundary if point(b) in corners}
     steps = list(zip(staircase, staircase[1:]))
     check_cap(sum((q1 - p1 + 1) * (p2 - q2 + 1) - 2 for (p1, p2), (q1, q2) in steps),
               "staircase targets")
@@ -375,14 +400,14 @@ def boundary_pareto_search(M: Matroid, W: WeightMatrix, tries, seed=0, searcher=
             M, W, targets, tries, searcher=searcher,
             seed=_derived_seed(seed, 1), tabu_limit=tabu_limit, workers=workers,
         )
-    projections = {b: _point(W, b) for b in found}
-    final_points = pareto_filter(projections.values())
-    return {b for b, p in projections.items() if p in final_points}
+    final_points = pareto_filter(map(point, found))
+    return {b for b in found if point(b) in final_points}
 
 
 # Fiber-skipping breadth-first search ---------------------------------------
 
 
+@_search_run
 def fiber_bfs(M: Matroid, W: WeightMatrix, start, depth, seen, witnesses):
     """Bounded BFS that only pivots onto fresh projections.
 
@@ -393,11 +418,11 @@ def fiber_bfs(M: Matroid, W: WeightMatrix, start, depth, seen, witnesses):
     start alone.  New projections go into the caller's set `seen` and their
     bases into its dict `witnesses`; returns (seen, witnesses).
     """
-    check_fit(M, W)
+    _, _, neighbours, point = _RUN.get()
     start = tuple(sorted(start))
     if not M.is_basis(start):
         raise DimensionError(f"{start} is not a basis")
-    p = _point(W, start)
+    p = point(start)
     if p not in seen:
         seen.add(p)
         witnesses[p] = start
@@ -411,8 +436,8 @@ def fiber_bfs(M: Matroid, W: WeightMatrix, start, depth, seen, witnesses):
         if level >= depth:
             continue
         frontier = []
-        for nb in M.adjacent_bases(basis):
-            q = _point(W, nb)
+        for nb in neighbours(basis):
+            q = point(nb)
             if q not in seen:
                 seen.add(q)
                 witnesses[q] = nb
@@ -421,6 +446,7 @@ def fiber_bfs(M: Matroid, W: WeightMatrix, start, depth, seen, witnesses):
     return seen, witnesses
 
 
+@_search_run
 def fiber_bfs_driver(M: Matroid, W: WeightMatrix, *, seed=0, bfs_depth=2, num_searches=10,
                      boundary_retry_limit=100, random_retry_limit=1000):
     """Alternate boundary and random seeding, exploring each fresh projection.
@@ -446,13 +472,12 @@ def fiber_bfs_driver(M: Matroid, W: WeightMatrix, *, seed=0, bfs_depth=2, num_se
     boundary_retry_limit + random_retry_limit failures; listing scans at
     most one neighbourhood more than that.
     """
-    check_fit(M, W)
     _check_knobs(num_searches=num_searches, boundary_retry_limit=boundary_retry_limit,
                  random_retry_limit=random_retry_limit)
     if bfs_depth < 0:
         raise DimensionError("bfs_depth must be >= 0")
     limits = (boundary_retry_limit, random_retry_limit)
-    image = _image(M, W, min(num_searches, sum(limits)))
+    image = _image(M, min(num_searches, sum(limits)))
     seen: set = set()
     witnesses: dict = {}
     successes = 0
@@ -467,7 +492,7 @@ def fiber_bfs_driver(M: Matroid, W: WeightMatrix, *, seed=0, bfs_depth=2, num_se
             rng = random.Random(_derived_seed(seed, phase, attempt[phase]))
             attempt[phase] += 1
             basis = boundary_start(M, W, rng) if phase == 0 else random_basis(M, rng)
-            p = _point(W, basis)
+            p = _RUN.get()[3](basis)
             if p in seen:
                 failures[phase] += 1
                 continue

@@ -5,7 +5,7 @@ basis-exchange queries; around it sit incidence vectors, the greedy
 maximum-weight basis, seeded random bases and the automorphism group,
 read off the list of bases whatever the backend.  Elements are 0-based
 internally and rendered 1-based at the file/CLI surface.  A `Matroid` is
-immutable after construction and safe to share across workers; every
+a plain value, immutable after construction and holding no memo; every
 operation is a pure function of (matroid, arguments, seed).
 """
 
@@ -26,22 +26,16 @@ class Matroid:
     set of in-range elements, and `_circuit_pairs(b, out)`, the pair (i, j)
     for each j of `out` (the elements outside the basis b) and each i on
     the fundamental circuit C(b, j), in any order.  Do not mutate after
-    construction.  Nothing memoizes a rank query; the neighbor lists of
-    bases are cached on first use because the search heuristics hammer
-    them, and each costs one rank query, the basis check.  The cache stays
-    behind when the matroid is pickled (to worker processes, say).
+    construction.  Nothing here memoizes a rank query or a neighbor list;
+    a search keeps its own neighbor lists (`heuristics._search_run`).
     """
 
     def __init__(self, n, rank):
         self.n = n
         self.rank = rank
-        self._adj_cache = {}
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, rank={self.rank})"
-
-    def __getstate__(self):
-        return {**vars(self), "_adj_cache": {}}
 
     def rank_of(self, subset) -> int:
         """Rank of a subset of the ground set; a repeated element counts once."""
@@ -63,14 +57,7 @@ class Matroid:
         the neighbors' sorted order; only the basis check asks the rank
         oracle.
         """
-        if type(basis) is tuple:
-            cached = self._adj_cache.get(basis)
-            if cached is not None:
-                return cached
         b = tuple(sorted(basis))
-        cached = self._adj_cache.get(b)
-        if cached is not None:
-            return cached
         if not self.is_basis(b):
             raise DimensionError(f"{b} is not a basis")
         neighbors = []
@@ -79,8 +66,7 @@ class Matroid:
             nb.remove(i)
             insort(nb, j)
             neighbors.append(tuple(nb))
-        self._adj_cache[b] = neighbors = tuple(neighbors)
-        return neighbors
+        return tuple(neighbors)
 
     def _exchange_pairs(self, b):
         """The pair (i, j) of every adjacent basis b - i + j, in the neighbors'

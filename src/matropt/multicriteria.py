@@ -7,7 +7,7 @@ minimization is the canonical direction (negate rows for maximization).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DimensionError
 from .matroid import Matroid, greedy_max_basis
@@ -15,21 +15,10 @@ from .matroid import Matroid, greedy_max_basis
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """d x n integer criteria matrix; rows are individual weightings.
-
-    `_points` memoizes basis -> projection for the search procedures in
-    `heuristics`, which fill it through `project` on a miss.  It is bounded
-    by the number of bases a search visits, stays behind when `W` is
-    pickled to worker processes (each starts with an empty one), and takes
-    no part in equality or hashing.  The brute-force oracles call `project`
-    directly and never touch it.
-    """
+    """d x n integer criteria matrix; rows are individual weightings.  A
+    plain value: a search keeps its own projections (`heuristics._search_run`)."""
 
     rows: tuple
-    _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __reduce__(self):
-        return (WeightMatrix, (self.rows,))
 
     def __post_init__(self):
         if any(x != int(x) for row in self.rows for x in row):

@@ -27,6 +27,7 @@ from matropt import (
     incidence_vector,
     placing_triangulation,
     polytope_dimension,
+    project,
     random_basis,
     tangent_cone,
     tree_cells,
@@ -34,7 +35,7 @@ from matropt import (
     vector_matroid,
 )
 from matropt.genfun import _cone_value, _exp_gamma, _exp_table, _powers
-from matropt.heuristics import _derived_seed, _point, boundary_start, fiber_bfs
+from matropt.heuristics import _derived_seed, boundary_start, fiber_bfs
 from matropt.linalg import _extend, _integral, _null_vector, _unit, bareiss_det, integer_rank
 from matropt.matroid import GraphicMatroid
 
@@ -1327,7 +1328,7 @@ def fiber_bfs_driver_loop(M: Matroid, W, *, seed=0, bfs_depth=2, num_searches=10
                 basis = boundary_start(M, W, rng)
             else:
                 basis = random_basis(M, rng)
-            p = _point(W, basis)
+            p = project(W, basis)
             if p in seen:
                 if phase == 0:
                     boundary_failures += 1

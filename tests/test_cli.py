@@ -221,6 +221,17 @@ class TestStochasticCommands:
         assert json.loads(outs[0])["params"]["targets"] == 0
         assert json.loads(outs[2])["params"]["targets"] == 49
 
+    def test_pt_counts_distinct_targets(self, files, capsys):
+        # A repeated target is searched once, and counted once.
+        argv = ["pt", "--matroid", files["k4.graph"], "--weights", files["k4.weights"],
+                "--seed", "2", "--tries", "5", "--targets"]
+        outs = []
+        for targets in ("9,12;9,12;9,12", "9,12"):
+            assert cli.main(argv + [targets]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["params"]["targets"] == 1
+
     def test_points_format(self, files):
         res = run_cli(
             "pareto", "--matroid", files["u24.matroid"], "--weights", files["u24.weights"],

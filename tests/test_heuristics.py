@@ -45,8 +45,9 @@ from matropt.heuristics import (
     _image,
     _in_halfplane,
     _pareto_chain,
+    _pivot_test_chunk,
     _pivot_test_point,
-    _point,
+    _search_run,
 )
 
 W_K4 = WeightMatrix(((3, 1, 4, 1, 5, 9), (2, 7, 1, 8, 2, 8)))
@@ -73,8 +74,20 @@ def criterion9_instances(count):
     return out
 
 
+def in_run(M, W, body):
+    """body() inside a search run on M and W, as a public search call opens
+    one: the run's own helpers read it."""
+    return _search_run(lambda M, W: body())(M, W)
+
+
+def image(M, W, budget):
+    """`_image` in a run of its own."""
+    return in_run(M, W, lambda: _image(M, budget))
+
+
 def count_scans(monkeypatch):
-    """Count calls of Matroid.adjacent_bases, cached or not, in calls[0]."""
+    """Count calls of Matroid.adjacent_bases in calls[0]: a run asks it once
+    per basis it scans."""
     calls = [0]
     scan = Matroid.adjacent_bases
 
@@ -296,7 +309,8 @@ class TestPivotTestScores:
         for k, (M, W) in enumerate(criterion9_instances(14)):
             for i, target in enumerate(box_points(M, W)[:10]):
                 scored.clear()
-                _pivot_test_point(M, W, target, 6, searcher, 20, _derived_seed(k, i))
+                in_run(M, W, lambda: _pivot_test_point(
+                    M, W, target, 6, searcher, 20, _derived_seed(k, i)))
                 assert scored and len(scored) == len(set(scored)), (k, target)
 
 
@@ -305,18 +319,19 @@ class TestPivotTestPruning:
 
     @staticmethod
     def per_target(M, W, targets, tries, searcher, tabu_limit, seed):
+        # Every distinct target in one run, as pivot_test searches them.
         items = sorted(set(targets))
-        found = {
+        found = in_run(M, W, lambda: {
             _pivot_test_point(M, W, t, tries, searcher, tabu_limit, _derived_seed(seed, i))
             for i, t in enumerate(items)
-        }
+        })
         return found - {None}
 
     @pytest.mark.parametrize("searcher", ["ls", "ts"])
     def test_equals_search_of_every_target(self, searcher):
         for k, (M, W) in enumerate(criterion9_instances(5)):
             targets = box_points(M, W)
-            assert _image(M, W, len(targets)) is not None
+            assert image(M, W, len(targets)) is not None
             expected = self.per_target(M, W, targets, 2, searcher, 3, k)
             got = pivot_test(M, W, targets, 2, searcher=searcher, seed=k, tabu_limit=3)
             assert got == expected
@@ -371,7 +386,7 @@ class TestImage:
         for M in catalog_small() + extra:
             W = WeightMatrix(random_weight_matrix(rng, 2, M.n, -5, 20))
             bases = enumerate_bases(M)
-            assert _image(M, W, len(bases)) == set(exact_projected_set(M, W, bases=bases))
+            assert image(M, W, len(bases)) == set(exact_projected_set(M, W, bases=bases))
         assert len(enumerate_bases(single)) == 1
 
     def test_budget_boundary(self):
@@ -379,15 +394,17 @@ class TestImage:
         for M in catalog_small() + [uniform_matroid(4, 0)]:
             W = WeightMatrix(random_weight_matrix(rng, 2, M.n))
             count = len(enumerate_bases(M))
-            assert _image(M, W, count) is not None
-            assert _image(M, W, count - 1) is None
+            assert image(M, W, count) is not None
+            assert image(M, W, count - 1) is None
 
-    def test_scans_at_most_budget_plus_one(self):
+    def test_scans_at_most_budget_plus_one(self, monkeypatch):
         W = WeightMatrix(((1, 2, 3, 4, 5, 6, 7),))
+        M = uniform_matroid(7, 3)  # 35 bases
+        calls = count_scans(monkeypatch)
         for budget in (0, 1, 5, 20, 34):
-            M = uniform_matroid(7, 3)  # 35 bases; a fresh neighbour cache
-            assert _image(M, W, budget) is None
-            assert len(M._adj_cache) <= budget + 1
+            calls[0] = 0
+            assert image(M, W, budget) is None
+            assert calls[0] <= budget + 1
 
     def test_independent_of_oracles(self, k4, monkeypatch):
         from matropt import oracles
@@ -401,7 +418,7 @@ class TestImage:
         for name in ("enumerate_bases", "exact_projected_set", "spanning_trees"):
             monkeypatch.setattr(oracles, name, refuse)
         state = random.getstate()
-        assert _image(k4, W, 16) == expected
+        assert image(k4, W, 16) == expected
         assert random.getstate() == state
 
 
@@ -454,9 +471,9 @@ class TestProjectedBoundary:
         tested = []
         test = heuristics._in_halfplane
 
-        def counting(M, W, basis, strict):
+        def counting(basis, strict):
             tested.append(basis)
-            return test(M, W, basis, strict)
+            return test(basis, strict)
 
         monkeypatch.setattr(heuristics, "_in_halfplane", counting)
         for k, (M, W) in enumerate(criterion9_instances(6)):
@@ -472,7 +489,7 @@ class TestExtremenessOracle:
         hull = set(planar_convex_hull(exact))
         for b in enumerate_bases(k4):
             p = project(W_K4, b)
-            assert _in_halfplane(k4, W_K4, b, strict=True) == (p in hull)
+            assert in_run(k4, W_K4, lambda: _in_halfplane(b, strict=True)) == (p in hull)
 
 
 class TestHalfPlaneOracle:
@@ -519,10 +536,10 @@ class TestHalfPlaneOracle:
         ]
         for M in matroids:
             W = WeightMatrix(self.weights(kind, rng, M.n))
-            for b in enumerate_bases(M):
-                vertex, on_boundary = self.local_hull(M, W, b)
-                assert _in_halfplane(M, W, b, strict=True) == vertex
-                assert _in_halfplane(M, W, b, strict=False) == on_boundary
+            bases = enumerate_bases(M)
+            tests = in_run(M, W, lambda: [(_in_halfplane(b, strict=True),
+                                           _in_halfplane(b, strict=False)) for b in bases])
+            assert tests == [self.local_hull(M, W, b) for b in bases]
 
 
 class TestBoundaryParetoSearch:
@@ -714,7 +731,7 @@ class TestFiberBFSDriver:
                 params["boundary_retry_limit"] + params["random_retry_limit"],
             )
             over = len(enumerate_bases(M)) > budget
-            assert (_image(M, W, budget) is None) == over
+            assert (image(M, W, budget) is None) == over
             assert fiber_bfs_driver(M, W, **params) == fiber_bfs_driver_loop(M, W, **params)
 
     def test_listing_scans_at_most_budget_plus_one_more(self, monkeypatch):
@@ -779,34 +796,124 @@ class TestKnobValidation:
 
 
 class TestProjectionMemo:
-    def test_matches_project_on_catalog(self, catalog):
+    def test_matches_project_on_catalog(self, catalog, monkeypatch):
+        # Inside a run each basis is projected once, by `project`.
+        projected = []
+
+        def counting(W, basis):
+            projected.append(basis)
+            return project(W, basis)
+
+        monkeypatch.setattr(heuristics, "project", counting)
         rng = random.Random(8)
         for M in catalog:
             W = WeightMatrix(random_weight_matrix(rng, 2, M.n, -5, 20))
             bases = enumerate_bases(M)
-            for b in bases:
-                assert _point(W, b) == project(W, b)
-                assert _point(W, b) == project(W, b)  # served from the memo
-            assert set(W._points) == set(bases)
+            projected.clear()
+            points = in_run(M, W, lambda: list(map(heuristics._RUN.get()[3], bases + bases)))
+            assert points == [project(W, b) for b in bases + bases]
+            assert projected == bases
 
-    def test_oracle_route_bypasses_memo(self, k4):
-        W = WeightMatrix(W_K4.rows)
-        exact = exact_projected_set(k4, W)
-        assert W._points == {}
-        boundary_pareto_search(k4, W, tries=2, seed=3)
-        assert W._points
-        assert exact_projected_set(k4, W) == exact
+    def test_oracle_route_bypasses_memo(self, k4, monkeypatch):
+        # The oracles never enter a run: outside one they see none, and
+        # inside one they still project every basis themselves.
+        from matropt import oracles
+
+        runs = []
+
+        def projecting(W, basis):
+            runs.append(heuristics._RUN.get()[0])
+            return project(W, basis)
+
+        monkeypatch.setattr(oracles, "project", projecting)
+        exact = exact_projected_set(k4, W_K4)
+        assert len(runs) == 16 and set(runs) == {None}
+        runs.clear()
+        assert in_run(k4, W_K4, lambda: exact_projected_set(k4, W_K4)) == exact
+        assert len(runs) == 16 and set(runs) == {k4}
+        assert heuristics._RUN.get() == (None,) * 4
 
     def test_memo_is_not_part_of_the_value(self, k4):
         import pickle
 
-        filled = WeightMatrix(W_K4.rows)
-        local_search(k4, filled, SquaredDistance((9, 12)), (0, 1, 2))
+        searched = WeightMatrix(W_K4.rows)
+        local_search(k4, searched, SquaredDistance((9, 12)), (0, 1, 2))
         fresh = WeightMatrix(W_K4.rows)
-        assert filled._points and not fresh._points
-        assert filled == fresh and hash(filled) == hash(fresh)
-        assert repr(filled) == repr(fresh)
-        assert pickle.loads(pickle.dumps(filled))._points == {}
+        assert vars(searched) == vars(fresh)
+        assert searched == fresh and hash(searched) == hash(fresh)
+        assert repr(searched) == repr(fresh)
+        assert pickle.dumps(searched) == pickle.dumps(fresh)
+
+
+class TestRun:
+    """One run per outermost call, joined by nested calls on the same M and W."""
+
+    def test_nothing_survives_a_top_level_call(self, monkeypatch):
+        calls = count_scans(monkeypatch)
+        for M, W in criterion9_instances(4):
+            start = random_basis(M, random.Random(M.n))
+            scans = []
+            for _ in range(2):
+                calls[0] = 0
+                local_search(M, W, SquaredDistance((0, 0)), start)
+                scans.append(calls[0])
+            assert scans[0] == scans[1] > 1
+            assert heuristics._RUN.get() == (None,) * 4
+
+    def test_nested_calls_join_the_run(self, monkeypatch):
+        # A second search on this very M and W inside the run scans nothing
+        # new; one on an equal copy, as a pool worker unpickles it, gets its
+        # own memos, and so does an equal copy of W.
+        import pickle
+
+        calls = count_scans(monkeypatch)
+        M, W = criterion9_instances(1)[0]
+        goal = SquaredDistance((0, 0))
+        start = random_basis(M, random.Random(1))
+        alone = local_search(M, W, goal, start)
+        scans = calls[0]
+        M2, W2 = pickle.loads(pickle.dumps(M)), WeightMatrix(W.rows)
+
+        def body():
+            counts = []
+            for args in ((M, W), (M, W), (M2, W), (M, W2), (M, W)):
+                calls[0] = 0
+                assert local_search(*args, goal, start) == alone
+                counts.append(calls[0])
+            return counts
+
+        assert in_run(M, W, body) == [scans, 0, scans, scans, 0]
+
+    def test_run_ends_on_a_refusal(self, k4):
+        with pytest.raises(DimensionError):
+            local_search(k4, W_K4, SquaredDistance((0, 0)), (0, 1, 3))  # a triangle
+        assert heuristics._RUN.get() == (None,) * 4
+        with pytest.raises(DimensionError, match="weight matrix has 4 columns"):
+            local_search(k4, WeightMatrix(((1, 2, 3, 4),)), SquaredDistance((0,)), (0, 1, 2))
+
+    def test_a_chunk_shares_one_run(self, monkeypatch):
+        # Inside the run on (M, W), a chunk of jobs on an unpickled copy, as
+        # a pool worker gets it, opens one run of its own: it scans each
+        # basis once over all its targets, and finds what one pivot test does.
+        import pickle
+
+        scanned = []
+        scan = Matroid.adjacent_bases
+
+        def recording(self, basis):
+            scanned.append(basis)
+            return scan(self, basis)
+
+        monkeypatch.setattr(Matroid, "adjacent_bases", recording)
+        for k, (M, W) in enumerate(criterion9_instances(4)):
+            targets = box_points(M, W)
+            jobs = [(t, 2, "ls", 3, _derived_seed(k, i)) for i, t in enumerate(targets)]
+            M2, W2 = pickle.loads(pickle.dumps((M, W)))
+            scanned.clear()
+            found = in_run(M, W, lambda: _pivot_test_chunk(M2, W2, jobs))
+            assert scanned and len(scanned) == len(set(scanned)), k
+            # The seed of each target's index among them, as pivot_test uses.
+            assert found == pivot_test(M, W, targets, 2, seed=k, tabu_limit=3), k
 
 
 # The vector matroid of the columns of a 2 x 5 matrix, with parallel columns.
@@ -821,23 +928,23 @@ def every_backend():
 
 class TestPickling:
     def test_caches_stay_behind(self):
-        # Workers get M and W without their caches: a search that fills
-        # the neighbour and projection caches pickles no more, and the
-        # round trip keeps the backend's class and fields.
+        # A search leaves M and W as it found them: the same fields as a
+        # fresh value, the same pickled size, and the round trip keeps the
+        # backend's class and fields.
         import pickle
 
         rng = random.Random(41)
-        for M in every_backend():
+        for M, fresh in zip(every_backend(), every_backend()):
             W = WeightMatrix(random_weight_matrix(rng, 2, M.n, 0, 9))
             sizes = len(pickle.dumps(M)), len(pickle.dumps(W))
             pivot_test(M, W, box_points(M, W), tries=1, seed=2)
-            assert M._adj_cache and W._points
+            boundary_pareto_search(M, W, tries=1, seed=2)
+            assert vars(M) == vars(fresh)
+            assert W == WeightMatrix(W.rows) and vars(W) == vars(WeightMatrix(W.rows))
             assert (len(pickle.dumps(M)), len(pickle.dumps(W))) == sizes
             M2, W2 = pickle.loads(pickle.dumps((M, W)))
-            assert type(M2) is type(M)
-            assert vars(M2) == {**vars(M), "_adj_cache": {}}
+            assert type(M2) is type(M) and vars(M2) == vars(M)
             assert W2 == W
-            assert M2._adj_cache == {} and W2._points == {}
             assert sorted(enumerate_bases(M2)) == sorted(enumerate_bases(M))
 
     def test_workers_agree_on_every_backend(self):
