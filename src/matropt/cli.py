@@ -247,11 +247,11 @@ def cmd_btrpt(args, M, W):
 
 
 def cmd_dfbfs(args, M, W):
-    seen, witnesses = fiber_bfs_driver(
+    witnesses = fiber_bfs_driver(
         M, W, seed=args.seed, bfs_depth=args.depth, num_searches=args.searches,
         boundary_retry_limit=args.boundary_retries, random_retry_limit=args.random_retries,
     )
-    points = sorted(seen)
+    points = sorted(witnesses)
     payload = {
         "seed": args.seed,
         "params": {

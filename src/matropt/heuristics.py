@@ -12,12 +12,13 @@ always break toward the lexicographically smallest basis.  The outermost
 search call on (M, W) checks their fit and opens a run (`_search_run`):
 every call nested in it on this very M and W shares its memos of neighbour
 lists and projections.  A neighbour listing refuses a start that is not a
-basis (DimensionError): `local_search`, `tabu_search` and
-`projected_boundary` list their start's neighbours before they report or
-leave it; only `fiber_bfs`, which lists none at depth 0, checks its start.
-Within one call, `local_search` and `tabu_search` score each projected
-point once (the restarts of one pivot-test target share their scores), and
-`projected_boundary` tests each basis against the half-plane rule once.
+basis (DimensionError), and every search lists its start's neighbours
+before it reports or leaves it.  Within one call, `local_search` and
+`tabu_search` score each projected point once through
+`functools.cache(objective)`; a caller that wants points scored once over
+several searches passes them one cached objective, as the pivot test does
+for the restarts of each target.  `projected_boundary` tests each basis
+against the half-plane rule once.
 
 The pivot test and the fiber-BFS driver first list the projected image with
 `_image`, a breadth-first search of the exchange graph that gives up once
@@ -51,10 +52,10 @@ from .oracles import planar_convex_hull
 RANDOM_DIRECTION_RANGE = 1000  # integer entries drawn uniformly in [-R, R]
 
 
-def _check_knobs(**knobs):
+def _check_knobs(least=1, /, **knobs):
     for name, value in knobs.items():
-        if value < 1:
-            raise DimensionError(f"{name} must be >= 1")
+        if value < least:
+            raise DimensionError(f"{name} must be >= {least}")
 
 
 _RUN = ContextVar("search_run", default=(None,) * 4)  # (M, W, neighbours, point)
@@ -106,41 +107,27 @@ def _image(M: Matroid, budget):
     return set(map(point, reached))
 
 
-def _scorer(point, objective, scores):
-    """basis -> the objective value of its projection `point(basis)`, each
-    projected point scored once into the dict `scores` (a fresh one if None)."""
-    scores = {} if scores is None else scores
-
-    def score(basis):
-        p = point(basis)
-        value = scores.get(p)
-        if value is None:
-            value = scores[p] = objective(p)
-        return value
-
-    return score
-
-
 @_search_run
-def local_search(M: Matroid, W: WeightMatrix, objective, start, transcript=None, scores=None):
+def local_search(M: Matroid, W: WeightMatrix, objective, start, transcript=None):
     """Steepest-descent pivoting to the best neighbor while it strictly improves.
 
     Returns a basis none of whose neighbors has a smaller objective value.
     Always terminates: the value strictly decreases over a finite base set.
     Each projected point is scored once per call; a caller that searches
-    again with the same objective passes one dict `scores` to every call,
-    and then each point is scored once over all of them.
+    again with the same objective passes `functools.cache(objective)` to
+    every call, and then each point is scored once over all of them.
     """
     _, _, neighbours, point = _RUN.get()
     current = tuple(sorted(start))
-    score = _scorer(point, objective, scores)
-    value = score(current)
+    score = cache(objective)
+    value = score(point(current))
     pivots = 0
     while True:
         neighbors = neighbours(current)
         if transcript is not None:
             transcript(pivots, current, point(current), value)
-        best_value, best = min(((score(nb), nb) for nb in neighbors), default=(value, current))
+        best_value, best = min(((score(point(nb)), nb) for nb in neighbors),
+                               default=(value, current))
         if best_value >= value:
             return current
         value, current = best_value, best
@@ -148,8 +135,7 @@ def local_search(M: Matroid, W: WeightMatrix, objective, start, transcript=None,
 
 
 @_search_run
-def tabu_search(M: Matroid, W: WeightMatrix, objective, start, tabu_limit, transcript=None,
-                scores=None):
+def tabu_search(M: Matroid, W: WeightMatrix, objective, start, tabu_limit, transcript=None):
     """Pivot to the best not-yet-visited neighbor, even uphill.
 
     Tracks the best basis seen; stops after `tabu_limit` consecutive pivots
@@ -160,14 +146,14 @@ def tabu_search(M: Matroid, W: WeightMatrix, objective, start, tabu_limit, trans
     _, _, neighbours, point = _RUN.get()
     current = tuple(sorted(start))
     visited = {current}
-    score = _scorer(point, objective, scores)
+    score = cache(objective)
     best_basis = current
-    best_value = score(current)
+    best_value = score(point(current))
     stale = 0
     pivots = 0
     while stale < tabu_limit:
         # Neighbors are distinct, so the pair order is the (value, basis) order.
-        candidates = [(score(nb), nb) for nb in neighbours(current) if nb not in visited]
+        candidates = [(score(point(nb)), nb) for nb in neighbours(current) if nb not in visited]
         if not candidates:
             break
         value, current = min(candidates)
@@ -185,16 +171,15 @@ def tabu_search(M: Matroid, W: WeightMatrix, objective, start, tabu_limit, trans
 
 
 def _pivot_test_point(M, W, target, tries, searcher, tabu_limit, seed):
-    goal = SquaredDistance(tuple(target))
-    scores = {}  # one goal for every restart, so each point is scored once
+    goal = cache(SquaredDistance(tuple(target)))  # one for every restart
     rng = random.Random(seed)
     for _ in range(tries):
         start = random_basis(M, rng)
         if searcher == "ts":
-            found = tabu_search(M, W, goal, start, tabu_limit, scores=scores)
+            found = tabu_search(M, W, goal, start, tabu_limit)
         else:
-            found = local_search(M, W, goal, start, scores=scores)
-        if scores[_RUN.get()[3](found)] == 0:
+            found = local_search(M, W, goal, start)
+        if goal(_RUN.get()[3](found)) == 0:
             return found
     return None
 
@@ -408,24 +393,23 @@ def boundary_pareto_search(M: Matroid, W: WeightMatrix, tries, seed=0, searcher=
 
 
 @_search_run
-def fiber_bfs(M: Matroid, W: WeightMatrix, start, depth, seen, witnesses):
+def fiber_bfs(M: Matroid, W: WeightMatrix, start, depth, witnesses):
     """Bounded BFS that only pivots onto fresh projections.
 
-    Records the projection of `start`, then explores from it, recording a
-    neighbor only when its projection is not in `seen` (pivots inside a
-    fiber are forbidden), and exploring from each recorded neighbor in turn,
-    depth first, while its level stays below `depth`; depth 0 records the
-    start alone.  New projections go into the caller's set `seen` and their
-    bases into its dict `witnesses`; returns (seen, witnesses).
+    Lists the start's neighbours, which refuses a start that is not a basis,
+    and records the start's projection unless it already has a witness.
+    Then explores from it, recording a neighbor only when its projection has
+    no witness yet (pivots inside a fiber are forbidden), and exploring from
+    each recorded neighbor in turn, depth first, while its level stays below
+    `depth`; depth 0 records the start alone, and a negative depth raises
+    DimensionError.  Records go into the caller's dict `witnesses`, from
+    projection to basis, which is returned.
     """
+    _check_knobs(0, depth=depth)
     _, _, neighbours, point = _RUN.get()
     start = tuple(sorted(start))
-    if not M.is_basis(start):
-        raise DimensionError(f"{start} is not a basis")
-    p = point(start)
-    if p not in seen:
-        seen.add(p)
-        witnesses[p] = start
+    neighbours(start)  # refuses a non-basis
+    witnesses.setdefault(point(start), start)
 
     # An explicit stack, so that no depth meets Python's recursion limit;
     # each frontier goes on reversed, so that its first basis is explored
@@ -438,12 +422,11 @@ def fiber_bfs(M: Matroid, W: WeightMatrix, start, depth, seen, witnesses):
         frontier = []
         for nb in neighbours(basis):
             q = point(nb)
-            if q not in seen:
-                seen.add(q)
+            if q not in witnesses:
                 witnesses[q] = nb
                 frontier.append((nb, level + 1))
         stack.extend(reversed(frontier))
-    return seen, witnesses
+    return witnesses
 
 
 @_search_run
@@ -460,8 +443,9 @@ def fiber_bfs_driver(M: Matroid, W: WeightMatrix, *, seed=0, bfs_depth=2, num_se
     budgets are spent.  Per-attempt seeds make the first N successes of a
     longer run identical to a shorter one, so output grows monotonically in
     num_searches.  A fresh seed is explored by `fiber_bfs` to `bfs_depth`;
-    depth 0 keeps the seed's own projection alone.  The count and both
-    retry limits must be >= 1 and `bfs_depth` >= 0 (else DimensionError).
+    depth 0 keeps the seed's own projection alone.  Returns the dict from
+    each projection found to its witness basis.  The count and both retry
+    limits must be >= 1 and `bfs_depth` >= 0 (else DimensionError).
 
     It also stops once every projected point has a witness: from then on
     each attempt would fail and change nothing.  That needs the image from
@@ -474,11 +458,9 @@ def fiber_bfs_driver(M: Matroid, W: WeightMatrix, *, seed=0, bfs_depth=2, num_se
     """
     _check_knobs(num_searches=num_searches, boundary_retry_limit=boundary_retry_limit,
                  random_retry_limit=random_retry_limit)
-    if bfs_depth < 0:
-        raise DimensionError("bfs_depth must be >= 0")
+    _check_knobs(0, bfs_depth=bfs_depth)
     limits = (boundary_retry_limit, random_retry_limit)
     image = _image(M, min(num_searches, sum(limits)))
-    seen: set = set()
     witnesses: dict = {}
     successes = 0
     failures = [0, 0]  # consecutive failures per phase
@@ -487,18 +469,18 @@ def fiber_bfs_driver(M: Matroid, W: WeightMatrix, *, seed=0, bfs_depth=2, num_se
         for phase in (0, 1):
             if failures[phase] >= limits[phase]:
                 continue
-            if image is not None and len(seen) == len(image):
-                return seen, witnesses
+            if image is not None and len(witnesses) == len(image):
+                return witnesses
             rng = random.Random(_derived_seed(seed, phase, attempt[phase]))
             attempt[phase] += 1
             basis = boundary_start(M, W, rng) if phase == 0 else random_basis(M, rng)
             p = _RUN.get()[3](basis)
-            if p in seen:
+            if p in witnesses:
                 failures[phase] += 1
                 continue
             failures[phase] = 0
             successes += 1
-            fiber_bfs(M, W, basis, bfs_depth, seen, witnesses)
+            fiber_bfs(M, W, basis, bfs_depth, witnesses)
             if successes >= num_searches:
                 break
-    return seen, witnesses
+    return witnesses

@@ -1305,7 +1305,6 @@ def fiber_bfs_driver_loop(M: Matroid, W, *, seed=0, bfs_depth=2, num_searches=10
     """`fiber_bfs_driver` as it ran before it listed the image: it stops
     only on num_searches successes or on both exhausted retry budgets
     (oracle for the early stop once every image point has a witness)."""
-    seen: set = set()
     witnesses: dict = {}
     successes = 0
     boundary_failures = 0
@@ -1329,7 +1328,7 @@ def fiber_bfs_driver_loop(M: Matroid, W, *, seed=0, bfs_depth=2, num_searches=10
             else:
                 basis = random_basis(M, rng)
             p = project(W, basis)
-            if p in seen:
+            if p in witnesses:
                 if phase == 0:
                     boundary_failures += 1
                 else:
@@ -1341,13 +1340,12 @@ def fiber_bfs_driver_loop(M: Matroid, W, *, seed=0, bfs_depth=2, num_searches=10
                 random_failures = 0
             successes += 1
             if bfs_depth == 0:
-                seen.add(p)
                 witnesses[p] = basis
             else:
-                fiber_bfs(M, W, basis, bfs_depth, seen, witnesses)
+                fiber_bfs(M, W, basis, bfs_depth, witnesses)
             if successes >= num_searches:
                 break
-    return seen, witnesses
+    return witnesses
 
 
 # Lattice determinants by the gcd of maximal minors ------------------------

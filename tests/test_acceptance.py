@@ -277,12 +277,12 @@ def test_criterion_09_heuristic_oracle_properties():
             # (e) exhaustive driver equals the projected set when enumerable
             if len(bases) <= 200:
                 driver_checked += 1
-                seen, witnesses = fiber_bfs_driver(
+                witnesses = fiber_bfs_driver(
                     M, W, seed=trial, bfs_depth=M.n, num_searches=100_000,
                     boundary_retry_limit=60, random_retry_limit=3000,
                 )
-                assert seen == exact_pts
-                assert all(M.is_basis(b) for b in witnesses.values())
+                assert witnesses.keys() == exact_pts
+                assert all(M.is_basis(b) and project(W, b) == p for p, b in witnesses.items())
         assert driver_checked >= 25
 
 

@@ -46,12 +46,18 @@ def files(tmp_path):
     return paths
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run_cli(*argv, env=None):
+    """Run the CLI of this checkout in a child process: its `src` goes first
+    on the child's PYTHONPATH, whatever the parent's is."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "matropt.cli", *argv],
         capture_output=True,
         text=True,
-        env=None if env is None else {**os.environ, **env},
+        env={**os.environ, **(env or {}), "PYTHONPATH": path},
     )
 
 

@@ -135,8 +135,11 @@ class TestLocalSearch:
             tabu_search(u24, W, Linear((1, 0)), bad, 2)
         with pytest.raises(DimensionError, match="is not a basis"):
             projected_boundary(u24, W, bad)
-        with pytest.raises(DimensionError, match="is not a basis"):
-            fiber_bfs(u24, W, bad, 1, set(), {})
+        for depth in (0, 1):
+            witnesses = {}
+            with pytest.raises(DimensionError, match="is not a basis"):
+                fiber_bfs(u24, W, bad, depth, witnesses)
+            assert witnesses == {}
         assert calls == []
 
     def test_scores_each_point_once(self):
@@ -609,21 +612,20 @@ class TestBoundaryParetoSearch:
 class TestFiberBFS:
     def test_depth_zero_keeps_the_start(self, u24):
         W = WeightMatrix(((1, 2, 3, 4), (4, 3, 2, 1)))
-        seen, wit = fiber_bfs(u24, W, (1, 0), 0, set(), {})
-        assert seen == {project(W, (0, 1))} and wit == {project(W, (0, 1)): (0, 1)}
-        # A start whose projection is already known records nothing.
-        known = {project(W, (0, 1))}
-        assert fiber_bfs(u24, W, (0, 1), 0, known, {}) == ({project(W, (0, 1))}, {})
+        assert fiber_bfs(u24, W, (1, 0), 0, {}) == {project(W, (0, 1)): (0, 1)}
+        # A start whose projection already has a witness keeps that witness.
+        known = {project(W, (0, 1)): (2, 3)}
+        assert fiber_bfs(u24, W, (0, 1), 0, known) is known
+        assert known == {project(W, (0, 1)): (2, 3)}
 
     def test_depth_one_includes_start(self, u24):
         W = WeightMatrix(((1, 2, 3, 4), (4, 3, 2, 1)))
-        seen, _ = fiber_bfs(u24, W, (0, 1), 1, set(), {})
-        assert project(W, (0, 1)) in seen
+        assert project(W, (0, 1)) in fiber_bfs(u24, W, (0, 1), 1, {})
 
     def test_output_inside_exact_set(self, k4):
         exact = set(exact_projected_set(k4, W_K4))
-        seen, wit = fiber_bfs(k4, W_K4, (0, 1, 2), 3, set(), {})
-        assert seen <= exact
+        wit = fiber_bfs(k4, W_K4, (0, 1, 2), 3, {})
+        assert wit.keys() <= exact
         for p, b in wit.items():
             assert project(W_K4, b) == p
             assert k4.is_basis(b)
@@ -631,14 +633,37 @@ class TestFiberBFS:
     def test_deep_exhaustive_u24(self, u24):
         W = WeightMatrix(((1, 2, 3, 4), (4, 3, 2, 1)))
         exact = set(exact_projected_set(u24, W))
-        seen, _ = fiber_bfs(u24, W, (0, 1), 10, set(), {})
-        assert seen == exact
+        assert fiber_bfs(u24, W, (0, 1), 10, {}).keys() == exact
+
+    def test_one_rank_query_per_start_not_yet_listed(self, monkeypatch):
+        # Listing the start's neighbours is the basis check: the only rank
+        # query is the one each neighbour listing asks, so a fresh start
+        # costs one at depth 0 and 1, and one the run has listed costs none.
+        queries = [0]
+        rank_of = Matroid.rank_of
+
+        def counting(self, subset):
+            queries[0] += 1
+            return rank_of(self, subset)
+
+        cases = [(M, W, greedy_max_basis(M, [0] * M.n)[0]) for M, W in criterion9_instances(6)]
+        scans = count_scans(monkeypatch)
+        monkeypatch.setattr(Matroid, "rank_of", counting)
+        for M, W, start in cases:
+            for depth in range(4):
+                queries[0] = scans[0] = 0
+                fiber_bfs(M, W, start, depth, {})
+                assert queries[0] == scans[0] >= 1, depth
+                assert depth > 1 or scans[0] == 1
+            queries[0] = 0
+            in_run(M, W, lambda: [fiber_bfs(M, W, start, depth, {}) for depth in (1, 0, 1)])
+            assert queries[0] == 1
 
     @staticmethod
     def recursive_fiber_bfs(M, W, start, depth):
         """The rule fiber_bfs walks, one recursive call per level: explore
         a basis's fresh neighbours depth first, in the order they are met."""
-        seen, witnesses = {project(W, start)}, {project(W, start): start}
+        witnesses = {project(W, start): start}
 
         def rec(basis, level):
             if level >= depth:
@@ -646,15 +671,14 @@ class TestFiberBFS:
             frontier = []
             for nb in M.adjacent_bases(basis):
                 q = project(W, nb)
-                if q not in seen:
-                    seen.add(q)
+                if q not in witnesses:
                     witnesses[q] = nb
                     frontier.append(nb)
             for nb in frontier:
                 rec(nb, level + 1)
 
         rec(start, 0)
-        return seen, witnesses
+        return witnesses
 
     @staticmethod
     def k7_instance():
@@ -671,17 +695,15 @@ class TestFiberBFS:
         cases.append((M, W, start, (900,)))
         for M, W, start, depths in cases:
             for depth in depths:
-                seen, wit = fiber_bfs(M, W, start, depth, set(), {})
-                want_seen, want_wit = self.recursive_fiber_bfs(M, W, start, depth)
-                assert seen == want_seen
-                assert list(wit.items()) == list(want_wit.items())
+                wit = fiber_bfs(M, W, start, depth, {})
+                want = self.recursive_fiber_bfs(M, W, start, depth)
+                assert list(wit.items()) == list(want.items())
 
     def test_depth_beyond_the_recursion_limit(self):
         # Fresh projections chain the walk thousands of levels deep on K7,
         # whose 7^5 spanning trees (Cayley) project to distinct points here.
         M, W, start = self.k7_instance()
-        seen, wit = fiber_bfs(M, W, start, 1000, set(), {})
-        assert len(seen) == len(wit) == 7 ** 5
+        assert len(fiber_bfs(M, W, start, 1000, {})) == 7 ** 5
 
 
 # The driver's knobs and their defaults, read off its signature.
@@ -692,12 +714,12 @@ DRIVER_DEFAULTS = {name: p.default
 
 class TestFiberBFSDriver:
     def test_minimal_limits_nonempty(self, k4):
-        seen, _ = fiber_bfs_driver(
+        wit = fiber_bfs_driver(
             k4, W_K4, seed=0, bfs_depth=1, num_searches=1,
             boundary_retry_limit=1, random_retry_limit=1,
         )
-        assert seen
-        assert seen <= set(exact_projected_set(k4, W_K4))
+        assert wit
+        assert wit.keys() <= set(exact_projected_set(k4, W_K4))
 
     def test_generous_limits_reach_everything(self):
         rng = random.Random(55)
@@ -706,11 +728,11 @@ class TestFiberBFSDriver:
             if len(enumerate_bases(M)) > 50:
                 continue
             W = WeightMatrix(random_weight_matrix(rng, 2, M.n))
-            seen, _ = fiber_bfs_driver(
+            wit = fiber_bfs_driver(
                 M, W, seed=trial, bfs_depth=M.n, num_searches=10_000,
                 boundary_retry_limit=100, random_retry_limit=2000,
             )
-            assert seen == set(exact_projected_set(M, W))
+            assert wit.keys() == set(exact_projected_set(M, W))
 
     @pytest.mark.parametrize("knobs", [
         lambda M: dict(bfs_depth=M.n, num_searches=100_000, boundary_retry_limit=60,
@@ -752,15 +774,15 @@ class TestFiberBFSDriver:
 
     def test_monotone_in_num_searches(self, k4):
         base = dict(seed=9, bfs_depth=2, boundary_retry_limit=5, random_retry_limit=20)
-        small, _ = fiber_bfs_driver(k4, W_K4, num_searches=3, **base)
-        large, _ = fiber_bfs_driver(k4, W_K4, num_searches=6, **base)
-        assert small <= large
+        small = fiber_bfs_driver(k4, W_K4, num_searches=3, **base)
+        large = fiber_bfs_driver(k4, W_K4, num_searches=6, **base)
+        assert small.items() <= large.items()
 
     def test_deterministic(self, k4):
         params = dict(seed=4, bfs_depth=2, num_searches=5)
-        a, _ = fiber_bfs_driver(k4, W_K4, **params)
-        b, _ = fiber_bfs_driver(k4, W_K4, **params)
-        assert a == b
+        a = fiber_bfs_driver(k4, W_K4, **params)
+        b = fiber_bfs_driver(k4, W_K4, **params)
+        assert list(a.items()) == list(b.items())
 
 
 class TestKnobValidation:
@@ -785,8 +807,16 @@ class TestKnobValidation:
         for knob, value in low.items():
             with pytest.raises(DimensionError, match=f"{knob} must be >= {value + 1}"):
                 fiber_bfs_driver(k4, W_K4, **{knob: value})
-            seen, _ = fiber_bfs_driver(k4, W_K4, seed=1, **{knob: value + 1})
-            assert seen and seen <= set(exact_projected_set(k4, W_K4))
+            wit = fiber_bfs_driver(k4, W_K4, seed=1, **{knob: value + 1})
+            assert wit and wit.keys() <= set(exact_projected_set(k4, W_K4))
+
+    def test_fiber_bfs(self, u24):
+        W = WeightMatrix(((1, 2, 3, 4), (4, 3, 2, 1)))
+        witnesses = {}
+        with pytest.raises(DimensionError, match="depth must be >= 0"):
+            fiber_bfs(u24, W, (0, 1), -1, witnesses)
+        assert witnesses == {}
+        assert fiber_bfs(u24, W, (0, 1), 0, witnesses) == {project(W, (0, 1)): (0, 1)}
 
     def test_tabu_search(self, k4):
         obj = SquaredDistance((9, 12))
